@@ -7,6 +7,7 @@ Subpackages:
   valuations  Hermitian intrinsic volumes and curvature integrals of shapes
   planes      spaces of complex r-planes, Monte Carlo plane measures
   varcheck    variation formulas against finite differences
+  checks      the verifications shared by the CLI and the acceptance suite
   cli         command-line front end
 """
 

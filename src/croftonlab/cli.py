@@ -18,12 +18,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from math import pi, sqrt
 from typing import Dict, List, Optional
 
-import numpy as np
-
-from . import __version__, geom, planes, valuations, varcheck
+from . import __version__, checks, geom, planes, valuations, varcheck
 from . import coeffcore as cc
 
 SCHEMA_VERSION = 1
@@ -145,8 +142,7 @@ def cmd_coeffs(args) -> int:
         op = cc.variation_operator(args.n)
         results = {}
         for key in op.keys():
-            name = "vol" if key == "vol" else f"{key[0]}:{key[1]},{key[2]}"
-            results[name] = [
+            results[varcheck.key_name(key)] = [
                 {"kind": kind, "k": k, "q": q, "epsPow": p, "coeff": str(coeff)}
                 for kind, k, q, p, coeff in op.targets(key)
             ]
@@ -184,242 +180,32 @@ def cmd_volumes(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _default_ellipsoids(n: int) -> List[List[float]]:
-    if n == 2:
-        return [[1, 1, 2, 2], [1, 2, 2, 3], [1, 1, 1, 2]]
-    if n == 3:
-        return [[1, 1, 1, 1, 2, 2], [1, 1, 2, 2, 2, 2], [1, 2, 2, 2, 2, 2]]
-    raise SystemExit("default ellipsoid families exist for n in {2, 3}")
+def _families(n: int) -> List[List[float]]:
+    if n not in checks.FLAT_FAMILIES:
+        raise SystemExit("default ellipsoid families exist for n in {2, 3}")
+    return checks.FLAT_FAMILIES[n]
 
 
-def _check_gauss_bonnet(args) -> dict:
-    tol = args.tol if args.tol is not None else 1e-8
-    o = cc.sphere_volume_coeff(2 * args.n - 1).to_float()
-    if args.shape == "ball":
-        shape: geom.Shape = geom.GeodesicBall(n=args.n, eps=args.eps, R=args.R)
-    else:
-        shape = _shape_from_args(args)
-    r_mu, r_plane = valuations.gauss_bonnet_residual(shape, level=args.level)
-    results = {
-        "residualMuForm": r_mu,
-        "residualPlaneForm": r_plane,
-        "relativeMuForm": abs(r_mu) / o,
-        "relativePlaneForm": abs(r_plane) / o,
-        "tolerance": tol,
-    }
-    results["pass"] = results["relativeMuForm"] < tol and results["relativePlaneForm"] < tol
-    return results
+def _unit_ellipsoid(n: int) -> geom.Ellipsoid:
+    return geom.Ellipsoid.from_axes([1.0] * (2 * n))
 
 
-def _check_gamma_b(args) -> dict:
-    tol = args.tol if args.tol is not None else 1e-9
-    shape = geom.GeodesicBall(n=args.n, eps=args.eps, R=args.R)
-    table = valuations.ball_closed_form(shape.eps, shape.n, shape.R)
-    res = valuations.check_gamma_b_relation(table)
-    worst = max((abs(v) for v in res.values()), default=0.0)
-    return {
-        "residuals": {f"{k},{q}": v for (k, q), v in sorted(res.items())},
-        "worst": worst,
-        "tolerance": tol,
-        "pass": worst < tol,
-    }
-
-
-def _check_crofton_mc(args) -> dict:
-    ztol = args.tol if args.tol is not None else 3.0
-    n, r = args.n, args.r
-    level = args.level if n == 2 else 1
-    ref = geom.Ellipsoid.from_axes([1.0] * (2 * n))
-    cal = planes.calibrate(n, r, 0.0, ref, args.samples, args.seed, level=level)
-    items = []
-    ok = True
-    for i, axes in enumerate(_default_ellipsoids(n)):
-        shape = geom.Ellipsoid.from_axes(axes)
-        table = valuations.hermitian_volumes(shape, level)
-        rhs = planes.crofton_rhs(table, n, r, 0.0)
-        est = planes.chi_measure_estimate(shape, r, args.samples, args.seed + 1 + i)
-        z = est.z_score(cal.kappa * rhs, extra_stderr=cal.stderr * rhs)
-        rel_sd = est.stderr / est.mean if est.mean else float("inf")
-        good = abs(z) < ztol and rel_sd < 0.01
-        ok &= good
-        items.append(
-            {
-                "axes": axes,
-                "estimate": est.to_json(),
-                "prediction": cal.kappa * rhs,
-                "z": z,
-                "stderrOverMean": rel_sd,
-                "pass": good,
-            }
-        )
-    return {"kappa": cal.kappa, "kappaStderr": cal.stderr, "items": items,
-            "zTolerance": ztol, "pass": ok}
-
-
-def _check_crofton_cpn(args) -> dict:
-    ztol = args.tol if args.tol is not None else 3.0
-    n, r = args.n, args.r
-    radii = [0.3, 0.6, 0.9, 1.2]
-    ref = geom.GeodesicBall(n=n, eps=1.0, R=0.75)
-    cal = planes.calibrate(n, r, 1.0, ref, args.samples, args.seed)
-    items = []
-    ok = True
-    for i, R in enumerate(radii):
-        ball = geom.GeodesicBall(n=n, eps=1.0, R=R)
-        rhs = planes.crofton_rhs(valuations.ball_closed_form(1.0, n, R), n, r, 1.0)
-        est = planes.chi_measure_estimate(ball, r, args.samples, args.seed + 1 + i)
-        z = est.z_score(cal.kappa * rhs, extra_stderr=cal.stderr * rhs)
-        good = abs(z) < ztol
-        ok &= good
-        items.append({"R": R, "estimate": est.to_json(), "prediction": cal.kappa * rhs,
-                      "z": z, "pass": good})
-    return {"kappa": cal.kappa, "kappaStderr": cal.stderr, "items": items,
-            "zTolerance": ztol, "pass": ok}
-
-
-def _variation_keys(n: int):
-    keys = [("B", k, q) for (k, q) in cc.beta_indices(n)]
-    keys += [("G", 2 * q, q) for q in range(n)]
-    keys.append("vol")
-    return keys
-
-
-def _check_variation(args) -> dict:
-    shape = _shape_from_args(args)
-    items = {}
-    ok = True
-    if isinstance(shape, geom.GeodesicBall):
-        tol = args.tol if args.tol is not None else 1e-6
-        flow: varcheck.Flow = varcheck.RadialFlow()
-        deriv = valuations.ball_closed_form_derivative(shape.eps, shape.n, shape.R)
-        tilde = varcheck.tilde_integrals(shape, flow)
-        scale = max(abs(varcheck.valuation_value(deriv, key)) for key in _variation_keys(shape.n))
-        for key in _variation_keys(shape.n):
-            formula = varcheck.variation_formula(shape, flow, key, tilde=tilde)
-            oracle = varcheck.valuation_value(deriv, key)
-            err = abs(formula - oracle) / max(abs(oracle), 1e-6 * scale)
-            name = "vol" if key == "vol" else f"{key[0]}:{key[1]},{key[2]}"
-            items[name] = {"formula": formula, "oracle": oracle, "relErr": err}
-            ok &= err < tol
-    else:
-        tol = args.tol if args.tol is not None else 1e-4
-        d2 = 2 * shape.n
-        stretch = np.diag([0.3 - 0.07 * i for i in range(d2)])
-        flow = varcheck.LinearFlow(stretch)
-        tilde = varcheck.tilde_integrals(shape, flow, level=args.level)
-        fds = {
-            key: varcheck.variation_fd(shape, flow, key, h_step=1e-3, level=args.level)
-            for key in _variation_keys(shape.n)
-        }
-        scale = max(abs(v) for v in fds.values())
-        for key in _variation_keys(shape.n):
-            formula = varcheck.variation_formula(shape, flow, key, level=args.level, tilde=tilde)
-            fd = fds[key]
-            err = abs(formula - fd) / max(abs(fd), 1e-6 * scale)
-            name = "vol" if key == "vol" else f"{key[0]}:{key[1]},{key[2]}"
-            items[name] = {"formula": formula, "fd": fd, "relErr": err}
-            ok &= err < tol
-    return {"keys": items, "tolerance": tol, "pass": ok}
-
-
-def _check_crofton_variation(args) -> dict:
-    shape = _shape_from_args(args)
-    if isinstance(shape, geom.GeodesicBall):
-        tol = args.tol if args.tol is not None else 1e-6
-        flow: varcheck.Flow = varcheck.RadialFlow()
-        h = 1e-4
-    else:
-        tol = args.tol if args.tol is not None else 1e-4
-        d2 = 2 * shape.n
-        flow = varcheck.LinearFlow(np.diag([0.3 - 0.07 * i for i in range(d2)]))
-        h = 1e-3
-    lhs, rhs = varcheck.crofton_variation_check(shape, flow, args.r, level=args.level, h_step=h)
-    err = abs(lhs - rhs) / max(abs(rhs), 1e-12)
-    return {"fd": lhs, "formula": rhs, "relErr": err, "tolerance": tol, "pass": err < tol}
-
-
-def _check_total_gauss(args) -> dict:
-    ztol = args.tol if args.tol is not None else 3.0
-    n, r = args.n, args.r
-    ref = geom.Ellipsoid.from_axes([1.0] * (2 * n))
-    cal = planes.calibrate(n, r, 0.0, ref, args.samples, args.seed, level=args.level)
-    o = cc.sphere_volume_coeff(2 * r - 1).to_float()
-    items = []
-    ok = True
-    for i, axes in enumerate(_default_ellipsoids(n)[:2]):
-        shape = geom.Ellipsoid.from_axes(axes)
-        res = planes.total_gauss_estimate(shape, r, args.samples, args.seed + 1 + i)
-        table = valuations.hermitian_volumes(shape, args.level)
-        pred = cal.kappa * cc.total_gauss_coeffs(n, r).eval(table.mu_dict(), table.vol, 0.0)
-        z_table = res.total.z_score(pred, extra_stderr=cal.stderr * pred / cal.kappa)
-        ratio = res.total.mean / res.chi.mean
-        # identical plane stream for both estimates: the ratio is quadrature-exact
-        ratio_err = abs(ratio - o) / o
-        good = abs(z_table) < ztol and ratio_err < 1e-9
-        ok &= good
-        items.append(
-            {
-                "axes": axes,
-                "total": res.total.to_json(),
-                "chi": res.chi.to_json(),
-                "ratio": ratio,
-                "ratioTarget": o,
-                "prediction": pred,
-                "zTable": z_table,
-                "pass": good,
-            }
-        )
-    return {"kappa": cal.kappa, "items": items, "zTolerance": ztol, "pass": ok}
-
-
-def _check_grassmann(args) -> dict:
-    ztol = args.tol if args.tol is not None else 3.0
-    n, r = args.n, args.r
-    d = 2 * n - 1
-    rng = np.random.default_rng(args.seed)
-    ok = True
-    items = {}
-    # umbilic case: exact, zero variance
-    lam = 0.8
-    h_id = np.diag([1.3] + [lam] * (d - 1))
-    est = planes.grassmann_sigma_average(h_id, r, 2048, args.seed)
-    exact = lam ** (2 * r)
-    items["umbilic"] = {"mean": est.mean, "exact": exact, "err": abs(est.mean - exact)}
-    ok &= abs(est.mean - exact) < 1e-12
-    # two random forms: absolute and ratio tests
-    hs = []
-    for _ in range(2):
-        A = rng.standard_normal((d, d))
-        hs.append((A + A.T) / 2)
-    ests = [planes.grassmann_sigma_average(h, r, args.samples, args.seed + 1 + i)
-            for i, h in enumerate(hs)]
-    combos = [planes.cor44_density_combination(n, r, h) for h in hs]
-    for i in range(2):
-        z = ests[i].z_score(combos[i])
-        items[f"h{i}"] = {"mean": ests[i].mean, "stderr": ests[i].stderr,
-                          "combo": combos[i], "z": z}
-        ok &= abs(z) < ztol
-    ratio = ests[0].mean / ests[1].mean
-    ratio_pred = combos[0] / combos[1]
-    ratio_err = sqrt(
-        (ests[0].stderr / ests[1].mean) ** 2
-        + (ests[0].mean * ests[1].stderr / ests[1].mean ** 2) ** 2
-    )
-    zr = (ratio - ratio_pred) / ratio_err
-    items["ratio"] = {"value": ratio, "prediction": ratio_pred, "z": zr}
-    ok &= abs(zr) < ztol
-    return {"items": items, "zTolerance": ztol, "pass": ok}
-
-
+# each entry maps the flags onto the arguments of one shared check
 CHECKS = {
-    "gauss-bonnet": _check_gauss_bonnet,
-    "gamma-b": _check_gamma_b,
-    "crofton-mc": _check_crofton_mc,
-    "crofton-cpn": _check_crofton_cpn,
-    "variation": _check_variation,
-    "crofton-variation": _check_crofton_variation,
-    "total-gauss": _check_total_gauss,
-    "grassmann-pointwise": _check_grassmann,
+    "gauss-bonnet": lambda a: checks.gauss_bonnet(_shape_from_args(a), a.level, a.tol),
+    "gamma-b": lambda a: checks.gamma_b(geom.GeodesicBall(n=a.n, eps=a.eps, R=a.R), a.tol),
+    "crofton-mc": lambda a: checks.crofton_flat(
+        _unit_ellipsoid(a.n), a.r, _families(a.n), a.level if a.n == 2 else 1,
+        a.samples, a.seed, a.seed + 1, a.tol),
+    "crofton-cpn": lambda a: checks.crofton_cpn(a.n, a.r, a.samples, a.seed, a.seed + 1, a.tol),
+    "variation": lambda a: checks.variation(_shape_from_args(a), a.level, a.tol),
+    "crofton-variation": lambda a: checks.crofton_variation(
+        _shape_from_args(a), a.r, a.level, a.tol),
+    "total-gauss": lambda a: checks.total_gauss(
+        _unit_ellipsoid(a.n), a.r, _families(a.n)[:2], a.level, a.samples, a.seed,
+        a.seed + 1, a.tol),
+    "grassmann-pointwise": lambda a: checks.grassmann_pointwise(
+        a.n, a.r, a.samples, a.seed, a.seed + 1, 2048, a.seed, a.tol),
 }
 
 
@@ -490,7 +276,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.samples < 1:
+        parser.error(f"argument --samples: must be an integer >= 1, got {args.samples}")
+    try:
+        planes.thread_count()
+    except ValueError as exc:
+        parser.error(str(exc))
     return args.func(args)
 
 

@@ -1,13 +1,12 @@
 """Exact coefficient tables for curvature integrals in complex space forms.
 
 Everything in this module is exact: coefficients live in the Laurent ring
-Q[pi, 1/pi] (with a formal square root of pi available so that odd-dimensional
-ball volumes stay exact), and the undetermined Grassmannian volume
+Q[pi, 1/pi], and the undetermined Grassmannian volume
 vol(G^C_{n-1,r}) is kept as an opaque formal unit per (n, r).  No floats enter
 until a caller asks a `PiScalar` for its numerical value.
 
 Contents:
-  * `PiScalar`            -- exact rational Laurent polynomial in sqrt(pi)
+  * `PiScalar`            -- exact rational Laurent polynomial in pi
   * ball/sphere volumes   -- omega_m, O_m
   * `form_norm_coeff`     -- the normalization c_{n,k,q} of the invariant forms
   * `CoeffTable`          -- epsilon-graded coefficient tables for the Crofton
@@ -66,17 +65,17 @@ class SingularSystemError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# PiScalar: exact Laurent polynomials in sqrt(pi)
+# PiScalar: exact Laurent polynomials in pi
 # ---------------------------------------------------------------------------
 
 
 class PiScalar:
-    """Exact element of Q[sqrt(pi), 1/sqrt(pi)].
+    """Exact element of Q[pi, 1/pi].
 
-    Terms are stored as a map ``half_power -> Fraction`` where ``half_power``
-    counts factors of pi^(1/2).  All final coefficient tables only ever contain
-    even half-powers (i.e. integer powers of pi); `assert_integer_powers`
-    checks this.  Zero coefficients are never stored.
+    Terms are stored as a map ``pi_power -> Fraction``; zero coefficients are
+    never stored.  Integer powers suffice: every unit ball volume, including
+    the odd-dimensional omega_{2j+1} = 2^{j+1} pi^j / (2j+1)!!, is a rational
+    multiple of an integer power of pi.
     """
 
     __slots__ = ("terms",)
@@ -84,11 +83,11 @@ class PiScalar:
     def __init__(self, terms: Optional[Dict[int, Fraction]] = None):
         clean: Dict[int, Fraction] = {}
         if terms:
-            for hp, c in terms.items():
+            for p, c in terms.items():
                 c = Fraction(c)
                 if c != 0:
-                    clean[int(hp)] = clean.get(int(hp), Fraction(0)) + c
-        self.terms = {hp: c for hp, c in clean.items() if c != 0}
+                    clean[p] = clean.get(p, Fraction(0)) + c
+        self.terms = {p: c for p, c in clean.items() if c != 0}
 
     # -- constructors ------------------------------------------------------
 
@@ -105,13 +104,11 @@ class PiScalar:
         return cls({0: Fraction(x)})
 
     @classmethod
-    def pi_power(cls, power: RationalLike, coeff: RationalLike = 1) -> "PiScalar":
-        """coeff * pi**power; power may be a half-integer."""
-        p = Fraction(power)
-        hp = 2 * p
-        if hp.denominator != 1:
-            raise ValueError(f"pi power must be a half-integer, got {power}")
-        return cls({int(hp): Fraction(coeff)})
+    def pi_power(cls, power: int, coeff: RationalLike = 1) -> "PiScalar":
+        """coeff * pi**power."""
+        if power != int(power):
+            raise ValueError(f"pi power must be an integer, got {power}")
+        return cls({int(power): Fraction(coeff)})
 
     # -- ring operations ----------------------------------------------------
 
@@ -127,14 +124,14 @@ class PiScalar:
         if o is NotImplemented:
             return NotImplemented
         out = dict(self.terms)
-        for hp, c in o.terms.items():
-            out[hp] = out.get(hp, Fraction(0)) + c
+        for p, c in o.terms.items():
+            out[p] = out.get(p, Fraction(0)) + c
         return PiScalar(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "PiScalar":
-        return PiScalar({hp: -c for hp, c in self.terms.items()})
+        return PiScalar({p: -c for p, c in self.terms.items()})
 
     def __sub__(self, other) -> "PiScalar":
         o = self._coerce(other)
@@ -150,10 +147,10 @@ class PiScalar:
         if o is NotImplemented:
             return NotImplemented
         out: Dict[int, Fraction] = {}
-        for hp1, c1 in self.terms.items():
-            for hp2, c2 in o.terms.items():
-                hp = hp1 + hp2
-                out[hp] = out.get(hp, Fraction(0)) + c1 * c2
+        for p1, c1 in self.terms.items():
+            for p2, c2 in o.terms.items():
+                p = p1 + p2
+                out[p] = out.get(p, Fraction(0)) + c1 * c2
         return PiScalar(out)
 
     __rmul__ = __mul__
@@ -166,8 +163,8 @@ class PiScalar:
             raise ZeroDivisionError(
                 "PiScalar division only defined for nonzero monomial divisors"
             )
-        (hp, c), = o.terms.items()
-        return PiScalar({h - hp: v / c for h, v in self.terms.items()})
+        (dp, dc), = o.terms.items()
+        return PiScalar({p - dp: c / dc for p, c in self.terms.items()})
 
     def __rtruediv__(self, other) -> "PiScalar":
         return self._coerce(other) / self
@@ -201,40 +198,25 @@ class PiScalar:
     def __hash__(self) -> int:
         return hash(frozenset(self.terms.items()))
 
-    def is_rational(self) -> bool:
-        return all(hp == 0 for hp in self.terms)
-
-    def assert_integer_powers(self) -> "PiScalar":
-        bad = [hp for hp in self.terms if hp % 2 != 0]
-        if bad:
-            raise AssertionError(f"half-integer pi powers present: {bad}")
-        return self
-
-    def as_monomial(self) -> Tuple[int, int, Fraction]:
+    def as_monomial(self) -> Tuple[int, int, int]:
         """Return (numerator, denominator, pi_power) for a monomial value."""
         if not self.terms:
-            return (0, 1, Fraction(0))
+            return (0, 1, 0)
         if len(self.terms) != 1:
             raise ValueError(f"not a monomial: {self}")
-        (hp, c), = self.terms.items()
-        return (c.numerator, c.denominator, Fraction(hp, 2))
+        (p, c), = self.terms.items()
+        return (c.numerator, c.denominator, p)
 
     def to_float(self) -> float:
-        return float(sum(float(c) * _PI ** (hp / 2.0) for hp, c in self.terms.items()))
+        return float(sum(float(c) * _PI ** p for p, c in self.terms.items()))
 
     def __repr__(self) -> str:
         if not self.terms:
             return "0"
-        parts = []
-        for hp in sorted(self.terms):
-            c = self.terms[hp]
-            if hp == 0:
-                parts.append(f"{c}")
-            elif hp % 2 == 0:
-                parts.append(f"{c}*pi^{hp // 2}")
-            else:
-                parts.append(f"{c}*pi^{Fraction(hp, 2)}")
-        return " + ".join(parts)
+        return " + ".join(
+            f"{self.terms[p]}" if p == 0 else f"{self.terms[p]}*pi^{p}"
+            for p in sorted(self.terms)
+        )
 
     def coeff_json(self) -> Dict[str, str]:
         num, den, ppow = self.as_monomial()
@@ -349,15 +331,10 @@ class CoeffTable:
     grassmannian: bool = False
 
     def __post_init__(self) -> None:
-        for (k, q, p), coeff in self.entries.items():
+        for (k, q, p) in self.entries:
             _require_index(self.n, k, q)
             if p < 0:
                 raise IndexRangeError(f"negative eps power {p}")
-            # final tables carry integer pi powers only; the formal sqrt(pi)
-            # generator must never survive into them
-            coeff.assert_integer_powers()
-        for coeff in self.vol.values():
-            coeff.assert_integer_powers()
 
     def entry(self, k: int, q: int, eps_power: int) -> PiScalar:
         return self.entries.get((k, q, eps_power), PiScalar.zero())

@@ -78,10 +78,6 @@ class MultiVector:
     def scalar(cls, d: int, value: Coeff) -> "MultiVector":
         return cls(d, {0: value})
 
-    @classmethod
-    def one_form(cls, d: int, coeffs: Sequence[Coeff]) -> "MultiVector":
-        return cls(d, {1 << j: c for j, c in enumerate(coeffs)})
-
     def __add__(self, other: "MultiVector") -> "MultiVector":
         out = dict(self.terms)
         for m, c in other.terms.items():
@@ -121,9 +117,6 @@ class MultiVector:
 
     def top_coefficient(self) -> Coeff:
         return self.coefficient((1 << self.d) - 1)
-
-    def grades(self) -> List[int]:
-        return sorted({m.bit_count() for m in self.terms})
 
     def to_json(self) -> List[Dict[str, object]]:
         return [

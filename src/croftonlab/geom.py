@@ -30,7 +30,6 @@ from scipy.special import roots_jacobi
 from .coeffcore import ball_volume_coeff, sphere_volume_coeff
 
 __all__ = [
-    "AmbientSpace",
     "Ellipsoid",
     "GeodesicBall",
     "Shape",
@@ -52,18 +51,6 @@ __all__ = [
 
 class ConjugatePointError(RuntimeError):
     """Jacobi field vanished before the requested radius."""
-
-
-@dataclass(frozen=True)
-class AmbientSpace:
-    """Complex space form of constant holomorphic curvature 4*eps."""
-
-    n: int
-    eps: float
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("need n >= 1")
 
 
 # ---------------------------------------------------------------------------
@@ -146,10 +133,6 @@ class Ellipsoid:
         """Image under x -> M x (exact shape transport for linear flows)."""
         Minv = np.linalg.inv(np.asarray(M, dtype=float))
         return Ellipsoid(Minv.T @ self.quadric @ Minv)
-
-    def contains(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return np.einsum("...i,ij,...j->...", x, self.quadric, x) <= 1.0
 
     def __repr__(self) -> str:
         return f"Ellipsoid(n={self.n})"

@@ -49,7 +49,6 @@ __all__ = [
     "ComplexPlane",
     "TotalGaussResult",
     "sample_plane_flat",
-    "sample_plane_projective",
     "meets",
     "chi_measure_estimate",
     "crofton_rhs",
@@ -68,9 +67,12 @@ def thread_count() -> int:
     """Worker cap from CROFTONLAB_THREADS (default 1; results never depend on it)."""
     raw = os.environ.get("CROFTONLAB_THREADS", "1")
     try:
-        return max(1, int(raw))
+        workers = int(raw)
     except ValueError:
-        return 1
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"CROFTONLAB_THREADS must be an integer >= 1, got {raw!r}")
+    return workers
 
 
 def _map_chunks(fn: Callable[[int], object], n_chunks: int) -> List[object]:
@@ -87,6 +89,8 @@ def _chunk_rng(seed: int, chunk: int) -> np.random.Generator:
 
 
 def _chunk_sizes(total: int) -> List[int]:
+    if total < 1:
+        raise ValueError(f"need at least one sample, got N={total}")
     out = []
     while total > 0:
         out.append(min(SAMPLE_CHUNK, total))
@@ -193,14 +197,10 @@ def sample_plane_flat(
 def _sample_projective_batch(
     n: int, r: int, rng: np.random.Generator, m: int
 ) -> np.ndarray:
+    """Haar-random complex r-planes of the projective model: (m, n+1, r+1) frames."""
     Z = _complex_gaussian(rng, (m, n + 1, r + 1))
     Q, _ = np.linalg.qr(Z)
     return Q
-
-
-def sample_plane_projective(n: int, r: int, rng: np.random.Generator) -> ComplexPlane:
-    """Haar-random complex r-plane in the projective space form (eps = 1)."""
-    return ComplexPlane(eps=1.0, subspace=_sample_projective_batch(n, r, rng, 1)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +280,7 @@ def chi_measure_estimate(shape, r: int, N: int, seed: int) -> MCEstimate:
         rho = window_radius(shape)
         weight = ball_volume_coeff(2 * (n - r)).to_float() * rho ** (2 * (n - r))
 
-        def work(ci: int, lo_m=None) -> int:
+        def work(ci: int) -> int:
             m = sizes[ci]
             rng = _chunk_rng(seed, ci)
             V, anchors = _sample_flat_batch(n, r, rho, rng, m)
@@ -373,14 +373,16 @@ def total_gauss_estimate(
     N: int,
     seed: int,
     nodes: int = 256,
-    section_level: int = 1,
 ) -> TotalGaussResult:
     """Plane average of the total Gauss curvature of ellipsoid sections (eps = 0).
 
-    Each hit section is itself an ellipsoid in the plane; its boundary total
-    curvature integral is computed by quadrature (vectorized for r = 1,
-    boundary cloud of the section for r >= 2) and averaged with the
-    translational window weight.
+    Each hit section is a convex body in a real 2r-space whose boundary Gauss
+    map has degree one, so its total Gauss curvature is O_{2r-1}.  For r >= 2
+    every hit contributes exactly that constant.  For r = 1 the section is an
+    ellipse and its curvature integral is computed by a vectorized
+    uniform-angle rule on `nodes` points, which stays as the independent
+    check of the constant (2 pi).  Values are averaged with the translational
+    window weight.
     """
     if not isinstance(ellipsoid, geom.Ellipsoid):
         raise ValueError("total Gauss estimate requires an ellipsoid")
@@ -394,31 +396,25 @@ def total_gauss_estimate(
         rng = _chunk_rng(seed, ci)
         V, anchors = _sample_flat_batch(n, r, rho, rng, m)
         Vr = geom.realify_complex_columns(V)
-        M, b, c0, minval = _restricted_quadratic(ellipsoid.quadric, Vr, anchors)
+        M, _, _, minval = _restricted_quadratic(ellipsoid.quadric, Vr, anchors)
         hit = minval <= 1.0 + 1e-12
-        if not np.any(hit):
-            return 0, 0.0, 0.0
-        Mh = M[hit]
-        rho2 = 1.0 - minval[hit]
-        evals = np.linalg.eigvalsh(Mh)
-        semiaxes = np.sqrt(rho2[:, None] / evals)
-        if r == 1:
-            vals = _ellipse_total_curvature(semiaxes[:, 1], semiaxes[:, 0], nodes)
-        else:
-            vals = np.array(
-                [
-                    valuations.hermitian_volumes(
-                        geom.Ellipsoid.from_axes(np.repeat(ax, 1)), section_level
-                    ).M[2 * r - 1]
-                    for ax in semiaxes
-                ]
-            )
+        if r > 1 or not np.any(hit):
+            return int(hit.sum()), 0.0, 0.0
+        evals = np.linalg.eigvalsh(M[hit])
+        semiaxes = np.sqrt((1.0 - minval[hit])[:, None] / evals)
+        vals = _ellipse_total_curvature(semiaxes[:, 1], semiaxes[:, 0], nodes)
         return int(hit.sum()), float(vals.sum()), float((vals**2).sum())
 
     parts = _map_chunks(work, len(sizes))
     hits = sum(p[0] for p in parts)  # type: ignore[index]
-    sv = sum(p[1] for p in parts)  # type: ignore[index]
-    sv2 = sum(p[2] for p in parts)  # type: ignore[index]
+    if r == 1:
+        sv = sum(p[1] for p in parts)  # type: ignore[index]
+        sv2 = sum(p[2] for p in parts)  # type: ignore[index]
+        per_hit = sv / hits if hits else float("nan")
+    else:
+        o = sphere_volume_coeff(2 * r - 1).to_float()
+        sv, sv2 = o * hits, o * o * hits
+        per_hit = o if hits else float("nan")
     mean_v = sv / N
     var_v = max(0.0, (sv2 - sv * sv / N) / max(1, N - 1))
     total = MCEstimate(
@@ -434,9 +430,7 @@ def total_gauss_estimate(
         samples=N,
         seed=seed,
     )
-    return TotalGaussResult(
-        total=total, chi=chi, per_hit_mean=(sv / hits if hits else float("nan"))
-    )
+    return TotalGaussResult(total=total, chi=chi, per_hit_mean=per_hit)
 
 
 # ---------------------------------------------------------------------------

@@ -21,12 +21,12 @@ sharpest cross-check at eps != 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy.linalg import expm
 
-from . import geom, valuations
+from . import geom, planes, valuations
 from .coeffcore import (
     crofton_variation_coeffs,
     gauss_bonnet_coeffs,
@@ -40,6 +40,8 @@ __all__ = [
     "TildeTable",
     "tilde_integrals",
     "valuation_value",
+    "key_name",
+    "central_differences",
     "variation_fd",
     "variation_formula",
     "crofton_variation_check",
@@ -129,10 +131,37 @@ def valuation_value(table: valuations.ValuationTable, key: Key) -> float:
     return table.B[(k, q)] if kind == "B" else table.Gamma[(k, q)]
 
 
+def key_name(key: Key) -> str:
+    """Report label of a valuation key: "vol", "B:k,q" or "G:k,q"."""
+    return "vol" if key == "vol" else f"{key[0]}:{key[1]},{key[2]}"
+
+
 def _table_for(shape: geom.Shape, level: int) -> valuations.ValuationTable:
     if isinstance(shape, geom.GeodesicBall):
         return valuations.ball_closed_form(shape.eps, shape.n, shape.R)
     return valuations.hermitian_volumes(shape, level)
+
+
+def _transported_tables(
+    shape: geom.Shape, flow: Flow, h_step: float, level: int = 1
+) -> Tuple[valuations.ValuationTable, valuations.ValuationTable]:
+    """Valuation tables of the shape transported by +h_step and -h_step."""
+    _check_pairing(shape, flow)
+    return (
+        _table_for(flow.transport(shape, h_step), level),
+        _table_for(flow.transport(shape, -h_step), level),
+    )
+
+
+def central_differences(
+    shape: geom.Shape, flow: Flow, keys: Sequence[Key], h_step: float, level: int = 1
+) -> Dict[Key, float]:
+    """Central differences of several valuations from one pair of transported tables."""
+    plus, minus = _transported_tables(shape, flow, h_step, level)
+    return {
+        key: (valuation_value(plus, key) - valuation_value(minus, key)) / (2 * h_step)
+        for key in keys
+    }
 
 
 def variation_fd(
@@ -148,14 +177,9 @@ def variation_fd(
     With `check_cancellation` the step is halved once and the two estimates
     Richardson-compared; wild disagreement flags a too-small step.
     """
-    _check_pairing(shape, flow)
-
-    def val(t: float) -> float:
-        return valuation_value(_table_for(flow.transport(shape, t), level), key)
-
-    fd = (val(h_step) - val(-h_step)) / (2 * h_step)
+    fd = central_differences(shape, flow, [key], h_step, level)[key]
     if check_cancellation:
-        fd2 = (val(h_step / 2) - val(-h_step / 2)) / h_step
+        fd2 = central_differences(shape, flow, [key], h_step / 2, level)[key]
         scale = max(abs(fd), abs(fd2), 1e-12)
         if abs(fd - fd2) > 0.5 * scale:
             raise ArithmeticError(
@@ -198,16 +222,12 @@ def crofton_variation_check(
     directly: the left side differentiates the Crofton bracket along the flow,
     the right side is the tilde-B combination of the variation formula.
     """
-    _check_pairing(shape, flow)
     n = shape.n
     eps = shape.eps if isinstance(shape, geom.GeodesicBall) else 0.0
-
-    def rhs_val(t: float) -> float:
-        moved = flow.transport(shape, t)
-        table = _table_for(moved, level)
-        return valuations.crofton_rhs_from_table(table, n, r, eps)
-
-    lhs_fd = (rhs_val(h_step) - rhs_val(-h_step)) / (2 * h_step)
+    plus, minus = _transported_tables(shape, flow, h_step, level)
+    lhs_fd = (
+        planes.crofton_rhs(plus, n, r, eps) - planes.crofton_rhs(minus, n, r, eps)
+    ) / (2 * h_step)
     if tilde is None:
         tilde = tilde_integrals(shape, flow, level)
     rhs_formula = sum(
@@ -221,13 +241,9 @@ def gauss_bonnet_rhs_variation_fd(
     shape: geom.Shape, flow: Flow, level: int = 1, h_step: float = 1e-3
 ) -> float:
     """Finite difference of the Gauss-Bonnet right-hand side (should vanish)."""
-    _check_pairing(shape, flow)
-    n = shape.n
     eps = shape.eps if isinstance(shape, geom.GeodesicBall) else 0.0
-    gb = gauss_bonnet_coeffs(n)
-
-    def val(t: float) -> float:
-        table = _table_for(flow.transport(shape, t), level)
-        return gb.eval(table.mu_dict(), table.vol, eps)
-
-    return (val(h_step) - val(-h_step)) / (2 * h_step)
+    gb = gauss_bonnet_coeffs(shape.n)
+    plus, minus = _transported_tables(shape, flow, h_step, level)
+    return (
+        gb.eval(plus.mu_dict(), plus.vol, eps) - gb.eval(minus.mu_dict(), minus.vol, eps)
+    ) / (2 * h_step)

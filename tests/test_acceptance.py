@@ -2,6 +2,8 @@
 
 Run `pytest tests/test_acceptance.py -v -s` to see the per-criterion lines;
 the suite is deterministic (fixed seeds, counter-based RNG substreams).
+Criteria 3-10 run the same `croftonlab.checks` functions as `croftonlab
+check`, with their own shapes, seeds, sample sizes and gates.
 
 Criteria:
    1 exact coefficient suite (solver, cancellation, eps-independence, norms)
@@ -17,13 +19,13 @@ Criteria:
 """
 
 import time
-from math import factorial, pi, sqrt
+from math import factorial
 
 import numpy as np
-import pytest
 
+from croftonlab import checks
 from croftonlab import coeffcore as cc
-from croftonlab import extalg, geom, planes
+from croftonlab import extalg, geom
 from croftonlab import valuations as val
 from croftonlab import varcheck as vc
 
@@ -31,13 +33,6 @@ from croftonlab import varcheck as vc
 def report(num: int, ok: bool, detail: str) -> None:
     print(f"[criterion {num:2d}] {'PASS' if ok else 'FAIL'} - {detail}")
     assert ok, detail
-
-
-def variation_keys(n):
-    keys = [("B", k, q) for (k, q) in cc.beta_indices(n)]
-    keys += [("G", 2 * q, q) for q in range(n)]
-    keys.append("vol")
-    return keys
 
 
 # ---------------------------------------------------------------------------
@@ -121,28 +116,26 @@ def test_criterion_02_density_oracle():
 # ---------------------------------------------------------------------------
 
 
+def worst_relative(results) -> float:
+    return max(results["relativeMuForm"], results["relativePlaneForm"])
+
+
 def test_criterion_03_gauss_bonnet():
     t0 = time.time()
+    ok = True
     worst_ball = 0.0
     for eps in (-1.0, 1.0):
         for n in (2, 3):
-            o = cc.sphere_volume_coeff(2 * n - 1).to_float()
             for R in (0.3, 0.6, 0.9):
-                ball = geom.GeodesicBall(n=n, eps=eps, R=R)
-                r51, r52 = val.gauss_bonnet_residual(ball)
-                worst_ball = max(worst_ball, abs(r51) / o, abs(r52) / o)
-    ok = worst_ball < 1e-8
+                res = checks.gauss_bonnet(geom.GeodesicBall(n=n, eps=eps, R=R), 1, 1e-8)
+                worst_ball = max(worst_ball, worst_relative(res))
+                ok &= res["pass"]
     worst_flat = 0.0
-    o = cc.sphere_volume_coeff(3).to_float()
-    for axes in ([1, 1, 2, 2], [1, 2, 2, 3], [1, 1, 1, 2]):
-        r51, r52 = val.gauss_bonnet_residual(geom.Ellipsoid.from_axes(axes), level=2)
-        worst_flat = max(worst_flat, abs(r51) / o, abs(r52) / o)
-    o6 = cc.sphere_volume_coeff(5).to_float()
-    r51, r52 = val.gauss_bonnet_residual(
-        geom.Ellipsoid.from_axes([1, 1, 1, 1, 1, 2]), level=1
-    )
-    worst_flat = max(worst_flat, abs(r51) / o6, abs(r52) / o6)
-    ok &= worst_flat < 1e-6
+    flat = [(axes, 2) for axes in checks.FLAT_FAMILIES[2]] + [([1, 1, 1, 1, 1, 2], 1)]
+    for axes, level in flat:
+        res = checks.gauss_bonnet(geom.Ellipsoid.from_axes(axes), level, 1e-6)
+        worst_flat = max(worst_flat, worst_relative(res))
+        ok &= res["pass"]
     elapsed = time.time() - t0
     ok &= elapsed < 60.0
     report(3, ok, f"balls eps=+-1 n=2,3 R=0.3/0.6/0.9: {worst_ball:.2e} (<1e-8); "
@@ -155,15 +148,15 @@ def test_criterion_03_gauss_bonnet():
 
 
 def test_criterion_04_gamma_b_relation():
+    ok = True
     worst = 0.0
     keys = None
     for eps in (-1.0, 1.0):
         for R in (0.5, 0.8):
-            table = val.ball_closed_form(eps, 3, R)
-            res = val.check_gamma_b_relation(table)
-            keys = sorted(res)
-            worst = max(worst, max(abs(v) for v in res.values()))
-    ok = worst < 1e-9
+            res = checks.gamma_b(geom.GeodesicBall(n=3, eps=eps, R=R), 1e-9)
+            keys = [tuple(int(i) for i in key.split(",")) for key in res["residuals"]]
+            worst = max(worst, res["worst"])
+            ok &= res["pass"]
     report(4, ok, f"residuals on eps=+-1 balls, n=3, strict keys {keys}: {worst:.2e}")
 
 
@@ -171,40 +164,26 @@ def test_criterion_04_gamma_b_relation():
 # 5. Flat Crofton Monte Carlo
 # ---------------------------------------------------------------------------
 
-FLAT_FAMILIES = {
-    2: [[1, 1, 2, 2], [1, 2, 2, 3], [1, 1, 1, 2]],
-    3: [[1, 1, 1, 1, 2, 2], [1, 1, 2, 2, 2, 2], [1, 2, 2, 2, 2, 2]],
-}
 TABLE_LEVEL = {2: 2, 3: 1}
 
 
-@pytest.fixture(scope="module")
-def flat_tables():
-    tables = {}
-    for n, fams in FLAT_FAMILIES.items():
-        for axes in fams:
-            tables[(n, tuple(axes))] = val.hermitian_volumes(
-                geom.Ellipsoid.from_axes(axes), level=TABLE_LEVEL[n]
-            )
-    return tables
-
-
-def test_criterion_05_crofton_monte_carlo(flat_tables):
+def test_criterion_05_crofton_monte_carlo():
     t0 = time.time()
     N = 1_000_000
     ok = True
     details = []
-    for n, r in ((2, 1), (3, 1), (3, 2)):
+    for n, rs in ((2, (1,)), (3, (1, 2))):
+        families = checks.FLAT_FAMILIES[n]
+        # one table per family serves every r
+        tables = [val.hermitian_volumes(geom.Ellipsoid.from_axes(axes), TABLE_LEVEL[n])
+                  for axes in families]
         ref = geom.GeodesicBall(n=n, eps=0.0, R=1.0)
-        cal = planes.calibrate(n, r, 0.0, ref, N, seed=500 + 10 * n + r)
-        for i, axes in enumerate(FLAT_FAMILIES[n]):
-            shape = geom.Ellipsoid.from_axes(axes)
-            rhs = planes.crofton_rhs(flat_tables[(n, tuple(axes))], n, r, 0.0)
-            est = planes.chi_measure_estimate(shape, r, N, seed=600 + 10 * n + r + i)
-            z = est.z_score(cal.kappa * rhs, extra_stderr=cal.stderr * rhs)
-            rel_sd = est.stderr / est.mean
-            ok &= abs(z) < 3.0 and rel_sd < 0.01
-            details.append(f"({n},{r}) {axes}: z={z:+.2f} sd/mean={rel_sd:.4f}")
+        for r in rs:
+            res = checks.crofton_flat(ref, r, families, TABLE_LEVEL[n], N,
+                                      500 + 10 * n + r, 600 + 10 * n + r, 3.0, tables)
+            ok &= res["pass"]
+            details += [f"({n},{r}) {it['axes']}: z={it['z']:+.2f} "
+                        f"sd/mean={it['stderrOverMean']:.4f}" for it in res["items"]]
     elapsed = time.time() - t0
     ok &= elapsed < 600.0
     report(5, ok, "; ".join(details) + f"; {elapsed:.0f}s")
@@ -217,20 +196,10 @@ def test_criterion_05_crofton_monte_carlo(flat_tables):
 
 def test_criterion_06_crofton_projective():
     t0 = time.time()
-    N = 1_000_000
-    n, r = 2, 1
-    cal = planes.calibrate(n, r, 1.0, geom.GeodesicBall(n=n, eps=1.0, R=0.75), N, seed=61)
-    ok = True
-    details = []
-    for i, R in enumerate((0.3, 0.6, 0.9, 1.2)):
-        ball = geom.GeodesicBall(n=n, eps=1.0, R=R)
-        rhs = planes.crofton_rhs(val.ball_closed_form(1.0, n, R), n, r, 1.0)
-        est = planes.chi_measure_estimate(ball, r, N, seed=62 + i)
-        z = est.z_score(cal.kappa * rhs, extra_stderr=cal.stderr * rhs)
-        ok &= abs(z) < 3.0
-        details.append(f"R={R}: z={z:+.2f}")
+    res = checks.crofton_cpn(2, 1, 1_000_000, 61, 62, 3.0)
+    details = [f"R={it['R']}: z={it['z']:+.2f}" for it in res["items"]]
     elapsed = time.time() - t0
-    ok &= elapsed < 300.0
+    ok = res["pass"] and elapsed < 300.0
     report(6, ok, "; ".join(details) + f"; {elapsed:.0f}s")
 
 
@@ -239,10 +208,8 @@ def test_criterion_06_crofton_projective():
 # ---------------------------------------------------------------------------
 
 
-def _fd_tables(shape, flow, h, level):
-    plus = val.hermitian_volumes(flow.transport(shape, h), level)
-    minus = val.hermitian_volumes(flow.transport(shape, -h), level)
-    return plus, minus
+def worst_rel_err(results) -> float:
+    return max(item["relErr"] for item in results["keys"].values())
 
 
 def test_criterion_07_variation_formulas():
@@ -252,38 +219,18 @@ def test_criterion_07_variation_formulas():
     for eps in (-1.0, 0.0, 1.0):
         for n in (2, 3):
             R = 0.8 if eps != 1.0 else 0.5
-            ball = geom.GeodesicBall(n=n, eps=eps, R=R)
-            flow = vc.RadialFlow()
-            tilde = vc.tilde_integrals(ball, flow)
-            deriv = val.ball_closed_form_derivative(eps, n, R)
-            scale = max(abs(vc.valuation_value(deriv, k)) for k in variation_keys(n))
-            for key in variation_keys(n):
-                formula = vc.variation_formula(ball, flow, key, tilde=tilde)
-                oracle = vc.valuation_value(deriv, key)
-                err = abs(formula - oracle) / max(abs(oracle), 1e-6 * scale)
-                worst_ball = max(worst_ball, err)
-    ok &= worst_ball < 1e-6
+            res = checks.variation(geom.GeodesicBall(n=n, eps=eps, R=R), 1, 1e-6)
+            worst_ball = max(worst_ball, worst_rel_err(res))
+            ok &= res["pass"]
 
     worst_flat = 0.0
-    level, h = 2, 1e-3
     for axes, diag in (
         ([1, 1, 2, 2], [0.3, -0.1, 0.2, 0.05]),
         ([1, 2, 2, 3], [0.1, 0.25, -0.15, 0.2]),
     ):
-        shape = geom.Ellipsoid.from_axes(axes)
-        flow = vc.LinearFlow(np.diag(diag))
-        tilde = vc.tilde_integrals(shape, flow, level=level)
-        plus, minus = _fd_tables(shape, flow, h, level)
-        fds = {
-            key: (vc.valuation_value(plus, key) - vc.valuation_value(minus, key)) / (2 * h)
-            for key in variation_keys(2)
-        }
-        scale = max(abs(v) for v in fds.values())
-        for key in variation_keys(2):
-            formula = vc.variation_formula(shape, flow, key, level=level, tilde=tilde)
-            err = abs(formula - fds[key]) / max(abs(fds[key]), 1e-6 * scale)
-            worst_flat = max(worst_flat, err)
-    ok &= worst_flat < 1e-4
+        res = checks.variation(geom.Ellipsoid.from_axes(axes), 2, 1e-4, diag=diag, h=1e-3)
+        worst_flat = max(worst_flat, worst_rel_err(res))
+        ok &= res["pass"]
 
     # central differences converge at second order
     ball = geom.GeodesicBall(n=2, eps=1.0, R=0.5)
@@ -313,18 +260,16 @@ def test_criterion_08_crofton_variation():
     for eps in (-1.0, 0.0, 1.0):
         for n, rs in ((2, (1,)), (3, (1, 2))):
             R = 0.8 if eps != 1.0 else 0.5
-            ball = geom.GeodesicBall(n=n, eps=eps, R=R)
             for r in rs:
-                lhs, rhs = vc.crofton_variation_check(ball, vc.RadialFlow(), r, h_step=1e-4)
-                worst_ball = max(worst_ball, abs(lhs - rhs) / abs(rhs))
-    ok &= worst_ball < 1e-6
+                res = checks.crofton_variation(geom.GeodesicBall(n=n, eps=eps, R=R), r, 1, 1e-6)
+                worst_ball = max(worst_ball, res["relErr"])
+                ok &= res["pass"]
     worst_flat = 0.0
     for axes in ([1, 1, 2, 2], [1, 2, 2, 3]):
-        shape = geom.Ellipsoid.from_axes(axes)
-        flow = vc.LinearFlow(np.diag([0.3, -0.1, 0.2, 0.05]))
-        lhs, rhs = vc.crofton_variation_check(shape, flow, 1, level=2, h_step=1e-3)
-        worst_flat = max(worst_flat, abs(lhs - rhs) / abs(rhs))
-    ok &= worst_flat < 1e-4
+        res = checks.crofton_variation(geom.Ellipsoid.from_axes(axes), 1, 2, 1e-4,
+                                       diag=[0.3, -0.1, 0.2, 0.05])
+        worst_flat = max(worst_flat, res["relErr"])
+        ok &= res["pass"]
     elapsed = time.time() - t0
     ok &= elapsed < 120.0
     report(8, ok, f"balls (eps in -1,0,1; n=2,3; all r) worst {worst_ball:.2e} (<1e-6); "
@@ -338,32 +283,12 @@ def test_criterion_08_crofton_variation():
 
 def test_criterion_09_grassmann_average():
     t0 = time.time()
-    n, r, N = 3, 1, 100_000
-    lam = 0.8
-    h_umb = np.diag([1.3] + [lam] * 4)
-    est_umb = planes.grassmann_sigma_average(h_umb, r, 4096, seed=901)
-    ok = abs(est_umb.mean - lam ** (2 * r)) < 1e-12
-    rng = np.random.default_rng(902)
-    hs = []
-    for _ in range(2):
-        a = rng.standard_normal((5, 5))
-        hs.append((a + a.T) / 2)
-    ests = [planes.grassmann_sigma_average(h, r, N, seed=903 + i) for i, h in enumerate(hs)]
-    combos = [planes.cor44_density_combination(n, r, h) for h in hs]
-    zs = [ests[i].z_score(combos[i]) for i in range(2)]
-    ok &= all(abs(z) < 3.0 for z in zs)
-    ratio = ests[0].mean / ests[1].mean
-    pred = combos[0] / combos[1]
-    sd = sqrt(
-        (ests[0].stderr / ests[1].mean) ** 2
-        + (ests[0].mean * ests[1].stderr / ests[1].mean ** 2) ** 2
-    )
-    z_ratio = (ratio - pred) / sd
-    ok &= abs(z_ratio) < 3.0
+    res = checks.grassmann_pointwise(3, 1, 100_000, 902, 903, 4096, 901, 3.0)
+    items = res["items"]
     elapsed = time.time() - t0
-    ok &= elapsed < 60.0
-    report(9, ok, f"umbilic exact; absolute z = {zs[0]:+.2f}/{zs[1]:+.2f}; "
-                  f"ratio z = {z_ratio:+.2f}; {elapsed:.0f}s")
+    ok = res["pass"] and elapsed < 60.0
+    report(9, ok, f"umbilic exact; absolute z = {items['h0']['z']:+.2f}/{items['h1']['z']:+.2f}; "
+                  f"ratio z = {items['ratio']['z']:+.2f}; {elapsed:.0f}s")
 
 
 # ---------------------------------------------------------------------------
@@ -371,23 +296,15 @@ def test_criterion_09_grassmann_average():
 # ---------------------------------------------------------------------------
 
 
-def test_criterion_10_total_gauss(flat_tables):
+def test_criterion_10_total_gauss():
     t0 = time.time()
-    n, r, N = 2, 1, 1_000_000
-    o1 = cc.sphere_volume_coeff(1).to_float()
-    cal = planes.calibrate(n, r, 0.0, geom.GeodesicBall(n=n, eps=0.0, R=1.0), N, seed=1001)
-    ok = True
-    details = []
-    for i, axes in enumerate(FLAT_FAMILIES[2][:2]):
-        shape = geom.Ellipsoid.from_axes(axes)
-        res = planes.total_gauss_estimate(shape, r, N, seed=1002 + i)
-        # same plane stream for both estimates: the ratio is quadrature-exact
-        ratio_err = abs(res.total.mean / res.chi.mean - o1) / o1
-        table = flat_tables[(n, tuple(axes))]
-        pred = cal.kappa * cc.total_gauss_coeffs(n, r).eval(table.mu_dict(), table.vol, 0.0)
-        z = res.total.z_score(pred, extra_stderr=cal.stderr * pred / cal.kappa)
-        ok &= ratio_err < 1e-9 and abs(z) < 3.0
-        details.append(f"{axes}: ratio err {ratio_err:.1e}, z={z:+.2f}")
+    ref = geom.GeodesicBall(n=2, eps=0.0, R=1.0)
+    res = checks.total_gauss(ref, 1, checks.FLAT_FAMILIES[2][:2], 2, 1_000_000, 1001, 1002, 3.0)
+    details = [
+        f"{it['axes']}: ratio err {abs(it['ratio'] - it['ratioTarget']) / it['ratioTarget']:.1e}, "
+        f"z={it['zTable']:+.2f}"
+        for it in res["items"]
+    ]
     elapsed = time.time() - t0
-    ok &= elapsed < 600.0
+    ok = res["pass"] and elapsed < 600.0
     report(10, ok, "; ".join(details) + f"; {elapsed:.0f}s")

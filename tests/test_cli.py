@@ -2,6 +2,7 @@
 
 import json
 from math import pi
+from pathlib import Path
 
 import pytest
 
@@ -157,3 +158,65 @@ def test_output_file_json(capsys, tmp_path):
     assert out == ""
     rep = json.loads(out_path.read_text())
     assert rep["results"]["vol"][0]["coeff"]["num"] == "4"
+
+
+DATA = Path(__file__).resolve().parent / "data"
+
+# exact tables pinned byte for byte: the values are exact rationals, so the
+# stored reports do not depend on the platform
+GOLDEN = [("identities", ["--identities"])]
+for _n in (2, 3, 4):
+    GOLDEN += [(f"gb_n{_n}", ["--gb", "--n", str(_n)]),
+               (f"variation_n{_n}", ["--variation", "--n", str(_n)])]
+    for _r in range(1, _n):
+        GOLDEN += [(f"crofton_n{_n}_r{_r}", ["--crofton", "--n", str(_n), "--r", str(_r)]),
+                   (f"total_gauss_n{_n}_r{_r}",
+                    ["--total-gauss", "--n", str(_n), "--r", str(_r)])]
+
+
+@pytest.mark.parametrize("name,argv", GOLDEN, ids=[name for name, _ in GOLDEN])
+def test_coeffs_reports_match_golden_files(name, argv, capsys):
+    code, out = run_cli(["coeffs"] + argv, capsys)
+    assert code == 0
+    assert out == (DATA / f"coeffs_{name}.json").read_text()
+
+
+def test_gauss_bonnet_normalizes_by_the_shapes_own_dimension(capsys):
+    # an n=3 ellipsoid without --n: relative to O_5, not O_3 of the default n=2
+    code, out = run_cli(
+        ["check", "gauss-bonnet", "--shape", "ellipsoid", "--axes", "1,1,1,1,1,2",
+         "--level", "0", "--tol", "1e-3"],
+        capsys,
+    )
+    assert code == 0
+    assert json.loads(out)["results"]["relativeMuForm"] < 1e-3
+
+
+def test_total_gauss_n3_r2_meets_its_ratio_gate(capsys):
+    code, out = run_cli(
+        ["check", "total-gauss", "--n", "3", "--r", "2", "--level", "0",
+         "--samples", "300", "--seed", "3"],
+        capsys,
+    )
+    assert code == 0
+    for item in json.loads(out)["results"]["items"]:
+        assert abs(item["ratio"] - item["ratioTarget"]) < 1e-9 * item["ratioTarget"]
+
+
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_samples_below_one_is_a_parser_error(samples, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["check", "crofton-mc", "--samples", samples])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--samples" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["abc", "0"])
+def test_invalid_thread_count_is_a_parser_error(value, capsys, monkeypatch):
+    monkeypatch.setenv("CROFTONLAB_THREADS", value)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["check", "gamma-b", "--n", "2", "--eps", "1", "--R", "0.5"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "CROFTONLAB_THREADS" in err and repr(value) in err

@@ -11,7 +11,7 @@ import pytest
 from scipy.optimize import minimize
 
 from croftonlab import coeffcore as cc
-from croftonlab import extalg, geom, planes
+from croftonlab import checks, extalg, geom, planes
 from croftonlab import valuations as val
 
 
@@ -212,14 +212,8 @@ def test_calibration_properties():
 
 def test_calibrated_crofton_across_shapes():
     ref = geom.GeodesicBall(n=2, eps=0.0, R=1.0)
-    cal = planes.calibrate(2, 1, 0.0, ref, 200000, 51)
-    for i, axes in enumerate([[1, 1, 2, 2], [1, 2, 2, 3], [1, 1, 1, 2]]):
-        shape = geom.Ellipsoid.from_axes(axes)
-        table = val.hermitian_volumes(shape, level=2)
-        rhs = planes.crofton_rhs(table, 2, 1, 0.0)
-        est = planes.chi_measure_estimate(shape, 1, 200000, 52 + i)
-        z = est.z_score(cal.kappa * rhs, extra_stderr=cal.stderr * rhs)
-        assert abs(z) < 3.0, (axes, z)
+    res = checks.crofton_flat(ref, 1, checks.FLAT_FAMILIES[2], 2, 200000, 51, 52, 3.0)
+    assert res["pass"], res["items"]
 
 
 def test_crofton_rhs_unit_ball_value():
@@ -261,13 +255,15 @@ def test_section_total_curvature_is_gauss_map_degree():
 
 
 def test_total_gauss_matches_coefficient_table():
-    shape = geom.Ellipsoid.from_axes([1, 1, 2, 2])
-    cal = planes.calibrate(2, 1, 0.0, geom.GeodesicBall(n=2, eps=0.0, R=1.0), 150000, 81)
-    res = planes.total_gauss_estimate(shape, 1, 150000, 82)
-    table = val.hermitian_volumes(shape, level=2)
-    pred = cal.kappa * cc.total_gauss_coeffs(2, 1).eval(table.mu_dict(), table.vol, 0.0)
-    z = res.total.z_score(pred, extra_stderr=cal.stderr * pred / cal.kappa)
-    assert abs(z) < 3.0
+    ref = geom.GeodesicBall(n=2, eps=0.0, R=1.0)
+    res = checks.total_gauss(ref, 1, [[1, 1, 2, 2]], 2, 150000, 81, 82, 3.0)
+    assert res["pass"], res["items"]
+
+
+def test_section_total_curvature_is_exact_for_r2():
+    res = planes.total_gauss_estimate(geom.Ellipsoid.from_axes([1, 1, 1, 1, 2, 2]), 2, 300, 4)
+    assert res.per_hit_mean == cc.sphere_volume_coeff(3).to_float()
+    assert res.total.mean / res.chi.mean == pytest.approx(2 * pi**2, rel=1e-12)
 
 
 def test_total_gauss_requires_ellipsoid():
@@ -328,6 +324,23 @@ def test_grassmann_average_full_distribution_is_determinant():
     h = (a + a.T) / 2
     est = planes.grassmann_sigma_average(h, 2, 500, 97)
     assert est.mean == pytest.approx(np.linalg.det(h[1:, 1:]), rel=1e-10)
+
+
+@pytest.mark.parametrize("N", [0, -5])
+def test_estimators_reject_fewer_than_one_sample(N):
+    with pytest.raises(ValueError, match="N="):
+        planes.chi_measure_estimate(UNIT_BALL, 1, N, 0)
+    with pytest.raises(ValueError, match="N="):
+        planes.total_gauss_estimate(UNIT_BALL, 1, N, 0)
+    with pytest.raises(ValueError, match="N="):
+        planes.grassmann_sigma_average(np.eye(3), 1, N, 0)
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-2", ""])
+def test_thread_count_rejects_invalid_values(value, monkeypatch):
+    monkeypatch.setenv("CROFTONLAB_THREADS", value)
+    with pytest.raises(ValueError, match=f"CROFTONLAB_THREADS.*{value!r}"):
+        planes.thread_count()
 
 
 def test_mc_estimate_json_and_z():

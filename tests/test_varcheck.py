@@ -5,15 +5,9 @@ from math import pi
 import numpy as np
 import pytest
 
+from croftonlab import checks
 from croftonlab import coeffcore as cc
 from croftonlab import geom, valuations as val, varcheck as vc
-
-
-def all_keys(n):
-    keys = [("B", k, q) for (k, q) in cc.beta_indices(n)]
-    keys += [("G", 2 * q, q) for q in range(n)]
-    keys.append("vol")
-    return keys
 
 
 def rel_err(a, b, scale):
@@ -60,15 +54,8 @@ def test_invalid_pairings_raise():
 @pytest.mark.parametrize("eps,R", [(0.0, 1.0), (1.0, 0.5), (-1.0, 0.8)])
 @pytest.mark.parametrize("n", [2, 3])
 def test_radial_variation_every_key(eps, R, n):
-    ball = geom.GeodesicBall(n=n, eps=eps, R=R)
-    flow = vc.RadialFlow()
-    tilde = vc.tilde_integrals(ball, flow)
-    deriv = val.ball_closed_form_derivative(eps, n, R)
-    scale = max(abs(vc.valuation_value(deriv, key)) for key in all_keys(n))
-    for key in all_keys(n):
-        formula = vc.variation_formula(ball, flow, key, tilde=tilde)
-        oracle = vc.valuation_value(deriv, key)
-        assert rel_err(formula, oracle, scale) < 1e-6, key
+    res = checks.variation(geom.GeodesicBall(n=n, eps=eps, R=R), 1, 1e-6)
+    assert res["pass"], res["keys"]
 
 
 def test_radial_fd_matches_formula():
@@ -108,14 +95,15 @@ def test_volume_first_variation_is_area():
 
 
 def test_linear_flow_variation_all_keys():
+    # one transported pair of tables gives every key the per-key difference, bit for bit
     e = geom.Ellipsoid.from_axes([1, 1, 2, 2])
-    flow = vc.LinearFlow(np.diag([0.3, -0.1, 0.2, 0.05]))
-    tilde = vc.tilde_integrals(e, flow, level=2)
-    fds = {k: vc.variation_fd(e, flow, k, h_step=1e-3, level=2) for k in all_keys(2)}
-    scale = max(abs(v) for v in fds.values())
-    for key in all_keys(2):
-        fm = vc.variation_formula(e, flow, key, level=2, tilde=tilde)
-        assert rel_err(fds[key], fm, scale) < 1e-4, key
+    diag = [0.3, -0.1, 0.2, 0.05]
+    res = checks.variation(e, 2, 1e-4, diag=diag)
+    assert res["pass"], res["keys"]
+    flow = vc.LinearFlow(np.diag(diag))
+    for key in cc.variation_operator(2).keys():
+        fd = vc.variation_fd(e, flow, key, h_step=1e-3, level=2)
+        assert res["keys"][vc.key_name(key)]["fd"] == fd, key
 
 
 def test_linear_flow_nondiagonal_generator():
