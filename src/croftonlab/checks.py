@@ -93,7 +93,7 @@ def crofton_flat(
     for i, axes in enumerate(families):
         shape = geom.Ellipsoid.from_axes(axes)
         table = valuations.hermitian_volumes(shape, level) if tables is None else tables[i]
-        rhs = planes.crofton_rhs(table, n, r, 0.0)
+        rhs = valuations.crofton_rhs(table, n, r, 0.0)
         est = planes.chi_measure_estimate(shape, r, N, seed + i)
         z = est.z_score(cal.kappa * rhs, extra_stderr=cal.stderr * rhs)
         rel_sd = est.stderr / est.mean if est.mean else float("inf")
@@ -113,7 +113,7 @@ def crofton_cpn(
     items = []
     for i, R in enumerate(CPN_RADII):
         ball = geom.GeodesicBall(n=n, eps=1.0, R=R)
-        rhs = planes.crofton_rhs(valuations.ball_closed_form(1.0, n, R), n, r, 1.0)
+        rhs = valuations.crofton_rhs(valuations.ball_closed_form(1.0, n, R), n, r, 1.0)
         est = planes.chi_measure_estimate(ball, r, N, seed + i)
         z = est.z_score(cal.kappa * rhs, extra_stderr=cal.stderr * rhs)
         items.append({"R": R, "estimate": est.to_json(), "prediction": cal.kappa * rhs,
@@ -124,13 +124,13 @@ def crofton_cpn(
 
 def variation(
     shape: geom.Shape, level: int, tol: Optional[float] = None,
-    diag: Optional[Sequence[float]] = None, h: float = 1e-3,
+    diag: Optional[Sequence[float]] = None,
 ) -> dict:
     """Variation formula of every valuation key against an independent oracle.
 
     Balls flow radially against the analytic derivative of the closed form
     (default tol 1e-6).  Ellipsoids flow by exp(t diag) against central
-    differences of the tables transported to +-h, one pair for all keys
+    differences of the tables transported to +-1e-3, one pair for all keys
     (default tol 1e-4).  Errors are relative, floored at 1e-6 of the largest
     oracle value.
     """
@@ -144,7 +144,7 @@ def variation(
     else:
         tol, label = (1e-4 if tol is None else tol), "fd"
         tilde = varcheck.tilde_integrals(shape, flow, level=level)
-        oracle = varcheck.central_differences(shape, flow, keys, h, level)
+        oracle = varcheck.central_differences(shape, flow, keys, 1e-3, level)
     scale = max(abs(v) for v in oracle.values())
     items = {}
     for key in keys:

@@ -278,12 +278,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.samples < 1:
-        parser.error(f"argument --samples: must be an integer >= 1, got {args.samples}")
-    try:
-        planes.thread_count()
-    except ValueError as exc:
-        parser.error(str(exc))
+    if args.command == "check":
+        if args.samples < 1:
+            parser.error(f"argument --samples: must be an integer >= 1, got {args.samples}")
+        try:
+            planes.thread_count()
+        except ValueError as exc:
+            parser.error(str(exc))
     return args.func(args)
 
 

@@ -37,7 +37,6 @@ import numpy as np
 from . import extalg, geom, valuations
 from .coeffcore import (
     ball_volume_coeff,
-    crofton_coeffs,
     crofton_variation_coeffs,
     form_norm_coeff,
     sphere_volume_coeff,
@@ -51,7 +50,6 @@ __all__ = [
     "sample_plane_flat",
     "meets",
     "chi_measure_estimate",
-    "crofton_rhs",
     "calibrate",
     "total_gauss_estimate",
     "grassmann_sigma_average",
@@ -307,11 +305,6 @@ def chi_measure_estimate(shape, r: int, N: int, seed: int) -> MCEstimate:
     return MCEstimate(mean=weight * p, stderr=weight * sd / sqrt(N), samples=N, seed=seed)
 
 
-def crofton_rhs(table: valuations.ValuationTable, n: int, r: int, eps: float) -> float:
-    """Numeric bracket of the r-plane measure formula (kappa-relative)."""
-    return crofton_coeffs(n, r).eval(table.mu_dict(), table.vol, eps)
-
-
 def calibrate(
     n: int,
     r: int,
@@ -328,7 +321,7 @@ def calibrate(
             table = valuations.ball_closed_form(eps, n, reference_shape.R)
         else:
             table = valuations.hermitian_volumes(reference_shape, level)
-    rhs = crofton_rhs(table, n, r, eps)
+    rhs = valuations.crofton_rhs(table, n, r, eps)
     if abs(rhs) < 1e-12:
         raise ValueError("reference bracket is degenerate; cannot calibrate")
     est = chi_measure_estimate(reference_shape, r, N, seed)

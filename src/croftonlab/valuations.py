@@ -48,6 +48,7 @@ __all__ = [
     "ball_closed_form_derivative",
     "check_gamma_b_relation",
     "gauss_bonnet_residual",
+    "crofton_rhs",
 ]
 
 QUADRATURE_CHUNK = 1 << 16
@@ -283,6 +284,11 @@ def check_gamma_b_relation(table: ValuationTable) -> Dict[Tuple[int, int], float
     return out
 
 
+def crofton_rhs(table: ValuationTable, n: int, r: int, eps: float) -> float:
+    """Numeric bracket of the r-plane measure formula (kappa-relative)."""
+    return crofton_coeffs(n, r).eval(table.mu_dict(), table.vol, eps)
+
+
 def gauss_bonnet_residual(
     shape: geom.Shape,
     level: int = 1,
@@ -321,6 +327,5 @@ def gauss_bonnet_residual(
         )
     if n >= 2:
         implied = implied_hyperplane_grassmannian_volume(n).to_float()
-        hyperplanes = crofton_coeffs(n, n - 1).eval(table.mu_dict(), table.vol, eps)
-        res52 -= 2 * n * eps * implied * hyperplanes
+        res52 -= 2 * n * eps * implied * crofton_rhs(table, n, n - 1, eps)
     return res51, res52

@@ -26,7 +26,7 @@ from typing import Dict, Optional, Sequence, Tuple, Union
 import numpy as np
 from scipy.linalg import expm
 
-from . import geom, planes, valuations
+from . import geom, valuations
 from .coeffcore import (
     crofton_variation_coeffs,
     gauss_bonnet_coeffs,
@@ -226,7 +226,7 @@ def crofton_variation_check(
     eps = shape.eps if isinstance(shape, geom.GeodesicBall) else 0.0
     plus, minus = _transported_tables(shape, flow, h_step, level)
     lhs_fd = (
-        planes.crofton_rhs(plus, n, r, eps) - planes.crofton_rhs(minus, n, r, eps)
+        valuations.crofton_rhs(plus, n, r, eps) - valuations.crofton_rhs(minus, n, r, eps)
     ) / (2 * h_step)
     if tilde is None:
         tilde = tilde_integrals(shape, flow, level)

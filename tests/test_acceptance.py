@@ -228,7 +228,7 @@ def test_criterion_07_variation_formulas():
         ([1, 1, 2, 2], [0.3, -0.1, 0.2, 0.05]),
         ([1, 2, 2, 3], [0.1, 0.25, -0.15, 0.2]),
     ):
-        res = checks.variation(geom.Ellipsoid.from_axes(axes), 2, 1e-4, diag=diag, h=1e-3)
+        res = checks.variation(geom.Ellipsoid.from_axes(axes), 2, 1e-4, diag=diag)
         worst_flat = max(worst_flat, worst_rel_err(res))
         ok &= res["pass"]
 

@@ -220,3 +220,10 @@ def test_invalid_thread_count_is_a_parser_error(value, capsys, monkeypatch):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "CROFTONLAB_THREADS" in err and repr(value) in err
+
+
+def test_samples_and_threads_only_checked_for_check(capsys, monkeypatch):
+    monkeypatch.setenv("CROFTONLAB_THREADS", "abc")
+    assert cli.main(["coeffs", "--gb", "--samples", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["entries"]
+    assert cli.main(["volumes", "--n", "2", "--R", "0.5", "--samples", "0"]) == 0

@@ -218,7 +218,7 @@ def test_calibrated_crofton_across_shapes():
 
 def test_crofton_rhs_unit_ball_value():
     table = val.ball_closed_form(0.0, 2, 1.0)
-    assert planes.crofton_rhs(table, 2, 1, 0.0) == pytest.approx(pi**2, rel=1e-12)
+    assert val.crofton_rhs(table, 2, 1, 0.0) == pytest.approx(pi**2, rel=1e-12)
 
 
 def test_calibrate_rejects_degenerate():
@@ -235,7 +235,7 @@ def test_cpn_radius_dependence():
     cal = planes.calibrate(2, 1, 1.0, geom.GeodesicBall(n=2, eps=1.0, R=0.75), 200000, 61)
     for i, R in enumerate((0.3, 0.9)):
         ball = geom.GeodesicBall(n=2, eps=1.0, R=R)
-        rhs = planes.crofton_rhs(val.ball_closed_form(1.0, 2, R), 2, 1, 1.0)
+        rhs = val.crofton_rhs(val.ball_closed_form(1.0, 2, R), 2, 1, 1.0)
         est = planes.chi_measure_estimate(ball, 1, 200000, 62 + i)
         z = est.z_score(cal.kappa * rhs, extra_stderr=cal.stderr * rhs)
         assert abs(z) < 3.0, (R, z)
