@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import factorial
 from typing import Dict, List, Sequence, Tuple, Union
 
 import numpy as np
@@ -35,6 +34,7 @@ __all__ = [
     "SffMatrix",
     "PullbackForms",
     "build_pullbacks",
+    "density_from_forms",
     "density_beta",
     "density_gamma",
     "permutation_oracle",
@@ -234,33 +234,39 @@ def _check_gamma_index(n: int, k: int, q: int) -> None:
         raise IndexRangeError(f"gamma density undefined for n={n}, k={k}, q={q}")
 
 
+def density_from_forms(forms: PullbackForms, kind: str, n: int, k: int, q: int) -> Coeff:
+    """Top-form coefficient of the (k, q) density from built pullback forms.
+
+    kind "beta":  beta ^ theta_0^{n-k+q} ^ theta_1^{k-2q-1} ^ theta_2^q;
+    kind "gamma": gamma ^ theta_0^{n-k+q-1} ^ theta_1^{k-2q} ^ theta_2^q.
+    The index range is the caller's to check.
+    """
+    if kind == "beta":
+        w, exps = forms.beta, (n - k + q, k - 2 * q - 1, q)
+    else:
+        w, exps = forms.gamma, (n - k + q - 1, k - 2 * q, q)
+    for theta, e in zip((forms.theta0, forms.theta1, forms.theta2), exps):
+        w = w.wedge(theta.wedge_pow(e))
+    return w.top_coefficient()
+
+
 def density_beta(n: int, k: int, q: int, h: Union[np.ndarray, SffMatrix]) -> Coeff:
-    """Top-form coefficient of beta ^ theta_0^{n-k+q} ^ theta_1^{k-2q-1} ^ theta_2^q.
+    """The beta density of `density_from_forms` at h.
 
     The caller applies the normalization c_{n,k,q}; the result is a polynomial
     of degree 2n-k-1 in the entries of h.
     """
     _check_beta_index(n, k, q)
-    f = build_pullbacks(h, n)
-    w = f.beta
-    w = w.wedge(f.theta0.wedge_pow(n - k + q))
-    w = w.wedge(f.theta1.wedge_pow(k - 2 * q - 1))
-    w = w.wedge(f.theta2.wedge_pow(q))
-    return w.top_coefficient()
+    return density_from_forms(build_pullbacks(h, n), "beta", n, k, q)
 
 
 def density_gamma(n: int, k: int, q: int, h: Union[np.ndarray, SffMatrix]) -> Coeff:
-    """Top-form coefficient of gamma ^ theta_0^{n-k+q-1} ^ theta_1^{k-2q} ^ theta_2^q.
+    """The gamma density of `density_from_forms` at h.
 
     The caller applies the normalization c_{n,k,q}/2.
     """
     _check_gamma_index(n, k, q)
-    f = build_pullbacks(h, n)
-    w = f.gamma
-    w = w.wedge(f.theta0.wedge_pow(n - k + q - 1))
-    w = w.wedge(f.theta1.wedge_pow(k - 2 * q))
-    w = w.wedge(f.theta2.wedge_pow(q))
-    return w.top_coefficient()
+    return density_from_forms(build_pullbacks(h, n), "gamma", n, k, q)
 
 
 # ---------------------------------------------------------------------------

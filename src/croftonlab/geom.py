@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import cos, cosh, pi, sin, sinh, sqrt
-from typing import Iterator, List, Optional, Tuple, Union
+from typing import Iterator, List, Tuple, Union
 
 import numpy as np
 from scipy.integrate import quad, solve_ivp
@@ -33,7 +33,6 @@ __all__ = [
     "Ellipsoid",
     "GeodesicBall",
     "Shape",
-    "BoundaryPoint",
     "BoundaryCloud",
     "ConjugatePointError",
     "apply_complex_structure",
@@ -44,8 +43,6 @@ __all__ = [
     "jacobi_oracle",
     "jacobi_value",
     "sphere_area_and_ball_volume",
-    "gauge_rotate_frame",
-    "shape_from_spec",
 ]
 
 
@@ -164,43 +161,19 @@ class GeodesicBall:
 Shape = Union[Ellipsoid, GeodesicBall]
 
 
-def shape_from_spec(spec: dict) -> Shape:
-    """Build a shape from its JSON description.
-
-    {"type": "ellipsoid", "axes": [...]} or
-    {"type": "ball", "R": ..., "eps": ..., "n": ...}
-    """
-    kind = spec.get("type")
-    if kind == "ellipsoid":
-        return Ellipsoid.from_axes(spec["axes"])
-    if kind == "ball":
-        return GeodesicBall(n=int(spec["n"]), eps=float(spec["eps"]), R=float(spec["R"]))
-    raise ValueError(f"unknown shape type {kind!r}")
-
-
 # ---------------------------------------------------------------------------
 # Boundary sampling
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class BoundaryPoint:
-    """One boundary sample: position, outward normal, adapted frame, II, weight.
-
-    frame rows are (JN, e_2, Je_2, ..., e_n, Je_n); h is the second fundamental
-    form in that frame with the inner-normal sign convention.  For geodesic
-    balls at eps != 0 the position is a geodesic polar marker, not an embedding.
-    """
-
-    position: np.ndarray
-    normal: np.ndarray
-    frame: np.ndarray
-    h: np.ndarray
-    weight: float
-
-
 class BoundaryCloud:
-    """Struct-of-arrays boundary sample supporting iteration and slicing."""
+    """Struct-of-arrays boundary sample: position, outward normal, frame, II, weight.
+
+    Each frame's rows are (JN, e_2, Je_2, ..., e_n, Je_n); h is the second
+    fundamental form in that frame with the inner-normal sign convention.  For
+    geodesic balls at eps != 0 the position is a geodesic polar marker, not an
+    embedding.
+    """
 
     def __init__(self, n, positions, normals, frames, h, weights):
         self.n = n
@@ -212,19 +185,6 @@ class BoundaryCloud:
 
     def __len__(self) -> int:
         return len(self.weights)
-
-    def __getitem__(self, i) -> BoundaryPoint:
-        return BoundaryPoint(
-            position=self.positions[i],
-            normal=self.normals[i],
-            frame=self.frames[i],
-            h=self.h[i],
-            weight=float(self.weights[i]),
-        )
-
-    def __iter__(self) -> Iterator[BoundaryPoint]:
-        for i in range(len(self)):
-            yield self[i]
 
     def chunks(self, size: int) -> Iterator["BoundaryCloud"]:
         for lo in range(0, len(self), size):
@@ -473,30 +433,3 @@ def sphere_area_and_ball_volume(eps: float, n: int, R: float) -> Tuple[float, fl
     vol, err = quad(area, 0.0, R, epsabs=1e-13, epsrel=1e-12, limit=200)
     return area(R), vol
 
-
-# ---------------------------------------------------------------------------
-# Frame gauge rotation (for the invariance tests)
-# ---------------------------------------------------------------------------
-
-
-def gauge_rotate_frame(point: BoundaryPoint, U: np.ndarray) -> BoundaryPoint:
-    """Rotate the distribution frame by a unitary U in (n-1) complex variables.
-
-    The Hopf slot is fixed; h transforms by conjugation with the realified U.
-    """
-    U = np.asarray(U, dtype=complex)
-    k = U.shape[0]
-    if U.shape != (k, k) or np.max(np.abs(U.conj().T @ U - np.eye(k))) > 1e-10:
-        raise ValueError("U must be unitary")
-    Ur = realify_complex_columns(U)
-    d = point.h.shape[0]
-    S = np.zeros((d, d))
-    S[0, 0] = 1.0
-    S[1:, 1:] = Ur
-    return BoundaryPoint(
-        position=point.position,
-        normal=point.normal,
-        frame=S.T @ point.frame,
-        h=S.T @ point.h @ S,
-        weight=point.weight,
-    )

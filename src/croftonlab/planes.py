@@ -1,8 +1,11 @@
 """Spaces of complex r-planes: invariant sampling and Monte Carlo measures.
 
-Flat case (eps = 0): a plane is an affine subspace anchor + span(V) with V a
-Haar-random complex r-frame (QR of a complex Gaussian matrix) and the anchor
-uniform in a radius-rho window of the orthogonal complement.  The invariant
+Every estimator draws from one Haar sampler, `_haar_frames`: the Q factor of
+a complex Gaussian matrix.
+
+Flat case (eps = 0): a plane is an affine subspace anchor + span(V), with V
+the first r columns of a Haar unitary frame and the anchor uniform in a
+radius-rho window of the span of the other n - r columns.  The invariant
 plane measure factors into Lebesgue measure on the complement times the
 invariant Grassmannian measure, so
 
@@ -11,6 +14,9 @@ invariant Grassmannian measure, so
 up to one overall normalization constant: the undetermined Grassmannian mass.
 That constant is the calibration `kappa`, fixed once per (n, r, eps) on a
 reference shape and then reused, so every further comparison is prediction.
+One predicate, `_ellipsoid_section`, decides whether a flat plane meets an
+ellipsoid and also returns the section's quadratic form, from which the
+total-Gauss estimate reads the section ellipses.
 
 Projective case (eps = 1, holomorphic curvature 4): planes are complex
 (r+1)-subspaces of C^{n+1}, sampled Haar; the plane space is compact, so the
@@ -20,8 +26,11 @@ The hyperbolic plane space (eps < 0) is not sampled: its isometry group is
 noncompact and no canonical finite window exists; those formulas are verified
 through closed-form geodesic balls and the mutual consistency checks instead.
 
-RNG discipline: a counter-based Philox generator is split per fixed-size chunk
-of sample indices, so estimates depend only on (seed, N), not on scheduling.
+RNG discipline: `_chunk_sums` splits the N samples into fixed-size chunks,
+draws each chunk from its own counter-based Philox stream and adds the
+per-chunk sums in chunk order, so estimates depend only on (seed, N), not on
+scheduling.  Hit counts become a binomial estimate, sums of values and of
+their squares a sample-moment estimate.
 """
 
 from __future__ import annotations
@@ -30,7 +39,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import pi, sqrt
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -45,10 +54,7 @@ from .coeffcore import (
 __all__ = [
     "MCEstimate",
     "Calibration",
-    "ComplexPlane",
     "TotalGaussResult",
-    "sample_plane_flat",
-    "meets",
     "chi_measure_estimate",
     "calibrate",
     "total_gauss_estimate",
@@ -73,27 +79,30 @@ def thread_count() -> int:
     return workers
 
 
-def _map_chunks(fn: Callable[[int], object], n_chunks: int) -> List[object]:
-    workers = thread_count()
-    if workers <= 1 or n_chunks <= 1:
-        return [fn(i) for i in range(n_chunks)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(n_chunks)))
-
-
 def _chunk_rng(seed: int, chunk: int) -> np.random.Generator:
     ss = np.random.SeedSequence(entropy=int(seed) & (2**63 - 1), spawn_key=(chunk,))
     return np.random.Generator(np.random.Philox(ss))
 
 
-def _chunk_sizes(total: int) -> List[int]:
-    if total < 1:
-        raise ValueError(f"need at least one sample, got N={total}")
-    out = []
-    while total > 0:
-        out.append(min(SAMPLE_CHUNK, total))
-        total -= out[-1]
-    return out
+def _chunk_sums(
+    N: int, seed: int, work: Callable[[np.random.Generator, int], Tuple]
+) -> Tuple:
+    """Column sums of work(rng, m) over the chunks of N samples, in chunk order."""
+    if N < 1:
+        raise ValueError(f"need at least one sample, got N={N}")
+    full, rest = divmod(N, SAMPLE_CHUNK)
+    sizes = [SAMPLE_CHUNK] * full + ([rest] if rest else [])
+
+    def run(ci: int) -> Tuple:
+        return work(_chunk_rng(seed, ci), sizes[ci])
+
+    workers = thread_count()
+    if workers <= 1 or len(sizes) <= 1:
+        parts = [run(ci) for ci in range(len(sizes))]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(run, range(len(sizes))))
+    return tuple(sum(column) for column in zip(*parts))
 
 
 @dataclass
@@ -118,6 +127,21 @@ class MCEstimate:
         }
 
 
+def _binomial_estimate(hits: int, N: int, seed: int, weight: float) -> MCEstimate:
+    """weight times the hit fraction, with the binomial standard error."""
+    p = hits / N
+    sd = sqrt(p * (1 - p) * N / max(1, N - 1))
+    return MCEstimate(mean=weight * p, stderr=weight * sd / sqrt(N), samples=N, seed=seed)
+
+
+def _moments_estimate(
+    sv: float, sv2: float, N: int, seed: int, weight: float = 1.0
+) -> MCEstimate:
+    """weight times the sample mean of values with sum sv and square sum sv2."""
+    var = max(0.0, (sv2 - sv * sv / N) / max(1, N - 1))
+    return MCEstimate(mean=weight * (sv / N), stderr=weight * sqrt(var / N), samples=N, seed=seed)
+
+
 @dataclass
 class Calibration:
     """kappa: the numeric stand-in for the Grassmannian mass convention."""
@@ -131,36 +155,15 @@ class Calibration:
     seed: int
 
 
-@dataclass
-class ComplexPlane:
-    """One complex r-plane.
-
-    eps = 0: V is an n x r complex frame, anchor a real point of V-perp.
-    eps = 1: subspace is an (n+1) x (r+1) complex frame of the projective model.
-    """
-
-    eps: float
-    V: Optional[np.ndarray] = None
-    anchor: Optional[np.ndarray] = None
-    subspace: Optional[np.ndarray] = None
-
-
 # ---------------------------------------------------------------------------
 # Sampling
 # ---------------------------------------------------------------------------
 
 
-def _complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-
-def _haar_frames_flat(
-    n: int, r: int, rng: np.random.Generator, m: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """(V, W): Haar complex r-frames and their complement (n-r)-frames."""
-    Z = _complex_gaussian(rng, (m, n, n))
-    Q, _ = np.linalg.qr(Z)
-    return Q[:, :, :r], Q[:, :, r:]
+def _haar_frames(rng: np.random.Generator, m: int, rows: int, cols: int) -> np.ndarray:
+    """m Haar-random complex frames: Q of the QR of (m, rows, cols) complex Gaussians."""
+    Z = rng.standard_normal((m, rows, cols)) + 1j * rng.standard_normal((m, rows, cols))
+    return np.linalg.qr(Z)[0]
 
 
 def _uniform_ball(rng: np.random.Generator, m: int, dim: int, radius: float) -> np.ndarray:
@@ -170,35 +173,20 @@ def _uniform_ball(rng: np.random.Generator, m: int, dim: int, radius: float) -> 
     return g * (radius * u)[:, None]
 
 
+def _flat_window(shape, r: int) -> Tuple[float, float]:
+    """(rho, omega_{2(n-r)} rho^{2(n-r)}): anchor window radius and volume."""
+    rho = shape.circum_radius * WINDOW_MARGIN
+    return rho, ball_volume_coeff(2 * (shape.n - r)).to_float() * rho ** (2 * (shape.n - r))
+
+
 def _sample_flat_batch(
     n: int, r: int, rho: float, rng: np.random.Generator, m: int
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Batch of flat planes: (V complex (m,n,r), anchor real (m,2n))."""
-    V, W = _haar_frames_flat(n, r, rng, m)
-    Wr = geom.realify_complex_columns(W)
-    y = _uniform_ball(rng, m, 2 * (n - r), rho)
-    anchors = np.einsum("mij,mj->mi", Wr, y)
-    return V, anchors
-
-
-def sample_plane_flat(
-    n: int, r: int, window_radius: float, rng: np.random.Generator
-) -> Tuple[ComplexPlane, float]:
-    """One invariant flat plane sample and its translational measure weight."""
-    V, anchors = _sample_flat_batch(n, r, window_radius, rng, 1)
-    weight = (
-        ball_volume_coeff(2 * (n - r)).to_float() * window_radius ** (2 * (n - r))
-    )
-    return ComplexPlane(eps=0.0, V=V[0], anchor=anchors[0]), weight
-
-
-def _sample_projective_batch(
-    n: int, r: int, rng: np.random.Generator, m: int
-) -> np.ndarray:
-    """Haar-random complex r-planes of the projective model: (m, n+1, r+1) frames."""
-    Z = _complex_gaussian(rng, (m, n + 1, r + 1))
-    Q, _ = np.linalg.qr(Z)
-    return Q
+    Q = _haar_frames(rng, m, n, n)
+    W = geom.realify_complex_columns(Q[:, :, r:])
+    anchors = np.einsum("mij,mj->mi", W, _uniform_ball(rng, m, 2 * (n - r), rho))
+    return Q[:, :, :r], anchors
 
 
 # ---------------------------------------------------------------------------
@@ -206,33 +194,30 @@ def _sample_projective_batch(
 # ---------------------------------------------------------------------------
 
 
-def _restricted_quadratic(
-    Q: np.ndarray, Vr: np.ndarray, anchors: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(M, b, c0, minval) of s -> quadratic form along the affine plane."""
+def _ellipsoid_section(
+    Q: np.ndarray, V: np.ndarray, anchors: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(hit, M, minval) of x^T Q x restricted to each plane anchor + span(V).
+
+    In real coordinates s on the plane the form is s^T M s + 2 b.s + c0 with
+    minimum minval; the plane meets the ellipsoid x^T Q x <= 1 iff minval <= 1.
+    """
+    Vr = geom.realify_complex_columns(V)
     QV = np.einsum("ij,mjr->mir", Q, Vr)
     M = np.einsum("mir,mis->mrs", Vr, QV)
     b = np.einsum("mir,mi->mr", QV, anchors)
     c0 = np.einsum("mi,ij,mj->m", anchors, Q, anchors)
     sol = np.linalg.solve(M, b[..., None])[..., 0]
     minval = c0 - np.einsum("mr,mr->m", b, sol)
-    return M, b, c0, minval
+    return minval <= 1.0 + 1e-12, M, minval
 
 
-def _hits_flat(
-    shape, V: np.ndarray, anchors: np.ndarray, center: Optional[np.ndarray] = None
-) -> np.ndarray:
+def _hits_flat(shape, V: np.ndarray, anchors: np.ndarray) -> np.ndarray:
     if isinstance(shape, geom.GeodesicBall):
-        if shape.eps != 0:
-            raise ValueError("flat hit test requires eps = 0")
         Vr = geom.realify_complex_columns(V)
-        rel = anchors if center is None else anchors - center
-        rel = rel - np.einsum("mir,mjr,mj->mi", Vr, Vr, rel)
+        rel = anchors - np.einsum("mir,mjr,mj->mi", Vr, Vr, anchors)
         return np.linalg.norm(rel, axis=1) <= shape.R * (1 + 1e-12)
-    Vr = geom.realify_complex_columns(V)
-    rel = anchors if center is None else anchors - center
-    _, _, _, minval = _restricted_quadratic(shape.quadric, Vr, rel)
-    return minval <= 1.0 + 1e-12
+    return _ellipsoid_section(shape.quadric, V, anchors)[0]
 
 
 def _hits_projective(ball: geom.GeodesicBall, W: np.ndarray, center: np.ndarray) -> np.ndarray:
@@ -248,61 +233,35 @@ def _projective_center(n: int) -> np.ndarray:
     return c
 
 
-def meets(shape, plane: ComplexPlane) -> bool:
-    """chi(shape intersect plane) for a convex shape: True iff nonempty."""
-    if plane.eps == 0:
-        return bool(_hits_flat(shape, plane.V[None], plane.anchor[None])[0])
-    if plane.eps == 1:
-        if not isinstance(shape, geom.GeodesicBall) or shape.eps != 1:
-            raise ValueError("projective planes pair with eps = 1 geodesic balls")
-        return bool(
-            _hits_projective(shape, plane.subspace[None], _projective_center(shape.n))[0]
-        )
-    raise ValueError("plane measure sampling supports eps in {0, 1} only")
-
-
 # ---------------------------------------------------------------------------
 # Estimators
 # ---------------------------------------------------------------------------
 
 
-def window_radius(shape) -> float:
-    return shape.circum_radius * WINDOW_MARGIN
-
-
 def chi_measure_estimate(shape, r: int, N: int, seed: int) -> MCEstimate:
     """Monte Carlo estimate of the (kappa-relative) measure of planes meeting shape."""
     n = shape.n
-    eps = shape.eps if isinstance(shape, geom.GeodesicBall) else 0.0
-    if eps == 0:
-        rho = window_radius(shape)
-        weight = ball_volume_coeff(2 * (n - r)).to_float() * rho ** (2 * (n - r))
+    if shape.eps == 0:
+        rho, weight = _flat_window(shape, r)
 
-        def work(ci: int) -> int:
-            m = sizes[ci]
-            rng = _chunk_rng(seed, ci)
+        def work(rng: np.random.Generator, m: int) -> Tuple[int]:
             V, anchors = _sample_flat_batch(n, r, rho, rng, m)
-            return int(np.count_nonzero(_hits_flat(shape, V, anchors)))
+            return (int(np.count_nonzero(_hits_flat(shape, V, anchors))),)
 
-    elif eps == 1:
+    elif shape.eps == 1:
         weight = 1.0
         center = _projective_center(n)
 
-        def work(ci: int) -> int:
-            m = sizes[ci]
-            rng = _chunk_rng(seed, ci)
-            W = _sample_projective_batch(n, r, rng, m)
-            return int(np.count_nonzero(_hits_projective(shape, W, center)))
+        def work(rng: np.random.Generator, m: int) -> Tuple[int]:
+            W = _haar_frames(rng, m, n + 1, r + 1)
+            return (int(np.count_nonzero(_hits_projective(shape, W, center))),)
 
     else:
         raise NotImplementedError(
             "eps < 0 plane sampling is out of scope (noncompact isometry group)"
         )
-    sizes = _chunk_sizes(N)
-    hits = sum(_map_chunks(work, len(sizes)))  # type: ignore[arg-type]
-    p = hits / N
-    sd = sqrt(p * (1 - p) * N / max(1, N - 1))
-    return MCEstimate(mean=weight * p, stderr=weight * sd / sqrt(N), samples=N, seed=seed)
+    (hits,) = _chunk_sums(N, seed, work)
+    return _binomial_estimate(hits, N, seed, weight)
 
 
 def calibrate(
@@ -317,10 +276,7 @@ def calibrate(
 ) -> Calibration:
     """Fix kappa = measured plane measure / formula bracket on a reference shape."""
     if table is None:
-        if isinstance(reference_shape, geom.GeodesicBall):
-            table = valuations.ball_closed_form(eps, n, reference_shape.R)
-        else:
-            table = valuations.hermitian_volumes(reference_shape, level)
+        table = valuations.shape_table(reference_shape, level)
     rhs = valuations.crofton_rhs(table, n, r, eps)
     if abs(rhs) < 1e-12:
         raise ValueError("reference bracket is degenerate; cannot calibrate")
@@ -375,22 +331,17 @@ def total_gauss_estimate(
     ellipse and its curvature integral is computed by a vectorized
     uniform-angle rule on `nodes` points, which stays as the independent
     check of the constant (2 pi).  Values are averaged with the translational
-    window weight.
+    window weight; the chi companion is the binomial estimate of the same
+    plane stream, equal to `chi_measure_estimate`.
     """
     if not isinstance(ellipsoid, geom.Ellipsoid):
         raise ValueError("total Gauss estimate requires an ellipsoid")
     n = ellipsoid.n
-    rho = window_radius(ellipsoid)
-    weight = ball_volume_coeff(2 * (n - r)).to_float() * rho ** (2 * (n - r))
-    sizes = _chunk_sizes(N)
+    rho, weight = _flat_window(ellipsoid, r)
 
-    def work(ci: int) -> Tuple[int, float, float]:
-        m = sizes[ci]
-        rng = _chunk_rng(seed, ci)
+    def work(rng: np.random.Generator, m: int) -> Tuple[int, float, float]:
         V, anchors = _sample_flat_batch(n, r, rho, rng, m)
-        Vr = geom.realify_complex_columns(V)
-        M, _, _, minval = _restricted_quadratic(ellipsoid.quadric, Vr, anchors)
-        hit = minval <= 1.0 + 1e-12
+        hit, M, minval = _ellipsoid_section(ellipsoid.quadric, V, anchors)
         if r > 1 or not np.any(hit):
             return int(hit.sum()), 0.0, 0.0
         evals = np.linalg.eigvalsh(M[hit])
@@ -398,32 +349,18 @@ def total_gauss_estimate(
         vals = _ellipse_total_curvature(semiaxes[:, 1], semiaxes[:, 0], nodes)
         return int(hit.sum()), float(vals.sum()), float((vals**2).sum())
 
-    parts = _map_chunks(work, len(sizes))
-    hits = sum(p[0] for p in parts)  # type: ignore[index]
+    hits, sv, sv2 = _chunk_sums(N, seed, work)
     if r == 1:
-        sv = sum(p[1] for p in parts)  # type: ignore[index]
-        sv2 = sum(p[2] for p in parts)  # type: ignore[index]
         per_hit = sv / hits if hits else float("nan")
     else:
         o = sphere_volume_coeff(2 * r - 1).to_float()
         sv, sv2 = o * hits, o * o * hits
         per_hit = o if hits else float("nan")
-    mean_v = sv / N
-    var_v = max(0.0, (sv2 - sv * sv / N) / max(1, N - 1))
-    total = MCEstimate(
-        mean=weight * mean_v,
-        stderr=weight * sqrt(var_v / N),
-        samples=N,
-        seed=seed,
+    return TotalGaussResult(
+        total=_moments_estimate(sv, sv2, N, seed, weight),
+        chi=_binomial_estimate(hits, N, seed, weight),
+        per_hit_mean=per_hit,
     )
-    p = hits / N
-    chi = MCEstimate(
-        mean=weight * p,
-        stderr=weight * sqrt(p * (1 - p) / max(1, N - 1)),
-        samples=N,
-        seed=seed,
-    )
-    return TotalGaussResult(total=total, chi=chi, per_hit_mean=per_hit)
 
 
 # ---------------------------------------------------------------------------
@@ -440,27 +377,15 @@ def grassmann_sigma_average(
     subspaces are drawn in the distribution block (slots 1..2n-2).
     """
     h = np.asarray(h, dtype=float)
-    d = h.shape[0]
-    n = (d + 1) // 2
+    n = (h.shape[0] + 1) // 2
     hD = h[1:, 1:]
-    sizes = _chunk_sizes(N)
 
-    def work(ci: int) -> Tuple[float, float]:
-        m = sizes[ci]
-        rng = _chunk_rng(seed, ci)
-        Z = _complex_gaussian(rng, (m, n - 1, r))
-        Qc, _ = np.linalg.qr(Z)
-        Vr = geom.realify_complex_columns(Qc)
-        restricted = np.einsum("mir,ij,mjs->mrs", Vr, hD, Vr)
-        vals = np.linalg.det(restricted)
+    def work(rng: np.random.Generator, m: int) -> Tuple[float, float]:
+        Vr = geom.realify_complex_columns(_haar_frames(rng, m, n - 1, r))
+        vals = np.linalg.det(np.einsum("mir,ij,mjs->mrs", Vr, hD, Vr))
         return float(vals.sum()), float((vals**2).sum())
 
-    parts = _map_chunks(work, len(sizes))
-    sv = sum(p[0] for p in parts)  # type: ignore[index]
-    sv2 = sum(p[1] for p in parts)  # type: ignore[index]
-    mean = sv / N
-    var = max(0.0, (sv2 - sv * sv / N) / max(1, N - 1))
-    return MCEstimate(mean=mean, stderr=sqrt(var / N), samples=N, seed=seed)
+    return _moments_estimate(*_chunk_sums(N, seed, work), N, seed)
 
 
 def cor44_density_combination(n: int, r: int, h: np.ndarray) -> float:

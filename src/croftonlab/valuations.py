@@ -21,7 +21,6 @@ bit-for-bit at a given level.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from math import comb, factorial
 from typing import Dict, Optional, Tuple
@@ -44,6 +43,7 @@ __all__ = [
     "ValuationTable",
     "pairwise_sum",
     "hermitian_volumes",
+    "shape_table",
     "ball_closed_form",
     "ball_closed_form_derivative",
     "check_gamma_b_relation",
@@ -123,7 +123,6 @@ def hermitian_volumes(
     estimate per entry.
     """
     n = shape.n
-    eps = shape.eps if isinstance(shape, geom.GeodesicBall) else 0.0
     cloud = geom.sample_boundary(shape, level)
 
     bkeys = beta_indices(n)
@@ -138,10 +137,10 @@ def hermitian_volumes(
             w = w * weight_fn(chunk)
         forms = extalg.build_pullbacks(chunk.h, n)
         for (k, q) in bkeys:
-            dens = _density_from_forms(forms, "beta", n, k, q)
+            dens = extalg.density_from_forms(forms, "beta", n, k, q)
             b_parts[(k, q)].append(pairwise_sum(w * dens))
         for (k, q) in gkeys:
-            dens = _density_from_forms(forms, "gamma", n, k, q)
+            dens = extalg.density_from_forms(forms, "gamma", n, k, q)
             g_parts[(k, q)].append(pairwise_sum(w * dens))
         eigs = np.linalg.eigvalsh(chunk.h)
         esp = _elementary_symmetric(eigs)
@@ -161,7 +160,7 @@ def hermitian_volumes(
         for j in range(d + 1)
     }
     vol = shape.volume
-    table = ValuationTable(n=n, eps=eps, B=B, Gamma=Gamma, M=M, vol=vol)
+    table = ValuationTable(n=n, eps=shape.eps, B=B, Gamma=Gamma, M=M, vol=vol)
     if richardson and level >= 1:
         coarse = hermitian_volumes(shape, level - 1, richardson=False, weight_fn=weight_fn)
         err: Dict[str, float] = {}
@@ -175,20 +174,11 @@ def hermitian_volumes(
     return table
 
 
-def _density_from_forms(forms: extalg.PullbackForms, kind: str, n: int, k: int, q: int):
-    if kind == "beta":
-        w = forms.beta
-        exps = (n - k + q, k - 2 * q - 1, q)
-    else:
-        w = forms.gamma
-        exps = (n - k + q - 1, k - 2 * q, q)
-    w = w.wedge(forms.theta0.wedge_pow(exps[0]))
-    w = w.wedge(forms.theta1.wedge_pow(exps[1]))
-    w = w.wedge(forms.theta2.wedge_pow(exps[2]))
-    out = w.top_coefficient()
-    if np.ndim(out) == 0:
-        out = np.zeros(1) + out
-    return out
+def shape_table(shape: geom.Shape, level: int = 1) -> ValuationTable:
+    """Valuation table of a shape: the closed form for geodesic balls, quadrature otherwise."""
+    if isinstance(shape, geom.GeodesicBall):
+        return ball_closed_form(shape.eps, shape.n, shape.R)
+    return hermitian_volumes(shape, level)
 
 
 def _comb0(m: int, k: int) -> int:
@@ -293,7 +283,6 @@ def gauss_bonnet_residual(
     shape: geom.Shape,
     level: int = 1,
     table: Optional[ValuationTable] = None,
-    closed_form: Optional[bool] = None,
 ) -> Tuple[float, float]:
     """Residuals of the two Gauss-Bonnet expressions on a convex shape (chi = 1).
 
@@ -305,15 +294,9 @@ def gauss_bonnet_residual(
     Returns (mu-form residual, plane-form residual).
     """
     n = shape.n
-    eps = shape.eps if isinstance(shape, geom.GeodesicBall) else 0.0
+    eps = shape.eps
     if table is None:
-        use_closed = (
-            closed_form if closed_form is not None else isinstance(shape, geom.GeodesicBall)
-        )
-        if use_closed:
-            table = ball_closed_form(eps, n, shape.R)
-        else:
-            table = hermitian_volumes(shape, level)
+        table = shape_table(shape, level)
     o = sphere_volume_coeff(2 * n - 1).to_float()
     res51 = o - gauss_bonnet_coeffs(n).eval(table.mu_dict(), table.vol, eps)
 

@@ -8,14 +8,15 @@ Flows act on shape parameters, never on point clouds:
     R + t at unit normal speed (any curvature).
 
 For a valuation key ("B", k, q), ("G", 2q, q) or "vol" the analytic variation
-contracts the exact variation operator with the tilde table
+contracts the exact variation operator with the tilde table: the valuation
+table of the boundary measure weighted by <X, N> (N the outward unit normal),
+whose B and Gamma entries are the normalized tilde integrals
 
-    tB[k,q] = integral of <X, N> beta_{k,q},   tG[k,q] = integral of <X, N> gamma_{k,q}
+    tB[k,q] = integral of <X, N> beta_{k,q},   tG[k,q] = integral of <X, N> gamma_{k,q}.
 
-over the boundary (N the outward unit normal), while the oracle is a central
-finite difference of quadrature (or closed-form) valuations under exact shape
-transport.  Radial flows on balls admit an analytic derivative, giving the
-sharpest cross-check at eps != 0.
+The oracle is a central finite difference of quadrature (or closed-form)
+valuations under exact shape transport.  Radial flows on balls admit an
+analytic derivative, giving the sharpest cross-check at eps != 0.
 """
 
 from __future__ import annotations
@@ -37,12 +38,10 @@ __all__ = [
     "LinearFlow",
     "RadialFlow",
     "Flow",
-    "TildeTable",
     "tilde_integrals",
     "valuation_value",
     "key_name",
     "central_differences",
-    "variation_fd",
     "variation_formula",
     "crofton_variation_check",
     "gauss_bonnet_rhs_variation_fd",
@@ -89,36 +88,23 @@ class RadialFlow:
 Flow = Union[LinearFlow, RadialFlow]
 
 
-@dataclass
-class TildeTable:
-    """Boundary integrals of <X, N> against the invariant densities."""
-
-    n: int
-    eps: float
-    tB: Dict[Tuple[int, int], float]
-    tG: Dict[Tuple[int, int], float]
-
-    def value(self, kind: str, k: int, q: int) -> float:
-        return self.tB[(k, q)] if kind == "B" else self.tG[(k, q)]
-
-
 def _check_pairing(shape: geom.Shape, flow: Flow) -> None:
     if isinstance(flow, LinearFlow):
-        eps = shape.eps if isinstance(shape, geom.GeodesicBall) else 0.0
-        if eps != 0:
+        if shape.eps != 0:
             raise ValueError("linear flows pair with eps = 0 shapes only")
     elif isinstance(flow, RadialFlow):
         if not isinstance(shape, geom.GeodesicBall):
             raise ValueError("radial flows pair with geodesic balls only")
 
 
-def tilde_integrals(shape: geom.Shape, flow: Flow, level: int = 1) -> TildeTable:
-    """Quadrature of <X, N> times each density over the boundary."""
+def tilde_integrals(
+    shape: geom.Shape, flow: Flow, level: int = 1
+) -> valuations.ValuationTable:
+    """Valuation table of the boundary measure weighted by <X, N> (the tilde table)."""
     _check_pairing(shape, flow)
-    table = valuations.hermitian_volumes(
+    return valuations.hermitian_volumes(
         shape, level, weight_fn=lambda chunk: flow.normal_speed(chunk)
     )
-    return TildeTable(n=table.n, eps=table.eps, tB=table.B, tG=table.Gamma)
 
 
 Key = Union[Tuple[str, int, int], str]
@@ -136,20 +122,14 @@ def key_name(key: Key) -> str:
     return "vol" if key == "vol" else f"{key[0]}:{key[1]},{key[2]}"
 
 
-def _table_for(shape: geom.Shape, level: int) -> valuations.ValuationTable:
-    if isinstance(shape, geom.GeodesicBall):
-        return valuations.ball_closed_form(shape.eps, shape.n, shape.R)
-    return valuations.hermitian_volumes(shape, level)
-
-
 def _transported_tables(
     shape: geom.Shape, flow: Flow, h_step: float, level: int = 1
 ) -> Tuple[valuations.ValuationTable, valuations.ValuationTable]:
     """Valuation tables of the shape transported by +h_step and -h_step."""
     _check_pairing(shape, flow)
     return (
-        _table_for(flow.transport(shape, h_step), level),
-        _table_for(flow.transport(shape, -h_step), level),
+        valuations.shape_table(flow.transport(shape, h_step), level),
+        valuations.shape_table(flow.transport(shape, -h_step), level),
     )
 
 
@@ -164,47 +144,20 @@ def central_differences(
     }
 
 
-def variation_fd(
-    shape: geom.Shape,
-    flow: Flow,
-    key: Key,
-    h_step: float = 1e-3,
-    level: int = 1,
-    check_cancellation: bool = False,
-) -> float:
-    """Central finite difference of a valuation under exact shape transport.
-
-    With `check_cancellation` the step is halved once and the two estimates
-    Richardson-compared; wild disagreement flags a too-small step.
-    """
-    fd = central_differences(shape, flow, [key], h_step, level)[key]
-    if check_cancellation:
-        fd2 = central_differences(shape, flow, [key], h_step / 2, level)[key]
-        scale = max(abs(fd), abs(fd2), 1e-12)
-        if abs(fd - fd2) > 0.5 * scale:
-            raise ArithmeticError(
-                f"finite difference unstable at h={h_step}: {fd} vs {fd2}"
-            )
-    return fd
-
-
 def variation_formula(
     shape: geom.Shape,
     flow: Flow,
     key: Key,
     level: int = 1,
-    tilde: Optional[TildeTable] = None,
+    tilde: Optional[valuations.ValuationTable] = None,
 ) -> float:
     """Analytic first variation: operator coefficients contracted with tildes."""
     _check_pairing(shape, flow)
-    n = shape.n
-    eps = shape.eps if isinstance(shape, geom.GeodesicBall) else 0.0
     if tilde is None:
         tilde = tilde_integrals(shape, flow, level)
-    op = variation_operator(n)
     total = 0.0
-    for kind, k, q, p, coeff in op.targets(key):
-        total += coeff.to_float() * eps**p * tilde.value(kind, k, q)
+    for kind, k, q, p, coeff in variation_operator(shape.n).targets(key):
+        total += coeff.to_float() * shape.eps**p * valuation_value(tilde, (kind, k, q))
     return total
 
 
@@ -214,7 +167,7 @@ def crofton_variation_check(
     r: int,
     level: int = 1,
     h_step: float = 1e-3,
-    tilde: Optional[TildeTable] = None,
+    tilde: Optional[valuations.ValuationTable] = None,
 ) -> Tuple[float, float]:
     """(finite difference, analytic formula) for the varied plane-measure bracket.
 
@@ -223,7 +176,7 @@ def crofton_variation_check(
     the right side is the tilde-B combination of the variation formula.
     """
     n = shape.n
-    eps = shape.eps if isinstance(shape, geom.GeodesicBall) else 0.0
+    eps = shape.eps
     plus, minus = _transported_tables(shape, flow, h_step, level)
     lhs_fd = (
         valuations.crofton_rhs(plus, n, r, eps) - valuations.crofton_rhs(minus, n, r, eps)
@@ -231,7 +184,7 @@ def crofton_variation_check(
     if tilde is None:
         tilde = tilde_integrals(shape, flow, level)
     rhs_formula = sum(
-        c.to_float() * tilde.tB[(k, q)]
+        c.to_float() * tilde.B[(k, q)]
         for (k, q), c in crofton_variation_coeffs(n, r).items()
     )
     return lhs_fd, rhs_formula
@@ -241,7 +194,7 @@ def gauss_bonnet_rhs_variation_fd(
     shape: geom.Shape, flow: Flow, level: int = 1, h_step: float = 1e-3
 ) -> float:
     """Finite difference of the Gauss-Bonnet right-hand side (should vanish)."""
-    eps = shape.eps if isinstance(shape, geom.GeodesicBall) else 0.0
+    eps = shape.eps
     gb = gauss_bonnet_coeffs(shape.n)
     plus, minus = _transported_tables(shape, flow, h_step, level)
     return (

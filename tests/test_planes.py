@@ -11,7 +11,7 @@ import pytest
 from scipy.optimize import minimize
 
 from croftonlab import coeffcore as cc
-from croftonlab import checks, extalg, geom, planes
+from croftonlab import checks, geom, planes
 from croftonlab import valuations as val
 
 
@@ -25,7 +25,7 @@ UNIT_BALL = geom.Ellipsoid.from_axes([1, 1, 1, 1])
 
 def test_haar_line_moment():
     rng = planes._chunk_rng(1, 0)
-    V, _ = planes._haar_frames_flat(2, 1, rng, 100000)
+    V = planes._haar_frames(rng, 100000, 2, 2)
     m = np.abs(V[:, 0, 0]) ** 2
     sd = m.std() / sqrt(len(m))
     assert abs(m.mean() - 0.5) < 3 * sd
@@ -72,11 +72,10 @@ def test_unitary_invariance_of_ball_hits():
 
 def test_meets_trivial_cases():
     rng = planes._chunk_rng(5, 0)
-    plane, _ = planes.sample_plane_flat(2, 1, 0.0, rng)  # through the origin
-    assert planes.meets(UNIT_BALL, plane)
-    far = planes.ComplexPlane(eps=0.0, V=plane.V, anchor=plane.anchor * 0.0)
-    far.anchor = 2.0 * _unit_perp(plane.V)
-    assert not planes.meets(UNIT_BALL, far)
+    V, anchors = planes._sample_flat_batch(2, 1, 0.0, rng, 1)  # through the origin
+    assert planes._hits_flat(UNIT_BALL, V, anchors)[0]
+    far = 2.0 * _unit_perp(V[0])[None]
+    assert not planes._hits_flat(UNIT_BALL, V, far)[0]
 
 
 def _unit_perp(V):
@@ -117,23 +116,10 @@ def test_hit_monotone_under_inclusion():
     assert not np.any(hs & ~hb)
 
 
-def test_translation_invariance_with_identical_seed():
-    # translating the shape and the window together preserves every hit
-    rng = planes._chunk_rng(8, 0)
-    e = geom.Ellipsoid.from_axes([1, 1, 2, 2])
-    V, anchors = planes._sample_flat_batch(2, 1, 2.5, rng, 20000)
-    t = np.array([0.4, -0.2, 0.1, 0.3])
-    Vr = geom.realify_complex_columns(V)
-    t_perp = t - np.einsum("mir,mjr,mj->mi", Vr, Vr, np.broadcast_to(t, anchors.shape))
-    base = planes._hits_flat(e, V, anchors)
-    moved = planes._hits_flat(e, V, anchors + t_perp, center=t)
-    assert np.array_equal(base, moved)
-
-
 def test_projective_distance_and_limits():
     ball = geom.GeodesicBall(n=2, eps=1.0, R=0.5)
     rng = planes._chunk_rng(9, 0)
-    W = planes._sample_projective_batch(2, 1, rng, 5000)
+    W = planes._haar_frames(rng, 5000, 3, 2)
     center = planes._projective_center(2)
     proj = np.einsum("mkr,k->mr", W.conj(), center)
     d = np.arccos(np.minimum(np.linalg.norm(proj, axis=1), 1.0))
@@ -170,12 +156,33 @@ def test_window_exactly_characterizes_ball_hits():
 
 
 def test_chi_estimate_deterministic_and_thread_independent(monkeypatch):
-    a = planes.chi_measure_estimate(UNIT_BALL, 1, 70000, 123)
-    b = planes.chi_measure_estimate(UNIT_BALL, 1, 70000, 123)
-    assert (a.mean, a.stderr) == (b.mean, b.stderr)
+    # 70000 samples span two chunks, so four threads reduce them concurrently
+    a = np.random.default_rng(8).standard_normal((5, 5))
+    h = (a + a.T) / 2
+
+    def estimates():
+        return (
+            planes.chi_measure_estimate(UNIT_BALL, 1, 70000, 123),
+            planes.total_gauss_estimate(UNIT_BALL, 1, 70000, 123),
+            planes.grassmann_sigma_average(h, 1, 70000, 123),
+        )
+
+    monkeypatch.setenv("CROFTONLAB_THREADS", "1")
+    first = estimates()
+    assert estimates() == first
     monkeypatch.setenv("CROFTONLAB_THREADS", "4")
-    c = planes.chi_measure_estimate(UNIT_BALL, 1, 70000, 123)
-    assert (a.mean, a.stderr) == (c.mean, c.stderr)
+    assert estimates() == first
+
+
+@pytest.mark.parametrize(
+    "axes,r,N,seed", [([1, 2, 2, 3], 1, 30000, 9), ([1, 1, 1, 1, 2, 2], 2, 300, 4)]
+)
+def test_total_gauss_chi_is_the_chi_measure_estimate(axes, r, N, seed):
+    # both estimators reduce the same plane stream with the same binomial builder
+    e = geom.Ellipsoid.from_axes(axes)
+    assert planes.total_gauss_estimate(e, r, N, seed).chi == planes.chi_measure_estimate(
+        e, r, N, seed
+    )
 
 
 def test_scaling_of_plane_measure():
