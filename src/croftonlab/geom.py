@@ -14,6 +14,15 @@ the second fundamental form in that frame (inner-normal convention: the unit
 sphere gets II = Id, so convex bodies have positive curvatures), and a
 quadrature weight.  A numeric Jacobi-field integrator serves as the
 independent oracle for the geodesic-sphere curvatures.
+
+The sign flips z_j -> -z_j of single complex coordinates form the holomorphic
+isometry group (+-1)^n, and the product rule maps onto itself under it.  When
+the quadric commutes with every flip (all off-pair 2x2 blocks vanish, as for
+axis-aligned ellipsoids) the sampled boundary is invariant too, and
+`sample_boundary(..., fold_signs=True)` keeps one node per orbit, the one with
+every x_j > 0, at 2^n times its weight.  That is exact only for integrands that
+are invariant under the flips, such as the U(n)-invariant curvature densities;
+a weight like <X, N> for a general flow X is not.
 """
 
 from __future__ import annotations
@@ -295,13 +304,25 @@ def _adapted_frames(normals: np.ndarray) -> np.ndarray:
     return frames
 
 
-def sample_boundary(shape: Shape, level: int = 0) -> BoundaryCloud:
+def _commutes_with_sign_flips(Q: np.ndarray) -> bool:
+    """True if every off-pair block Q[2i:2i+2, 2j:2j+2] (i != j) is exactly zero."""
+    n = Q.shape[0] // 2
+    blocks = Q.reshape(n, 2, n, 2).swapaxes(1, 2)
+    return not np.any(blocks[~np.eye(n, dtype=bool)])
+
+
+def sample_boundary(shape: Shape, level: int = 0, fold_signs: bool = False) -> BoundaryCloud:
     """Boundary quadrature cloud: sum of weight * f(x) converges to the area integral.
 
     Ellipsoids use the sphere parametrization x = B u (B = Q^{-1/2}) with area
     factor det(B) * |B^{-1} u| and the level-set shape operator; geodesic balls
     use the closed-form constant curvatures as a single point of total weight
     equal to the sphere area.
+
+    `fold_signs=True` folds the rule by the sign group (+-1)^n when the quadric
+    commutes with every flip z_j -> -z_j: only nodes with x_j > 0 for all j are
+    kept, each weighted 2^n times.  Use it only for integrands that are
+    invariant under the flips; other quadrics take the full grid.
     """
     if isinstance(shape, GeodesicBall):
         n = shape.n
@@ -325,6 +346,12 @@ def sample_boundary(shape: Shape, level: int = 0) -> BoundaryCloud:
     detB = float(np.prod(evals**-0.5))
 
     u, w = sphere_grid(d2, level)
+    if fold_signs and _commutes_with_sign_flips(Q):
+        # no grid node has x_j = 0, so exactly one member of each orbit is kept
+        keep = np.all(u[:, 0::2] > 0, axis=1)
+        if np.count_nonzero(keep) * 2**n != len(w):
+            raise RuntimeError("sphere grid is not closed under the sign flips z_j -> -z_j")
+        u, w = u[keep], w[keep] * 2**n
     x = u @ B.T
     Qx = x @ Q.T
     gradnorm = np.linalg.norm(Qx, axis=1)

@@ -256,9 +256,14 @@ def chi_measure_estimate(shape, r: int, N: int, seed: int) -> MCEstimate:
             W = _haar_frames(rng, m, n + 1, r + 1)
             return (int(np.count_nonzero(_hits_projective(shape, W, center))),)
 
-    else:
+    elif shape.eps < 0:
         raise NotImplementedError(
             "eps < 0 plane sampling is out of scope (noncompact isometry group)"
+        )
+    else:
+        raise ValueError(
+            "plane sampling models curvature eps = 0 (flat) or eps = 1 (projective), "
+            f"got eps = {shape.eps}"
         )
     (hits,) = _chunk_sums(N, seed, work)
     return _binomial_estimate(hits, N, seed, weight)

@@ -118,12 +118,14 @@ def hermitian_volumes(
     """Valuation table by boundary quadrature of the exterior-algebra densities.
 
     `weight_fn(cloud_chunk) -> (m,) array` scales the boundary measure (used by
-    the variation machinery for <X, N> factors).  `richardson=True` also
-    computes the table one level lower and stores |difference| as the error
-    estimate per entry.
+    the variation machinery for <X, N> factors).  Unweighted tables fold the
+    boundary rule by the sign group (see `geom.sample_boundary`); weighted ones
+    keep the full grid, since <X, N> need not be sign-invariant.
+    `richardson=True` also computes the table one level lower and stores
+    |difference| as the error estimate per entry.
     """
     n = shape.n
-    cloud = geom.sample_boundary(shape, level)
+    cloud = geom.sample_boundary(shape, level, fold_signs=weight_fn is None)
 
     bkeys = beta_indices(n)
     gkeys = gamma_indices(n)

@@ -111,6 +111,29 @@ def test_check_crofton_mc_small(capsys):
         assert abs(item["z"]) < 3
 
 
+@pytest.mark.parametrize(
+    "argv,level",
+    [
+        (["check", "crofton-mc", "--n", "3", "--level", "2"], 1),
+        (["check", "crofton-mc", "--n", "2", "--level", "2"], 2),
+        (["check", "total-gauss", "--n", "3", "--level", "0"], 0),
+    ],
+)
+def test_check_reports_the_level_it_runs(argv, level, capsys, monkeypatch):
+    args = cli.build_parser().parse_args(argv)
+    assert cli._check_level(args) == level
+    ran = {}
+
+    def fake_check(a):
+        ran["level"] = a.level
+        return {"pass": True}
+
+    monkeypatch.setitem(cli.CHECKS, args.what, fake_check)
+    code, out = run_cli(argv, capsys)
+    assert code == 0
+    assert ran["level"] == json.loads(out)["config"]["level"] == level
+
+
 def test_report_determinism(capsys, monkeypatch):
     args = ["check", "crofton-mc", "--n", "2", "--r", "1", "--samples", "30000",
             "--seed", "7", "--level", "1"]

@@ -117,6 +117,37 @@ def test_boundary_cloud_interface():
 
 
 # ---------------------------------------------------------------------------
+# Folding by the holomorphic sign group (+-1)^n
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("axes,factor", [([1, 2, 2, 3], 4), ([1, 1, 1, 1, 1, 2], 8)])
+def test_sign_fold_keeps_one_node_per_orbit(axes, factor):
+    e = geom.Ellipsoid.from_axes(axes)
+    full = geom.sample_boundary(e, level=0)
+    folded = geom.sample_boundary(e, level=0, fold_signs=True)
+    assert len(full) == len(geom.sphere_grid(len(axes), 0)[1])
+    assert len(folded) * factor == len(full)
+    assert np.all(folded.positions[:, 0::2] > 0)
+    assert folded.weights.sum() == pytest.approx(full.weights.sum(), rel=1e-13)
+
+
+def test_sign_fold_bypassed_without_pair_symmetry():
+    rng = np.random.default_rng(5)
+    M = rng.standard_normal((4, 4))
+    e = geom.Ellipsoid(M @ M.T + np.eye(4))
+    folded = geom.sample_boundary(e, level=0, fold_signs=True)
+    assert len(folded) == len(geom.sphere_grid(4, 0)[1])
+
+
+def test_sign_fold_rejects_grid_not_closed_under_flips(monkeypatch):
+    u, w = geom.sphere_grid(4, 0)
+    monkeypatch.setattr(geom, "sphere_grid", lambda d, level: (u[1:], w[1:]))
+    with pytest.raises(RuntimeError):
+        geom.sample_boundary(geom.Ellipsoid.from_axes([1, 2, 2, 3]), fold_signs=True)
+
+
+# ---------------------------------------------------------------------------
 # Space-form radial geometry
 # ---------------------------------------------------------------------------
 

@@ -138,6 +138,12 @@ def test_eps_negative_sampling_rejected():
         planes.chi_measure_estimate(ball, 1, 100, 0)
 
 
+def test_unmodelled_positive_curvature_rejected():
+    ball = geom.GeodesicBall(n=2, eps=0.5, R=0.5)
+    with pytest.raises(ValueError, match=r"eps = 0 .* eps = 1 .* got eps = 0\.5"):
+        planes.chi_measure_estimate(ball, 1, 100, 0)
+
+
 # ---------------------------------------------------------------------------
 # chi-measure estimates and calibration
 # ---------------------------------------------------------------------------

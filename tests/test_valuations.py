@@ -30,6 +30,31 @@ def test_unit_ball_quadrature_values():
     assert t.vol == pytest.approx(pi**2 / 2, rel=1e-12)
 
 
+def _pair_rotation(angle):
+    """Real rotation inside the first complex coordinate pair of C^2."""
+    M = np.eye(4)
+    M[:2, :2] = [[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]]
+    return M
+
+
+@pytest.mark.parametrize(
+    "shape,level",
+    [
+        (geom.Ellipsoid.from_axes([1, 2, 2, 3]), 2),
+        (geom.Ellipsoid.from_axes([1, 1, 1, 1, 1, 2]), 0),
+        (geom.Ellipsoid.from_axes([1, 2, 2, 3]).transformed(_pair_rotation(0.3)), 2),
+    ],
+)
+def test_sign_folded_table_matches_full_grid(shape, level):
+    folded = val.hermitian_volumes(shape, level).to_json()
+    # a weighted table keeps the full grid; unit weights leave the integrand as is
+    full = val.hermitian_volumes(
+        shape, level, weight_fn=lambda chunk: np.ones(len(chunk))
+    ).to_json()
+    for key, value in full.items():
+        assert folded[key] == pytest.approx(value, rel=1e-13), key
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_sphere_total_curvature_is_gauss_map_degree(n):
     sphere = geom.Ellipsoid.from_axes([1.0] * (2 * n))

@@ -107,23 +107,40 @@ def test_linear_flow_variation_all_keys():
         assert res["keys"][vc.key_name(key)]["fd"] == fd, key
 
 
-def test_linear_flow_nondiagonal_generator():
-    a = np.array(
-        [
-            [0.1, 0.2, 0.0, -0.1],
-            [0.2, -0.3, 0.1, 0.0],
-            [0.0, 0.1, 0.2, 0.1],
-            [-0.1, 0.0, 0.1, 0.0],
-        ]
-    )
-    e = geom.Ellipsoid.from_axes([1, 1, 1.5, 1.5])
+NONDIAGONAL_GENERATOR = np.array(
+    [
+        [0.1, 0.2, 0.0, -0.1],
+        [0.2, -0.3, 0.1, 0.0],
+        [0.0, 0.1, 0.2, 0.1],
+        [-0.1, 0.0, 0.1, 0.0],
+    ]
+)
+
+
+def _assert_linear_flow_formula(a, axes, keys):
+    e = geom.Ellipsoid.from_axes(axes)
     flow = vc.LinearFlow(a)
     tilde = vc.tilde_integrals(e, flow, level=2)
-    keys = (("B", 2, 0), ("G", 2, 1), "vol")
     fds = vc.central_differences(e, flow, keys, 1e-3, level=2)
     for key in keys:
         fm = vc.variation_formula(e, flow, key, level=2, tilde=tilde)
         assert rel_err(fds[key], fm, abs(fds[key]) + 1) < 1e-4, key
+
+
+def test_linear_flow_nondiagonal_generator():
+    _assert_linear_flow_formula(
+        NONDIAGONAL_GENERATOR, [1, 1, 1.5, 1.5], (("B", 2, 0), ("G", 2, 1), "vol")
+    )
+
+
+def test_linear_flow_generator_coupling_complex_coordinates():
+    # coupling z_1 with z_2 leaves <X, N> not invariant under z_j -> -z_j, so
+    # a tilde table folded by the sign group would be wrong on this shape
+    a = NONDIAGONAL_GENERATOR.copy()
+    a[0, 2], a[2, 0] = 0.15, -0.05
+    _assert_linear_flow_formula(
+        a, [1, 2, 2, 3], (("B", 2, 0), ("B", 1, 0), ("G", 2, 1), ("B", 3, 1), "vol")
+    )
 
 
 def test_isometry_generator_kills_variations():
