@@ -55,14 +55,20 @@ def _flow(shape: geom.Shape, diag: Optional[Sequence[float]]) -> varcheck.Flow:
 
 
 def gauss_bonnet(shape: geom.Shape, level: int, tol: Optional[float] = None) -> dict:
-    """Both Gauss-Bonnet residuals, relative to O_{2n-1} of the shape's own n."""
+    """Both Gauss-Bonnet residuals, relative to O_{2n-1} of the shape's own n.
+
+    Quadrature tables also report their rule and node count."""
     tol = 1e-8 if tol is None else tol
     o = cc.sphere_volume_coeff(2 * shape.n - 1).to_float()
-    r_mu, r_plane = valuations.gauss_bonnet_residual(shape, level=level)
+    table = valuations.shape_table(shape, level)
+    r_mu, r_plane = valuations.gauss_bonnet_residual(shape, table=table)
     rel_mu, rel_plane = abs(r_mu) / o, abs(r_plane) / o
-    return {"residualMuForm": r_mu, "residualPlaneForm": r_plane, "relativeMuForm": rel_mu,
-            "relativePlaneForm": rel_plane, "tolerance": tol,
-            "pass": rel_mu < tol and rel_plane < tol}
+    results = {"residualMuForm": r_mu, "residualPlaneForm": r_plane, "relativeMuForm": rel_mu,
+               "relativePlaneForm": rel_plane, "tolerance": tol,
+               "pass": rel_mu < tol and rel_plane < tol}
+    if table.quadrature:
+        results["quadrature"] = table.quadrature
+    return results
 
 
 def gamma_b(ball: geom.GeodesicBall, tol: Optional[float] = None) -> dict:

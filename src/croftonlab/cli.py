@@ -169,6 +169,8 @@ def cmd_volumes(args) -> int:
     else:
         table = valuations.hermitian_volumes(shape, args.level, richardson=args.richardson)
     results = {"table": table.to_json()}
+    if table.quadrature:
+        results["quadrature"] = table.quadrature
     if table.error:
         results["richardsonError"] = table.error
     _emit(_report(args, config, results), args)

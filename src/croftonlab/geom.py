@@ -15,21 +15,34 @@ sphere gets II = Id, so convex bodies have positive curvatures), and a
 quadrature weight.  A numeric Jacobi-field integrator serves as the
 independent oracle for the geodesic-sphere curvatures.
 
-The sign flips z_j -> -z_j of single complex coordinates form the holomorphic
-isometry group (+-1)^n, and the product rule maps onto itself under it.  When
-the quadric commutes with every flip (all off-pair 2x2 blocks vanish, as for
-axis-aligned ellipsoids) the sampled boundary is invariant too, and
-`sample_boundary(..., fold_signs=True)` keeps one node per orbit, the one with
-every x_j > 0, at 2^n times its weight.  That is exact only for integrands that
-are invariant under the flips, such as the U(n)-invariant curvature densities;
-a weight like <X, N> for a general flow X is not.
+Unweighted boundary integrals of U(n)-invariant curvature densities are
+unchanged by every holomorphic isometry that preserves the domain, and
+`sample_boundary(..., invariant_integrand=True)` uses the strongest exact
+reduction the quadric admits:
+
+  * torus-orbit: when the quadric is invariant under the torus T^n
+    (z_j -> e^{i t_j} z_j; every off-pair 2x2 block zero and every diagonal
+    pair block c I_2 up to roundoff, as for ellipsoids with semiaxes in equal
+    pairs and their turns inside a pair), the integral reduces to the
+    (n-1)-simplex s_j = |u_j|^2 of the sphere parameter.  A collapsed
+    Gauss-Jacobi rule there gives p^{n-1} nodes
+    u = (sqrt(s_1), 0, ..., sqrt(s_n), 0), p = 8 * 2^L;
+  * sign-fold: when the quadric only commutes with the sign flips
+    z_j -> -z_j (every off-pair 2x2 block zero, as for all axis-aligned
+    ellipsoids), the product rule is built on the x_j > 0 part of the sphere,
+    one node per orbit of (+-1)^n at 2^n times its weight;
+  * product: every other quadric takes the full product rule.
+
+The reductions are exact only for integrands invariant under the group, such
+as the curvature densities; a weight like <X, N> for a general flow X is not,
+so weighted integrals take the product rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import cos, cosh, pi, sin, sinh, sqrt
+from math import cos, cosh, factorial, pi, sin, sinh, sqrt
 from typing import Iterator, List, Tuple, Union
 
 import numpy as np
@@ -47,6 +60,7 @@ __all__ = [
     "apply_complex_structure",
     "realify_complex_columns",
     "sphere_grid",
+    "torus_orbit_grid",
     "sample_boundary",
     "geodesic_sphere_curvatures",
     "jacobi_oracle",
@@ -181,16 +195,18 @@ class BoundaryCloud:
     Each frame's rows are (JN, e_2, Je_2, ..., e_n, Je_n); h is the second
     fundamental form in that frame with the inner-normal sign convention.  For
     geodesic balls at eps != 0 the position is a geodesic polar marker, not an
-    embedding.
+    embedding.  `rule` names the quadrature that placed the nodes (see the
+    module docstring; "constant-curvature" for the one node of a geodesic ball).
     """
 
-    def __init__(self, n, positions, normals, frames, h, weights):
+    def __init__(self, n, positions, normals, frames, h, weights, rule):
         self.n = n
         self.positions = positions
         self.normals = normals
         self.frames = frames
         self.h = h
         self.weights = weights
+        self.rule = rule
 
     def __len__(self) -> int:
         return len(self.weights)
@@ -205,6 +221,7 @@ class BoundaryCloud:
                 self.frames[lo:hi],
                 self.h[lo:hi],
                 self.weights[lo:hi],
+                self.rule,
             )
 
 
@@ -213,16 +230,25 @@ BASE_AZIMUTH_NODES = 16
 
 
 @lru_cache(maxsize=32)
-def sphere_grid(d: int, level: int) -> Tuple[np.ndarray, np.ndarray]:
+def sphere_grid(d: int, level: int, fold: bool = False) -> Tuple[np.ndarray, np.ndarray]:
     """Product quadrature on the unit sphere S^{d-1}.
 
     Hyperspherical angles; each polar angle integrated by Gauss-Jacobi in
     z = cos(theta) with the exact weight (1 - z^2)^{(d-2-i)/2}, the azimuth by
     a uniform (trapezoidal) rule.  Level L scales every node count by 2^L.
     Returns (points (m, d), weights (m,)); weights sum to the sphere volume.
+
+    `fold=True` (d = 2n) builds only the nodes whose even coordinates
+    u_0, u_2, ..., u_{d-2} are all positive, one per orbit of the sign flips
+    (u_{2j}, u_{2j+1}) -> -(u_{2j}, u_{2j+1}), each at 2^n times its weight:
+    the z > 0 half of the polar axes that set u_0, ..., u_{d-4} and the
+    cos(phi) > 0 azimuths that set u_{d-2}.  Nodes and weights are those of
+    the full grid's kept nodes, bit for bit, in the same order.
     """
     if d < 2:
         raise ValueError("need d >= 2")
+    if fold and d % 2:
+        raise ValueError("the sign fold needs an even dimension")
     n_polar = BASE_POLAR_NODES * 2**level
     n_az = BASE_AZIMUTH_NODES * 2**level
 
@@ -236,6 +262,18 @@ def sphere_grid(d: int, level: int) -> Tuple[np.ndarray, np.ndarray]:
     phi = (np.arange(n_az) + 0.5) * (2 * pi / n_az)
     axes_nodes.append(phi)
     axes_weights.append(np.full(n_az, 2 * pi / n_az))
+
+    if fold:
+        # axis k sets u_k (the azimuth sets u_{d-2} through cos(phi))
+        for k in range(0, d - 1, 2):
+            nodes, w = axes_nodes[k], axes_weights[k]
+            keep = (np.cos(nodes) if k == d - 2 else nodes) > 0
+            if abs(2 * w[keep].sum() - w.sum()) > 1e-13 * w.sum():
+                # the folded weights times 2^n would not sum to the full total
+                raise RuntimeError(
+                    "sphere grid is not closed under the sign flips z_j -> -z_j"
+                )
+            axes_nodes[k], axes_weights[k] = nodes[keep], w[keep]
 
     grids = np.meshgrid(*axes_nodes, indexing="ij")
     wgrids = np.meshgrid(*axes_weights, indexing="ij")
@@ -252,8 +290,45 @@ def sphere_grid(d: int, level: int) -> Tuple[np.ndarray, np.ndarray]:
     pts[:, d - 2] = radial * np.cos(phi)
     pts[:, d - 1] = radial * np.sin(phi)
     weights *= wgrids[d - 2].reshape(-1)
+    if fold:
+        weights *= 2 ** (d // 2)
     pts.setflags(write=False)
     weights.setflags(write=False)
+    return pts, weights
+
+
+def torus_orbit_grid(n: int, level: int) -> Tuple[np.ndarray, np.ndarray]:
+    """One node per T^n-orbit of S^{2n-1}: u = (sqrt(s_1), 0, ..., sqrt(s_n), 0).
+
+    The area measure of the sphere maps under s_j = |u_j|^2 to the constant
+    density (n-1)! O_{2n-1} in (s_1, ..., s_{n-1}) on the simplex
+    s_1 + ... + s_n = 1 (one orbit per point).  The collapsed (Duffy)
+    coordinates s_i = t_i (1 - t_1) ... (1 - t_{i-1}) have Jacobian
+    prod_i (1 - t_i)^{n-1-i}; coordinate i takes p = 8 * 2^L Gauss-Jacobi
+    nodes for that weight.  Returns (points (p^{n-1}, 2n), weights) with the
+    weights summing to O_{2n-1}.  Uncached: it costs microseconds.
+    """
+    p = BASE_POLAR_NODES * 2**level
+    ts, one_minus_ts, axes_weights = [], [], []
+    for i in range(1, n):
+        alpha = n - 1 - i
+        x, w = roots_jacobi(p, alpha, 0)
+        # t = (1 + x) / 2 on [0, 1]; 1 - t is formed directly to keep its digits
+        ts.append((1 + x) / 2)
+        one_minus_ts.append((1 - x) / 2)
+        axes_weights.append(w / 2.0 ** (alpha + 1))
+    m = p ** (n - 1)
+    s = np.empty((m, n))
+    rest = np.ones(m)
+    weights = np.full(m, factorial(n - 1) * sphere_volume_coeff(2 * n - 1).to_float())
+    grids = [np.meshgrid(*axes, indexing="ij") for axes in (ts, one_minus_ts, axes_weights)]
+    for i, (t, one_minus_t, w) in enumerate(zip(*grids)):
+        s[:, i] = rest * t.reshape(-1)
+        rest = rest * one_minus_t.reshape(-1)
+        weights *= w.reshape(-1)
+    s[:, n - 1] = rest
+    pts = np.zeros((m, 2 * n))
+    pts[:, 0::2] = np.sqrt(s)
     return pts, weights
 
 
@@ -304,14 +379,41 @@ def _adapted_frames(normals: np.ndarray) -> np.ndarray:
     return frames
 
 
+def _pair_blocks(Q: np.ndarray) -> np.ndarray:
+    """The 2x2 blocks Q[2i:2i+2, 2j:2j+2] as an (n, n, 2, 2) array."""
+    n = Q.shape[0] // 2
+    return Q.reshape(n, 2, n, 2).swapaxes(1, 2)
+
+
 def _commutes_with_sign_flips(Q: np.ndarray) -> bool:
     """True if every off-pair block Q[2i:2i+2, 2j:2j+2] (i != j) is exactly zero."""
     n = Q.shape[0] // 2
-    blocks = Q.reshape(n, 2, n, 2).swapaxes(1, 2)
-    return not np.any(blocks[~np.eye(n, dtype=bool)])
+    return not np.any(_pair_blocks(Q)[~np.eye(n, dtype=bool)])
 
 
-def sample_boundary(shape: Shape, level: int = 0, fold_signs: bool = False) -> BoundaryCloud:
+# relative roundoff allowed in a diagonal pair block c I_2: a turn inside a pair
+# formed in floating point (Ellipsoid.transformed) leaves a few ulps there
+TORUS_BLOCK_TOL = 16 * np.finfo(float).eps
+
+
+def _torus_invariant(Q: np.ndarray) -> bool:
+    """True if Q commutes with every z_j -> e^{i t_j} z_j: off-pair blocks are
+    exactly zero and every diagonal pair block is c I_2 to TORUS_BLOCK_TOL."""
+    if not _commutes_with_sign_flips(Q):
+        return False
+    n = Q.shape[0] // 2
+    diag = _pair_blocks(Q)[np.arange(n), np.arange(n)]
+    scale = TORUS_BLOCK_TOL * (np.abs(diag[:, 0, 0]) + np.abs(diag[:, 1, 1]))
+    # Ellipsoid keeps Q exactly symmetric, so diag[:, 1, 0] == diag[:, 0, 1]
+    return bool(
+        np.all(np.abs(diag[:, 0, 0] - diag[:, 1, 1]) <= scale)
+        and np.all(np.abs(diag[:, 0, 1]) <= scale)
+    )
+
+
+def sample_boundary(
+    shape: Shape, level: int = 0, invariant_integrand: bool = False
+) -> BoundaryCloud:
     """Boundary quadrature cloud: sum of weight * f(x) converges to the area integral.
 
     Ellipsoids use the sphere parametrization x = B u (B = Q^{-1/2}) with area
@@ -319,10 +421,12 @@ def sample_boundary(shape: Shape, level: int = 0, fold_signs: bool = False) -> B
     use the closed-form constant curvatures as a single point of total weight
     equal to the sphere area.
 
-    `fold_signs=True` folds the rule by the sign group (+-1)^n when the quadric
-    commutes with every flip z_j -> -z_j: only nodes with x_j > 0 for all j are
-    kept, each weighted 2^n times.  Use it only for integrands that are
-    invariant under the flips; other quadrics take the full grid.
+    `invariant_integrand=True` states that f is invariant under the holomorphic
+    isometries (as the U(n)-invariant curvature densities are), and picks the
+    strongest exact reduction the quadric admits: the torus-orbit rule for
+    T^n-invariant quadrics, else the sign fold for quadrics that commute with
+    every flip z_j -> -z_j, else the full product rule (see the module
+    docstring).  Without it every quadric takes the full product rule.
     """
     if isinstance(shape, GeodesicBall):
         n = shape.n
@@ -335,7 +439,9 @@ def sample_boundary(shape: Shape, level: int = 0, fold_signs: bool = False) -> B
         normal[0, 0] = 1.0
         frames = _adapted_frames(normal)
         h = np.diag([mu_h] + [lam] * (2 * n - 2))[None]
-        return BoundaryCloud(n, pos, normal, frames, h, np.array([area]))
+        return BoundaryCloud(
+            n, pos, normal, frames, h, np.array([area]), "constant-curvature"
+        )
 
     Q = shape.quadric
     n = shape.n
@@ -345,13 +451,12 @@ def sample_boundary(shape: Shape, level: int = 0, fold_signs: bool = False) -> B
     Binv = evecs @ np.diag(evals**0.5) @ evecs.T
     detB = float(np.prod(evals**-0.5))
 
-    u, w = sphere_grid(d2, level)
-    if fold_signs and _commutes_with_sign_flips(Q):
-        # no grid node has x_j = 0, so exactly one member of each orbit is kept
-        keep = np.all(u[:, 0::2] > 0, axis=1)
-        if np.count_nonzero(keep) * 2**n != len(w):
-            raise RuntimeError("sphere grid is not closed under the sign flips z_j -> -z_j")
-        u, w = u[keep], w[keep] * 2**n
+    if invariant_integrand and _torus_invariant(Q):
+        rule, (u, w) = "torus-orbit", torus_orbit_grid(n, level)
+    elif invariant_integrand and _commutes_with_sign_flips(Q):
+        rule, (u, w) = "sign-fold", sphere_grid(d2, level, fold=True)
+    else:
+        rule, (u, w) = "product", sphere_grid(d2, level)
     x = u @ B.T
     Qx = x @ Q.T
     gradnorm = np.linalg.norm(Qx, axis=1)
@@ -363,7 +468,7 @@ def sample_boundary(shape: Shape, level: int = 0, fold_signs: bool = False) -> B
     QF = np.einsum("ij,maj->mai", Q, frames)
     h = np.einsum("mai,mbi->mab", frames, QF) / gradnorm[:, None, None]
     h = (h + np.swapaxes(h, 1, 2)) / 2
-    return BoundaryCloud(n, x, normals, frames, h, weights)
+    return BoundaryCloud(n, x, normals, frames, h, weights, rule)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,14 @@ monomial, and
     B[k,q]     = c_{n,k,q} 2^{k-2q-1} lambda^{2n-k-1} (n-1)! * area
     Gamma[k,q] = c_{n,k,q}/2 * mu_H 2^{k-2q} lambda^{2n-k-2} (n-1)! * area.
 
+Unweighted tables integrate U(n)-invariant densities, so they take the
+strongest exact symmetry reduction of the boundary rule that the shape admits
+(`geom.sample_boundary`): the torus-orbit rule on the (n-1)-simplex for
+ellipsoids with semiaxes in equal pairs, the sign fold for other axis-aligned
+ellipsoids, the full product rule for general quadrics.  Weighted tables keep
+the product rule.  Each quadrature table records the rule and its node count
+in `quadrature`.
+
 Quadrature sums use a fixed-chunk pairwise tree so results are reproducible
 bit-for-bit at a given level.
 """
@@ -77,6 +85,7 @@ class ValuationTable:
     M: Dict[int, float]
     vol: float
     error: Dict[str, float] = field(default_factory=dict)
+    quadrature: Dict[str, object] = field(default_factory=dict)
 
     def mu(self, k: int, q: int) -> float:
         return self.Gamma[(k, q)] if k == 2 * q else self.B[(k, q)]
@@ -118,14 +127,15 @@ def hermitian_volumes(
     """Valuation table by boundary quadrature of the exterior-algebra densities.
 
     `weight_fn(cloud_chunk) -> (m,) array` scales the boundary measure (used by
-    the variation machinery for <X, N> factors).  Unweighted tables fold the
-    boundary rule by the sign group (see `geom.sample_boundary`); weighted ones
-    keep the full grid, since <X, N> need not be sign-invariant.
-    `richardson=True` also computes the table one level lower and stores
-    |difference| as the error estimate per entry.
+    the variation machinery for <X, N> factors).  Unweighted tables reduce the
+    boundary rule by the shape's holomorphic symmetries (torus orbits or sign
+    flips, see `geom.sample_boundary`); weighted ones keep the full product
+    rule, since <X, N> need not be invariant.  `quadrature` records the rule
+    and its node count.  `richardson=True` also computes the table one level
+    lower and stores |difference| as the error estimate per entry.
     """
     n = shape.n
-    cloud = geom.sample_boundary(shape, level, fold_signs=weight_fn is None)
+    cloud = geom.sample_boundary(shape, level, invariant_integrand=weight_fn is None)
 
     bkeys = beta_indices(n)
     gkeys = gamma_indices(n)
@@ -162,7 +172,8 @@ def hermitian_volumes(
         for j in range(d + 1)
     }
     vol = shape.volume
-    table = ValuationTable(n=n, eps=shape.eps, B=B, Gamma=Gamma, M=M, vol=vol)
+    table = ValuationTable(n=n, eps=shape.eps, B=B, Gamma=Gamma, M=M, vol=vol,
+                           quadrature={"rule": cloud.rule, "nodes": len(cloud)})
     if richardson and level >= 1:
         coarse = hermitian_volumes(shape, level - 1, richardson=False, weight_fn=weight_fn)
         err: Dict[str, float] = {}

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from croftonlab import cli
+from croftonlab import cli, geom
 
 
 def run_cli(args, capsys):
@@ -68,6 +68,58 @@ def test_volumes_richardson(capsys):
     assert code == 0
     rep = json.loads(out)
     assert "richardsonError" in rep["results"]
+
+
+@pytest.mark.parametrize(
+    "axes,level,rule,nodes",
+    [("1,1,2,2", 1, "torus-orbit", 16), ("1,2,2,3", 0, "sign-fold", 256)],
+)
+def test_reports_state_the_quadrature_rule(axes, level, rule, nodes, capsys, monkeypatch):
+    shape = ["--shape", "ellipsoid", "--axes", axes, "--level", str(level)]
+    for argv in (["volumes", *shape], ["check", "gauss-bonnet", *shape]):
+        _, out = run_cli(argv, capsys)
+        assert json.loads(out)["results"]["quadrature"] == {"rule": rule, "nodes": nodes}
+        monkeypatch.setenv("CROFTONLAB_THREADS", "3")
+        assert run_cli(argv, capsys)[1] == out  # byte-identical across runs and threads
+        monkeypatch.delenv("CROFTONLAB_THREADS")
+    # closed-form ball tables run no quadrature
+    _, out = run_cli(["check", "gauss-bonnet", "--shape", "ball", "--n", "2", "--R", "0.5"], capsys)
+    assert "quadrature" not in json.loads(out)["results"]
+
+
+def _plan_tables(monkeypatch):
+    """Refuse the product grid and record (rule, nodes) of every boundary rule."""
+
+    def no_grid(*args, **kwargs):
+        raise AssertionError("product sphere grid requested")
+
+    sample = geom.sample_boundary
+    plans = []
+
+    def record(*args, **kwargs):
+        cloud = sample(*args, **kwargs)
+        plans.append((cloud.rule, len(cloud)))
+        return cloud
+
+    monkeypatch.setattr(geom, "sphere_grid", no_grid)
+    monkeypatch.setattr(geom, "sample_boundary", record)
+    return plans
+
+
+def test_volumes_of_a_j_invariant_n3_ellipsoid_at_the_default_level(capsys, monkeypatch):
+    # the product rule at level 2 would need a 67M-node grid
+    plans = _plan_tables(monkeypatch)
+    code, out = run_cli(["volumes", "--shape", "ellipsoid", "--axes", "1,1,1,1,2,2"], capsys)
+    assert code == 0
+    assert json.loads(out)["results"]["quadrature"] == {"rule": "torus-orbit", "nodes": 32**2}
+    assert plans == [("torus-orbit", 32**2)]
+
+
+def test_total_gauss_n3_tables_at_the_default_level(capsys, monkeypatch):
+    # reference and both families are T^n-invariant: three 1024-node tables
+    plans = _plan_tables(monkeypatch)
+    run_cli(["check", "total-gauss", "--n", "3", "--samples", "200", "--seed", "3"], capsys)
+    assert plans == [("torus-orbit", 32**2)] * 3
 
 
 def test_check_gauss_bonnet_pass_and_fail(capsys):

@@ -125,26 +125,100 @@ def test_boundary_cloud_interface():
 def test_sign_fold_keeps_one_node_per_orbit(axes, factor):
     e = geom.Ellipsoid.from_axes(axes)
     full = geom.sample_boundary(e, level=0)
-    folded = geom.sample_boundary(e, level=0, fold_signs=True)
+    folded = geom.sample_boundary(e, level=0, invariant_integrand=True)
+    assert (full.rule, folded.rule) == ("product", "sign-fold")
     assert len(full) == len(geom.sphere_grid(len(axes), 0)[1])
     assert len(folded) * factor == len(full)
     assert np.all(folded.positions[:, 0::2] > 0)
     assert folded.weights.sum() == pytest.approx(full.weights.sum(), rel=1e-13)
 
 
+@pytest.mark.parametrize("d,level", [(2, 1), (4, 1), (6, 0)])
+def test_folded_grid_is_the_kept_part_of_the_full_grid(d, level):
+    u, w = geom.sphere_grid(d, level)
+    keep = np.all(u[:, 0::2] > 0, axis=1)
+    uf, wf = geom.sphere_grid(d, level, fold=True)
+    assert np.array_equal(uf, u[keep])
+    assert np.array_equal(wf, w[keep] * 2 ** (d // 2))
+
+
 def test_sign_fold_bypassed_without_pair_symmetry():
     rng = np.random.default_rng(5)
     M = rng.standard_normal((4, 4))
     e = geom.Ellipsoid(M @ M.T + np.eye(4))
-    folded = geom.sample_boundary(e, level=0, fold_signs=True)
+    folded = geom.sample_boundary(e, level=0, invariant_integrand=True)
+    assert folded.rule == "product"
     assert len(folded) == len(geom.sphere_grid(4, 0)[1])
 
 
 def test_sign_fold_rejects_grid_not_closed_under_flips(monkeypatch):
-    u, w = geom.sphere_grid(4, 0)
-    monkeypatch.setattr(geom, "sphere_grid", lambda d, level: (u[1:], w[1:]))
-    with pytest.raises(RuntimeError):
-        geom.sample_boundary(geom.Ellipsoid.from_axes([1, 2, 2, 3]), fold_signs=True)
+    # an odd polar count puts a node at z = 0: the z > 0 half of that axis
+    # no longer carries half its weight
+    monkeypatch.setattr(geom, "BASE_POLAR_NODES", 7)
+    geom.sphere_grid.cache_clear()
+    try:
+        with pytest.raises(RuntimeError, match="not closed under the sign flips"):
+            geom.sample_boundary(geom.Ellipsoid.from_axes([1, 2, 2, 3]), invariant_integrand=True)
+    finally:
+        geom.sphere_grid.cache_clear()
+
+
+# ---------------------------------------------------------------------------
+# Torus-orbit rule for T^n-invariant quadrics
+# ---------------------------------------------------------------------------
+
+
+def _pair_turn(n, pair, angle):
+    """Rotation z_pair -> e^{i angle} z_pair of C^n = R^{2n}."""
+    M = np.eye(2 * n)
+    c, s = cos(angle), sin(angle)
+    M[2 * pair : 2 * pair + 2, 2 * pair : 2 * pair + 2] = [[c, -s], [s, c]]
+    return M
+
+
+@pytest.mark.parametrize(
+    "axes,level,nodes",
+    [([1, 1, 2, 2], 2, 32), ([1, 1, 1, 1, 2, 2], 1, 16**2), ([1, 1, 1, 1, 2, 2, 2, 2], 1, 16**3)],
+)
+def test_torus_orbit_node_count(axes, level, nodes):
+    cloud = geom.sample_boundary(geom.Ellipsoid.from_axes(axes), level, invariant_integrand=True)
+    assert cloud.rule == "torus-orbit"
+    assert len(cloud) == nodes == (geom.BASE_POLAR_NODES * 2**level) ** (len(axes) // 2 - 1)
+    # one node per orbit: every y_j vanishes
+    assert not np.any(cloud.positions[:, 1::2])
+
+
+@pytest.mark.parametrize("n,level", [(1, 0), (2, 2), (3, 1), (4, 1)])
+def test_torus_orbit_weights_sum_to_sphere_area(n, level):
+    u, w = geom.torus_orbit_grid(n, level)
+    assert np.all(w > 0)
+    assert np.allclose(np.sum(u * u, axis=1), 1.0, rtol=1e-15, atol=0)
+    area = sphere_volume_coeff(2 * n - 1).to_float()
+    assert abs(w.sum() - area) <= 1e-14 * area
+
+
+def test_torus_orbit_disk_is_one_node():
+    cloud = geom.sample_boundary(geom.Ellipsoid.from_axes([2, 2]), 0, invariant_integrand=True)
+    assert cloud.rule == "torus-orbit"
+    assert cloud.positions.tolist() == [[2.0, 0.0]]
+    u, w = geom.torus_orbit_grid(1, 3)
+    assert u.tolist() == [[1.0, 0.0]] and w.tolist() == [2 * pi]
+
+
+@pytest.mark.parametrize("pair,angle", [(0, 0.3), (1, -0.4), (2, 2.0)])
+def test_torus_orbit_detects_a_turn_inside_a_pair(pair, angle):
+    e = geom.Ellipsoid.from_axes([1, 1, 1, 1, 2, 2]).transformed(_pair_turn(3, pair, angle))
+    cloud = geom.sample_boundary(e, 0, invariant_integrand=True)
+    assert cloud.rule == "torus-orbit"
+    # a real axis pair that differs inside the pair is not T^n-invariant
+    e = geom.Ellipsoid.from_axes([1, 1, 1, 2, 2, 2]).transformed(_pair_turn(3, pair, angle))
+    assert geom.sample_boundary(e, 0, invariant_integrand=True).rule == "sign-fold"
+
+
+def test_torus_orbit_only_for_invariant_integrands():
+    cloud = geom.sample_boundary(geom.Ellipsoid.from_axes([1, 1, 2, 2]), 0)
+    assert cloud.rule == "product"
+    assert len(cloud) == len(geom.sphere_grid(4, 0)[1])
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,12 @@ def test_unit_ball_quadrature_values():
     assert t.vol == pytest.approx(pi**2 / 2, rel=1e-12)
 
 
+def _seeded_quadric(d, seed=5):
+    """A positive quadric with no axis or pair symmetry."""
+    M = np.random.default_rng(seed).standard_normal((d, d))
+    return M @ M.T + np.eye(d)
+
+
 def _pair_rotation(angle):
     """Real rotation inside the first complex coordinate pair of C^2."""
     M = np.eye(4)
@@ -53,6 +59,61 @@ def test_sign_folded_table_matches_full_grid(shape, level):
     ).to_json()
     for key, value in full.items():
         assert folded[key] == pytest.approx(value, rel=1e-13), key
+
+
+def _without_torus_rule(monkeypatch):
+    """Make T^n-invariant quadrics take the sign fold, the rule they took before
+    the torus-orbit rule (equal to the full product rule to roundoff, see above)."""
+    monkeypatch.setattr(geom, "_torus_invariant", lambda Q: False)
+
+
+@pytest.mark.parametrize("axes,level", [([1, 1, 2, 2], 2), ([1, 1, 1, 1, 2, 2], 1)])
+def test_torus_orbit_table_within_product_rule_error(axes, level, monkeypatch):
+    shape = geom.Ellipsoid.from_axes(axes)
+    orbit = val.hermitian_volumes(shape, level)
+    assert orbit.quadrature["rule"] == "torus-orbit"
+    _without_torus_rule(monkeypatch)
+    product = val.hermitian_volumes(shape, level, richardson=True)
+    assert product.quadrature["rule"] == "sign-fold"
+    got, want = orbit.to_json(), product.to_json()
+    for key, err in product.error.items():
+        assert abs(got[key] - want[key]) <= err, key
+
+
+@pytest.mark.parametrize(
+    "axes,level",
+    [([1, 1, 1, 1, 2, 2], 1), ([1, 1, 2, 2], 2), ([1, 1, 1, 1, 2, 2, 2, 2], 1)],
+)
+def test_torus_orbit_gauss_bonnet_residual(axes, level):
+    shape = geom.Ellipsoid.from_axes(axes)
+    table = val.hermitian_volumes(shape, level)
+    assert table.quadrature["rule"] == "torus-orbit"
+    o = sphere_volume_coeff(2 * shape.n - 1).to_float()
+    for residual in val.gauss_bonnet_residual(shape, table=table):
+        assert abs(residual) / o < 1e-12
+
+
+@pytest.mark.parametrize("level", [0, 2])
+def test_torus_orbit_disk_table_equals_sign_fold(level, monkeypatch):
+    disk = geom.Ellipsoid.from_axes([2, 2])
+    orbit = val.hermitian_volumes(disk, level)
+    assert orbit.quadrature == {"rule": "torus-orbit", "nodes": 1}
+    _without_torus_rule(monkeypatch)
+    assert orbit.to_json() == val.hermitian_volumes(disk, level).to_json()
+
+
+@pytest.mark.parametrize(
+    "shape,rule,divisor",
+    [
+        (geom.Ellipsoid.from_axes([1, 2, 2, 3]), "sign-fold", 4),
+        (geom.Ellipsoid.from_axes([1, 1, 1, 1, 1, 2]), "sign-fold", 8),
+        (geom.Ellipsoid(_seeded_quadric(4)), "product", 1),
+    ],
+)
+def test_tables_without_torus_symmetry_keep_their_rule(shape, rule, divisor):
+    table = val.hermitian_volumes(shape, 0)
+    nodes = len(geom.sphere_grid(2 * shape.n, 0)[1]) // divisor
+    assert table.quadrature == {"rule": rule, "nodes": nodes}
 
 
 @pytest.mark.parametrize("n", [2, 3])

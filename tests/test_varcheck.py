@@ -29,6 +29,14 @@ def test_radial_tilde_equals_valuations():
         assert t.Gamma[key] == pytest.approx(tb.Gamma[key], rel=1e-12)
 
 
+@pytest.mark.parametrize("axes", [[1, 1, 2, 2], [1, 2, 2, 3]])
+def test_tilde_tables_keep_the_product_rule(axes):
+    # <X, N> need not be invariant under the torus or the sign flips
+    e = geom.Ellipsoid.from_axes(axes)
+    t = vc.tilde_integrals(e, vc.LinearFlow(np.diag([0.3, 0.23, 0.16, 0.09])), level=0)
+    assert t.quadrature == {"rule": "product", "nodes": len(geom.sphere_grid(4, 0)[1])}
+
+
 def test_identity_flow_on_unit_sphere():
     # X = x has <X, N> = 1 on the unit sphere
     e = geom.Ellipsoid.from_axes([1, 1, 1, 1])
