@@ -197,10 +197,14 @@ def _check_level(args) -> int:
     return 1 if args.what == "crofton-mc" and args.n != 2 else args.level
 
 
+def _ball(args) -> geom.GeodesicBall:
+    return geom.GeodesicBall(n=args.n, eps=args.eps, R=args.R)
+
+
 # each entry maps the flags onto the arguments of one shared check
 CHECKS = {
     "gauss-bonnet": lambda a: checks.gauss_bonnet(_shape_from_args(a), a.level, a.tol),
-    "gamma-b": lambda a: checks.gamma_b(geom.GeodesicBall(n=a.n, eps=a.eps, R=a.R), a.tol),
+    "gamma-b": lambda a: checks.gamma_b(_ball(a), a.tol),
     "crofton-mc": lambda a: checks.crofton_flat(
         _unit_ellipsoid(a.n), a.r, _families(a.n), a.level,
         a.samples, a.seed, a.seed + 1, a.tol),
@@ -214,6 +218,12 @@ CHECKS = {
     "grassmann-pointwise": lambda a: checks.grassmann_pointwise(
         a.n, a.r, a.samples, a.seed, a.seed + 1, 2048, a.seed, a.tol),
 }
+
+# the checks that read --r, and the shape each builds from --shape/--axes/--n/--eps/--R
+R_CHECKS = {"crofton-mc", "crofton-cpn", "crofton-variation", "total-gauss",
+            "grassmann-pointwise"}
+SHAPES = {"gauss-bonnet": _shape_from_args, "gamma-b": _ball, "variation": _shape_from_args,
+          "crofton-variation": _shape_from_args}
 
 
 def cmd_check(args) -> int:
@@ -283,16 +293,37 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _validate(parser: argparse.ArgumentParser, args) -> None:
+    """Reject, as parser errors, flag values the command would fail on."""
+    if args.command == "coeffs":
+        return
+    if args.n < 1:
+        parser.error(f"argument --n: must be an integer >= 1, got {args.n}")
+    if args.level < 0:
+        parser.error(f"argument --level: must be an integer >= 0, got {args.level}")
+    build = _shape_from_args if args.command == "volumes" else SHAPES.get(args.what)
+    n = args.n
+    if build is not None:
+        try:
+            n = build(args).n
+        except ValueError as exc:
+            parser.error(f"invalid shape (--shape/--axes/--n/--eps/--R): {exc}")
+    if args.command != "check":
+        return
+    if args.what in R_CHECKS and not 1 <= args.r <= n - 1:
+        parser.error(f"argument --r: need 1 <= r <= n-1, got r={args.r}, n={n}")
+    if args.samples < 1:
+        parser.error(f"argument --samples: must be an integer >= 1, got {args.samples}")
+    try:
+        planes.thread_count()
+    except ValueError as exc:
+        parser.error(str(exc))
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "check":
-        if args.samples < 1:
-            parser.error(f"argument --samples: must be an integer >= 1, got {args.samples}")
-        try:
-            planes.thread_count()
-        except ValueError as exc:
-            parser.error(str(exc))
+    _validate(parser, args)
     return args.func(args)
 
 

@@ -1,9 +1,20 @@
 """Spaces of complex r-planes: invariant sampling and Monte Carlo measures.
 
 Every estimator draws from one Haar sampler, `_haar_frames`: the Q factor of
-a complex Gaussian matrix.
+a complex Gaussian matrix, computed by Householder reflections with LAPACK's
+sign convention (R has a real diagonal), so it is the Q that LAPACK's QR
+returns for the same draws.  A chunk draws its real Gaussian block
+(m, rows, cols), then its imaginary block, so the planes of a seed do not
+depend on how they are laid out or computed.
 
-Flat case (eps = 0): a plane is an affine subspace anchor + span(V), with V
+Batch-last layout: a batch of m frames is a (rows, cols, m) array and a batch
+of complex anchors an (n, m) array, so every small-matrix entry is one
+contiguous length-m vector.  The QR, the anchors, the hit predicates, the
+restricted quadratic forms and their Cholesky factors are elementwise vector
+arithmetic on those entries; only eigvalsh (section ellipses) and det
+(Grassmann average) stay batched LAPACK calls.
+
+Flat case (eps = 0): a plane is an affine subspace anchor + span_C(V), with V
 the first r columns of a Haar unitary frame and the anchor uniform in a
 radius-rho window of the span of the other n - r columns.  The invariant
 plane measure factors into Lebesgue measure on the complement times the
@@ -30,7 +41,7 @@ RNG discipline: `_chunk_sums` splits the N samples into fixed-size chunks,
 draws each chunk from its own counter-based Philox stream and adds the
 per-chunk sums in chunk order, so estimates depend only on (seed, N), not on
 scheduling.  Hit counts become a binomial estimate, sums of values and of
-their squares a sample-moment estimate.
+their squares (about a fixed shift) a sample-moment estimate.
 """
 
 from __future__ import annotations
@@ -64,6 +75,8 @@ __all__ = [
 ]
 
 SAMPLE_CHUNK = 1 << 16
+QR_BLOCK = 1 << 13
+ANGLE_BLOCK = 16
 WINDOW_MARGIN = 1.01
 
 
@@ -135,11 +148,18 @@ def _binomial_estimate(hits: int, N: int, seed: int, weight: float) -> MCEstimat
 
 
 def _moments_estimate(
-    sv: float, sv2: float, N: int, seed: int, weight: float = 1.0
+    sv: float, sv2: float, N: int, seed: int, weight: float = 1.0, shift: float = 0.0
 ) -> MCEstimate:
-    """weight times the sample mean of values with sum sv and square sum sv2."""
+    """weight times the sample mean of values v, from sv = sum(v - shift) and
+    sv2 = sum((v - shift)^2).
+
+    A shift near the mean keeps sv2 - sv^2/N from cancelling: for values that
+    are constant up to roundoff the standard error stays at roundoff, not at
+    sqrt(eps) times the mean."""
     var = max(0.0, (sv2 - sv * sv / N) / max(1, N - 1))
-    return MCEstimate(mean=weight * (sv / N), stderr=weight * sqrt(var / N), samples=N, seed=seed)
+    return MCEstimate(
+        mean=weight * (shift + sv / N), stderr=weight * sqrt(var / N), samples=N, seed=seed
+    )
 
 
 @dataclass
@@ -161,16 +181,89 @@ class Calibration:
 
 
 def _haar_frames(rng: np.random.Generator, m: int, rows: int, cols: int) -> np.ndarray:
-    """m Haar-random complex frames: Q of the QR of (m, rows, cols) complex Gaussians."""
-    Z = rng.standard_normal((m, rows, cols)) + 1j * rng.standard_normal((m, rows, cols))
-    return np.linalg.qr(Z)[0]
+    """m Haar-random complex frames, batch-last: Q of (m, rows, cols) complex Gaussians.
+
+    The result has shape (rows, cols, m): each matrix entry is one length-m
+    vector.  The chunk's draws come first; the QR then runs on QR_BLOCK
+    matrices at a time, whose working set stays in cache.
+    """
+    re = rng.standard_normal((m, rows, cols))
+    im = rng.standard_normal((m, rows, cols))
+    Q = np.empty((rows, cols, m), dtype=complex)
+    for lo in range(0, m, QR_BLOCK):
+        block = slice(lo, lo + QR_BLOCK)
+        A = np.empty((rows, cols, min(QR_BLOCK, m - lo)), dtype=complex)
+        A.real = re[block].transpose(1, 2, 0)
+        A.imag = im[block].transpose(1, 2, 0)
+        Q[..., block] = _householder_q(A)
+    return Q
+
+
+def _householder_q(A: np.ndarray) -> np.ndarray:
+    """Q of the QR of the batch-last matrices A (rows, cols, m), cols <= rows;
+    overwrites A.
+
+    LAPACK's conventions (zgeqr2/zung2r): the reflector of column i sends
+    (alpha, x) to beta e_i with beta = -sign(Re alpha) |(alpha, x)|, so R's
+    diagonal is real and Q is the Q factor LAPACK's zgeqrf/zungqr return.
+    """
+    rows, cols, m = A.shape
+    reflectors = []
+    for i in range(cols):
+        alpha = A[i, i]
+        beta = -np.copysign(np.sqrt(_sq_norm(A[i:, i])), alpha.real)
+        v = A[i + 1 :, i] / (alpha - beta)
+        tau = (beta - alpha) / beta
+        _reflect(A[i:, i + 1 :], v, tau.conj())  # H^H from the left
+        reflectors.append((v, tau))
+    Q = np.zeros((rows, cols, m), dtype=complex)
+    for i in reversed(range(cols)):
+        v, tau = reflectors[i]
+        _reflect(Q[i:, i + 1 :], v, tau)
+        Q[i, i] = 1.0 - tau
+        Q[i + 1 :, i] = -tau * v
+    return Q
+
+
+def _reflect(B: np.ndarray, v: np.ndarray, t: np.ndarray) -> None:
+    """B <- (I - t u u^H) B in place, u = (1, v), for a batch-last block B."""
+    if B.shape[1]:
+        w = t * (B[0] + (v.conj()[:, None] * B[1:]).sum(axis=0))
+        B[0] -= w
+        B[1:] -= v[:, None] * w
+
+
+def _sq_norm(x: np.ndarray) -> np.ndarray:
+    """Squared Euclidean norm over the leading axis."""
+    return (x.real**2 + x.imag**2).sum(axis=0)
+
+
+def _real(z: np.ndarray) -> np.ndarray:
+    """Real coordinates (Re z_1, Im z_1, ...) along the leading axis: (n, ...) -> (2n, ...)."""
+    return np.stack([z.real, z.imag], axis=1).reshape((2 * len(z),) + z.shape[1:])
+
+
+def _real_columns(V: np.ndarray) -> np.ndarray:
+    """Real orthonormal basis of span_C(V): (n, r, m) complex -> (2n, 2r, m) real.
+
+    Column j maps to the pair (v_j, J v_j), as `geom.realify_complex_columns`
+    lays them out."""
+    n, r, m = V.shape
+    return _real(np.stack([V, 1j * V], axis=2).reshape(n, 2 * r, m))
+
+
+def _restricted_form(A: np.ndarray, Vr: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(Vr^T A Vr, A Vr) for a symmetric A and batch-last real columns Vr (d, k, m)."""
+    d, k, m = Vr.shape
+    AV = (A @ Vr.reshape(d, k * m)).reshape(d, k, m)
+    return np.stack([(Vr[:, s, None] * AV).sum(axis=0) for s in range(k)]), AV
 
 
 def _uniform_ball(rng: np.random.Generator, m: int, dim: int, radius: float) -> np.ndarray:
-    g = rng.standard_normal((m, dim))
-    g /= np.linalg.norm(g, axis=1, keepdims=True)
+    """m points uniform in the radius ball of R^dim, batch-last: (dim, m)."""
+    g = np.ascontiguousarray(rng.standard_normal((m, dim)).T)
     u = rng.random(m) ** (1.0 / dim)
-    return g * (radius * u)[:, None]
+    return g * (radius * u / np.sqrt((g * g).sum(axis=0)))
 
 
 def _flat_window(shape, r: int) -> Tuple[float, float]:
@@ -182,11 +275,14 @@ def _flat_window(shape, r: int) -> Tuple[float, float]:
 def _sample_flat_batch(
     n: int, r: int, rho: float, rng: np.random.Generator, m: int
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Batch of flat planes: (V complex (m,n,r), anchor real (m,2n))."""
+    """Batch of flat planes, batch-last and complex: (V (n, r, m), anchor (n, m)).
+
+    The anchor is Q[:, r:] (b_0 + i b_1, b_2 + i b_3, ...) for b uniform in the
+    radius-rho ball of R^{2(n-r)}: uniform in that ball of span_C(Q[:, r:])."""
     Q = _haar_frames(rng, m, n, n)
-    W = geom.realify_complex_columns(Q[:, :, r:])
-    anchors = np.einsum("mij,mj->mi", W, _uniform_ball(rng, m, 2 * (n - r), rho))
-    return Q[:, :, :r], anchors
+    b = _uniform_ball(rng, m, 2 * (n - r), rho)
+    anchors = (Q[:, r:] * (b[0::2] + 1j * b[1::2])).sum(axis=1)
+    return Q[:, :r], anchors
 
 
 # ---------------------------------------------------------------------------
@@ -197,40 +293,46 @@ def _sample_flat_batch(
 def _ellipsoid_section(
     Q: np.ndarray, V: np.ndarray, anchors: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(hit, M, minval) of x^T Q x restricted to each plane anchor + span(V).
+    """(hit, M, minval) of x^T Q x restricted to each plane anchor + span_C(V).
 
     In real coordinates s on the plane the form is s^T M s + 2 b.s + c0 with
     minimum minval; the plane meets the ellipsoid x^T Q x <= 1 iff minval <= 1.
+    M is batch-last, (2r, 2r, m).
     """
-    Vr = geom.realify_complex_columns(V)
-    QV = np.einsum("ij,mjr->mir", Q, Vr)
-    M = np.einsum("mir,mis->mrs", Vr, QV)
-    b = np.einsum("mir,mi->mr", QV, anchors)
-    c0 = np.einsum("mi,ij,mj->m", anchors, Q, anchors)
-    sol = np.linalg.solve(M, b[..., None])[..., 0]
-    minval = c0 - np.einsum("mr,mr->m", b, sol)
+    a = _real(anchors)
+    M, QV = _restricted_form(Q, _real_columns(V))
+    b = (QV * a[:, None]).sum(axis=0)
+    c0 = (a * (Q @ a)).sum(axis=0)
+    minval = c0 - _inverse_form(M, b)
     return minval <= 1.0 + 1e-12, M, minval
+
+
+def _inverse_form(M: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """b^T M^{-1} b for batch-last positive definite M (k, k, m) and b (k, m).
+
+    Elementwise Cholesky M = L L^T and forward substitution: |L^{-1} b|^2."""
+    L, y = {}, []
+    for j in range(len(b)):
+        for i in range(j, len(b)):
+            s = M[i, j] - sum(L[i, p] * L[j, p] for p in range(j))
+            L[i, j] = np.sqrt(s) if i == j else s / L[j, j]
+        y.append((b[j] - sum(L[j, p] * y[p] for p in range(j))) / L[j, j])
+    return sum(yj * yj for yj in y)
 
 
 def _hits_flat(shape, V: np.ndarray, anchors: np.ndarray) -> np.ndarray:
     if isinstance(shape, geom.GeodesicBall):
-        Vr = geom.realify_complex_columns(V)
-        rel = anchors - np.einsum("mir,mjr,mj->mi", Vr, Vr, anchors)
-        return np.linalg.norm(rel, axis=1) <= shape.R * (1 + 1e-12)
+        # distance from the center to the plane: the anchor minus its part in span_C(V)
+        rel = anchors - (V * (V.conj() * anchors[:, None]).sum(axis=0)).sum(axis=1)
+        return np.sqrt(_sq_norm(rel)) <= shape.R * (1 + 1e-12)
     return _ellipsoid_section(shape.quadric, V, anchors)[0]
 
 
-def _hits_projective(ball: geom.GeodesicBall, W: np.ndarray, center: np.ndarray) -> np.ndarray:
-    # distance point-to-plane in the projective model: arccos |P_W p|
-    proj = np.einsum("mkr,k->mr", W.conj(), center)
-    nrm = np.minimum(np.linalg.norm(proj, axis=1), 1.0)
+def _hits_projective(ball: geom.GeodesicBall, W: np.ndarray) -> np.ndarray:
+    # distance from the center [e_0] to the plane P(W): arccos |P_W e_0|, whose
+    # coordinates in W's orthonormal columns are conj(W[0, j])
+    nrm = np.minimum(np.sqrt(_sq_norm(W[0])), 1.0)
     return np.arccos(nrm) <= ball.R * (1 + 1e-12)
-
-
-def _projective_center(n: int) -> np.ndarray:
-    c = np.zeros(n + 1, dtype=complex)
-    c[0] = 1.0
-    return c
 
 
 # ---------------------------------------------------------------------------
@@ -250,11 +352,10 @@ def chi_measure_estimate(shape, r: int, N: int, seed: int) -> MCEstimate:
 
     elif shape.eps == 1:
         weight = 1.0
-        center = _projective_center(n)
 
         def work(rng: np.random.Generator, m: int) -> Tuple[int]:
             W = _haar_frames(rng, m, n + 1, r + 1)
-            return (int(np.count_nonzero(_hits_projective(shape, W, center))),)
+            return (int(np.count_nonzero(_hits_projective(shape, W))),)
 
     elif shape.eps < 0:
         raise NotImplementedError(
@@ -312,13 +413,14 @@ def _ellipse_total_curvature(alpha: np.ndarray, beta: np.ndarray, nodes: int) ->
     Uniform-angle rule on the smooth periodic integrand a b / (a^2 sin^2 + b^2 cos^2);
     spectrally accurate since slice eccentricity is bounded by the shape's.
     """
-    t = (np.arange(nodes) + 0.5) * (2 * pi / nodes)
-    s2 = np.sin(t) ** 2
-    c2 = np.cos(t) ** 2
-    integ = (alpha * beta)[:, None] / (
-        (alpha**2)[:, None] * s2[None, :] + (beta**2)[:, None] * c2[None, :]
-    )
-    return integ.sum(axis=1) * (2 * pi / nodes)
+    ab, a2, b2 = alpha * beta, alpha**2, beta**2
+    total = np.zeros(np.shape(ab))
+    # blocks of angles keep the temporaries at ANGLE_BLOCK values per ellipse
+    for start in range(0, nodes, ANGLE_BLOCK):
+        t = (np.arange(start, min(start + ANGLE_BLOCK, nodes)) + 0.5) * (2 * pi / nodes)
+        s2, c2 = np.sin(t)[:, None] ** 2, np.cos(t)[:, None] ** 2
+        total += (ab / (a2 * s2 + b2 * c2)).sum(axis=0)
+    return total * (2 * pi / nodes)
 
 
 def total_gauss_estimate(
@@ -349,7 +451,7 @@ def total_gauss_estimate(
         hit, M, minval = _ellipsoid_section(ellipsoid.quadric, V, anchors)
         if r > 1 or not np.any(hit):
             return int(hit.sum()), 0.0, 0.0
-        evals = np.linalg.eigvalsh(M[hit])
+        evals = np.linalg.eigvalsh(M[:, :, hit].transpose(2, 0, 1))
         semiaxes = np.sqrt((1.0 - minval[hit])[:, None] / evals)
         vals = _ellipse_total_curvature(semiaxes[:, 1], semiaxes[:, 0], nodes)
         return int(hit.sum()), float(vals.sum()), float((vals**2).sum())
@@ -384,13 +486,15 @@ def grassmann_sigma_average(
     h = np.asarray(h, dtype=float)
     n = (h.shape[0] + 1) // 2
     hD = h[1:, 1:]
+    # moments about the value on the first coordinate r-plane
+    shift = float(np.linalg.det(hD[: 2 * r, : 2 * r]))
 
     def work(rng: np.random.Generator, m: int) -> Tuple[float, float]:
-        Vr = geom.realify_complex_columns(_haar_frames(rng, m, n - 1, r))
-        vals = np.linalg.det(np.einsum("mir,ij,mjs->mrs", Vr, hD, Vr))
+        S, _ = _restricted_form(hD, _real_columns(_haar_frames(rng, m, n - 1, r)))
+        vals = np.linalg.det(S.transpose(2, 0, 1)) - shift
         return float(vals.sum()), float((vals**2).sum())
 
-    return _moments_estimate(*_chunk_sums(N, seed, work), N, seed)
+    return _moments_estimate(*_chunk_sums(N, seed, work), N, seed, shift=shift)
 
 
 def cor44_density_combination(n: int, r: int, h: np.ndarray) -> float:

@@ -302,3 +302,43 @@ def test_samples_and_threads_only_checked_for_check(capsys, monkeypatch):
     assert cli.main(["coeffs", "--gb", "--samples", "0"]) == 0
     assert json.loads(capsys.readouterr().out)["results"]["entries"]
     assert cli.main(["volumes", "--n", "2", "--R", "0.5", "--samples", "0"]) == 0
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["check", "crofton-mc", "--n", "2", "--r", "2"], "--r"),
+        (["check", "crofton-cpn", "--n", "1"], "--r"),
+        (["check", "total-gauss", "--n", "2", "--r", "0"], "--r"),
+        (["check", "grassmann-pointwise", "--n", "3", "--r", "3"], "--r"),
+        (["check", "crofton-variation", "--shape", "ball", "--n", "2", "--r", "2"], "--r"),
+        (["check", "crofton-variation", "--shape", "ellipsoid", "--axes", "1,1,2,2",
+          "--r", "2"], "--r"),
+        (["check", "gauss-bonnet", "--shape", "ellipsoid", "--axes", "1,1,2,2",
+          "--level", "-1"], "--level"),
+        (["volumes", "--shape", "ellipsoid", "--axes", "1,1,2,2", "--level", "-1"], "--level"),
+        (["check", "gauss-bonnet", "--shape", "ellipsoid", "--axes", "1,2,3"], "2n semiaxes"),
+        (["check", "gauss-bonnet", "--shape", "ellipsoid", "--axes", "1,1,0,2"], "positive"),
+        (["check", "gauss-bonnet", "--R", "-0.5"], "radius must be positive"),
+        (["volumes", "--shape", "ball", "--R", "-0.5", "--closed-form"], "radius"),
+        (["check", "gamma-b", "--eps", "1", "--R", "2"], "injectivity"),
+        (["check", "gauss-bonnet", "--n", "0"], "--n"),
+    ],
+)
+def test_bad_flag_values_are_parser_errors(argv, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    last = err.strip().splitlines()[-1]
+    assert last.startswith("croftonlab") and "error:" in last and flag in last
+
+
+def test_r_is_only_checked_where_a_check_reads_it(capsys):
+    # gamma-b takes no plane dimension, and the ellipsoid's n, not --n, bounds r
+    assert cli.main(["check", "gamma-b", "--n", "2", "--r", "5", "--eps", "1", "--R", "0.5"]) == 0
+    args = cli.build_parser().parse_args(
+        ["check", "crofton-variation", "--shape", "ellipsoid", "--axes", "1,1,1,1,2,2",
+         "--r", "2"])
+    cli._validate(cli.build_parser(), args)

@@ -2,6 +2,8 @@
 
 Monte Carlo assertions use fixed seeds and 3 sigma gates (sharper where the
 statistic is exact); the heavy 1e6-sample runs live in the acceptance suite.
+Sampled frames and anchors are batch-last: frames (rows, cols, m), complex
+anchors (n, m).
 """
 
 from math import pi, sqrt
@@ -26,7 +28,7 @@ UNIT_BALL = geom.Ellipsoid.from_axes([1, 1, 1, 1])
 def test_haar_line_moment():
     rng = planes._chunk_rng(1, 0)
     V = planes._haar_frames(rng, 100000, 2, 2)
-    m = np.abs(V[:, 0, 0]) ** 2
+    m = np.abs(V[0, 0]) ** 2
     sd = m.std() / sqrt(len(m))
     assert abs(m.mean() - 0.5) < 3 * sd
 
@@ -35,7 +37,7 @@ def test_anchor_uniform_ball_moment():
     rho, d = 1.5, 2  # n=2, r=1: complement has real dimension 2
     rng = planes._chunk_rng(2, 0)
     _, anchors = planes._sample_flat_batch(2, 1, rho, rng, 100000)
-    nn = (anchors**2).sum(axis=1)
+    nn = (np.abs(anchors) ** 2).sum(axis=0)
     sd = nn.std() / sqrt(len(nn))
     assert abs(nn.mean() - rho**2 * d / (d + 2)) < 3 * sd
 
@@ -43,9 +45,101 @@ def test_anchor_uniform_ball_moment():
 def test_anchor_orthogonal_to_plane():
     rng = planes._chunk_rng(3, 0)
     V, anchors = planes._sample_flat_batch(3, 1, 2.0, rng, 1000)
-    Vr = geom.realify_complex_columns(V)
-    dots = np.einsum("mir,mi->mr", Vr, anchors)
+    dots = np.einsum("irm,im->rm", V.conj(), anchors)  # complex, so J-orthogonal too
     assert np.max(np.abs(dots)) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Oracles: LAPACK's QR and the realified einsum sampler and predicates
+# ---------------------------------------------------------------------------
+
+ORACLE_PLANES = 1 << 16
+
+
+def _lapack_frames(rng, m, rows, cols):
+    """np.linalg.qr's Q of the same (m, rows, cols) complex Gaussians, batch-first."""
+    Z = rng.standard_normal((m, rows, cols)) + 1j * rng.standard_normal((m, rows, cols))
+    return np.linalg.qr(Z)[0]
+
+
+@pytest.mark.parametrize(
+    "rows,cols", [(2, 2), (3, 3), (4, 4), (3, 2), (4, 2), (4, 3), (1, 1), (2, 1)]
+)
+def test_haar_frames_equal_lapack_qr(rows, cols):
+    # flat (n, n), projective (n+1, r+1) and Grassmann (n-1, r) frames; the
+    # sign convention fixes every column, so columns agree, not just spans
+    Q = planes._haar_frames(planes._chunk_rng(11, 0), ORACLE_PLANES, rows, cols)
+    want = _lapack_frames(planes._chunk_rng(11, 0), ORACLE_PLANES, rows, cols)
+    assert Q.shape == (rows, cols, ORACLE_PLANES)
+    assert np.max(np.abs(Q.transpose(2, 0, 1) - want)) <= 1e-12
+
+
+def _einsum_flat_batch(n, r, rho, rng, m):
+    """Flat planes from LAPACK frames and a realified window: (V (m, n, r), anchor (m, 2n))."""
+    Q = _lapack_frames(rng, m, n, n)
+    W = geom.realify_complex_columns(Q[:, :, r:])
+    g = rng.standard_normal((m, 2 * (n - r)))
+    g /= np.linalg.norm(g, axis=1, keepdims=True)
+    u = rng.random(m) ** (1.0 / (2 * (n - r)))
+    return Q[:, :, :r], np.einsum("mij,mj->mi", W, g * (rho * u)[:, None])
+
+
+def _einsum_hits_flat(shape, V, anchors):
+    Vr = geom.realify_complex_columns(V)
+    if isinstance(shape, geom.GeodesicBall):
+        rel = anchors - np.einsum("mir,mjr,mj->mi", Vr, Vr, anchors)
+        return np.linalg.norm(rel, axis=1) <= shape.R * (1 + 1e-12)
+    Q = shape.quadric
+    QV = np.einsum("ij,mjr->mir", Q, Vr)
+    M = np.einsum("mir,mis->mrs", Vr, QV)
+    b = np.einsum("mir,mi->mr", QV, anchors)
+    c0 = np.einsum("mi,ij,mj->m", anchors, Q, anchors)
+    sol = np.linalg.solve(M, b[..., None])[..., 0]
+    return c0 - np.einsum("mr,mr->m", b, sol) <= 1.0 + 1e-12
+
+
+def _einsum_hits_projective(ball, W):
+    center = np.zeros(ball.n + 1, dtype=complex)
+    center[0] = 1.0
+    proj = np.einsum("mkr,k->mr", W.conj(), center)
+    return np.arccos(np.minimum(np.linalg.norm(proj, axis=1), 1.0)) <= ball.R * (1 + 1e-12)
+
+
+def _general_quadric(n, seed):
+    rng = np.random.default_rng(seed)
+    rot, _ = np.linalg.qr(rng.standard_normal((2 * n, 2 * n)))
+    return geom.Ellipsoid(rot @ np.diag(rng.uniform(0.5, 2.0, 2 * n) ** -2.0) @ rot.T)
+
+
+FLAT_ORACLE_SHAPES = {
+    "ball": lambda n: geom.GeodesicBall(n=n, eps=0.0, R=0.8),
+    "axes": lambda n: geom.Ellipsoid.from_axes(checks.FLAT_FAMILIES[n][1]),
+    "quadric": lambda n: _general_quadric(n, 100 + n),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(FLAT_ORACLE_SHAPES))
+@pytest.mark.parametrize("n,r", [(2, 1), (3, 1), (3, 2)])
+def test_flat_hits_equal_the_einsum_oracle(n, r, kind):
+    shape = FLAT_ORACLE_SHAPES[kind](n)
+    rho = 1.5 * shape.circum_radius  # wider than the estimators' window: more misses
+    V, anchors = planes._sample_flat_batch(n, r, rho, planes._chunk_rng(12, 0), ORACLE_PLANES)
+    want = _einsum_hits_flat(
+        shape, *_einsum_flat_batch(n, r, rho, planes._chunk_rng(12, 0), ORACLE_PLANES)
+    )
+    assert 0 < np.count_nonzero(want) < ORACLE_PLANES
+    assert np.array_equal(planes._hits_flat(shape, V, anchors), want)
+
+
+@pytest.mark.parametrize("n,r", [(2, 1), (3, 1), (3, 2)])
+def test_projective_hits_equal_the_einsum_oracle(n, r):
+    ball = geom.GeodesicBall(n=n, eps=1.0, R=0.6)
+    W = planes._haar_frames(planes._chunk_rng(13, 0), ORACLE_PLANES, n + 1, r + 1)
+    want = _einsum_hits_projective(
+        ball, _lapack_frames(planes._chunk_rng(13, 0), ORACLE_PLANES, n + 1, r + 1)
+    )
+    assert 0 < np.count_nonzero(want) < ORACLE_PLANES
+    assert np.array_equal(planes._hits_projective(ball, W), want)
 
 
 def test_unitary_invariance_of_ball_hits():
@@ -59,9 +153,7 @@ def test_unitary_invariance_of_ball_hits():
         1
     ).standard_normal((2, 2))
     U, _ = np.linalg.qr(z)
-    Ur = geom.realify_complex_columns(U)
-    rotated = planes._hits_flat(ball, np.einsum("ij,mjr->mir", U, V),
-                                anchors @ Ur.T)
+    rotated = planes._hits_flat(ball, np.einsum("ij,jrm->irm", U, V), U @ anchors)
     assert np.array_equal(base, rotated)
 
 
@@ -74,16 +166,21 @@ def test_meets_trivial_cases():
     rng = planes._chunk_rng(5, 0)
     V, anchors = planes._sample_flat_batch(2, 1, 0.0, rng, 1)  # through the origin
     assert planes._hits_flat(UNIT_BALL, V, anchors)[0]
-    far = 2.0 * _unit_perp(V[0])[None]
+    far = 2.0 * _unit_perp(V[:, :, 0])[:, None]
     assert not planes._hits_flat(UNIT_BALL, V, far)[0]
 
 
 def _unit_perp(V):
-    Vr = geom.realify_complex_columns(V)
-    v = np.zeros(Vr.shape[0])
-    v[0] = 1.0
-    v = v - Vr @ (Vr.T @ v)
-    return v / np.linalg.norm(v)
+    """A unit complex vector orthogonal to span_C of the columns of V (n, r)."""
+    w = np.zeros(V.shape[0], dtype=complex)
+    w[0] = 1.0
+    w = w - V @ (V.conj().T @ w)
+    return w / np.linalg.norm(w)
+
+
+def _real(z):
+    """Real coordinates (Re z_1, Im z_1, ...) of a complex vector."""
+    return np.stack([z.real, z.imag], axis=-1).ravel()
 
 
 def test_meets_against_minimizer_oracle():
@@ -94,10 +191,10 @@ def test_meets_against_minimizer_oracle():
     got = planes._hits_flat(e, V, anchors)
     Q = e.quadric
     for i in range(400):
-        Vr = geom.realify_complex_columns(V[i])
+        Vr = geom.realify_complex_columns(V[:, :, i])
 
         def f(s):
-            x = anchors[i] + Vr @ s
+            x = _real(anchors[:, i]) + Vr @ s
             return x @ Q @ x
 
         res = minimize(f, np.zeros(2), method="BFGS")
@@ -120,14 +217,14 @@ def test_projective_distance_and_limits():
     ball = geom.GeodesicBall(n=2, eps=1.0, R=0.5)
     rng = planes._chunk_rng(9, 0)
     W = planes._haar_frames(rng, 5000, 3, 2)
-    center = planes._projective_center(2)
-    proj = np.einsum("mkr,k->mr", W.conj(), center)
-    d = np.arccos(np.minimum(np.linalg.norm(proj, axis=1), 1.0))
+    center = np.array([1.0, 0.0, 0.0])
+    proj = np.einsum("krm,k->rm", W.conj(), center)
+    d = np.arccos(np.minimum(np.linalg.norm(proj, axis=0), 1.0))
     assert np.all((0 <= d) & (d <= pi / 2 + 1e-12))
     fractions = []
     for R in (0.3, 0.6, 0.9, 1.2, 1.5):
         b = geom.GeodesicBall(n=2, eps=1.0, R=R)
-        fractions.append(np.count_nonzero(planes._hits_projective(b, W, center)) / len(W))
+        fractions.append(np.count_nonzero(planes._hits_projective(b, W)) / W.shape[2])
     assert all(a <= b for a, b in zip(fractions, fractions[1:]))
     assert fractions[-1] > 0.999
 
@@ -156,7 +253,7 @@ def test_window_exactly_characterizes_ball_hits():
     V, anchors = planes._sample_flat_batch(2, 1, 3.0, rng, 5000)
     ball = geom.GeodesicBall(n=2, eps=0.0, R=0.35)
     hits = planes._hits_flat(ball, V, anchors)
-    inside = np.linalg.norm(anchors, axis=1) <= 0.35 * (1 + 1e-12)
+    inside = np.linalg.norm(anchors, axis=0) <= 0.35 * (1 + 1e-12)
     assert np.array_equal(hits, inside)
     assert abs(hits.mean() - (0.35 / 3.0) ** 2) < 3 * np.sqrt(hits.mean() / len(hits))
 
@@ -302,6 +399,16 @@ def test_grassmann_average_umbilic_exact():
     est = planes.grassmann_sigma_average(h, 1, 4000, 91)
     assert est.mean == pytest.approx(lam**2, rel=1e-12)
     assert est.stderr < 1e-12
+
+
+@pytest.mark.parametrize("r", [1, 2])
+def test_grassmann_umbilic_stderr_is_roundoff(r):
+    # every value is lam^{2r} up to roundoff, so the sample variance must not
+    # pick up the cancellation of a raw sum of squares (about 1e-10 here)
+    lam = 0.7
+    h = np.diag([1.1] + [lam] * 4)
+    for seed in range(91, 97):
+        assert planes.grassmann_sigma_average(h, r, 4000, seed).stderr < 1e-12
 
 
 def test_grassmann_average_matches_density_combination():
