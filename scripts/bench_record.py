@@ -1,15 +1,14 @@
 #!/usr/bin/env python3
 """Record a BENCH_*.json: this checkout's benchmark against a base commit.
 
-    python3 scripts/bench_record.py --base REV --out BENCH_N.json \
-        [--pairs 10] [--seconds 40] [--seed 41]
+    python3 scripts/bench_record.py --base REV --out BENCH_N.json [--seed 41]
 
 Exports REV with `git archive` into a temporary directory.  Then, for each
-workload in BENCHMARK.json, it runs `bench/run.py --trace 0` on the base
-and on this checkout's working tree in alternating pairs (pair i uses seed
-+ i on both sides, and the side that runs first alternates), then one
-`--trace 1` run per side.  Last, it times the Tier-1 suite once per side.
-The record holds every run, the median and quartiles of each end-to-end
+workload in BENCHMARK.json, it runs `bench/run.py --trace 0` for the file's
+`run_seconds` on the base and on this checkout's working tree in PAIRS = 10
+alternating pairs (pair i uses seed + i on both sides, and the side that
+runs first alternates), then one `--trace 1` run per side.  Last, it times
+the Tier-1 suite once per side.  The record holds every run, the median and quartiles of each end-to-end
 metric per side, the pairs each side won by the metric's `better`
 direction, the traced per-layer metrics and the Tier-1 wall times.
 """
@@ -31,6 +30,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors", "-p",
          "no:cacheprovider"]
+PAIRS = 10
 
 
 def git(*args: str) -> str:
@@ -110,8 +110,6 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--base", required=True, help="git revision to compare against")
     p.add_argument("--out", required=True)
-    p.add_argument("--pairs", type=int, default=10)
-    p.add_argument("--seconds", type=float, default=40)
     p.add_argument("--seed", type=int, default=41)
     args = p.parse_args(argv)
 
@@ -134,15 +132,15 @@ def main(argv=None) -> int:
         for w in spec["workloads"]:
             name = w["name"]
             pairs = []
-            for i in range(args.pairs):
+            for i in range(PAIRS):
                 order = ("base", "change") if i % 2 == 0 else ("change", "base")
                 pair = {"first": order[0]}
                 for side in order:
-                    pair[side] = bench(sides[side], name, args.seed + i, args.seconds, 0)
+                    pair[side] = bench(sides[side], name, args.seed + i, spec["run_seconds"], 0)
                 pairs.append(pair)
                 print(f"{name} pair {i}: wall_s base {pair['base']['end_to_end']['wall_s']:.3f}"
                       f" change {pair['change']['end_to_end']['wall_s']:.3f}", file=sys.stderr)
-            traced = {side: bench(sides[side], name, args.seed, args.seconds, 1)
+            traced = {side: bench(sides[side], name, args.seed, spec["run_seconds"], 1)
                       for side in ("base", "change")}
             record["workloads"][name] = {"summary": summarize(pairs, metrics), "pairs": pairs,
                                          "traced": traced}

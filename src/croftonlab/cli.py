@@ -84,7 +84,7 @@ def _shape_from_args(args) -> geom.Shape:
             raise SystemExit("--axes required for ellipsoids")
         return geom.Ellipsoid.from_axes(_parse_axes(args.axes))
     if args.shape == "ball":
-        return geom.GeodesicBall(n=args.n, eps=args.eps, R=args.R)
+        return _ball(args)
     raise SystemExit(f"unknown shape {args.shape!r}")
 
 
@@ -160,7 +160,7 @@ def cmd_coeffs(args) -> int:
 
 
 def cmd_volumes(args) -> int:
-    shape = _shape_from_args(args)
+    shape = args.body
     config = {"subcommand": "volumes", "shape": _shape_config(args), "level": args.level}
     if args.closed_form:
         if not isinstance(shape, geom.GeodesicBall):
@@ -198,20 +198,22 @@ def _check_level(args) -> int:
 
 
 def _ball(args) -> geom.GeodesicBall:
+    if args.n < 1:
+        raise ValueError(f"--n must be an integer >= 1, got {args.n}")
     return geom.GeodesicBall(n=args.n, eps=args.eps, R=args.R)
 
 
-# each entry maps the flags onto the arguments of one shared check
+# each entry maps the flags onto the arguments of one shared check; a.body is
+# the shape that READS names, built once by _validate
 CHECKS = {
-    "gauss-bonnet": lambda a: checks.gauss_bonnet(_shape_from_args(a), a.level, a.tol),
-    "gamma-b": lambda a: checks.gamma_b(_ball(a), a.tol),
+    "gauss-bonnet": lambda a: checks.gauss_bonnet(a.body, a.level, a.tol),
+    "gamma-b": lambda a: checks.gamma_b(a.body, a.tol),
     "crofton-mc": lambda a: checks.crofton_flat(
         _unit_ellipsoid(a.n), a.r, _families(a.n), a.level,
         a.samples, a.seed, a.seed + 1, a.tol),
     "crofton-cpn": lambda a: checks.crofton_cpn(a.n, a.r, a.samples, a.seed, a.seed + 1, a.tol),
-    "variation": lambda a: checks.variation(_shape_from_args(a), a.level, a.tol),
-    "crofton-variation": lambda a: checks.crofton_variation(
-        _shape_from_args(a), a.r, a.level, a.tol),
+    "variation": lambda a: checks.variation(a.body, a.level, a.tol),
+    "crofton-variation": lambda a: checks.crofton_variation(a.body, a.r, a.level, a.tol),
     "total-gauss": lambda a: checks.total_gauss(
         _unit_ellipsoid(a.n), a.r, _families(a.n)[:2], a.level, a.samples, a.seed,
         a.seed + 1, a.tol),
@@ -219,11 +221,19 @@ CHECKS = {
         a.n, a.r, a.samples, a.seed, a.seed + 1, 2048, a.seed, a.tol),
 }
 
-# the checks that read --r, and the shape each builds from --shape/--axes/--n/--eps/--R
-R_CHECKS = {"crofton-mc", "crofton-cpn", "crofton-variation", "total-gauss",
-            "grassmann-pointwise"}
-SHAPES = {"gauss-bonnet": _shape_from_args, "gamma-b": _ball, "variation": _shape_from_args,
-          "crofton-variation": _shape_from_args}
+# what each command reads: the shape it builds from --shape/--axes/--n/--eps/--R
+# (None: it reads --n directly), and whether it reads --r and --level
+READS = {
+    "volumes": (_shape_from_args, False, True),
+    "gauss-bonnet": (_shape_from_args, False, True),
+    "gamma-b": (_ball, False, False),
+    "crofton-mc": (None, True, True),
+    "crofton-cpn": (None, True, False),
+    "variation": (_shape_from_args, False, True),
+    "crofton-variation": (_shape_from_args, True, True),
+    "total-gauss": (None, True, True),
+    "grassmann-pointwise": (None, True, False),
+}
 
 
 def cmd_check(args) -> int:
@@ -294,24 +304,28 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _validate(parser: argparse.ArgumentParser, args) -> None:
-    """Reject, as parser errors, flag values the command would fail on."""
+    """Reject, as parser errors, flag values the command would fail on.
+
+    Only the flags the command reads are checked; the shape it reads is built
+    here, once, as args.body."""
     if args.command == "coeffs":
         return
-    if args.n < 1:
-        parser.error(f"argument --n: must be an integer >= 1, got {args.n}")
-    if args.level < 0:
+    what = args.what if args.command == "check" else args.command
+    build, reads_r, reads_level = READS[what]
+    level = _check_level(args) if args.command == "check" else args.level
+    if reads_level and level < 0:
         parser.error(f"argument --level: must be an integer >= 0, got {args.level}")
-    build = _shape_from_args if args.command == "volumes" else SHAPES.get(args.what)
-    n = args.n
+    args.body, n = None, args.n
     if build is not None:
         try:
-            n = build(args).n
+            args.body = build(args)
         except ValueError as exc:
             parser.error(f"invalid shape (--shape/--axes/--n/--eps/--R): {exc}")
+        n = args.body.n
+    if reads_r and not 1 <= args.r <= n - 1:
+        parser.error(f"argument --r: need 1 <= r <= n-1, got r={args.r}, n={n}")
     if args.command != "check":
         return
-    if args.what in R_CHECKS and not 1 <= args.r <= n - 1:
-        parser.error(f"argument --r: need 1 <= r <= n-1, got r={args.r}, n={n}")
     if args.samples < 1:
         parser.error(f"argument --samples: must be an integer >= 1, got {args.samples}")
     try:

@@ -9,9 +9,9 @@ depend on how they are laid out or computed.
 
 Batch-last layout: a batch of m frames is a (rows, cols, m) array and a batch
 of complex anchors an (n, m) array, so every small-matrix entry is one
-contiguous length-m vector.  The QR, the anchors, the hit predicates, the
-restricted quadratic forms and their Cholesky factors are elementwise vector
-arithmetic on those entries; only eigvalsh (section ellipses) and det
+contiguous length-m vector.  The QR, the anchors, the hit predicates and the
+restricted quadratic forms are elementwise vector arithmetic on those
+entries; only solve (section minimum), eigvalsh (section ellipses) and det
 (Grassmann average) stay batched LAPACK calls.
 
 Flat case (eps = 0): a plane is an affine subspace anchor + span_C(V), with V
@@ -303,21 +303,9 @@ def _ellipsoid_section(
     M, QV = _restricted_form(Q, _real_columns(V))
     b = (QV * a[:, None]).sum(axis=0)
     c0 = (a * (Q @ a)).sum(axis=0)
-    minval = c0 - _inverse_form(M, b)
+    sol = np.linalg.solve(M.transpose(2, 0, 1), b.T[..., None])[..., 0]
+    minval = c0 - (b * sol.T).sum(axis=0)
     return minval <= 1.0 + 1e-12, M, minval
-
-
-def _inverse_form(M: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """b^T M^{-1} b for batch-last positive definite M (k, k, m) and b (k, m).
-
-    Elementwise Cholesky M = L L^T and forward substitution: |L^{-1} b|^2."""
-    L, y = {}, []
-    for j in range(len(b)):
-        for i in range(j, len(b)):
-            s = M[i, j] - sum(L[i, p] * L[j, p] for p in range(j))
-            L[i, j] = np.sqrt(s) if i == j else s / L[j, j]
-        y.append((b[j] - sum(L[j, p] * y[p] for p in range(j))) / L[j, j])
-    return sum(yj * yj for yj in y)
 
 
 def _hits_flat(shape, V: np.ndarray, anchors: np.ndarray) -> np.ndarray:

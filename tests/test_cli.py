@@ -335,10 +335,28 @@ def test_bad_flag_values_are_parser_errors(argv, flag, capsys):
     assert last.startswith("croftonlab") and "error:" in last and flag in last
 
 
-def test_r_is_only_checked_where_a_check_reads_it(capsys):
-    # gamma-b takes no plane dimension, and the ellipsoid's n, not --n, bounds r
-    assert cli.main(["check", "gamma-b", "--n", "2", "--r", "5", "--eps", "1", "--R", "0.5"]) == 0
-    args = cli.build_parser().parse_args(
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # gamma-b takes no plane dimension
+        ["check", "gamma-b", "--n", "2", "--r", "5", "--eps", "1", "--R", "0.5"],
+        # the ellipsoid's n, not --n, bounds r and sizes the table
         ["check", "crofton-variation", "--shape", "ellipsoid", "--axes", "1,1,1,1,2,2",
-         "--r", "2"])
-    cli._validate(cli.build_parser(), args)
+         "--r", "2"],
+        ["volumes", "--shape", "ellipsoid", "--axes", "1,1", "--n", "0"],
+        # neither reads --level, and crofton-mc tabulates n = 3 at level 1
+        ["check", "crofton-cpn", "--level", "-1"],
+        ["check", "grassmann-pointwise", "--level", "-1"],
+        ["check", "crofton-mc", "--n", "3", "--level", "-1"],
+    ],
+)
+def test_flags_are_only_checked_where_a_command_reads_them(argv):
+    cli._validate(cli.build_parser(), cli.build_parser().parse_args(argv))
+
+
+def test_every_command_states_what_it_reads(capsys):
+    assert set(cli.READS) == set(cli.CHECKS) | {"volumes"}
+    assert cli.main(["check", "gamma-b", "--n", "2", "--r", "5", "--eps", "1", "--R", "0.5"]) == 0
+    capsys.readouterr()
+    assert cli.main(["volumes", "--shape", "ellipsoid", "--axes", "1,1", "--n", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["shape"]["axes"] == [1.0, 1.0]

@@ -394,21 +394,15 @@ def test_ellipse_total_curvature_quadrature():
 
 
 def test_grassmann_average_umbilic_exact():
-    lam = 0.7
-    h = np.diag([1.1] + [lam] * 4)
-    est = planes.grassmann_sigma_average(h, 1, 4000, 91)
-    assert est.mean == pytest.approx(lam**2, rel=1e-12)
-    assert est.stderr < 1e-12
-
-
-@pytest.mark.parametrize("r", [1, 2])
-def test_grassmann_umbilic_stderr_is_roundoff(r):
     # every value is lam^{2r} up to roundoff, so the sample variance must not
     # pick up the cancellation of a raw sum of squares (about 1e-10 here)
     lam = 0.7
     h = np.diag([1.1] + [lam] * 4)
-    for seed in range(91, 97):
-        assert planes.grassmann_sigma_average(h, r, 4000, seed).stderr < 1e-12
+    for r in (1, 2):
+        for seed in range(91, 97):
+            est = planes.grassmann_sigma_average(h, r, 4000, seed)
+            assert est.mean == pytest.approx(lam ** (2 * r), rel=1e-12)
+            assert est.stderr < 1e-12
 
 
 def test_grassmann_average_matches_density_combination():
