@@ -138,10 +138,11 @@ def variation(
     (default tol 1e-6).  Ellipsoids flow by exp(t diag) against central
     differences of the tables transported to +-1e-3, one pair for all keys
     (default tol 1e-4).  Errors are relative, floored at 1e-6 of the largest
-    oracle value.
+    oracle value.  `quadrature` states the tilde table's rule and node count.
     """
     flow = _flow(shape, diag)
-    keys = cc.variation_operator(shape.n).keys()
+    operator = cc.variation_operator(shape.n)
+    keys = operator.keys()
     if isinstance(shape, geom.GeodesicBall):
         tol, label = (1e-6 if tol is None else tol), "oracle"
         deriv = valuations.ball_closed_form_derivative(shape.eps, shape.n, shape.R)
@@ -154,10 +155,11 @@ def variation(
     scale = max(abs(v) for v in oracle.values())
     items = {}
     for key in keys:
-        formula = varcheck.variation_formula(shape, flow, key, level=level, tilde=tilde)
+        formula = varcheck.variation_formula(shape, flow, key, level=level, tilde=tilde,
+                                             operator=operator)
         err = abs(formula - oracle[key]) / max(abs(oracle[key]), 1e-6 * scale)
         items[varcheck.key_name(key)] = {"formula": formula, label: oracle[key], "relErr": err}
-    return {"keys": items, "tolerance": tol,
+    return {"keys": items, "quadrature": tilde.quadrature, "tolerance": tol,
             "pass": all(it["relErr"] < tol for it in items.values())}
 
 
@@ -168,15 +170,19 @@ def crofton_variation(
     """Variation of the plane-measure bracket: finite difference vs formula.
 
     Balls flow radially with step 1e-4 (default tol 1e-6); ellipsoids flow by
-    exp(t diag) with step 1e-3 (default tol 1e-4).
+    exp(t diag) with step 1e-3 (default tol 1e-4).  `quadrature` states the
+    tilde table's rule and node count.
     """
     ball = isinstance(shape, geom.GeodesicBall)
     tol = (1e-6 if ball else 1e-4) if tol is None else tol
+    flow = _flow(shape, diag)
+    tilde = varcheck.tilde_integrals(shape, flow, level=level)
     lhs, rhs = varcheck.crofton_variation_check(
-        shape, _flow(shape, diag), r, level=level, h_step=1e-4 if ball else 1e-3
+        shape, flow, r, level=level, h_step=1e-4 if ball else 1e-3, tilde=tilde
     )
     err = abs(lhs - rhs) / max(abs(rhs), 1e-12)
-    return {"fd": lhs, "formula": rhs, "relErr": err, "tolerance": tol, "pass": err < tol}
+    return {"fd": lhs, "formula": rhs, "relErr": err, "quadrature": tilde.quadrature,
+            "tolerance": tol, "pass": err < tol}
 
 
 def total_gauss(

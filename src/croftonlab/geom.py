@@ -15,27 +15,30 @@ sphere gets II = Id, so convex bodies have positive curvatures), and a
 quadrature weight.  A numeric Jacobi-field integrator serves as the
 independent oracle for the geodesic-sphere curvatures.
 
-Unweighted boundary integrals of U(n)-invariant curvature densities are
-unchanged by every holomorphic isometry that preserves the domain, and
-`sample_boundary(..., invariant_integrand=True)` uses the strongest exact
-reduction the quadric admits:
+Boundary integrals whose integrand is invariant under a group of holomorphic
+isometries that preserves the domain reduce to one node per orbit.  The
+groups are nested, sign flips z_j -> -z_j inside the torus T^n
+(z_j -> e^{i t_j} z_j), and `symmetry_group` names the largest one a linear
+map commutes with.  `sample_boundary(..., symmetry=G)` states that the
+integrand is G-invariant and takes the rule of the smaller of G and the
+quadric's group:
 
-  * torus-orbit: when the quadric is invariant under the torus T^n
-    (z_j -> e^{i t_j} z_j; every off-pair 2x2 block zero and every diagonal
-    pair block c I_2 up to roundoff, as for ellipsoids with semiaxes in equal
-    pairs and their turns inside a pair), the integral reduces to the
-    (n-1)-simplex s_j = |u_j|^2 of the sphere parameter.  A collapsed
-    Gauss-Jacobi rule there gives p^{n-1} nodes
-    u = (sqrt(s_1), 0, ..., sqrt(s_n), 0), p = 8 * 2^L;
-  * sign-fold: when the quadric only commutes with the sign flips
-    z_j -> -z_j (every off-pair 2x2 block zero, as for all axis-aligned
-    ellipsoids), the product rule is built on the x_j > 0 part of the sphere,
-    one node per orbit of (+-1)^n at 2^n times its weight;
-  * product: every other quadric takes the full product rule.
+  * torus-orbit: when the quadric is invariant under the torus T^n (every
+    off-pair 2x2 block zero and every diagonal pair block c I_2 up to
+    roundoff, as for ellipsoids with semiaxes in equal pairs and their turns
+    inside a pair), the integral reduces to the (n-1)-simplex s_j = |u_j|^2
+    of the sphere parameter.  A collapsed Gauss-Jacobi rule there gives
+    p^{n-1} nodes u = (sqrt(s_1), 0, ..., sqrt(s_n), 0), p = 8 * 2^L;
+  * sign-fold: when the quadric only commutes with the sign flips (every
+    off-pair 2x2 block zero, as for all axis-aligned ellipsoids), the product
+    rule is built on the x_j > 0 part of the sphere, one node per orbit of
+    (+-1)^n at 2^n times its weight;
+  * product: every other quadric or integrand takes the full product rule.
 
-The reductions are exact only for integrands invariant under the group, such
-as the curvature densities; a weight like <X, N> for a general flow X is not,
-so weighted integrals take the product rule.
+The U(n)-invariant curvature densities are invariant under every such group.
+A weight <X, N> of a linear flow X = A x is invariant under the group that A
+commutes with: the sign flips when every off-pair block of A is zero, the
+torus when in addition every diagonal pair block commutes with J.
 """
 
 from __future__ import annotations
@@ -58,7 +61,8 @@ __all__ = [
     "BoundaryCloud",
     "ConjugatePointError",
     "apply_complex_structure",
-    "realify_complex_columns",
+    "SYMMETRIES",
+    "symmetry_group",
     "sphere_grid",
     "torus_orbit_grid",
     "sample_boundary",
@@ -83,22 +87,6 @@ def apply_complex_structure(v: np.ndarray) -> np.ndarray:
     out = np.empty_like(v)
     out[..., 0::2] = -v[..., 1::2]
     out[..., 1::2] = v[..., 0::2]
-    return out
-
-
-def realify_complex_columns(Vc: np.ndarray) -> np.ndarray:
-    """Realify complex column vectors: (..., n, r) complex -> (..., 2n, 2r) real.
-
-    Column j maps to the pair (v_j, J v_j); complex-orthonormal columns give
-    real-orthonormal output.
-    """
-    shp = Vc.shape
-    n, r = shp[-2], shp[-1]
-    out = np.zeros(shp[:-2] + (2 * n, 2 * r))
-    out[..., 0::2, 0::2] = Vc.real
-    out[..., 1::2, 0::2] = Vc.imag
-    out[..., 0::2, 1::2] = -Vc.imag
-    out[..., 1::2, 1::2] = Vc.real
     return out
 
 
@@ -385,35 +373,47 @@ def _pair_blocks(Q: np.ndarray) -> np.ndarray:
     return Q.reshape(n, 2, n, 2).swapaxes(1, 2)
 
 
-def _commutes_with_sign_flips(Q: np.ndarray) -> bool:
-    """True if every off-pair block Q[2i:2i+2, 2j:2j+2] (i != j) is exactly zero."""
-    n = Q.shape[0] // 2
-    return not np.any(_pair_blocks(Q)[~np.eye(n, dtype=bool)])
+def _commutes_with_sign_flips(M: np.ndarray) -> bool:
+    """True if every off-pair block M[2i:2i+2, 2j:2j+2] (i != j) is exactly zero."""
+    n = M.shape[0] // 2
+    return not np.any(_pair_blocks(M)[~np.eye(n, dtype=bool)])
 
 
-# relative roundoff allowed in a diagonal pair block c I_2: a turn inside a pair
-# formed in floating point (Ellipsoid.transformed) leaves a few ulps there
+# relative roundoff allowed in a diagonal pair block that commutes with J: a
+# turn inside a pair formed in floating point (Ellipsoid.transformed) leaves a
+# few ulps there
 TORUS_BLOCK_TOL = 16 * np.finfo(float).eps
 
 
-def _torus_invariant(Q: np.ndarray) -> bool:
-    """True if Q commutes with every z_j -> e^{i t_j} z_j: off-pair blocks are
-    exactly zero and every diagonal pair block is c I_2 to TORUS_BLOCK_TOL."""
-    if not _commutes_with_sign_flips(Q):
+def _torus_invariant(M: np.ndarray) -> bool:
+    """True if M commutes with every z_j -> e^{i t_j} z_j: off-pair blocks are
+    exactly zero and every diagonal pair block [[a, b], [c, d]] commutes with J
+    (a = d, b = -c) to TORUS_BLOCK_TOL.  A symmetric block is then c I_2."""
+    if not _commutes_with_sign_flips(M):
         return False
-    n = Q.shape[0] // 2
-    diag = _pair_blocks(Q)[np.arange(n), np.arange(n)]
+    n = M.shape[0] // 2
+    diag = _pair_blocks(M)[np.arange(n), np.arange(n)]
     scale = TORUS_BLOCK_TOL * (np.abs(diag[:, 0, 0]) + np.abs(diag[:, 1, 1]))
-    # Ellipsoid keeps Q exactly symmetric, so diag[:, 1, 0] == diag[:, 0, 1]
     return bool(
         np.all(np.abs(diag[:, 0, 0] - diag[:, 1, 1]) <= scale)
-        and np.all(np.abs(diag[:, 0, 1]) <= scale)
+        and np.all(np.abs(diag[:, 0, 1] + diag[:, 1, 0]) <= 2 * scale)
     )
 
 
-def sample_boundary(
-    shape: Shape, level: int = 0, invariant_integrand: bool = False
-) -> BoundaryCloud:
+# the nested symmetry groups, weakest first, and the boundary rule each admits
+SYMMETRIES = ("none", "sign", "torus")
+_RULES = {"none": "product", "sign": "sign-fold", "torus": "torus-orbit"}
+
+
+def symmetry_group(M: np.ndarray) -> str:
+    """The largest of the nested groups in SYMMETRIES whose elements commute
+    with the linear map M of R^{2n}: "torus", "sign" or "none"."""
+    if _torus_invariant(M):
+        return "torus"
+    return "sign" if _commutes_with_sign_flips(M) else "none"
+
+
+def sample_boundary(shape: Shape, level: int = 0, symmetry: str = "none") -> BoundaryCloud:
     """Boundary quadrature cloud: sum of weight * f(x) converges to the area integral.
 
     Ellipsoids use the sphere parametrization x = B u (B = Q^{-1/2}) with area
@@ -421,13 +421,15 @@ def sample_boundary(
     use the closed-form constant curvatures as a single point of total weight
     equal to the sphere area.
 
-    `invariant_integrand=True` states that f is invariant under the holomorphic
-    isometries (as the U(n)-invariant curvature densities are), and picks the
-    strongest exact reduction the quadric admits: the torus-orbit rule for
-    T^n-invariant quadrics, else the sign fold for quadrics that commute with
-    every flip z_j -> -z_j, else the full product rule (see the module
-    docstring).  Without it every quadric takes the full product rule.
+    `symmetry` (one of SYMMETRIES) names a group of holomorphic isometries
+    that f is invariant under: "torus" for the U(n)-invariant curvature
+    densities, the group of the flow generator for <X, N>-weighted ones
+    ("none" by default).  The rule is the one the smaller of that group and
+    the quadric's `symmetry_group` admits: torus-orbit, sign-fold or the full
+    product rule (see the module docstring).
     """
+    if symmetry not in SYMMETRIES:
+        raise ValueError(f"symmetry must be one of {SYMMETRIES}, got {symmetry!r}")
     if isinstance(shape, GeodesicBall):
         n = shape.n
         mu_h, lam = geodesic_sphere_curvatures(shape.eps, shape.R)
@@ -451,12 +453,12 @@ def sample_boundary(
     Binv = evecs @ np.diag(evals**0.5) @ evecs.T
     detB = float(np.prod(evals**-0.5))
 
-    if invariant_integrand and _torus_invariant(Q):
-        rule, (u, w) = "torus-orbit", torus_orbit_grid(n, level)
-    elif invariant_integrand and _commutes_with_sign_flips(Q):
-        rule, (u, w) = "sign-fold", sphere_grid(d2, level, fold=True)
+    group = min(symmetry, symmetry_group(Q), key=SYMMETRIES.index)
+    if group == "torus":
+        u, w = torus_orbit_grid(n, level)
     else:
-        rule, (u, w) = "product", sphere_grid(d2, level)
+        u, w = sphere_grid(d2, level, fold=group == "sign")
+    rule = _RULES[group]
     x = u @ B.T
     Qx = x @ Q.T
     gradnorm = np.linalg.norm(Qx, axis=1)

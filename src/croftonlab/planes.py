@@ -246,8 +246,8 @@ def _real(z: np.ndarray) -> np.ndarray:
 def _real_columns(V: np.ndarray) -> np.ndarray:
     """Real orthonormal basis of span_C(V): (n, r, m) complex -> (2n, 2r, m) real.
 
-    Column j maps to the pair (v_j, J v_j), as `geom.realify_complex_columns`
-    lays them out."""
+    Column j maps to the pair (v_j, J v_j), with J as in
+    `geom.apply_complex_structure`."""
     n, r, m = V.shape
     return _real(np.stack([V, 1j * V], axis=2).reshape(n, 2 * r, m))
 

@@ -5,8 +5,12 @@ For a shape with boundary cloud {(x, h, w)} the table holds
     B[k,q]     = c_{n,k,q}   * sum w * density_beta(n,k,q,h)      (k != 2q)
     Gamma[k,q] = c_{n,k,q}/2 * sum w * density_gamma(n,k,q,h)     (n != k-q)
     mu[k,q]    = B[k,q] if k != 2q else Gamma[2q,q]
-    M[j]       = binom(2n-1,j)^{-1} * sum w * sigma_j(eigs of h)
+    M[j]       = binom(2n-1,j)^{-1} * sum w * e_j(h)
     vol        = volume of the shape
+
+with e_j(h) the j-th elementary symmetric function of the principal
+curvatures (the sum of the principal j-minors of h), read off a Householder
+tridiagonal form of h by the continuant recurrence.
 
 Geodesic balls additionally admit a closed form: the boundary has constant
 curvatures (mu_H on JN, lambda on the distribution), every density is a
@@ -19,9 +23,9 @@ Unweighted tables integrate U(n)-invariant densities, so they take the
 strongest exact symmetry reduction of the boundary rule that the shape admits
 (`geom.sample_boundary`): the torus-orbit rule on the (n-1)-simplex for
 ellipsoids with semiaxes in equal pairs, the sign fold for other axis-aligned
-ellipsoids, the full product rule for general quadrics.  Weighted tables keep
-the product rule.  Each quadrature table records the rule and its node count
-in `quadrature`.
+ellipsoids, the full product rule for general quadrics.  Weighted tables take
+the reduction that both the shape and the weight's symmetry group admit.  Each
+quadrature table records the rule and its node count in `quadrature`.
 
 Quadrature sums use a fixed-chunk pairwise tree so results are reproducible
 bit-for-bit at a given level.
@@ -107,15 +111,59 @@ class ValuationTable:
         return out
 
 
-def _elementary_symmetric(eigs: np.ndarray) -> np.ndarray:
-    """e_j of each row of eigenvalues; returns (m, d+1) with e_0 = 1."""
-    m, d = eigs.shape
-    e = np.zeros((m, d + 1))
-    e[:, 0] = 1.0
-    for i in range(d):
-        lam = eigs[:, i][:, None]
-        e[:, 1 : i + 2] = e[:, 1 : i + 2] + lam * e[:, 0 : i + 1]
-    return e
+def _tridiagonal(h: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(diagonal (d, m), squared off-diagonal (d-1, m)) of a tridiagonal form
+    Q^T h Q of the batch-last symmetric matrices h (d, d, m).
+
+    Householder reflections from the left and right, one per column, each an
+    elementwise update of length-m vectors; a column that is already zero
+    below its subdiagonal gets the identity (LAPACK's dlarfg with tau = 0).
+    """
+    A = h.copy()
+    d, _, m = A.shape
+    b2 = np.empty((d - 1, m))
+    for k in range(d - 2):
+        x = A[k + 1 :, k]
+        alpha = x[0]
+        sigma = (x[1:] ** 2).sum(axis=0)
+        b2[k] = alpha * alpha + sigma
+        reflect = sigma > 0
+        beta = -np.copysign(np.sqrt(b2[k]), alpha)
+        # u = (1, x[1:] / (alpha - beta)) and H = I - tau u u^T send x to beta e_1
+        u = np.empty_like(x)
+        u[0] = 1.0
+        u[1:] = x[1:] / np.where(reflect, alpha - beta, 1.0)
+        tau = np.where(reflect, (beta - alpha) / np.where(reflect, beta, 1.0), 0.0)
+        # the trailing block S <- H S H as the rank-two update S - u w^T - w u^T
+        S = A[k + 1 :, k + 1 :]
+        p = tau * (S * u).sum(axis=1)
+        w = p - (0.5 * tau * (p * u).sum(axis=0)) * u
+        S -= u[:, None] * w + w[:, None] * u
+    if d >= 2:
+        b2[d - 2] = A[d - 1, d - 2] ** 2
+    return A[np.arange(d), np.arange(d)], b2
+
+
+def _elementary_symmetric_functions(h: np.ndarray) -> np.ndarray:
+    """e_0, ..., e_d of each of the batch-last symmetric matrices h (d, d, m),
+    as a (d + 1, m) array with e_0 = 1.
+
+    With a_k, b_k the diagonal and off-diagonal of a tridiagonal form T, the
+    leading blocks T_k satisfy the continuant recurrence
+    e_j(T_k) = e_j(T_{k-1}) + a_k e_{j-1}(T_{k-1}) - b_{k-1}^2 e_{j-2}(T_{k-2}).
+    """
+    a, b2 = _tridiagonal(h)
+    d, m = a.shape
+    prev2 = np.zeros((d + 1, m))
+    prev = np.zeros((d + 1, m))
+    prev[0] = 1.0
+    for k in range(d):
+        e = prev.copy()
+        e[1:] += a[k] * prev[:-1]
+        if k:
+            e[2:] -= b2[k - 1] * prev2[:-2]
+        prev2, prev = prev, e
+    return prev
 
 
 def hermitian_volumes(
@@ -123,19 +171,23 @@ def hermitian_volumes(
     level: int = 1,
     richardson: bool = False,
     weight_fn=None,
+    weight_symmetry: str = "none",
 ) -> ValuationTable:
     """Valuation table by boundary quadrature of the exterior-algebra densities.
 
     `weight_fn(cloud_chunk) -> (m,) array` scales the boundary measure (used by
-    the variation machinery for <X, N> factors).  Unweighted tables reduce the
-    boundary rule by the shape's holomorphic symmetries (torus orbits or sign
-    flips, see `geom.sample_boundary`); weighted ones keep the full product
-    rule, since <X, N> need not be invariant.  `quadrature` records the rule
-    and its node count.  `richardson=True` also computes the table one level
-    lower and stores |difference| as the error estimate per entry.
+    the variation machinery for <X, N> factors), and `weight_symmetry` names
+    the group in `geom.SYMMETRIES` the weight is invariant under.  Unweighted
+    tables reduce the boundary rule by the shape's holomorphic symmetries
+    (torus orbits or sign flips, see `geom.sample_boundary`); weighted ones by
+    those the weight shares.  `quadrature` records the rule and its node count.
+    The curvature sums M[j] come from `_elementary_symmetric_functions`.
+    `richardson=True` also computes the table one level lower and stores
+    |difference| as the error estimate per entry.
     """
     n = shape.n
-    cloud = geom.sample_boundary(shape, level, invariant_integrand=weight_fn is None)
+    symmetry = "torus" if weight_fn is None else weight_symmetry
+    cloud = geom.sample_boundary(shape, level, symmetry=symmetry)
 
     bkeys = beta_indices(n)
     gkeys = gamma_indices(n)
@@ -147,6 +199,11 @@ def hermitian_volumes(
         w = chunk.weights
         if weight_fn is not None:
             w = w * weight_fn(chunk)
+        # the curvature sums first: their temporaries are freed before the forms exist
+        esp = _elementary_symmetric_functions(chunk.h.transpose(1, 2, 0))
+        for j in range(d + 1):
+            m_parts[j].append(pairwise_sum(w * esp[j]))
+        del esp
         forms = extalg.build_pullbacks(chunk.h, n)
         for (k, q) in bkeys:
             dens = extalg.density_from_forms(forms, "beta", n, k, q)
@@ -154,10 +211,7 @@ def hermitian_volumes(
         for (k, q) in gkeys:
             dens = extalg.density_from_forms(forms, "gamma", n, k, q)
             g_parts[(k, q)].append(pairwise_sum(w * dens))
-        eigs = np.linalg.eigvalsh(chunk.h)
-        esp = _elementary_symmetric(eigs)
-        for j in range(d + 1):
-            m_parts[j].append(pairwise_sum(w * esp[:, j]))
+        del forms
 
     B = {
         key: form_norm_coeff(n, *key).to_float() * pairwise_sum(np.array(parts))
@@ -175,7 +229,8 @@ def hermitian_volumes(
     table = ValuationTable(n=n, eps=shape.eps, B=B, Gamma=Gamma, M=M, vol=vol,
                            quadrature={"rule": cloud.rule, "nodes": len(cloud)})
     if richardson and level >= 1:
-        coarse = hermitian_volumes(shape, level - 1, richardson=False, weight_fn=weight_fn)
+        coarse = hermitian_volumes(shape, level - 1, weight_fn=weight_fn,
+                                   weight_symmetry=weight_symmetry)
         err: Dict[str, float] = {}
         for key in B:
             err[f"B:{key[0]},{key[1]}"] = abs(B[key] - coarse.B[key])

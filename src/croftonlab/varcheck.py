@@ -14,6 +14,10 @@ whose B and Gamma entries are the normalized tilde integrals
 
     tB[k,q] = integral of <X, N> beta_{k,q},   tG[k,q] = integral of <X, N> gamma_{k,q}.
 
+A tilde table integrates <X, N> times U(n)-invariant densities, so its
+boundary rule may fold by every symmetry of the shape that also leaves
+<X, N> invariant: `Flow.symmetry` names that group of the flow.
+
 The oracle is a central finite difference of quadrature (or closed-form)
 valuations under exact shape transport.  Radial flows on balls admit an
 analytic derivative, giving the sharpest cross-check at eps != 0.
@@ -29,6 +33,7 @@ from scipy.linalg import expm
 
 from . import geom, valuations
 from .coeffcore import (
+    VariationOperator,
     crofton_variation_coeffs,
     gauss_bonnet_coeffs,
     variation_operator,
@@ -66,6 +71,13 @@ class LinearFlow:
             shape = geom.Ellipsoid.from_axes([shape.R] * self.A.shape[0])
         return shape.transformed(expm(t * self.A))
 
+    @property
+    def symmetry(self) -> str:
+        """The group <Ax, N> is invariant under: an isometry g of the shape
+        maps it to <g^T A g x, N>, so the weight keeps every g that commutes
+        with A (`geom.symmetry_group`)."""
+        return geom.symmetry_group(self.A)
+
     def normal_speed(self, cloud: geom.BoundaryCloud) -> np.ndarray:
         return np.einsum(
             "mi,mi->m", cloud.positions @ self.A.T, cloud.normals
@@ -75,6 +87,8 @@ class LinearFlow:
 @dataclass
 class RadialFlow:
     """Unit-speed outward radial flow of geodesic balls, <X, N> = 1."""
+
+    symmetry = "torus"  # a constant weight is invariant under every isometry
 
     def transport(self, shape: geom.Shape, t: float) -> geom.Shape:
         if not isinstance(shape, geom.GeodesicBall):
@@ -100,10 +114,17 @@ def _check_pairing(shape: geom.Shape, flow: Flow) -> None:
 def tilde_integrals(
     shape: geom.Shape, flow: Flow, level: int = 1
 ) -> valuations.ValuationTable:
-    """Valuation table of the boundary measure weighted by <X, N> (the tilde table)."""
+    """Valuation table of the boundary measure weighted by <X, N> (the tilde table).
+
+    The weight is invariant under `flow.symmetry`, so the boundary rule takes
+    the strongest reduction that group and the shape admit: the sign fold for
+    a diagonal generator on an axis-aligned ellipsoid, the torus-orbit rule
+    only when the generator also commutes with J on every pair (see
+    `geom.sample_boundary`).
+    """
     _check_pairing(shape, flow)
     return valuations.hermitian_volumes(
-        shape, level, weight_fn=lambda chunk: flow.normal_speed(chunk)
+        shape, level, weight_fn=flow.normal_speed, weight_symmetry=flow.symmetry
     )
 
 
@@ -150,13 +171,19 @@ def variation_formula(
     key: Key,
     level: int = 1,
     tilde: Optional[valuations.ValuationTable] = None,
+    operator: Optional[VariationOperator] = None,
 ) -> float:
-    """Analytic first variation: operator coefficients contracted with tildes."""
+    """Analytic first variation: operator coefficients contracted with tildes.
+
+    `operator` is `variation_operator(shape.n)` when the caller already has
+    it; building it costs exact rational arithmetic."""
     _check_pairing(shape, flow)
     if tilde is None:
         tilde = tilde_integrals(shape, flow, level)
+    if operator is None:
+        operator = variation_operator(shape.n)
     total = 0.0
-    for kind, k, q, p, coeff in variation_operator(shape.n).targets(key):
+    for kind, k, q, p, coeff in operator.targets(key):
         total += coeff.to_float() * shape.eps**p * valuation_value(tilde, (kind, k, q))
     return total
 

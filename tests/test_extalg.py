@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from croftonlab import coeffcore as cc
 from croftonlab import extalg as ea
-from croftonlab.geom import realify_complex_columns
+from helpers import realify_complex_columns
 
 
 def random_sff(rng, n):

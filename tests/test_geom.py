@@ -8,6 +8,7 @@ from scipy.integrate import nquad
 
 from croftonlab import geom
 from croftonlab.coeffcore import ball_volume_coeff, sphere_volume_coeff
+from helpers import realify_complex_columns
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +126,7 @@ def test_boundary_cloud_interface():
 def test_sign_fold_keeps_one_node_per_orbit(axes, factor):
     e = geom.Ellipsoid.from_axes(axes)
     full = geom.sample_boundary(e, level=0)
-    folded = geom.sample_boundary(e, level=0, invariant_integrand=True)
+    folded = geom.sample_boundary(e, level=0, symmetry="torus")
     assert (full.rule, folded.rule) == ("product", "sign-fold")
     assert len(full) == len(geom.sphere_grid(len(axes), 0)[1])
     assert len(folded) * factor == len(full)
@@ -146,7 +147,7 @@ def test_sign_fold_bypassed_without_pair_symmetry():
     rng = np.random.default_rng(5)
     M = rng.standard_normal((4, 4))
     e = geom.Ellipsoid(M @ M.T + np.eye(4))
-    folded = geom.sample_boundary(e, level=0, invariant_integrand=True)
+    folded = geom.sample_boundary(e, level=0, symmetry="torus")
     assert folded.rule == "product"
     assert len(folded) == len(geom.sphere_grid(4, 0)[1])
 
@@ -158,7 +159,7 @@ def test_sign_fold_rejects_grid_not_closed_under_flips(monkeypatch):
     geom.sphere_grid.cache_clear()
     try:
         with pytest.raises(RuntimeError, match="not closed under the sign flips"):
-            geom.sample_boundary(geom.Ellipsoid.from_axes([1, 2, 2, 3]), invariant_integrand=True)
+            geom.sample_boundary(geom.Ellipsoid.from_axes([1, 2, 2, 3]), symmetry="torus")
     finally:
         geom.sphere_grid.cache_clear()
 
@@ -181,7 +182,7 @@ def _pair_turn(n, pair, angle):
     [([1, 1, 2, 2], 2, 32), ([1, 1, 1, 1, 2, 2], 1, 16**2), ([1, 1, 1, 1, 2, 2, 2, 2], 1, 16**3)],
 )
 def test_torus_orbit_node_count(axes, level, nodes):
-    cloud = geom.sample_boundary(geom.Ellipsoid.from_axes(axes), level, invariant_integrand=True)
+    cloud = geom.sample_boundary(geom.Ellipsoid.from_axes(axes), level, symmetry="torus")
     assert cloud.rule == "torus-orbit"
     assert len(cloud) == nodes == (geom.BASE_POLAR_NODES * 2**level) ** (len(axes) // 2 - 1)
     # one node per orbit: every y_j vanishes
@@ -198,7 +199,7 @@ def test_torus_orbit_weights_sum_to_sphere_area(n, level):
 
 
 def test_torus_orbit_disk_is_one_node():
-    cloud = geom.sample_boundary(geom.Ellipsoid.from_axes([2, 2]), 0, invariant_integrand=True)
+    cloud = geom.sample_boundary(geom.Ellipsoid.from_axes([2, 2]), 0, symmetry="torus")
     assert cloud.rule == "torus-orbit"
     assert cloud.positions.tolist() == [[2.0, 0.0]]
     u, w = geom.torus_orbit_grid(1, 3)
@@ -208,17 +209,38 @@ def test_torus_orbit_disk_is_one_node():
 @pytest.mark.parametrize("pair,angle", [(0, 0.3), (1, -0.4), (2, 2.0)])
 def test_torus_orbit_detects_a_turn_inside_a_pair(pair, angle):
     e = geom.Ellipsoid.from_axes([1, 1, 1, 1, 2, 2]).transformed(_pair_turn(3, pair, angle))
-    cloud = geom.sample_boundary(e, 0, invariant_integrand=True)
+    cloud = geom.sample_boundary(e, 0, symmetry="torus")
     assert cloud.rule == "torus-orbit"
     # a real axis pair that differs inside the pair is not T^n-invariant
     e = geom.Ellipsoid.from_axes([1, 1, 1, 2, 2, 2]).transformed(_pair_turn(3, pair, angle))
-    assert geom.sample_boundary(e, 0, invariant_integrand=True).rule == "sign-fold"
+    assert geom.sample_boundary(e, 0, symmetry="torus").rule == "sign-fold"
 
 
 def test_torus_orbit_only_for_invariant_integrands():
     cloud = geom.sample_boundary(geom.Ellipsoid.from_axes([1, 1, 2, 2]), 0)
     assert cloud.rule == "product"
     assert len(cloud) == len(geom.sphere_grid(4, 0)[1])
+
+
+def test_rule_is_the_smaller_of_the_integrand_and_quadric_groups():
+    torus = geom.Ellipsoid.from_axes([1, 1, 2, 2])
+    signs = geom.Ellipsoid.from_axes([1, 2, 2, 3])
+    assert geom.sample_boundary(torus, 0, symmetry="sign").rule == "sign-fold"
+    assert geom.sample_boundary(signs, 0, symmetry="sign").rule == "sign-fold"
+    assert geom.sample_boundary(signs, 0, symmetry="torus").rule == "sign-fold"
+    with pytest.raises(ValueError, match="symmetry must be one of"):
+        geom.sample_boundary(torus, 0, symmetry="u(n)")
+
+
+def test_symmetry_group_of_linear_maps():
+    assert geom.symmetry_group(np.diag([1.0, 1.0, 4.0, 4.0])) == "torus"
+    assert geom.symmetry_group(np.diag([1.0, 2.0, 4.0, 4.0])) == "sign"
+    # a + b J commutes with J; a reflection inside the pair does not
+    assert geom.symmetry_group(np.array([[1.0, -2.0], [2.0, 1.0]])) == "torus"
+    assert geom.symmetry_group(np.array([[1.0, 2.0], [2.0, -1.0]])) == "sign"
+    coupled = np.eye(4)
+    coupled[0, 2] = 0.15
+    assert geom.symmetry_group(coupled) == "none"
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +334,7 @@ def test_geodesic_ball_cloud_constant_sff():
 def _gauge_rotate(h, U):
     """h after rotating the distribution frame by the unitary U (Hopf slot fixed)."""
     S = np.eye(h.shape[0])
-    S[1:, 1:] = geom.realify_complex_columns(U)
+    S[1:, 1:] = realify_complex_columns(U)
     return S.T @ h @ S
 
 

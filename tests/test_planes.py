@@ -15,6 +15,7 @@ from scipy.optimize import minimize
 from croftonlab import coeffcore as cc
 from croftonlab import checks, geom, planes
 from croftonlab import valuations as val
+from helpers import realify_complex_columns
 
 
 UNIT_BALL = geom.Ellipsoid.from_axes([1, 1, 1, 1])
@@ -77,7 +78,7 @@ def test_haar_frames_equal_lapack_qr(rows, cols):
 def _einsum_flat_batch(n, r, rho, rng, m):
     """Flat planes from LAPACK frames and a realified window: (V (m, n, r), anchor (m, 2n))."""
     Q = _lapack_frames(rng, m, n, n)
-    W = geom.realify_complex_columns(Q[:, :, r:])
+    W = realify_complex_columns(Q[:, :, r:])
     g = rng.standard_normal((m, 2 * (n - r)))
     g /= np.linalg.norm(g, axis=1, keepdims=True)
     u = rng.random(m) ** (1.0 / (2 * (n - r)))
@@ -85,7 +86,7 @@ def _einsum_flat_batch(n, r, rho, rng, m):
 
 
 def _einsum_hits_flat(shape, V, anchors):
-    Vr = geom.realify_complex_columns(V)
+    Vr = realify_complex_columns(V)
     if isinstance(shape, geom.GeodesicBall):
         rel = anchors - np.einsum("mir,mjr,mj->mi", Vr, Vr, anchors)
         return np.linalg.norm(rel, axis=1) <= shape.R * (1 + 1e-12)
@@ -191,7 +192,7 @@ def test_meets_against_minimizer_oracle():
     got = planes._hits_flat(e, V, anchors)
     Q = e.quadric
     for i in range(400):
-        Vr = geom.realify_complex_columns(V[:, :, i])
+        Vr = realify_complex_columns(V[:, :, i])
 
         def f(s):
             x = _real(anchors[:, i]) + Vr @ s

@@ -7,7 +7,7 @@ import pytest
 
 from croftonlab import geom, valuations as val
 from croftonlab.coeffcore import sphere_volume_coeff
-from croftonlab.geom import realify_complex_columns
+from helpers import realify_complex_columns
 
 
 UNIT_BALL_C2 = geom.Ellipsoid.from_axes([1, 1, 1, 1])
@@ -122,6 +122,78 @@ def test_sphere_total_curvature_is_gauss_map_degree(n):
     t = val.hermitian_volumes(sphere, level=0)
     o = sphere_volume_coeff(2 * n - 1).to_float()
     assert t.M[2 * n - 1] == pytest.approx(o, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Curvature sums M[j]: the tridiagonal kernel against eigenvalues
+# ---------------------------------------------------------------------------
+
+
+def _eigvalsh_oracle(h):
+    """e_0, ..., e_d of the eigenvalues of each h (m, d, d), as (d + 1, m)."""
+    eigs = np.linalg.eigvalsh(h)
+    m, d = eigs.shape
+    e = np.zeros((d + 1, m))
+    e[0] = 1.0
+    for i in range(d):
+        e[1 : i + 2] = e[1 : i + 2] + eigs[:, i] * e[0 : i + 1]
+    return e
+
+
+def _kernel(h):
+    return val._elementary_symmetric_functions(h.transpose(1, 2, 0))
+
+
+@pytest.mark.parametrize("d", range(1, 10))
+def test_elementary_symmetric_kernel_matches_eigenvalues(d):
+    rng = np.random.default_rng([11, d])
+    A = rng.standard_normal((400, d, d))
+    spd = A @ A.swapaxes(1, 2) / d + 0.5 * np.eye(d)
+    idx = np.arange(d)
+    diagonal = np.zeros((20, d, d))
+    diagonal[:, idx, idx] = rng.uniform(0.1, 3.0, (20, d))
+    # diagonally dominant, so positive definite: the reflectors are all identities
+    tridiagonal = diagonal + 2.0 * np.eye(d)
+    off = rng.uniform(-0.5, 0.5, (20, d - 1))
+    tridiagonal[:, idx[1:], idx[:-1]] = off
+    tridiagonal[:, idx[:-1], idx[1:]] = off
+    for h in (spd, diagonal, tridiagonal):
+        kept = h.copy()
+        got, want = _kernel(h), _eigvalsh_oracle(h)
+        assert np.array_equal(h, kept)
+        assert got.shape == (d + 1, len(h))
+        assert np.all(np.abs(got - want) <= 1e-13 * want)
+
+
+@pytest.mark.parametrize("eps,R", [(1.0, 0.5), (-1.0, 0.8), (0.0, 1.3)])
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_elementary_symmetric_kernel_on_one_node_ball_clouds(eps, R, n):
+    cloud = geom.sample_boundary(geom.GeodesicBall(n=n, eps=eps, R=R))
+    kept = cloud.h.copy()
+    got, want = _kernel(cloud.h), _eigvalsh_oracle(cloud.h)
+    assert np.array_equal(cloud.h, kept)  # a one-node batch is not written through
+    assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+
+
+@pytest.mark.parametrize(
+    "axes,level",
+    [
+        ([1, 2, 2, 3], 2),
+        ([1, 1, 1, 1, 1, 2], 1),
+        ([1, 1, 2, 2, 3, 3, 4, 4], 2),
+        ([0.2, 0.2, 1, 1, 3, 3, 5, 5, 9, 9], 1),
+        ([1, 1, 2, 2, 3, 3, 4, 4, 5, 5], 1),
+    ],
+)
+def test_curvature_sums_match_eigenvalues_on_table_clouds(axes, level):
+    # the integrated M[j] of each table's cloud, kernel against eigenvalues
+    cloud = geom.sample_boundary(geom.Ellipsoid.from_axes(axes), level, symmetry="torus")
+    got = np.zeros(len(axes))
+    want = np.zeros(len(axes))
+    for chunk in cloud.chunks(val.QUADRATURE_CHUNK):
+        got += _kernel(chunk.h) @ chunk.weights
+        want += _eigvalsh_oracle(chunk.h) @ chunk.weights
+    assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
 
 
 def test_ball_closed_form_frozen_values():

@@ -30,11 +30,54 @@ def test_radial_tilde_equals_valuations():
 
 
 @pytest.mark.parametrize("axes", [[1, 1, 2, 2], [1, 2, 2, 3]])
-def test_tilde_tables_keep_the_product_rule(axes):
-    # <X, N> need not be invariant under the torus or the sign flips
+def test_tilde_tables_fold_by_the_flow_symmetry(axes):
+    # a diagonal generator keeps <X, N> invariant under the sign flips but not
+    # the torus, even on the T^n-invariant [1,1,2,2]; a coupled one under neither
     e = geom.Ellipsoid.from_axes(axes)
     t = vc.tilde_integrals(e, vc.LinearFlow(np.diag([0.3, 0.23, 0.16, 0.09])), level=0)
+    assert t.quadrature == {"rule": "sign-fold", "nodes": len(geom.sphere_grid(4, 0)[1]) // 4}
+    t = vc.tilde_integrals(e, vc.LinearFlow(NONDIAGONAL_GENERATOR), level=0)
     assert t.quadrature == {"rule": "product", "nodes": len(geom.sphere_grid(4, 0)[1])}
+
+
+def test_flow_symmetry_groups():
+    assert vc.LinearFlow(np.diag([0.3, 0.23, 0.16, 0.09])).symmetry == "sign"
+    assert vc.LinearFlow(np.diag([0.3, 0.3, 0.1, 0.1])).symmetry == "torus"
+    assert vc.LinearFlow(NONDIAGONAL_GENERATOR).symmetry == "none"
+    assert vc.RadialFlow().symmetry == "torus"
+
+
+def _product_rule_tilde(shape, flow, level, richardson=False):
+    """The tilde table on the full product rule: the weight claims no symmetry."""
+    return val.hermitian_volumes(shape, level, richardson=richardson,
+                                 weight_fn=flow.normal_speed, weight_symmetry="none")
+
+
+@pytest.mark.parametrize(
+    "axes,diag", [([1, 1, 2, 2], [0.3, -0.1, 0.2, 0.05]), ([1, 2, 2, 3], [0.1, 0.25, -0.15, 0.2])]
+)
+def test_folded_tilde_table_matches_the_product_rule(axes, diag):
+    e = geom.Ellipsoid.from_axes(axes)
+    flow = vc.LinearFlow(np.diag(diag))
+    folded = vc.tilde_integrals(e, flow, level=2)
+    assert folded.quadrature["rule"] == "sign-fold"
+    full = _product_rule_tilde(e, flow, 2)
+    assert full.quadrature["rule"] == "product"
+    got = folded.to_json()
+    for key, value in full.to_json().items():
+        assert got[key] == pytest.approx(value, rel=1e-13), key
+
+
+def test_torus_orbit_tilde_table_within_product_rule_error():
+    e = geom.Ellipsoid.from_axes([1, 1, 2, 2])
+    flow = vc.LinearFlow(np.diag([0.3, 0.3, 0.1, 0.1]))
+    orbit = vc.tilde_integrals(e, flow, level=2)
+    assert orbit.quadrature == {"rule": "torus-orbit", "nodes": 32}
+    full = _product_rule_tilde(e, flow, 2, richardson=True)
+    got, want = orbit.to_json(), full.to_json()
+    # entries the product rule integrates exactly differ by roundoff only
+    for key, err in full.error.items():
+        assert abs(got[key] - want[key]) <= max(err, 1e-14 * abs(want[key])), key
 
 
 def test_identity_flow_on_unit_sphere():
