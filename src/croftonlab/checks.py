@@ -13,7 +13,8 @@ module also sees the calls made here.
 
 from __future__ import annotations
 
-from math import sqrt
+from fractions import Fraction
+from math import factorial, sqrt
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -23,6 +24,7 @@ from . import geom, planes, valuations, varcheck
 
 __all__ = [
     "FLAT_FAMILIES",
+    "identities",
     "gauss_bonnet",
     "gamma_b",
     "crofton_flat",
@@ -43,6 +45,43 @@ FLAT_FAMILIES: Dict[int, List[List[float]]] = {
 
 CPN_RADII = (0.3, 0.6, 0.9, 1.2)
 CPN_REFERENCE_R = 0.75
+
+
+def _sphere_volume_closed_form(m: int) -> cc.PiScalar:
+    """O_m = 2 pi^{(m+1)/2} / Gamma((m+1)/2) exactly: 2 pi^j / (j-1)! for
+    m = 2j-1 and 2^{2j+1} pi^j j! / (2j)! for m = 2j."""
+    j = (m + 1) // 2
+    if m % 2:
+        return cc.PiScalar.pi_power(j, Fraction(2, factorial(j - 1)))
+    return cc.PiScalar.pi_power(j, Fraction(2 ** (2 * j + 1) * factorial(j), factorial(2 * j)))
+
+
+def identities(max_n: int) -> dict:
+    """The exact coefficient suite for n = 2..max_n, one verdict per case.
+
+    solver: the flat Crofton system, solved exactly, matches its closed form
+    with zero residual in every d-equation (1 <= r < n); cancellation: the
+    eps-graded cancellation identity (1 <= r < n); epsIndependence: every
+    eps-graded term of the varied bracket cancels (1 <= r <= n, r = n being
+    Gauss-Bonnet); normalizations: `sphere_volume_coeff(m)` against the
+    closed form of O_m (m < 2 max_n).
+    """
+    results = {"solver": {}, "cancellation": {}, "epsIndependence": {}, "normalizations": {}}
+    for n in range(2, max_n + 1):
+        for r in range(1, n):
+            sol = cc.solve_crofton_system(n, r)
+            results["solver"][f"{n},{r}"] = sol.closed_form_matches() and all(
+                v == 0 for v in sol.d_equation_residuals().values()
+            )
+            results["cancellation"][f"{n},{r}"] = cc.verify_cancellation_identity(n, r)
+        for r in range(1, n + 1):
+            results["epsIndependence"][f"{n},{r}"] = cc.check_epsilon_independence(n, r)
+    for m in range(1, 2 * max_n):
+        results["normalizations"][str(m)] = (
+            cc.sphere_volume_coeff(m) == _sphere_volume_closed_form(m)
+        )
+    results["pass"] = all(all(group.values()) for group in results.values())
+    return results
 
 
 def _flow(shape: geom.Shape, diag: Optional[Sequence[float]]) -> varcheck.Flow:

@@ -81,11 +81,9 @@ def _parse_axes(text: str) -> List[float]:
 def _shape_from_args(args) -> geom.Shape:
     if args.shape == "ellipsoid":
         if not args.axes:
-            raise SystemExit("--axes required for ellipsoids")
+            raise ValueError("--axes required for ellipsoids")
         return geom.Ellipsoid.from_axes(_parse_axes(args.axes))
-    if args.shape == "ball":
-        return _ball(args)
-    raise SystemExit(f"unknown shape {args.shape!r}")
+    return _ball(args)
 
 
 def _shape_config(args) -> dict:
@@ -107,28 +105,8 @@ def cmd_coeffs(args) -> int:
         "maxN": args.max_n,
     }
     if args.identities:
-        results = {"solver": {}, "cancellation": {}, "epsIndependence": {}, "normalizations": {}}
-        ok = True
-        for n in range(2, args.max_n + 1):
-            for r in range(1, n):
-                sol = cc.solve_crofton_system(n, r)
-                good = sol.closed_form_matches() and all(
-                    v == 0 for v in sol.d_equation_residuals().values()
-                )
-                results["solver"][f"{n},{r}"] = good
-                ok &= good
-                results["cancellation"][f"{n},{r}"] = cc.verify_cancellation_identity(n, r)
-                ok &= results["cancellation"][f"{n},{r}"]
-            for r in range(1, n + 1):
-                results["epsIndependence"][f"{n},{r}"] = cc.check_epsilon_independence(n, r)
-                ok &= results["epsIndependence"][f"{n},{r}"]
-        for m in range(1, 2 * args.max_n):
-            good = cc.sphere_volume_coeff(m) == cc.ball_volume_coeff(m + 1) * (m + 1)
-            if m % 2 == 1:
-                rr = (m + 1) // 2
-                good &= cc.sphere_volume_coeff(m) == cc.ball_volume_coeff(m + 1) * 2 * rr
-            results["normalizations"][str(m)] = good
-            ok &= good
+        results = checks.identities(args.max_n)
+        ok = results.pop("pass")
         _emit(_report(args, config, results, ok), args)
         return 0 if ok else 1
 
@@ -148,8 +126,6 @@ def cmd_coeffs(args) -> int:
             ]
         _emit(_report(args, config, results), args)
         return 0
-    else:
-        raise SystemExit("choose one of --gb/--crofton/--total-gauss/--variation/--identities")
     _emit(_report(args, config, table.to_json()), args)
     return 0
 
@@ -163,8 +139,6 @@ def cmd_volumes(args) -> int:
     shape = args.body
     config = {"subcommand": "volumes", "shape": _shape_config(args), "level": args.level}
     if args.closed_form:
-        if not isinstance(shape, geom.GeodesicBall):
-            raise SystemExit("--closed-form applies to balls")
         table = valuations.ball_closed_form(shape.eps, shape.n, shape.R)
     else:
         table = valuations.hermitian_volumes(shape, args.level, richardson=args.richardson)
@@ -182,14 +156,12 @@ def cmd_volumes(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _families(n: int) -> List[List[float]]:
-    if n not in checks.FLAT_FAMILIES:
-        raise SystemExit("default ellipsoid families exist for n in {2, 3}")
-    return checks.FLAT_FAMILIES[n]
-
-
-def _unit_ellipsoid(n: int) -> geom.Ellipsoid:
-    return geom.Ellipsoid.from_axes([1.0] * (2 * n))
+def _flat_reference(args) -> geom.Ellipsoid:
+    """The unit ball of --n, reference of the checks over FLAT_FAMILIES[n]."""
+    if args.n not in checks.FLAT_FAMILIES:
+        raise ValueError(f"--n: default ellipsoid families exist for n in "
+                         f"{sorted(checks.FLAT_FAMILIES)}, got n={args.n}")
+    return geom.Ellipsoid.from_axes([1.0] * (2 * args.n))
 
 
 def _check_level(args) -> int:
@@ -209,29 +181,29 @@ CHECKS = {
     "gauss-bonnet": lambda a: checks.gauss_bonnet(a.body, a.level, a.tol),
     "gamma-b": lambda a: checks.gamma_b(a.body, a.tol),
     "crofton-mc": lambda a: checks.crofton_flat(
-        _unit_ellipsoid(a.n), a.r, _families(a.n), a.level,
-        a.samples, a.seed, a.seed + 1, a.tol),
+        a.body, a.r, checks.FLAT_FAMILIES[a.n], a.level, a.samples, a.seed, a.seed + 1, a.tol),
     "crofton-cpn": lambda a: checks.crofton_cpn(a.n, a.r, a.samples, a.seed, a.seed + 1, a.tol),
     "variation": lambda a: checks.variation(a.body, a.level, a.tol),
     "crofton-variation": lambda a: checks.crofton_variation(a.body, a.r, a.level, a.tol),
     "total-gauss": lambda a: checks.total_gauss(
-        _unit_ellipsoid(a.n), a.r, _families(a.n)[:2], a.level, a.samples, a.seed,
+        a.body, a.r, checks.FLAT_FAMILIES[a.n][:2], a.level, a.samples, a.seed,
         a.seed + 1, a.tol),
     "grassmann-pointwise": lambda a: checks.grassmann_pointwise(
         a.n, a.r, a.samples, a.seed, a.seed + 1, 2048, a.seed, a.tol),
 }
 
 # what each command reads: the shape it builds from --shape/--axes/--n/--eps/--R
-# (None: it reads --n directly), and whether it reads --r and --level
+# (the flat reference reads --n alone; None: no shape, it reads --n directly),
+# and whether it reads --r and --level
 READS = {
     "volumes": (_shape_from_args, False, True),
     "gauss-bonnet": (_shape_from_args, False, True),
     "gamma-b": (_ball, False, False),
-    "crofton-mc": (None, True, True),
+    "crofton-mc": (_flat_reference, True, True),
     "crofton-cpn": (None, True, False),
     "variation": (_shape_from_args, False, True),
     "crofton-variation": (_shape_from_args, True, True),
-    "total-gauss": (None, True, True),
+    "total-gauss": (_flat_reference, True, True),
     "grassmann-pointwise": (None, True, False),
 }
 
@@ -282,11 +254,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     pc = sub.add_parser("coeffs", help="exact coefficient tables and identities")
     common(pc)
-    pc.add_argument("--gb", action="store_true")
-    pc.add_argument("--crofton", action="store_true")
-    pc.add_argument("--total-gauss", dest="total_gauss", action="store_true")
-    pc.add_argument("--variation", action="store_true")
-    pc.add_argument("--identities", action="store_true")
+    table = pc.add_mutually_exclusive_group(required=True)
+    table.add_argument("--gb", action="store_true")
+    table.add_argument("--crofton", action="store_true")
+    table.add_argument("--total-gauss", dest="total_gauss", action="store_true")
+    table.add_argument("--variation", action="store_true")
+    table.add_argument("--identities", action="store_true")
     pc.add_argument("--max-n", dest="max_n", type=int, default=6)
     pc.set_defaults(func=cmd_coeffs)
 
@@ -309,19 +282,25 @@ def _validate(parser: argparse.ArgumentParser, args) -> None:
     Only the flags the command reads are checked; the shape it reads is built
     here, once, as args.body."""
     if args.command == "coeffs":
-        return
-    what = args.what if args.command == "check" else args.command
-    build, reads_r, reads_level = READS[what]
-    level = _check_level(args) if args.command == "check" else args.level
-    if reads_level and level < 0:
-        parser.error(f"argument --level: must be an integer >= 0, got {args.level}")
-    args.body, n = None, args.n
-    if build is not None:
-        try:
-            args.body = build(args)
-        except ValueError as exc:
-            parser.error(f"invalid shape (--shape/--axes/--n/--eps/--R): {exc}")
-        n = args.body.n
+        # the tables read --n, --crofton and --total-gauss also --r
+        if not args.identities and args.n < 1:
+            parser.error(f"argument --n: must be an integer >= 1, got {args.n}")
+        n, reads_r = args.n, args.crofton or args.total_gauss
+    else:
+        what = args.what if args.command == "check" else args.command
+        build, reads_r, reads_level = READS[what]
+        level = _check_level(args) if args.command == "check" else args.level
+        if reads_level and level < 0:
+            parser.error(f"argument --level: must be an integer >= 0, got {args.level}")
+        args.body, n = None, args.n
+        if build is not None:
+            try:
+                args.body = build(args)
+            except ValueError as exc:
+                parser.error(f"invalid shape (--shape/--axes/--n/--eps/--R): {exc}")
+            n = args.body.n
+        if what == "volumes" and args.closed_form and not isinstance(args.body, geom.GeodesicBall):
+            parser.error("argument --closed-form: applies to geodesic balls (--shape ball)")
     if reads_r and not 1 <= args.r <= n - 1:
         parser.error(f"argument --r: need 1 <= r <= n-1, got r={args.r}, n={n}")
     if args.command != "check":

@@ -336,9 +336,6 @@ class CoeffTable:
             if p < 0:
                 raise IndexRangeError(f"negative eps power {p}")
 
-    def entry(self, k: int, q: int, eps_power: int) -> PiScalar:
-        return self.entries.get((k, q, eps_power), PiScalar.zero())
-
     def scaled(self, s: PiScalar) -> "CoeffTable":
         return CoeffTable(
             n=self.n,

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -31,14 +31,12 @@ Coeff = Union[float, np.ndarray]
 
 __all__ = [
     "MultiVector",
-    "SffMatrix",
     "PullbackForms",
     "build_pullbacks",
     "density_from_forms",
     "density_beta",
     "density_gamma",
     "permutation_oracle",
-    "sigma_restricted",
     "merge_sign",
 ]
 
@@ -71,21 +69,8 @@ class MultiVector:
         self.terms: Dict[int, Coeff] = dict(terms) if terms else {}
 
     @classmethod
-    def zero(cls, d: int) -> "MultiVector":
-        return cls(d)
-
-    @classmethod
     def scalar(cls, d: int, value: Coeff) -> "MultiVector":
         return cls(d, {0: value})
-
-    def __add__(self, other: "MultiVector") -> "MultiVector":
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out[m] + c if m in out else c
-        return MultiVector(self.d, out)
-
-    def scale(self, s: Coeff) -> "MultiVector":
-        return MultiVector(self.d, {m: c * s for m, c in self.terms.items()})
 
     def wedge(self, other: "MultiVector") -> "MultiVector":
         out: Dict[int, Coeff] = {}
@@ -118,36 +103,10 @@ class MultiVector:
     def top_coefficient(self) -> Coeff:
         return self.coefficient((1 << self.d) - 1)
 
-    def to_json(self) -> List[Dict[str, object]]:
-        return [
-            {"mask": m, "coeff": np.asarray(c).tolist()}
-            for m, c in sorted(self.terms.items())
-        ]
 
-
-@dataclass
-class SffMatrix:
-    """Second fundamental form in the adapted frame (JN, e_2, Je_2, ...)."""
-
-    n: int
-    mat: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.mat = np.asarray(self.mat, dtype=float)
-        d = 2 * self.n - 1
-        if self.mat.shape[-2:] != (d, d):
-            raise ValueError(f"expected trailing shape ({d},{d}), got {self.mat.shape}")
-        if np.max(np.abs(self.mat - np.swapaxes(self.mat, -1, -2))) > 1e-10:
-            raise ValueError("second fundamental form must be symmetric")
-
-
-def _as_batch(h: Union[np.ndarray, SffMatrix], n: int | None = None):
+def _as_batch(h: np.ndarray, n: int | None = None):
     """Normalize input to (m, d, d) float array; report if it was unbatched."""
-    if isinstance(h, SffMatrix):
-        arr = h.mat
-        n = h.n
-    else:
-        arr = np.asarray(h, dtype=float)
+    arr = np.asarray(h, dtype=float)
     if arr.ndim == 2:
         arr = arr[None]
         single = True
@@ -178,7 +137,7 @@ class PullbackForms:
     theta2: MultiVector
 
 
-def build_pullbacks(h: Union[np.ndarray, SffMatrix], n: int | None = None) -> PullbackForms:
+def build_pullbacks(h: np.ndarray, n: int | None = None) -> PullbackForms:
     """Pull the invariant forms back to the boundary coframe, per point.
 
     beta and theta_2 are constant, gamma and theta_1 are linear and theta_0 is
@@ -250,7 +209,7 @@ def density_from_forms(forms: PullbackForms, kind: str, n: int, k: int, q: int) 
     return w.top_coefficient()
 
 
-def density_beta(n: int, k: int, q: int, h: Union[np.ndarray, SffMatrix]) -> Coeff:
+def density_beta(n: int, k: int, q: int, h: np.ndarray) -> Coeff:
     """The beta density of `density_from_forms` at h.
 
     The caller applies the normalization c_{n,k,q}; the result is a polynomial
@@ -260,7 +219,7 @@ def density_beta(n: int, k: int, q: int, h: Union[np.ndarray, SffMatrix]) -> Coe
     return density_from_forms(build_pullbacks(h, n), "beta", n, k, q)
 
 
-def density_gamma(n: int, k: int, q: int, h: Union[np.ndarray, SffMatrix]) -> Coeff:
+def density_gamma(n: int, k: int, q: int, h: np.ndarray) -> Coeff:
     """The gamma density of `density_from_forms` at h.
 
     The caller applies the normalization c_{n,k,q}/2.
@@ -351,25 +310,3 @@ def permutation_oracle(kind: str, n: int, k: int, q: int, h: np.ndarray) -> floa
             continue
     return total / 2 ** len(mats)
 
-
-# ---------------------------------------------------------------------------
-# Restricted elementary symmetric function
-# ---------------------------------------------------------------------------
-
-
-def sigma_restricted(hD: np.ndarray, V: np.ndarray) -> Coeff:
-    """sigma_{2r} of the form hD restricted to the column span of V.
-
-    V must have orthonormal columns (checked to 1e-10); the top elementary
-    symmetric function of the restriction is det(V^T hD V).  Accepts batched
-    inputs with leading sample axes.
-    """
-    hD = np.asarray(hD, dtype=float)
-    V = np.asarray(V, dtype=float)
-    gram = np.swapaxes(V, -1, -2) @ V
-    eye = np.eye(V.shape[-1])
-    if np.max(np.abs(gram - eye)) > 1e-10:
-        raise ValueError("V columns are not orthonormal to 1e-10")
-    restricted = np.swapaxes(V, -1, -2) @ hD @ V
-    out = np.linalg.det(restricted)
-    return float(out) if out.ndim == 0 else out

@@ -12,8 +12,13 @@ Two families of test domains:
 Every sampled boundary point carries the adapted frame (JN, e_2, Je_2, ...),
 the second fundamental form in that frame (inner-normal convention: the unit
 sphere gets II = Id, so convex bodies have positive curvatures), and a
-quadrature weight.  A numeric Jacobi-field integrator serves as the
-independent oracle for the geodesic-sphere curvatures.
+quadrature weight.  e_2, ..., e_n are columns 2..n of the one complex
+Householder reflector that sends e_1 to a unit multiple of N, in closed form
+per node.  Another basis of the distribution conjugates h by an element of
+U(n-1), which the U(n)-invariant densities do not see.  The geodesic
+sphere's area and the ball's volume are closed forms in the Jacobi field
+f_eps; a numeric Jacobi-field integrator serves as the independent oracle
+for the geodesic-sphere curvatures.
 
 Boundary integrals whose integrand is invariant under a group of holomorphic
 isometries that preserves the domain reduce to one node per orbit.  The
@@ -49,7 +54,7 @@ from math import cos, cosh, factorial, pi, sin, sinh, sqrt
 from typing import Iterator, List, Tuple, Union
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
+from scipy.integrate import solve_ivp
 from scipy.special import roots_jacobi
 
 from .coeffcore import ball_volume_coeff, sphere_volume_coeff
@@ -118,7 +123,7 @@ class Ellipsoid:
     @classmethod
     def from_axes(cls, axes) -> "Ellipsoid":
         a = np.asarray(axes, dtype=float)
-        if a.ndim != 1 or len(a) % 2 != 0:
+        if a.ndim != 1 or len(a) == 0 or len(a) % 2 != 0:
             raise ValueError("need 2n semiaxes")
         if np.any(a <= 0):
             raise ValueError("semiaxes must be positive")
@@ -320,50 +325,29 @@ def torus_orbit_grid(n: int, level: int) -> Tuple[np.ndarray, np.ndarray]:
     return pts, weights
 
 
-FRAME_DEGENERACY_TOL = 1e-8
-
-
 def _adapted_frames(normals: np.ndarray) -> np.ndarray:
     """Frames (JN, e_2, Je_2, ..., e_n, Je_n) for a batch of unit normals.
 
-    The distribution basis comes from complex Gram-Schmidt of the standard
-    complex coordinate directions projected off the complex span of N, taking
-    candidates in coordinate order and skipping degenerate projections.
+    With z the complex form of N, e_2, ..., e_n are columns 2..n of the
+    complex Householder reflector H = I - 2 w w^* / |w|^2, w = z + phase(z_1) e_1
+    (phase(z_1) = z_1/|z_1|, or 1 when z_1 = 0).  H is unitary and sends e_1 to
+    -conj(phase(z_1)) z, so its other columns are an orthonormal basis of the
+    complex complement of N.  As |w|^2 = 2 (1 + |z_1|) >= 2, every unit normal
+    has a frame; the normal e_1 gets the coordinate directions.
     """
     m, d2 = normals.shape
     n = d2 // 2
-    frames = np.zeros((m, 2 * n - 1, d2))
-    JN = apply_complex_structure(normals)
-    frames[:, 0] = JN
-
-    def _project_off(v, w):
-        # subtract the complex projection of v onto the complex unit vector w
-        Jw = apply_complex_structure(w)
-        return (
-            v
-            - np.einsum("mi,mi->m", v, w)[:, None] * w
-            - np.einsum("mi,mi->m", v, Jw)[:, None] * Jw
-        )
-
-    for slot in range(n - 1):
-        remaining = np.ones(m, dtype=bool)
-        for cand in range(n):
-            if not remaining.any():
-                break
-            v = np.zeros((m, d2))
-            v[:, 2 * cand] = 1.0
-            v = _project_off(v, normals)
-            for t in range(slot):
-                v = _project_off(v, frames[:, 1 + 2 * t])
-            norms = np.linalg.norm(v, axis=1)
-            ok = remaining & (norms >= FRAME_DEGENERACY_TOL)
-            if ok.any():
-                e = v[ok] / norms[ok, None]
-                frames[ok, 1 + 2 * slot] = e
-                frames[ok, 2 + 2 * slot] = apply_complex_structure(e)
-                remaining[ok] = False
-        if remaining.any():
-            raise RuntimeError("frame construction failed: degenerate projections")
+    z = normals[:, 0::2] + 1j * normals[:, 1::2]
+    r1 = np.abs(z[:, 0])
+    w = z.copy()
+    w[:, 0] += np.divide(z[:, 0], r1, out=np.ones(m, dtype=complex), where=r1 > 0)
+    # row k - 2 of E is column k of H, e_k - w conj(z_k) / (1 + |z_1|), k = 2..n
+    E = np.eye(n)[1:] - np.conj(z[:, 1:, None]) * w[:, None, :] / (1 + r1)[:, None, None]
+    frames = np.empty((m, 2 * n - 1, d2))
+    frames[:, 0] = apply_complex_structure(normals)
+    frames[:, 1::2, 0::2] = E.real
+    frames[:, 1::2, 1::2] = E.imag
+    frames[:, 2::2] = apply_complex_structure(frames[:, 1::2])
     return frames
 
 
@@ -467,8 +451,7 @@ def sample_boundary(shape: Shape, level: int = 0, symmetry: str = "none") -> Bou
     weights = w * area_factor
 
     frames = _adapted_frames(normals)
-    QF = np.einsum("ij,maj->mai", Q, frames)
-    h = np.einsum("mai,mbi->mab", frames, QF) / gradnorm[:, None, None]
+    h = np.einsum("mai,ij,mbj->mab", frames, Q, frames, optimize=True) / gradnorm[:, None, None]
     h = (h + np.swapaxes(h, 1, 2)) / 2
     return BoundaryCloud(n, x, normals, frames, h, weights, rule)
 
@@ -552,18 +535,15 @@ def jacobi_oracle(kappa: float, R: float) -> Tuple[float, float]:
 def sphere_area_and_ball_volume(eps: float, n: int, R: float) -> Tuple[float, float]:
     """(area of the geodesic sphere, volume of the geodesic ball) of radius R.
 
-    area(R) = O_{2n-1} f_{4eps}(R) f_eps(R)^{2n-2}; the volume is the adaptive
-    radial integral of the area.
+    area(R) = O_{2n-1} f_{4eps}(R) f_eps(R)^{2n-2} and vol(R) = omega_{2n} f_eps(R)^{2n}
+    with f_kappa = `jacobi_value(kappa, .)`: since f_{4eps} = f_eps f_eps', the
+    area is the R-derivative of that volume (O_{2n-1} = 2n omega_{2n}).
     """
     if R <= 0:
         raise ValueError("radius must be positive")
     if eps > 0 and R > pi / (2 * sqrt(eps)):
         raise ValueError("radius beyond injectivity bound")
-    o = sphere_volume_coeff(2 * n - 1).to_float()
-
-    def area(rho: float) -> float:
-        return o * jacobi_value(4 * eps, rho) * jacobi_value(eps, rho) ** (2 * n - 2)
-
-    vol, err = quad(area, 0.0, R, epsabs=1e-13, epsrel=1e-12, limit=200)
-    return area(R), vol
+    f = jacobi_value(eps, R)
+    area = sphere_volume_coeff(2 * n - 1).to_float() * jacobi_value(4 * eps, R) * f ** (2 * n - 2)
+    return area, ball_volume_coeff(2 * n).to_float() * f ** (2 * n)
 

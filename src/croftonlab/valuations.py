@@ -254,7 +254,7 @@ def _comb0(m: int, k: int) -> int:
 
 
 def ball_closed_form(eps: float, n: int, R: float) -> ValuationTable:
-    """Exact (up to the radial volume quadrature) valuations of a geodesic ball."""
+    """Exact valuations of a geodesic ball: closed forms in R, no quadrature."""
     mu_h, lam = geom.geodesic_sphere_curvatures(eps, R)
     area, vol = geom.sphere_area_and_ball_volume(eps, n, R)
     fct = factorial(n - 1)

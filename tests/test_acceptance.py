@@ -42,22 +42,13 @@ def report(num: int, ok: bool, detail: str) -> None:
 
 def test_criterion_01_exact_coefficients():
     t0 = time.time()
-    ok = True
-    for n in range(2, 9):
-        for r in range(1, n):
-            sol = cc.solve_crofton_system(n, r)
-            ok &= sol.closed_form_matches()
-            ok &= all(v == 0 for v in sol.d_equation_residuals().values())
-    for n in range(2, 11):
-        for r in range(1, n):
-            ok &= cc.verify_cancellation_identity(n, r)
-    for n in range(1, 7):
-        for r in range(1, n + 1):
-            ok &= cc.check_epsilon_independence(n, r)
-    for r in range(1, 9):
-        ok &= cc.sphere_volume_coeff(2 * r - 1) == cc.ball_volume_coeff(2 * r) * (2 * r)
-    for m in range(0, 17):
-        ok &= cc.sphere_volume_coeff(m) == cc.ball_volume_coeff(m + 1) * (m + 1)
+    # the shared suite of `croftonlab coeffs --identities`: solver,
+    # cancellation and eps-independence for n <= 10, O_m for m <= 19
+    ok = checks.identities(10)["pass"]
+    # what the shared suite leaves out: n = 1, O_0 (two points) and the
+    # total-curvature identity
+    ok &= cc.check_epsilon_independence(1, 1)
+    ok &= cc.sphere_volume_coeff(0) == 2
     for n in range(2, 7):
         for r in range(1, n):
             lhs = cc.total_gauss_coeffs(n, r)
@@ -65,8 +56,8 @@ def test_criterion_01_exact_coefficients():
             ok &= lhs.same_coefficients(rhs)
     elapsed = time.time() - t0
     ok &= elapsed < 10.0
-    report(1, ok, f"solver n<=8, cancellation n<=10, eps-independence n<=6, "
-                  f"normalizations, total-curvature identity; {elapsed:.1f}s")
+    report(1, ok, f"solver, cancellation and eps-independence n<=10, normalizations "
+                  f"m<=19, total-curvature identity; {elapsed:.1f}s")
 
 
 # ---------------------------------------------------------------------------

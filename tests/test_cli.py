@@ -323,6 +323,17 @@ def test_samples_and_threads_only_checked_for_check(capsys, monkeypatch):
         (["volumes", "--shape", "ball", "--R", "-0.5", "--closed-form"], "radius"),
         (["check", "gamma-b", "--eps", "1", "--R", "2"], "injectivity"),
         (["check", "gauss-bonnet", "--n", "0"], "--n"),
+        (["coeffs", "--crofton", "--n", "2", "--r", "5"], "--r"),
+        (["coeffs", "--gb", "--n", "0"], "--n"),
+        (["coeffs", "--total-gauss", "--n", "3", "--r", "0"], "--r"),
+        (["coeffs"], "is required"),
+        (["coeffs", "--gb", "--crofton"], "not allowed with"),
+        (["volumes", "--shape", "ellipsoid"], "--axes required"),
+        (["volumes", "--shape", "ellipsoid", "--axes", ","], "2n semiaxes"),
+        (["volumes", "--shape", "ellipsoid", "--axes", "1,1,2,2", "--closed-form"],
+         "--closed-form"),
+        (["check", "crofton-mc", "--n", "4"], "--n"),
+        (["check", "total-gauss", "--n", "4"], "--n"),
     ],
 )
 def test_bad_flag_values_are_parser_errors(argv, flag, capsys):

@@ -75,11 +75,6 @@ def test_wedge_pow_binary_matches_iterated():
             assert np.allclose(it_k.coefficient(mask), via_pow.coefficient(mask))
 
 
-def test_multivector_json_dump():
-    mv = ea.MultiVector(3, {0b101: 2.0})
-    assert mv.to_json() == [{"mask": 5, "coeff": 2.0}]
-
-
 # ---------------------------------------------------------------------------
 # Pullbacks
 # ---------------------------------------------------------------------------
@@ -101,13 +96,6 @@ def test_zero_sff_pullbacks():
     assert f.theta0.terms == {} and f.theta1.terms == {} and f.gamma.terms == {}
     assert len(f.theta2.terms) == 2
     assert f.beta.terms == {1: 1.0}
-
-
-def test_sff_matrix_validation():
-    with pytest.raises(ValueError):
-        ea.SffMatrix(n=2, mat=np.arange(9.0).reshape(3, 3))
-    ok = ea.SffMatrix(n=2, mat=np.eye(3))
-    assert ea.density_beta(2, 2, 0, ok) == pytest.approx(2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -240,30 +228,3 @@ def test_frame_gauge_invariance():
                 ea.density_gamma(n, k, q, h), rel=1e-10, abs=1e-10
             )
 
-
-# ---------------------------------------------------------------------------
-# sigma restricted
-# ---------------------------------------------------------------------------
-
-
-def test_sigma_restricted_identity_and_scaling():
-    rng = np.random.default_rng(29)
-    V, _ = np.linalg.qr(rng.standard_normal((6, 4)))
-    assert ea.sigma_restricted(np.eye(6), V) == pytest.approx(1.0)
-    lam = 0.6
-    assert ea.sigma_restricted(lam * np.eye(6), V) == pytest.approx(lam**4)
-
-
-def test_sigma_restricted_eigen_oracle():
-    rng = np.random.default_rng(31)
-    a = rng.standard_normal((6, 6))
-    hD = (a + a.T) / 2
-    V, _ = np.linalg.qr(rng.standard_normal((6, 2)))
-    got = ea.sigma_restricted(hD, V)
-    evals = np.linalg.eigvalsh(V.T @ hD @ V)
-    assert got == pytest.approx(float(np.prod(evals)), rel=1e-12)
-
-
-def test_sigma_restricted_rejects_non_orthonormal():
-    with pytest.raises(ValueError):
-        ea.sigma_restricted(np.eye(4), np.ones((4, 2)))

@@ -4,7 +4,7 @@ from math import cos, pi, sin, sqrt, tan, tanh
 
 import numpy as np
 import pytest
-from scipy.integrate import nquad
+from scipy.integrate import nquad, quad
 
 from croftonlab import geom
 from croftonlab.coeffcore import ball_volume_coeff, sphere_volume_coeff
@@ -33,15 +33,35 @@ def test_round_sphere_curvature_scaling():
     assert np.max(np.abs(cloud.h - np.eye(3) / 2)) < 1e-12
 
 
+def _frame_defect(F, normals):
+    """Largest departure of frames from orthonormal, adapted to N and J-paired."""
+    J = geom.apply_complex_structure
+    gram = np.einsum("mai,mbi->mab", F, F) - np.eye(F.shape[1])
+    return max(
+        np.max(np.abs(gram)),
+        # the frame is orthogonal to N, its first row is JN, the Je-slots are J e
+        np.max(np.abs(np.einsum("mai,mi->ma", F, normals))),
+        np.max(np.abs(F[:, 0] - J(normals))),
+        np.max(np.abs(F[:, 2::2] - J(F[:, 1::2])), initial=0.0),
+    )
+
+
 def test_frames_orthonormal_and_adapted():
     cloud = geom.sample_boundary(geom.Ellipsoid.from_axes([1, 2, 2, 3]), level=1)
-    F = cloud.frames
-    gram = np.einsum("mai,mbi->mab", F, F)
-    assert np.max(np.abs(gram - np.eye(3))) < 1e-12
-    # J of the e-slot equals the Je-slot, frame orthogonal to the normal
-    assert np.max(np.abs(F[:, 2] - geom.apply_complex_structure(F[:, 1]))) < 1e-12
-    assert np.max(np.abs(F[:, 0] - geom.apply_complex_structure(cloud.normals))) < 1e-12
-    assert np.max(np.abs(np.einsum("mai,mi->ma", F, cloud.normals))) < 1e-12
+    assert _frame_defect(cloud.frames, cloud.normals) < 1e-12
+    # the reflector's edge cases: N_1 = 0, N = -e_1, N = J e_1, a tiny |N_1|
+    for N in ([0.0, 0.0, 1.0, 0.0], [-1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0],
+              [1e-300, 0.0, 0.6, 0.8], [1e-300, -1e-300, 0.0, 0.0, 0.0, 1.0]):
+        normals = np.array([N])
+        assert _frame_defect(geom._adapted_frames(normals), normals) < 1e-14, N
+    rng = np.random.default_rng(41)
+    for n in range(2, 6):
+        normals = rng.standard_normal((64, 2 * n))
+        normals /= np.linalg.norm(normals, axis=1)[:, None]
+        assert _frame_defect(geom._adapted_frames(normals), normals) < 1e-14, n
+    # the normal e_1 gets the coordinate directions
+    e1 = np.eye(6)[:1]
+    assert np.array_equal(geom._adapted_frames(e1)[0, 1:], np.eye(6)[2:])
 
 
 def test_sff_symmetric_positive_on_convex():
@@ -297,6 +317,16 @@ def test_sphere_area_and_volume_flat():
     area, vol = geom.sphere_area_and_ball_volume(0.0, 2, 1.5)
     assert area == pytest.approx(2 * pi**2 * 1.5**3, rel=1e-12)
     assert vol == pytest.approx(pi**2 / 2 * 1.5**4, rel=1e-10)
+    # the closed-form volume against the radial integral of the area
+    for eps in (-1.0, -0.3, 0.0, 0.5, 1.0):
+        for n in range(1, 7):
+            for R in (0.2, 0.7, 1.5):
+                if eps > 0 and R >= pi / (2 * sqrt(eps)):
+                    continue
+                _, vol = geom.sphere_area_and_ball_volume(eps, n, R)
+                want, _ = quad(lambda rho: geom.sphere_area_and_ball_volume(eps, n, rho)[0],
+                               0.0, R, epsabs=0.0, epsrel=2e-14, limit=200)
+                assert vol == pytest.approx(want, rel=1e-13, abs=0), (eps, n, R)
 
 
 def test_projective_line_total_volume():
