@@ -16,6 +16,8 @@ byte-identical output regardless of CROFTONLAB_THREADS.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import sys
 from typing import Dict, List, Optional
@@ -50,8 +52,12 @@ def _emit(report: dict, args) -> None:
     else:
         flat: Dict[str, object] = {}
         _flatten("", report, flat)
-        keys = list(flat)
-        text = ",".join(keys) + "\n" + ",".join(str(flat[k]) for k in keys)
+        # csv quotes values with commas (raw --axes); str() keeps None as "None"
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(flat)
+        writer.writerow([str(v) for v in flat.values()])
+        text = buf.getvalue()[:-1]
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
@@ -285,6 +291,9 @@ def _validate(parser: argparse.ArgumentParser, args) -> None:
         # the tables read --n, --crofton and --total-gauss also --r
         if not args.identities and args.n < 1:
             parser.error(f"argument --n: must be an integer >= 1, got {args.n}")
+        # below 2 the suite would check O_1 alone, or nothing, and still pass
+        if args.identities and args.max_n < 2:
+            parser.error(f"argument --max-n: must be an integer >= 2, got {args.max_n}")
         n, reads_r = args.n, args.crofton or args.total_gauss
     else:
         what = args.what if args.command == "check" else args.command

@@ -81,13 +81,12 @@ class PiScalar:
     __slots__ = ("terms",)
 
     def __init__(self, terms: Optional[Dict[int, Fraction]] = None):
-        clean: Dict[int, Fraction] = {}
-        if terms:
-            for p, c in terms.items():
-                c = Fraction(c)
-                if c != 0:
-                    clean[p] = clean.get(p, Fraction(0)) + c
-        self.terms = {p: c for p, c in clean.items() if c != 0}
+        # dict keys are unique: convert what is not a Fraction yet, drop zeros
+        self.terms = {
+            p: f
+            for p, c in (terms or {}).items()
+            if (f := c if isinstance(c, Fraction) else Fraction(c))
+        }
 
     # -- constructors ------------------------------------------------------
 
@@ -125,7 +124,7 @@ class PiScalar:
             return NotImplemented
         out = dict(self.terms)
         for p, c in o.terms.items():
-            out[p] = out.get(p, Fraction(0)) + c
+            out[p] = out[p] + c if p in out else c
         return PiScalar(out)
 
     __radd__ = __add__
@@ -149,8 +148,8 @@ class PiScalar:
         out: Dict[int, Fraction] = {}
         for p1, c1 in self.terms.items():
             for p2, c2 in o.terms.items():
-                p = p1 + p2
-                out[p] = out.get(p, Fraction(0)) + c1 * c2
+                p, c = p1 + p2, c1 * c2
+                out[p] = out[p] + c if p in out else c
         return PiScalar(out)
 
     __rmul__ = __mul__

@@ -1,15 +1,22 @@
 """Spaces of complex r-planes: invariant sampling and Monte Carlo measures.
 
-Every estimator draws from one Haar sampler, `_haar_frames`: the Q factor of
-a complex Gaussian matrix, computed by Householder reflections with LAPACK's
-sign convention (R has a real diagonal), so it is the Q that LAPACK's QR
-returns for the same draws.  A chunk draws its real Gaussian block
-(m, rows, cols), then its imaginary block, so the planes of a seed do not
-depend on how they are laid out or computed.
+Every estimator draws from one Haar sampler: the Q factor of a complex
+Gaussian matrix, computed by Householder reflections with LAPACK's sign
+convention (R has a real diagonal), so it is the Q that LAPACK's QR returns
+for the same draws.
 
-Batch-last layout: a batch of m frames is a (rows, cols, m) array and a batch
-of complex anchors an (n, m) array, so every small-matrix entry is one
-contiguous length-m vector.  The QR, the anchors, the hit predicates and the
+Draw, then slice: a chunk first draws all its variates (`_frame_draws`,
+`_flat_draws`), and everything after runs on `_slices`, QR_BLOCK planes at
+a time, whose working set stays in cache: the frames (`_frames`), the
+anchors, the hit predicates, the section forms and ellipses and the
+Grassmann determinants.  Only the raw draws and the per-plane values that a
+chunk sums are chunk-sized.  Hit counts add slice by slice; per-plane values
+are concatenated in plane order and summed once per chunk, so neither the
+planes nor any sum depend on the slicing.
+
+Batch-last layout: a slice of k frames is a (rows, cols, k) array and a
+slice of complex anchors an (n, k) array, so every small-matrix entry is one
+contiguous length-k vector.  The QR, the anchors, the hit predicates and the
 restricted quadratic forms are elementwise vector arithmetic on those
 entries; only solve (section minimum), eigvalsh (section ellipses) and det
 (Grassmann average) stay batched LAPACK calls.
@@ -37,11 +44,14 @@ The hyperbolic plane space (eps < 0) is not sampled: its isometry group is
 noncompact and no canonical finite window exists; those formulas are verified
 through closed-form geodesic balls and the mutual consistency checks instead.
 
-RNG discipline: `_chunk_sums` splits the N samples into fixed-size chunks,
-draws each chunk from its own counter-based Philox stream and adds the
-per-chunk sums in chunk order, so estimates depend only on (seed, N), not on
-scheduling.  Hit counts become a binomial estimate, sums of values and of
-their squares (about a fixed shift) a sample-moment estimate.
+RNG discipline: `_chunk_sums` splits the N samples into SAMPLE_CHUNK-sized
+chunks, draws each chunk from its own counter-based Philox stream and adds
+the per-chunk sums in chunk order, so estimates depend only on (seed, N), not
+on scheduling.  Within a chunk the draws come in a fixed order: the real
+Gaussian block (m, rows, cols), the imaginary block, then for flat planes the
+anchor normals (m, 2(n - r)) and the uniforms (m).  Hit counts become a
+binomial estimate, sums of values and of their squares (about a fixed shift)
+a sample-moment estimate.
 """
 
 from __future__ import annotations
@@ -74,8 +84,8 @@ __all__ = [
     "thread_count",
 ]
 
-SAMPLE_CHUNK = 1 << 16
-QR_BLOCK = 1 << 13
+SAMPLE_CHUNK = 1 << 16  # planes per chunk: one RNG stream, one thread-pool task
+QR_BLOCK = 1 << 13  # planes per slice of a chunk's computation
 ANGLE_BLOCK = 16
 WINDOW_MARGIN = 1.01
 
@@ -180,23 +190,31 @@ class Calibration:
 # ---------------------------------------------------------------------------
 
 
-def _haar_frames(rng: np.random.Generator, m: int, rows: int, cols: int) -> np.ndarray:
-    """m Haar-random complex frames, batch-last: Q of (m, rows, cols) complex Gaussians.
+def _slices(m: int):
+    """The QR_BLOCK-plane slices of a chunk of m planes, in plane order.
 
-    The result has shape (rows, cols, m): each matrix entry is one length-m
-    vector.  The chunk's draws come first; the QR then runs on QR_BLOCK
-    matrices at a time, whose working set stays in cache.
-    """
-    re = rng.standard_normal((m, rows, cols))
-    im = rng.standard_normal((m, rows, cols))
-    Q = np.empty((rows, cols, m), dtype=complex)
-    for lo in range(0, m, QR_BLOCK):
-        block = slice(lo, lo + QR_BLOCK)
-        A = np.empty((rows, cols, min(QR_BLOCK, m - lo)), dtype=complex)
-        A.real = re[block].transpose(1, 2, 0)
-        A.imag = im[block].transpose(1, 2, 0)
-        Q[..., block] = _householder_q(A)
-    return Q
+    Every estimator draws its chunk first and then computes on these slices,
+    so each slice's working set stays in cache."""
+    return (slice(lo, min(lo + QR_BLOCK, m)) for lo in range(0, m, QR_BLOCK))
+
+
+def _frame_draws(
+    rng: np.random.Generator, m: int, rows: int, cols: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """A chunk's frame draws: the real, then the imaginary (m, rows, cols) Gaussian block."""
+    return rng.standard_normal((m, rows, cols)), rng.standard_normal((m, rows, cols))
+
+
+def _frames(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """Haar-random complex frames of one slice of draws, batch-last: Q of re + i im.
+
+    re and im are (k, rows, cols); the result has shape (rows, cols, k), each
+    matrix entry one length-k vector."""
+    k, rows, cols = re.shape
+    A = np.empty((rows, cols, k), dtype=complex)
+    A.real = re.transpose(1, 2, 0)
+    A.imag = im.transpose(1, 2, 0)
+    return _householder_q(A)
 
 
 def _householder_q(A: np.ndarray) -> np.ndarray:
@@ -259,11 +277,11 @@ def _restricted_form(A: np.ndarray, Vr: np.ndarray) -> Tuple[np.ndarray, np.ndar
     return np.stack([(Vr[:, s, None] * AV).sum(axis=0) for s in range(k)]), AV
 
 
-def _uniform_ball(rng: np.random.Generator, m: int, dim: int, radius: float) -> np.ndarray:
-    """m points uniform in the radius ball of R^dim, batch-last: (dim, m)."""
-    g = np.ascontiguousarray(rng.standard_normal((m, dim)).T)
-    u = rng.random(m) ** (1.0 / dim)
-    return g * (radius * u / np.sqrt((g * g).sum(axis=0)))
+def _uniform_ball(g: np.ndarray, u: np.ndarray, radius: float) -> np.ndarray:
+    """Points uniform in the radius ball of R^dim from normals g (k, dim) and
+    uniforms u (k), batch-last: (dim, k)."""
+    g = np.ascontiguousarray(g.T)
+    return g * (radius * u ** (1.0 / len(g)) / np.sqrt((g * g).sum(axis=0)))
 
 
 def _flat_window(shape, r: int) -> Tuple[float, float]:
@@ -272,15 +290,23 @@ def _flat_window(shape, r: int) -> Tuple[float, float]:
     return rho, ball_volume_coeff(2 * (shape.n - r)).to_float() * rho ** (2 * (shape.n - r))
 
 
-def _sample_flat_batch(
-    n: int, r: int, rho: float, rng: np.random.Generator, m: int
+def _flat_draws(rng: np.random.Generator, m: int, n: int, r: int) -> Tuple[np.ndarray, ...]:
+    """A chunk's flat-plane draws, in stream order: the frame blocks (m, n, n),
+    the anchor normals (m, 2(n-r)) and the anchor radii's uniforms (m)."""
+    return (*_frame_draws(rng, m, n, n), rng.standard_normal((m, 2 * (n - r))), rng.random(m))
+
+
+def _flat_planes(
+    draws: Tuple[np.ndarray, ...], s: slice, r: int, rho: float
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Batch of flat planes, batch-last and complex: (V (n, r, m), anchor (n, m)).
+    """Flat planes of the slice s of a chunk's draws, batch-last and complex:
+    (V (n, r, k), anchor (n, k)).
 
     The anchor is Q[:, r:] (b_0 + i b_1, b_2 + i b_3, ...) for b uniform in the
     radius-rho ball of R^{2(n-r)}: uniform in that ball of span_C(Q[:, r:])."""
-    Q = _haar_frames(rng, m, n, n)
-    b = _uniform_ball(rng, m, 2 * (n - r), rho)
+    re, im, g, u = draws
+    Q = _frames(re[s], im[s])
+    b = _uniform_ball(g[s], u[s], rho)
     anchors = (Q[:, r:] * (b[0::2] + 1j * b[1::2])).sum(axis=1)
     return Q[:, :r], anchors
 
@@ -335,15 +361,17 @@ def chi_measure_estimate(shape, r: int, N: int, seed: int) -> MCEstimate:
         rho, weight = _flat_window(shape, r)
 
         def work(rng: np.random.Generator, m: int) -> Tuple[int]:
-            V, anchors = _sample_flat_batch(n, r, rho, rng, m)
-            return (int(np.count_nonzero(_hits_flat(shape, V, anchors))),)
+            draws = _flat_draws(rng, m, n, r)
+            return (sum(int(np.count_nonzero(_hits_flat(shape, *_flat_planes(draws, s, r, rho))))
+                        for s in _slices(m)),)
 
     elif shape.eps == 1:
         weight = 1.0
 
         def work(rng: np.random.Generator, m: int) -> Tuple[int]:
-            W = _haar_frames(rng, m, n + 1, r + 1)
-            return (int(np.count_nonzero(_hits_projective(shape, W))),)
+            re, im = _frame_draws(rng, m, n + 1, r + 1)
+            return (sum(int(np.count_nonzero(_hits_projective(shape, _frames(re[s], im[s]))))
+                        for s in _slices(m)),)
 
     elif shape.eps < 0:
         raise NotImplementedError(
@@ -411,6 +439,14 @@ def _ellipse_total_curvature(alpha: np.ndarray, beta: np.ndarray, nodes: int) ->
     return total * (2 * pi / nodes)
 
 
+def _section_curvatures(M: np.ndarray, minval: np.ndarray, nodes: int) -> np.ndarray:
+    """Total curvature of the r = 1 section ellipses {s^T M s + 2 b.s + c0 <= 1}
+    of hit planes, from their forms M (2, 2, k) and minima minval (k)."""
+    evals = np.linalg.eigvalsh(M.transpose(2, 0, 1))
+    semiaxes = np.sqrt((1.0 - minval)[:, None] / evals)
+    return _ellipse_total_curvature(semiaxes[:, 1], semiaxes[:, 0], nodes)
+
+
 def total_gauss_estimate(
     ellipsoid: geom.Ellipsoid,
     r: int,
@@ -435,14 +471,16 @@ def total_gauss_estimate(
     rho, weight = _flat_window(ellipsoid, r)
 
     def work(rng: np.random.Generator, m: int) -> Tuple[int, float, float]:
-        V, anchors = _sample_flat_batch(n, r, rho, rng, m)
-        hit, M, minval = _ellipsoid_section(ellipsoid.quadric, V, anchors)
-        if r > 1 or not np.any(hit):
-            return int(hit.sum()), 0.0, 0.0
-        evals = np.linalg.eigvalsh(M[:, :, hit].transpose(2, 0, 1))
-        semiaxes = np.sqrt((1.0 - minval[hit])[:, None] / evals)
-        vals = _ellipse_total_curvature(semiaxes[:, 1], semiaxes[:, 0], nodes)
-        return int(hit.sum()), float(vals.sum()), float((vals**2).sum())
+        draws = _flat_draws(rng, m, n, r)
+        hits, parts = 0, []
+        for s in _slices(m):
+            hit, M, minval = _ellipsoid_section(ellipsoid.quadric, *_flat_planes(draws, s, r, rho))
+            hits += int(np.count_nonzero(hit))
+            if r == 1:
+                parts.append(_section_curvatures(M[:, :, hit], minval[hit], nodes))
+        # the chunk's values in plane order, so each sum keeps its association
+        vals = np.concatenate(parts) if parts else np.zeros(0)
+        return hits, float(vals.sum()), float((vals**2).sum())
 
     hits, sv, sv2 = _chunk_sums(N, seed, work)
     if r == 1:
@@ -478,8 +516,12 @@ def grassmann_sigma_average(
     shift = float(np.linalg.det(hD[: 2 * r, : 2 * r]))
 
     def work(rng: np.random.Generator, m: int) -> Tuple[float, float]:
-        S, _ = _restricted_form(hD, _real_columns(_haar_frames(rng, m, n - 1, r)))
-        vals = np.linalg.det(S.transpose(2, 0, 1)) - shift
+        re, im = _frame_draws(rng, m, n - 1, r)
+        dets = []
+        for s in _slices(m):
+            S, _ = _restricted_form(hD, _real_columns(_frames(re[s], im[s])))
+            dets.append(np.linalg.det(S.transpose(2, 0, 1)))
+        vals = np.concatenate(dets) - shift
         return float(vals.sum()), float((vals**2).sum())
 
     return _moments_estimate(*_chunk_sums(N, seed, work), N, seed, shift=shift)

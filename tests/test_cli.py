@@ -1,12 +1,14 @@
 """CLI: table output, check exit codes, determinism, CSV flattening."""
 
+import csv
+import io
 import json
 from math import pi
 from pathlib import Path
 
 import pytest
 
-from croftonlab import cli, geom
+from croftonlab import cli, geom, planes
 
 
 def run_cli(args, capsys):
@@ -210,6 +212,12 @@ def test_report_embeds_config_seed_tolerance(capsys):
     assert rep["tool"] == "croftonlab"
 
 
+def _csv_rows(text):
+    header, row = csv.reader(io.StringIO(text))
+    assert len(header) == len(row)
+    return dict(zip(header, row))
+
+
 def test_csv_output_flattens_kq_keys(capsys, tmp_path):
     out_path = tmp_path / "table.csv"
     code, _ = run_cli(
@@ -218,10 +226,19 @@ def test_csv_output_flattens_kq_keys(capsys, tmp_path):
         capsys,
     )
     assert code == 0
-    header, row = out_path.read_text().strip().split("\n")
-    assert "results.table.mu:2.1" in header
-    assert "mu:2,1" not in header  # (k,q) keys flatten as "k.q"
-    assert len(header.split(",")) == len(row.split(","))
+    row = _csv_rows(out_path.read_text())
+    assert "results.table.mu:2.1" in row
+    assert "mu:2,1" not in row  # (k,q) keys flatten as "k.q"
+    # the raw --axes string holds commas: quoted, it stays one column
+    code, out = run_cli(
+        ["check", "gauss-bonnet", "--shape", "ellipsoid", "--axes", "1,1,2,2", "--level", "1",
+         "--format", "csv"],
+        capsys,
+    )
+    assert code == 0
+    row = _csv_rows(out)
+    assert row["config.axes"] == "1,1,2,2"
+    assert row["config.tol"] == "None"
 
 
 def test_output_file_json(capsys, tmp_path):
@@ -254,6 +271,36 @@ def test_coeffs_reports_match_golden_files(name, argv, capsys):
     code, out = run_cli(["coeffs"] + argv, capsys)
     assert code == 0
     assert out == (DATA / f"coeffs_{name}.json").read_text()
+
+
+# Monte Carlo reports pinned byte for byte: 70,000 samples are one full chunk
+# plus a partial chunk whose last QR_BLOCK slice is partial, so the files fix
+# the plane streams and the order of every reduction
+MC_GOLDEN = {
+    "crofton_mc_n2_r1": ["crofton-mc", "--n", "2", "--r", "1", "--level", "1"],
+    "crofton_cpn_n2_r1": ["crofton-cpn", "--n", "2", "--r", "1"],
+    "total_gauss_n2_r1": ["total-gauss", "--n", "2", "--r", "1", "--level", "1"],
+    "grassmann_pointwise_n3_r1": ["grassmann-pointwise", "--n", "3", "--r", "1"],
+}
+MC_SHAPES = {
+    "ball": geom.GeodesicBall(n=3, eps=0.0, R=1.0),
+    "axes_1_1_1_1_2_2": geom.Ellipsoid.from_axes([1, 1, 1, 1, 2, 2]),
+}
+
+
+@pytest.mark.parametrize("threads", ["1", "3"])
+def test_monte_carlo_reports_match_golden_files(threads, capsys, monkeypatch):
+    monkeypatch.setenv("CROFTONLAB_THREADS", threads)
+    for name, argv in MC_GOLDEN.items():
+        code, out = run_cli(["check", *argv, "--samples", "70000"], capsys)
+        assert code == 0
+        assert out == (DATA / f"mc_{name}.json").read_text(), name
+    estimates = {}
+    for name, shape in MC_SHAPES.items():
+        for r in (1, 2):
+            est = planes.chi_measure_estimate(shape, r, 70000, 5)
+            estimates[f"{name}_r{r}"] = {"mean": repr(est.mean), "stderr": repr(est.stderr)}
+    assert estimates == json.loads((DATA / "mc_chi_estimates_n3.json").read_text())
 
 
 def test_gauss_bonnet_normalizes_by_the_shapes_own_dimension(capsys):
@@ -334,6 +381,9 @@ def test_samples_and_threads_only_checked_for_check(capsys, monkeypatch):
          "--closed-form"),
         (["check", "crofton-mc", "--n", "4"], "--n"),
         (["check", "total-gauss", "--n", "4"], "--n"),
+        (["coeffs", "--identities", "--max-n", "0"], "--max-n"),
+        (["coeffs", "--identities", "--max-n", "1"], "--max-n"),
+        (["coeffs", "--identities", "--max-n", "-3"], "--max-n"),
     ],
 )
 def test_bad_flag_values_are_parser_errors(argv, flag, capsys):

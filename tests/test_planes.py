@@ -3,7 +3,8 @@
 Monte Carlo assertions use fixed seeds and 3 sigma gates (sharper where the
 statistic is exact); the heavy 1e6-sample runs live in the acceptance suite.
 Sampled frames and anchors are batch-last: frames (rows, cols, m), complex
-anchors (n, m).
+anchors (n, m).  They are computed as the estimators compute them: a chunk's
+draws first, then the QR_BLOCK-plane slices.
 """
 
 from math import pi, sqrt
@@ -21,6 +22,19 @@ from helpers import realify_complex_columns
 UNIT_BALL = geom.Ellipsoid.from_axes([1, 1, 1, 1])
 
 
+def _sampled_frames(rng, m, rows, cols):
+    """m Haar frames (rows, cols, m): the chunk's draws, then the QR slice by slice."""
+    re, im = planes._frame_draws(rng, m, rows, cols)
+    return np.concatenate([planes._frames(re[s], im[s]) for s in planes._slices(m)], axis=-1)
+
+
+def _sampled_flat(n, r, rho, rng, m):
+    """m flat planes (V (n, r, m), anchors (n, m)): the chunk's draws, then slices."""
+    draws = planes._flat_draws(rng, m, n, r)
+    V, anchors = zip(*(planes._flat_planes(draws, s, r, rho) for s in planes._slices(m)))
+    return np.concatenate(V, axis=-1), np.concatenate(anchors, axis=-1)
+
+
 # ---------------------------------------------------------------------------
 # Sampling distributions
 # ---------------------------------------------------------------------------
@@ -28,7 +42,7 @@ UNIT_BALL = geom.Ellipsoid.from_axes([1, 1, 1, 1])
 
 def test_haar_line_moment():
     rng = planes._chunk_rng(1, 0)
-    V = planes._haar_frames(rng, 100000, 2, 2)
+    V = _sampled_frames(rng, 100000, 2, 2)
     m = np.abs(V[0, 0]) ** 2
     sd = m.std() / sqrt(len(m))
     assert abs(m.mean() - 0.5) < 3 * sd
@@ -37,7 +51,7 @@ def test_haar_line_moment():
 def test_anchor_uniform_ball_moment():
     rho, d = 1.5, 2  # n=2, r=1: complement has real dimension 2
     rng = planes._chunk_rng(2, 0)
-    _, anchors = planes._sample_flat_batch(2, 1, rho, rng, 100000)
+    _, anchors = _sampled_flat(2, 1, rho, rng, 100000)
     nn = (np.abs(anchors) ** 2).sum(axis=0)
     sd = nn.std() / sqrt(len(nn))
     assert abs(nn.mean() - rho**2 * d / (d + 2)) < 3 * sd
@@ -45,9 +59,28 @@ def test_anchor_uniform_ball_moment():
 
 def test_anchor_orthogonal_to_plane():
     rng = planes._chunk_rng(3, 0)
-    V, anchors = planes._sample_flat_batch(3, 1, 2.0, rng, 1000)
+    V, anchors = _sampled_flat(3, 1, 2.0, rng, 1000)
     dots = np.einsum("irm,im->rm", V.conj(), anchors)  # complex, so J-orthogonal too
     assert np.max(np.abs(dots)) < 1e-12
+
+
+@pytest.mark.parametrize("m", [1, planes.QR_BLOCK, planes.QR_BLOCK + 1, 70000 - planes.SAMPLE_CHUNK,
+                               planes.SAMPLE_CHUNK])
+def test_slices_cover_a_chunk_in_plane_order(m):
+    slices = list(planes._slices(m))
+    assert np.array_equal(np.concatenate([np.arange(m)[s] for s in slices]), np.arange(m))
+    assert all(0 < s.stop - s.start <= planes.QR_BLOCK for s in slices)
+
+
+def test_sliced_planes_equal_whole_chunk_planes():
+    # per-plane arithmetic does not depend on the slice a plane falls in, so
+    # slicing keeps every plane bit for bit
+    m = planes.QR_BLOCK + 123
+    draws = planes._flat_draws(planes._chunk_rng(14, 0), m, 3, 1)
+    whole = planes._flat_planes(draws, slice(0, m), 1, 2.0)
+    sliced = _sampled_flat(3, 1, 2.0, planes._chunk_rng(14, 0), m)
+    for got, want in zip(sliced, whole):
+        assert np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------
@@ -69,7 +102,7 @@ def _lapack_frames(rng, m, rows, cols):
 def test_haar_frames_equal_lapack_qr(rows, cols):
     # flat (n, n), projective (n+1, r+1) and Grassmann (n-1, r) frames; the
     # sign convention fixes every column, so columns agree, not just spans
-    Q = planes._haar_frames(planes._chunk_rng(11, 0), ORACLE_PLANES, rows, cols)
+    Q = _sampled_frames(planes._chunk_rng(11, 0), ORACLE_PLANES, rows, cols)
     want = _lapack_frames(planes._chunk_rng(11, 0), ORACLE_PLANES, rows, cols)
     assert Q.shape == (rows, cols, ORACLE_PLANES)
     assert np.max(np.abs(Q.transpose(2, 0, 1) - want)) <= 1e-12
@@ -124,7 +157,7 @@ FLAT_ORACLE_SHAPES = {
 def test_flat_hits_equal_the_einsum_oracle(n, r, kind):
     shape = FLAT_ORACLE_SHAPES[kind](n)
     rho = 1.5 * shape.circum_radius  # wider than the estimators' window: more misses
-    V, anchors = planes._sample_flat_batch(n, r, rho, planes._chunk_rng(12, 0), ORACLE_PLANES)
+    V, anchors = _sampled_flat(n, r, rho, planes._chunk_rng(12, 0), ORACLE_PLANES)
     want = _einsum_hits_flat(
         shape, *_einsum_flat_batch(n, r, rho, planes._chunk_rng(12, 0), ORACLE_PLANES)
     )
@@ -135,7 +168,7 @@ def test_flat_hits_equal_the_einsum_oracle(n, r, kind):
 @pytest.mark.parametrize("n,r", [(2, 1), (3, 1), (3, 2)])
 def test_projective_hits_equal_the_einsum_oracle(n, r):
     ball = geom.GeodesicBall(n=n, eps=1.0, R=0.6)
-    W = planes._haar_frames(planes._chunk_rng(13, 0), ORACLE_PLANES, n + 1, r + 1)
+    W = _sampled_frames(planes._chunk_rng(13, 0), ORACLE_PLANES, n + 1, r + 1)
     want = _einsum_hits_projective(
         ball, _lapack_frames(planes._chunk_rng(13, 0), ORACLE_PLANES, n + 1, r + 1)
     )
@@ -147,7 +180,7 @@ def test_unitary_invariance_of_ball_hits():
     # rotating every sample by a fixed unitary leaves the unit-ball hit mask
     # unchanged: the predicate only involves invariant distances
     rng = planes._chunk_rng(4, 0)
-    V, anchors = planes._sample_flat_batch(2, 1, 1.3, rng, 20000)
+    V, anchors = _sampled_flat(2, 1, 1.3, rng, 20000)
     ball = geom.GeodesicBall(n=2, eps=0.0, R=1.0)
     base = planes._hits_flat(ball, V, anchors)
     z = np.random.default_rng(0).standard_normal((2, 2)) + 1j * np.random.default_rng(
@@ -165,7 +198,7 @@ def test_unitary_invariance_of_ball_hits():
 
 def test_meets_trivial_cases():
     rng = planes._chunk_rng(5, 0)
-    V, anchors = planes._sample_flat_batch(2, 1, 0.0, rng, 1)  # through the origin
+    V, anchors = _sampled_flat(2, 1, 0.0, rng, 1)  # through the origin
     assert planes._hits_flat(UNIT_BALL, V, anchors)[0]
     far = 2.0 * _unit_perp(V[:, :, 0])[:, None]
     assert not planes._hits_flat(UNIT_BALL, V, far)[0]
@@ -188,7 +221,7 @@ def test_meets_against_minimizer_oracle():
     # independent oracle: numeric minimization of the quadratic on the plane
     rng = planes._chunk_rng(6, 0)
     e = geom.Ellipsoid.from_axes([1, 1, 2, 2])
-    V, anchors = planes._sample_flat_batch(2, 1, 2.5, rng, 400)
+    V, anchors = _sampled_flat(2, 1, 2.5, rng, 400)
     got = planes._hits_flat(e, V, anchors)
     Q = e.quadric
     for i in range(400):
@@ -208,7 +241,7 @@ def test_hit_monotone_under_inclusion():
     small = geom.Ellipsoid.from_axes([0.8, 0.7, 1.5, 1.2])
     big = geom.Ellipsoid.from_axes([1.0, 1.0, 2.0, 2.0])
     rng = planes._chunk_rng(7, 0)
-    V, anchors = planes._sample_flat_batch(2, 1, 2.5, rng, 50000)
+    V, anchors = _sampled_flat(2, 1, 2.5, rng, 50000)
     hs = planes._hits_flat(small, V, anchors)
     hb = planes._hits_flat(big, V, anchors)
     assert not np.any(hs & ~hb)
@@ -217,7 +250,7 @@ def test_hit_monotone_under_inclusion():
 def test_projective_distance_and_limits():
     ball = geom.GeodesicBall(n=2, eps=1.0, R=0.5)
     rng = planes._chunk_rng(9, 0)
-    W = planes._haar_frames(rng, 5000, 3, 2)
+    W = _sampled_frames(rng, 5000, 3, 2)
     center = np.array([1.0, 0.0, 0.0])
     proj = np.einsum("krm,k->rm", W.conj(), center)
     d = np.arccos(np.minimum(np.linalg.norm(proj, axis=0), 1.0))
@@ -251,7 +284,7 @@ def test_window_exactly_characterizes_ball_hits():
     # a centered ball is hit exactly when the anchor falls in its projection,
     # so anchors beyond the circumradius never contribute (unbiased windowing)
     rng = planes._chunk_rng(10, 0)
-    V, anchors = planes._sample_flat_batch(2, 1, 3.0, rng, 5000)
+    V, anchors = _sampled_flat(2, 1, 3.0, rng, 5000)
     ball = geom.GeodesicBall(n=2, eps=0.0, R=0.35)
     hits = planes._hits_flat(ball, V, anchors)
     inside = np.linalg.norm(anchors, axis=0) <= 0.35 * (1 + 1e-12)
