@@ -64,8 +64,11 @@ def identities(max_n: int) -> dict:
     eps-graded cancellation identity (1 <= r < n); epsIndependence: every
     eps-graded term of the varied bracket cancels (1 <= r <= n, r = n being
     Gauss-Bonnet); normalizations: `sphere_volume_coeff(m)` against the
-    closed form of O_m (m < 2 max_n).
+    closed form of O_m (m < 2 max_n).  Below max_n = 2 the suite would check
+    O_1 alone, or nothing, and pass vacuously, so it raises ValueError.
     """
+    if max_n < 2:
+        raise ValueError(f"the identity suite needs max_n >= 2, got {max_n}")
     results = {"solver": {}, "cancellation": {}, "epsIndependence": {}, "normalizations": {}}
     for n in range(2, max_n + 1):
         for r in range(1, n):

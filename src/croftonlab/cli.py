@@ -291,7 +291,7 @@ def _validate(parser: argparse.ArgumentParser, args) -> None:
         # the tables read --n, --crofton and --total-gauss also --r
         if not args.identities and args.n < 1:
             parser.error(f"argument --n: must be an integer >= 1, got {args.n}")
-        # below 2 the suite would check O_1 alone, or nothing, and still pass
+        # below 2 the suite has nothing to check (checks.identities raises)
         if args.identities and args.max_n < 2:
             parser.error(f"argument --max-n: must be an integer >= 2, got {args.max_n}")
         n, reads_r = args.n, args.crofton or args.total_gauss

@@ -15,13 +15,25 @@ coframe through the second fundamental form h:
 Densities are coefficients of the ordered top form a_{1bar}^a_2^a_{2bar}^...^a_{nbar}.
 Multivectors are sparse maps bitmask -> coefficient; coefficients may be numpy
 arrays so a fixed polynomial evaluates over a whole batch of h matrices at once.
+
+`build_pullbacks` reads the two-form coefficients off the upper triangle of
+antisymmetric coefficient matrices with index arrays, one contiguous row per
+coframe pair.  `densities` evaluates any set of (kind, k, q) densities from one
+`PullbackForms`: each power theta_i^e is built once, the prefixes
+v ^ theta_0^a and (v ^ theta_0^a) ^ theta_1^b are shared by every key that
+needs them, and the last factor theta_2^c enters only through the top
+coefficient, a contraction sum_mask +-X[mask] Y[top ^ mask].  The association
+((v ^ theta_0^a) ^ theta_1^b) ^ theta_2^c and the summation order of
+`MultiVector.wedge` are those of the plain chain of wedges, so the values are
+bit-identical to it.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -33,7 +45,7 @@ __all__ = [
     "MultiVector",
     "PullbackForms",
     "build_pullbacks",
-    "density_from_forms",
+    "densities",
     "density_beta",
     "density_gamma",
     "permutation_oracle",
@@ -41,6 +53,7 @@ __all__ = [
 ]
 
 
+@functools.lru_cache(maxsize=None)
 def merge_sign(a: int, b: int) -> int:
     """Sign of reordering the concatenation of two disjoint index sets.
 
@@ -73,14 +86,25 @@ class MultiVector:
         return cls(d, {0: value})
 
     def wedge(self, other: "MultiVector") -> "MultiVector":
+        """Products in the order of self's terms, then other's; each output
+        coefficient sums its terms left to right.  Every stored coefficient is
+        a fresh product, so the sums run in place (x - p is x + (-p) exactly)."""
         out: Dict[int, Coeff] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 if m1 & m2:
                     continue
                 m = m1 | m2
-                term = c1 * c2 if merge_sign(m1, m2) > 0 else -(c1 * c2)
-                out[m] = out[m] + term if m in out else term
+                p = c1 * c2
+                if merge_sign(m1, m2) > 0:
+                    if m in out:
+                        out[m] += p
+                    else:
+                        out[m] = p
+                elif m in out:
+                    out[m] -= p
+                else:
+                    out[m] = -p
         return MultiVector(self.d, out)
 
     def wedge_pow(self, k: int) -> "MultiVector":
@@ -122,10 +146,12 @@ def _as_batch(h: np.ndarray, n: int | None = None):
     return arr, n, single
 
 
-def _dist_slots(n: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Frame slots of e_i and Je_i for i = 2..n (slot 0 is the Hopf direction)."""
-    i = np.arange(n - 1)
-    return 2 * i + 1, 2 * i + 2
+@functools.lru_cache(maxsize=None)
+def _pairs(d: int) -> Tuple[np.ndarray, np.ndarray, List[int]]:
+    """Row and column index arrays of the strict upper triangle (row-major)
+    and the bitmask of each coframe pair."""
+    p, q = np.triu_indices(d, 1)
+    return p, q, [(1 << a) | (1 << b) for a, b in zip(p.tolist(), q.tolist())]
 
 
 @dataclass
@@ -137,50 +163,54 @@ class PullbackForms:
     theta2: MultiVector
 
 
+def _form(d: int, masks: Sequence[int], rows: np.ndarray, single: bool) -> MultiVector:
+    """Form with coefficient rows (terms, m) on `masks`, dropping all-zero rows;
+    a single point stores Python floats."""
+    keep = rows.any(axis=1).tolist()
+    coeffs = rows[:, 0].tolist() if single else rows
+    return MultiVector(d, {mask: coeffs[i] for i, mask in enumerate(masks) if keep[i]})
+
+
+def _two_form(d: int, T: np.ndarray, single: bool) -> MultiVector:
+    """The two-form with coefficient T[p, q] - T[q, p] on each pair p < q of
+    the batch-last matrices T (d, d, m)."""
+    p, q, masks = _pairs(d)
+    return _form(d, masks, T[p, q] - T[q, p], single)
+
+
 def build_pullbacks(h: np.ndarray, n: int | None = None) -> PullbackForms:
     """Pull the invariant forms back to the boundary coframe, per point.
 
     beta and theta_2 are constant, gamma and theta_1 are linear and theta_0 is
-    quadratic in the entries of h.  Batched h gives array-valued coefficients.
+    quadratic in the entries of h.  Batched h gives array-valued coefficients,
+    one contiguous row per generator or coframe pair.
     """
     arr, n, single = _as_batch(h, n)
     d = 2 * n - 1
     m = arr.shape[0]
-
-    def _c(x: np.ndarray) -> Coeff:
-        return float(x[0]) if single else x
+    H = np.ascontiguousarray(arr.transpose(1, 2, 0))  # batch-last: H[a, b] = h[:, a, b]
+    # frame slot 0 is the Hopf direction, slots 2i-3 and 2i-2 are e_i and Je_i
+    He, Hj = H[1::2], H[2::2]
 
     ones = 1.0 if single else np.ones(m)
     beta = MultiVector(d, {1 << 0: ones})
-    gamma = MultiVector(
-        d, {1 << j: _c(arr[:, 0, j]) for j in range(d) if np.any(arr[:, 0, j])}
-    )
+    gamma = _form(d, [1 << j for j in range(d)], H[0], single)
 
-    se, sj = _dist_slots(n)
-    theta2 = MultiVector(d, {(1 << int(p)) | (1 << (int(p) + 1)): ones for p in se})
+    theta2 = MultiVector(d, {(1 << p) | (1 << (p + 1)): ones for p in range(1, d, 2)})
 
-    # theta_1: antisymmetric pair coefficients T[p,q] - T[q,p] for p < q
-    T = np.zeros((m, d, d))
-    T[:, se, :] += arr[:, sj, :]
-    T[:, sj, :] -= arr[:, se, :]
-    theta1 = _two_form_from_matrix(T, d, _c)
+    # theta_1: T[e_i] = h[Je_i] and T[Je_i] = -h[e_i], paired as T[p,q] - T[q,p]
+    T = np.zeros((d, d, m))
+    T[1::2] += Hj
+    T[2::2] -= He
+    theta1 = _two_form(d, T, single)
 
-    # theta_0: A[j,l] = sum_i h[e_i, j] h[Je_i, l]
-    A = np.einsum("mij,mil->mjl", arr[:, se, :], arr[:, sj, :])
-    theta0 = _two_form_from_matrix(A, d, _c)
+    # theta_0: A[j,l] = sum_i h[e_i, j] h[Je_i, l], summed from zero in order of i
+    A = np.zeros((d, d, m))
+    for i in range(n - 1):
+        A += He[i][:, None] * Hj[i][None, :]
+    theta0 = _two_form(d, A, single)
 
     return PullbackForms(beta=beta, gamma=gamma, theta0=theta0, theta1=theta1, theta2=theta2)
-
-
-def _two_form_from_matrix(T: np.ndarray, d: int, conv) -> MultiVector:
-    terms: Dict[int, Coeff] = {}
-    anti = T - np.swapaxes(T, 1, 2)
-    for p in range(d):
-        for q in range(p + 1, d):
-            c = anti[:, p, q]
-            if np.any(c):
-                terms[(1 << p) | (1 << q)] = conv(c)
-    return MultiVector(d, terms)
 
 
 def _check_beta_index(n: int, k: int, q: int) -> None:
@@ -193,44 +223,126 @@ def _check_gamma_index(n: int, k: int, q: int) -> None:
         raise IndexRangeError(f"gamma density undefined for n={n}, k={k}, q={q}")
 
 
-def density_from_forms(forms: PullbackForms, kind: str, n: int, k: int, q: int) -> Coeff:
-    """Top-form coefficient of the (k, q) density from built pullback forms.
+def _exponents(kind: str, n: int, k: int, q: int) -> Tuple[int, int, int]:
+    """Powers (a, b, c) of theta_0, theta_1, theta_2 in the (k, q) density."""
+    if kind == "beta":
+        return n - k + q, k - 2 * q - 1, q
+    return n - k + q - 1, k - 2 * q, q
+
+
+def _top_of_wedge(x: MultiVector, y: MultiVector) -> Coeff:
+    """Top coefficient of x ^ y: the terms `MultiVector.wedge` would add to the
+    top mask, in its order."""
+    top = (1 << x.d) - 1
+    total = None
+    for m1, c1 in x.terms.items():
+        m2 = top ^ m1
+        c2 = y.terms.get(m2)
+        if c2 is None:
+            continue
+        p = c1 * c2
+        if merge_sign(m1, m2) > 0:
+            if total is None:
+                total = p
+            else:
+                total += p
+        elif total is None:
+            total = -p
+        else:
+            total -= p
+    return 0.0 if total is None else total
+
+
+DENSITY_BLOCK = 1 << 14  # points per evaluation block of `densities`
+
+
+def densities(forms: PullbackForms, keys: Sequence[Tuple[str, int, int]]) -> List[Coeff]:
+    """Top-form coefficients of the densities `keys` = [(kind, k, q), ...].
 
     kind "beta":  beta ^ theta_0^{n-k+q} ^ theta_1^{k-2q-1} ^ theta_2^q;
     kind "gamma": gamma ^ theta_0^{n-k+q-1} ^ theta_1^{k-2q} ^ theta_2^q.
+    Batches run in blocks of DENSITY_BLOCK points, whose powers stay small;
+    every coefficient is elementwise in the points and a block keeps the
+    batch's terms, so the concatenated blocks equal the whole batch's values.
     The index range is the caller's to check.
     """
-    if kind == "beta":
-        w, exps = forms.beta, (n - k + q, k - 2 * q - 1, q)
-    else:
-        w, exps = forms.gamma, (n - k + q - 1, k - 2 * q, q)
-    for theta, e in zip((forms.theta0, forms.theta1, forms.theta2), exps):
-        w = w.wedge(theta.wedge_pow(e))
-    return w.top_coefficient()
+    m = np.size(forms.beta.terms[1])  # beta = a_{1bar}, coefficient 1 at every point
+    if m <= DENSITY_BLOCK:
+        return _block_densities(forms, keys)
+    blocks = [_block_densities(_points(forms, slice(s, s + DENSITY_BLOCK)), keys)
+              for s in range(0, m, DENSITY_BLOCK)]
+    return [np.concatenate(v) if isinstance(v[0], np.ndarray) else v[0] for v in zip(*blocks)]
+
+
+def _points(forms: PullbackForms, s: slice) -> PullbackForms:
+    """The forms of a batch restricted to the points s, with the same terms."""
+    def cut(x: MultiVector) -> MultiVector:
+        return MultiVector(x.d, {mask: c[s] for mask, c in x.terms.items()})
+    return PullbackForms(cut(forms.beta), cut(forms.gamma), cut(forms.theta0),
+                         cut(forms.theta1), cut(forms.theta2))
+
+
+def _block_densities(forms: PullbackForms, keys: Sequence[Tuple[str, int, int]]) -> List[Coeff]:
+    """`densities` on one block.  Keys run grouped by (kind, a, b), so only the
+    current prefixes are held; each theta_i^e is built once."""
+    d = forms.theta2.d
+    n = (d + 1) // 2
+    thetas = (forms.theta0, forms.theta1, forms.theta2)
+    powers: Dict[Tuple[int, int], MultiVector] = {}
+
+    def power(i: int, e: int) -> MultiVector:
+        if (i, e) not in powers:
+            powers[(i, e)] = thetas[i].wedge_pow(e)
+        return powers[(i, e)]
+
+    def times_power(x: MultiVector, i: int, e: int) -> MultiVector:
+        # theta^0 is the scalar 1, and x * 1.0 is x exactly
+        return x if e == 0 else x.wedge(power(i, e))
+
+    exps = {(kind, k, q): _exponents(kind, n, k, q) for kind, k, q in keys}
+    out: Dict[Tuple[str, int, int], Coeff] = {}
+    group_a = group_ab = None
+    for key in sorted(exps, key=lambda key: (key[0], exps[key])):
+        kind = key[0]
+        a, b, c = exps[key]
+        if group_a != (kind, a):
+            group_a, group_ab = (kind, a), None
+            xa = times_power(forms.beta if kind == "beta" else forms.gamma, 0, a)
+        if group_ab != (kind, a, b):
+            group_ab = (kind, a, b)
+            xab = times_power(xa, 1, b)
+        out[key] = _top_of_wedge(xab, power(2, c))
+    return [out[key] for key in keys]
 
 
 def density_beta(n: int, k: int, q: int, h: np.ndarray) -> Coeff:
-    """The beta density of `density_from_forms` at h.
+    """The beta density of `densities` at h.
 
     The caller applies the normalization c_{n,k,q}; the result is a polynomial
     of degree 2n-k-1 in the entries of h.
     """
     _check_beta_index(n, k, q)
-    return density_from_forms(build_pullbacks(h, n), "beta", n, k, q)
+    return densities(build_pullbacks(h, n), [("beta", k, q)])[0]
 
 
 def density_gamma(n: int, k: int, q: int, h: np.ndarray) -> Coeff:
-    """The gamma density of `density_from_forms` at h.
+    """The gamma density of `densities` at h.
 
     The caller applies the normalization c_{n,k,q}/2.
     """
     _check_gamma_index(n, k, q)
-    return density_from_forms(build_pullbacks(h, n), "gamma", n, k, q)
+    return densities(build_pullbacks(h, n), [("gamma", k, q)])[0]
 
 
 # ---------------------------------------------------------------------------
 # Independent oracle: Leibniz expansion over permutations
 # ---------------------------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def _signed_permutations(d: int) -> Tuple[Tuple[Tuple[int, ...], int], ...]:
+    """Every permutation of range(d) with its sign, in lexicographic order."""
+    return tuple((perm, _perm_sign(perm)) for perm in itertools.permutations(range(d)))
 
 
 def _perm_sign(perm: Sequence[int]) -> int:
@@ -276,7 +388,8 @@ def permutation_oracle(kind: str, n: int, k: int, q: int, h: np.ndarray) -> floa
     """Evaluate the same density by explicit Leibniz expansion over permutations.
 
     Cost grows as (2n-1)!; restricted to n <= 3.  Shares no code with the
-    bitmask engine.
+    bitmask engine.  The loop indexes Python-float copies of the vector and
+    the matrices; the products are the same doubles as numpy's.
     """
     if n > 3:
         raise ValueError("permutation oracle limited to n <= 3")
@@ -284,29 +397,27 @@ def permutation_oracle(kind: str, n: int, k: int, q: int, h: np.ndarray) -> floa
     d = 2 * n - 1
     if kind == "beta":
         _check_beta_index(n, k, q)
-        vec = np.zeros(d)
-        vec[0] = 1.0
+        vec = [1.0] + [0.0] * (d - 1)
         exps = (n - k + q, k - 2 * q - 1, q)
     elif kind == "gamma":
         _check_gamma_index(n, k, q)
-        vec = h[0, :].copy()
+        vec = h[0, :].tolist()
         exps = (n - k + q - 1, k - 2 * q, q)
     else:
         raise ValueError("kind must be 'beta' or 'gamma'")
-    t0, t1, t2 = _oracle_two_forms(n, h)
+    t0, t1, t2 = (t.tolist() for t in _oracle_two_forms(n, h))
     mats = [t0] * exps[0] + [t1] * exps[1] + [t2] * exps[2]
     total = 0.0
-    for perm in itertools.permutations(range(d)):
+    for perm, sign in _signed_permutations(d):
         v = vec[perm[0]]
         if v == 0.0:
             continue
         p = v
         for t, M in enumerate(mats):
-            p *= M[perm[1 + 2 * t], perm[2 + 2 * t]]
+            p *= M[perm[1 + 2 * t]][perm[2 + 2 * t]]
             if p == 0.0:
                 break
         else:
-            total += _perm_sign(perm) * p
-            continue
+            total += sign * p
     return total / 2 ** len(mats)
 

@@ -191,9 +191,9 @@ def hermitian_volumes(
 
     bkeys = beta_indices(n)
     gkeys = gamma_indices(n)
+    keys = [("beta", k, q) for (k, q) in bkeys] + [("gamma", k, q) for (k, q) in gkeys]
     d = 2 * n - 1
-    b_parts = {key: [] for key in bkeys}
-    g_parts = {key: [] for key in gkeys}
+    parts = {key: [] for key in keys}
     m_parts = [[] for _ in range(d + 1)]
     for chunk in cloud.chunks(QUADRATURE_CHUNK):
         w = chunk.weights
@@ -205,21 +205,18 @@ def hermitian_volumes(
             m_parts[j].append(pairwise_sum(w * esp[j]))
         del esp
         forms = extalg.build_pullbacks(chunk.h, n)
-        for (k, q) in bkeys:
-            dens = extalg.density_from_forms(forms, "beta", n, k, q)
-            b_parts[(k, q)].append(pairwise_sum(w * dens))
-        for (k, q) in gkeys:
-            dens = extalg.density_from_forms(forms, "gamma", n, k, q)
-            g_parts[(k, q)].append(pairwise_sum(w * dens))
+        for key, dens in zip(keys, extalg.densities(forms, keys)):
+            parts[key].append(pairwise_sum(w * dens))
         del forms
 
+    total = {key: pairwise_sum(np.array(p)) for key, p in parts.items()}
     B = {
-        key: form_norm_coeff(n, *key).to_float() * pairwise_sum(np.array(parts))
-        for key, parts in b_parts.items()
+        (k, q): form_norm_coeff(n, k, q).to_float() * total[("beta", k, q)]
+        for (k, q) in bkeys
     }
     Gamma = {
-        key: 0.5 * form_norm_coeff(n, *key).to_float() * pairwise_sum(np.array(parts))
-        for key, parts in g_parts.items()
+        (k, q): 0.5 * form_norm_coeff(n, k, q).to_float() * total[("gamma", k, q)]
+        for (k, q) in gkeys
     }
     M = {
         j: pairwise_sum(np.array(m_parts[j])) / comb(d, j)

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from croftonlab import cli, geom, planes
+from croftonlab import checks, cli, geom, planes
 
 
 def run_cli(args, capsys):
@@ -48,6 +48,13 @@ def test_coeffs_identities(capsys):
     rep = json.loads(out)
     assert rep["pass"] is True
     assert rep["results"]["solver"]["3,2"] is True
+
+
+@pytest.mark.parametrize("max_n", [1, 0, -3])
+def test_identity_suite_refuses_a_vacuous_range(max_n):
+    # below 2 there is no (n, r) to check: raising beats a vacuous pass
+    with pytest.raises(ValueError, match="max_n >= 2"):
+        checks.identities(max_n)
 
 
 def test_volumes_closed_form(capsys):

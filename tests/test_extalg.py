@@ -1,4 +1,4 @@
-"""Exterior-algebra engine vs the permutation oracle and closed forms."""
+"""Exterior-algebra engine vs the full wedge chain, the permutation oracle and closed forms."""
 
 from math import factorial
 
@@ -98,9 +98,98 @@ def test_zero_sff_pullbacks():
     assert f.beta.terms == {1: 1.0}
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_index_array_two_forms_match_the_loop_oracle(n):
+    rng = np.random.default_rng(29 + n)
+    d = 2 * n - 1
+    hs = rng.standard_normal((4, d, d))
+    hs = (hs + np.swapaxes(hs, 1, 2)) / 2
+    batched = ea.build_pullbacks(hs, n)
+    pairs = [(p, q) for p in range(d) for q in range(p + 1, d)]
+    masks = {(1 << p) | (1 << q) for p, q in pairs}
+    for i, h in enumerate(hs):
+        single = ea.build_pullbacks(h, n)
+        oracle = ea._oracle_two_forms(n, h)
+        for name, mat in zip(("theta0", "theta1", "theta2"), oracle):
+            assert all(type(c) is float for c in getattr(single, name).terms.values())
+            assert set(getattr(batched, name).terms) <= masks
+            for p, q in pairs:
+                mask = (1 << p) | (1 << q)
+                want = mat[p, q]
+                got_b = np.asarray(getattr(batched, name).coefficient(mask))
+                got_b = got_b[i] if got_b.ndim else got_b
+                for got in (got_b, getattr(single, name).coefficient(mask)):
+                    assert abs(got - want) <= 1e-14 * max(1.0, abs(want)), (name, p, q)
+
+
 # ---------------------------------------------------------------------------
-# Densities vs oracle
+# Densities vs the full wedge chain and the oracle
 # ---------------------------------------------------------------------------
+
+
+def _chain_density(forms, kind, n, k, q):
+    """The (k, q) density as a chain of full wedges read at the top form."""
+    if kind == "beta":
+        w, exps = forms.beta, (n - k + q, k - 2 * q - 1, q)
+    else:
+        w, exps = forms.gamma, (n - k + q - 1, k - 2 * q, q)
+    for theta, e in zip((forms.theta0, forms.theta1, forms.theta2), exps):
+        w = w.wedge(theta.wedge_pow(e))
+    return w.top_coefficient()
+
+
+def _all_keys(n):
+    return ([("beta", k, q) for (k, q) in cc.beta_indices(n)]
+            + [("gamma", k, q) for (k, q) in cc.gamma_indices(n)])
+
+
+def _bits(x):
+    return type(x), np.shape(x), np.asarray(x, dtype=float).tobytes()
+
+
+def _sff_cases(rng, n):
+    d = 2 * n - 1
+    hs = rng.standard_normal((5, d, d))
+    hs = (hs + np.swapaxes(hs, 1, 2)) / 2
+    hopf = hs.copy()
+    hopf[:, 0, :] = 0.0
+    hopf[:, :, 0] = 0.0
+    diag = np.array([np.diag(rng.random(d) + 0.2) for _ in range(3)])
+    zero = np.zeros((3, d, d))
+    return {"batched": hs, "single": hs[0], "zero": zero, "zero single": zero[0],
+            "diagonal": diag, "diagonal single": diag[0], "no Hopf row": hopf,
+            "no Hopf row single": hopf[0]}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_densities_equal_the_full_wedge_chain_bit_for_bit(n):
+    # one evaluator call for every key shares powers and prefixes and reads
+    # the last wedge as a contraction; the values must not move by one ulp
+    keys = _all_keys(n)
+    for name, h in _sff_cases(np.random.default_rng(31 + n), n).items():
+        forms = ea.build_pullbacks(h, n)
+        got = ea.densities(forms, keys)
+        for key, value in zip(keys, got):
+            want = _chain_density(forms, key[0], n, key[1], key[2])
+            assert _bits(value) == _bits(want), (name, key)
+        for key, value in zip(keys, got):
+            one = (ea.density_beta if key[0] == "beta" else ea.density_gamma)(n, *key[1:], h)
+            assert _bits(one) == _bits(value), (name, key)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_blocked_densities_equal_the_whole_batch(n, monkeypatch):
+    # blocks of 2 points, the last one partial, give the whole batch's bits;
+    # without a Hopf row the gamma densities are the float 0.0 in every block
+    keys = _all_keys(n)
+    cases = _sff_cases(np.random.default_rng(37 + n), n)
+    for name in ("batched", "no Hopf row", "diagonal"):
+        forms = ea.build_pullbacks(cases[name], n)
+        whole = ea.densities(forms, keys)
+        with monkeypatch.context() as mp:
+            mp.setattr(ea, "DENSITY_BLOCK", 2)
+            blocked = ea.densities(forms, keys)
+        assert [_bits(v) for v in blocked] == [_bits(v) for v in whole], name
 
 
 @pytest.mark.parametrize("n", [2, 3])

@@ -1,16 +1,19 @@
 """Valuation tables: frozen ball values, closed forms, Gauss-Bonnet residuals."""
 
+import json
 from math import factorial, pi
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from croftonlab import geom, valuations as val
+from croftonlab import geom, valuations as val, varcheck as vc
 from croftonlab.coeffcore import sphere_volume_coeff
 from helpers import realify_complex_columns
 
 
 UNIT_BALL_C2 = geom.Ellipsoid.from_axes([1, 1, 1, 1])
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def test_pairwise_sum_deterministic_and_exactish():
@@ -19,6 +22,30 @@ def test_pairwise_sum_deterministic_and_exactish():
     assert val.pairwise_sum(a) == val.pairwise_sum(a.copy())
     assert val.pairwise_sum(a) == pytest.approx(float(np.sum(a)), rel=1e-12)
     assert val.pairwise_sum(np.array([])) == 0.0
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "n2_sign_fold_1_2_2_3_L2",
+        "n3_torus_1_1_1_1_2_2_L1",
+        "n3_sign_fold_1_1_1_1_1_2_L0",
+        "n4_torus_1_1_2_2_3_3_4_4_L0",
+        "n2_tilde_1_2_2_3_L1",
+    ],
+)
+def test_tables_match_golden_files(name):
+    # every entry pinned bit for bit (as its repr); the tilde table is weighted
+    # by <Ax, N> of a coupled generator, so it runs on the full product rule
+    doc = json.loads((DATA / f"tables_{name}.json").read_text())
+    shape = geom.Ellipsoid.from_axes(doc["axes"])
+    if "generator" in doc:
+        flow = vc.LinearFlow(np.array(doc["generator"]))
+        table = vc.tilde_integrals(shape, flow, level=doc["level"])
+    else:
+        table = val.hermitian_volumes(shape, doc["level"])
+    assert table.quadrature == doc["quadrature"]
+    assert {key: repr(v) for key, v in table.to_json().items()} == doc["table"]
 
 
 def test_unit_ball_quadrature_values():
