@@ -88,8 +88,8 @@ def identities(max_n: int) -> dict:
 
 
 def _flow(shape: geom.Shape, diag: Optional[Sequence[float]]) -> varcheck.Flow:
-    """Radial flow for balls; exp(t diag) for ellipsoids (default 0.3 - 0.07 i)."""
-    if isinstance(shape, geom.GeodesicBall):
+    """Radial flow for balls (constant curvature), else exp(t diag) (default 0.3 - 0.07 i)."""
+    if shape.curvatures is not None:
         return varcheck.RadialFlow()
     if diag is None:
         diag = [0.3 - 0.07 * i for i in range(2 * shape.n)]
@@ -185,7 +185,7 @@ def variation(
     flow = _flow(shape, diag)
     operator = cc.variation_operator(shape.n)
     keys = operator.keys()
-    if isinstance(shape, geom.GeodesicBall):
+    if shape.curvatures is not None:
         tol, label = (1e-6 if tol is None else tol), "oracle"
         deriv = valuations.ball_closed_form_derivative(shape.eps, shape.n, shape.R)
         tilde = varcheck.tilde_integrals(shape, flow)
@@ -215,7 +215,7 @@ def crofton_variation(
     exp(t diag) with step 1e-3 (default tol 1e-4).  `quadrature` states the
     tilde table's rule and node count.
     """
-    ball = isinstance(shape, geom.GeodesicBall)
+    ball = shape.curvatures is not None
     tol = (1e-6 if ball else 1e-4) if tol is None else tol
     flow = _flow(shape, diag)
     tilde = varcheck.tilde_integrals(shape, flow, level=level)

@@ -176,8 +176,6 @@ def _check_level(args) -> int:
 
 
 def _ball(args) -> geom.GeodesicBall:
-    if args.n < 1:
-        raise ValueError(f"--n must be an integer >= 1, got {args.n}")
     return geom.GeodesicBall(n=args.n, eps=args.eps, R=args.R)
 
 
@@ -308,7 +306,7 @@ def _validate(parser: argparse.ArgumentParser, args) -> None:
             except ValueError as exc:
                 parser.error(f"invalid shape (--shape/--axes/--n/--eps/--R): {exc}")
             n = args.body.n
-        if what == "volumes" and args.closed_form and not isinstance(args.body, geom.GeodesicBall):
+        if what == "volumes" and args.closed_form and args.body.curvatures is None:
             parser.error("argument --closed-form: applies to geodesic balls (--shape ball)")
     if reads_r and not 1 <= args.r <= n - 1:
         parser.error(f"argument --r: need 1 <= r <= n-1, got r={args.r}, n={n}")

@@ -1,13 +1,17 @@
 """Concrete domains and their boundary geometry.
 
-Two families of test domains:
-
-  * ellipsoids in C^n (flat case only), with per-real-coordinate semiaxes or a
-    general positive quadratic form, sampled through the unit sphere with a
-    Gauss-Jacobi product rule in hyperspherical angles;
-  * geodesic balls in the space form of holomorphic curvature 4*eps, whose
-    boundary has constant principal curvatures: one value in the Hopf
-    direction JN and one on the complex distribution.
+Each domain is a `Shape` that answers what the other layers ask of it, so no
+layer outside this module tests a shape's class: its boundary quadrature
+cloud (`boundary(level, symmetry)`), which flat complex planes meet it
+(`meets`) and, for ellipsoids, their section forms (`section`), its
+principal curvatures when they are constant (`curvatures`, else None), and
+its exact transport by a linear map (`transformed`) or a radial growth
+(`grown`).  A kind that cannot answer raises ValueError.  The kinds are
+ellipsoids in C^n (flat case only), given by 2n semiaxes or a positive
+quadratic form and sampled through the unit sphere by a Gauss-Jacobi product
+rule in hyperspherical angles, and geodesic balls in the space form of
+holomorphic curvature 4*eps, whose boundary has constant principal
+curvatures: one value in the Hopf direction JN and one on the distribution.
 
 Every sampled boundary point carries the adapted frame (JN, e_2, Je_2, ...),
 the second fundamental form in that frame (inner-normal convention: the unit
@@ -51,7 +55,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import cos, cosh, factorial, pi, sin, sinh, sqrt
-from typing import Iterator, List, Tuple, Union
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -95,18 +99,63 @@ def apply_complex_structure(v: np.ndarray) -> np.ndarray:
     return out
 
 
+def _sq_norm(x: np.ndarray) -> np.ndarray:
+    """Squared Euclidean norm over the leading axis."""
+    return (x.real**2 + x.imag**2).sum(axis=0)
+
+
+def _real(z: np.ndarray) -> np.ndarray:
+    """Real coordinates (Re z_1, Im z_1, ...) along the leading axis: (n, ...) -> (2n, ...)."""
+    return np.stack([z.real, z.imag], axis=1).reshape((2 * len(z),) + z.shape[1:])
+
+
+def _real_columns(V: np.ndarray) -> np.ndarray:
+    """Real orthonormal basis of span_C(V): (n, r, m) complex -> (2n, 2r, m) real.
+
+    Column j maps to the pair (v_j, J v_j), with J as in
+    `apply_complex_structure`."""
+    n, r, m = V.shape
+    return _real(np.stack([V, 1j * V], axis=2).reshape(n, 2 * r, m))
+
+
+def _restricted_form(A: np.ndarray, Vr: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(Vr^T A Vr, A Vr) for a symmetric A and batch-last real columns Vr (d, k, m)."""
+    d, k, m = Vr.shape
+    AV = (A @ Vr.reshape(d, k * m)).reshape(d, k, m)
+    return np.stack([(Vr[:, s, None] * AV).sum(axis=0) for s in range(k)]), AV
+
+
 # ---------------------------------------------------------------------------
 # Shapes
 # ---------------------------------------------------------------------------
 
 
-class Ellipsoid:
+class Shape:
+    """A domain of dimension n in curvature 4*eps answering for its geometry (see
+    the module docstring).  The defaults below are the questions a kind may leave
+    unanswered.  Planes are batch-last and complex: V (n, r, m), anchors (n, m)."""
+
+    curvatures: Optional[Tuple[float, float]] = None
+
+    def section(self, V: np.ndarray, anchors: np.ndarray):
+        raise ValueError(f"{self!r} has no quadratic plane sections (ellipsoids only)")
+
+    def transformed(self, M: np.ndarray) -> "Shape":
+        raise ValueError(f"{self!r} is not moved by linear flows (ellipsoids only)")
+
+    def grown(self, t: float) -> "Shape":
+        raise ValueError(f"{self!r} is not moved by radial flows (geodesic balls only)")
+
+
+class Ellipsoid(Shape):
     """Solid ellipsoid {x : x^T Q x <= 1} in C^n = R^{2n} (flat case).
 
     Constructed either from 2n semiaxes (one per real coordinate, so
     non-J-invariant shapes are allowed) or from a general symmetric positive
     definite quadratic form, which linear flows produce.
     """
+
+    eps = 0.0
 
     def __init__(self, quadric: np.ndarray):
         Q = np.asarray(quadric, dtype=float)
@@ -130,10 +179,6 @@ class Ellipsoid:
         return cls(np.diag(1.0 / a**2))
 
     @property
-    def eps(self) -> float:
-        return 0.0
-
-    @property
     def circum_radius(self) -> float:
         return 1.0 / sqrt(np.linalg.eigvalsh(self.quadric)[0])
 
@@ -147,12 +192,59 @@ class Ellipsoid:
         Minv = np.linalg.inv(np.asarray(M, dtype=float))
         return Ellipsoid(Minv.T @ self.quadric @ Minv)
 
+    def boundary(self, level: int, symmetry: str) -> "BoundaryCloud":
+        """x = B u on the unit sphere (B = Q^{-1/2}, area factor det(B) |B^{-1} u|)
+        with the level-set shape operator, on the rule of the smaller of
+        `symmetry` and `symmetry_group(Q)`."""
+        Q = self.quadric
+        n = self.n
+        evals, evecs = np.linalg.eigh(Q)
+        B = evecs @ np.diag(evals**-0.5) @ evecs.T
+        Binv = evecs @ np.diag(evals**0.5) @ evecs.T
+        detB = float(np.prod(evals**-0.5))
+
+        group = min(symmetry, symmetry_group(Q), key=SYMMETRIES.index)
+        if group == "torus":
+            u, w = torus_orbit_grid(n, level)
+        else:
+            u, w = sphere_grid(2 * n, level, fold=group == "sign")
+        x = u @ B.T
+        Qx = x @ Q.T
+        gradnorm = np.linalg.norm(Qx, axis=1)
+        normals = Qx / gradnorm[:, None]
+        area_factor = detB * np.linalg.norm(u @ Binv.T, axis=1)
+        weights = w * area_factor
+
+        frames = _adapted_frames(normals)
+        h = np.einsum("mai,ij,mbj->mab", frames, Q, frames, optimize=True) / gradnorm[:, None, None]
+        h = (h + np.swapaxes(h, 1, 2)) / 2
+        return BoundaryCloud(n, x, normals, frames, h, weights, _RULES[group])
+
+    def section(self, V: np.ndarray, anchors: np.ndarray) -> Tuple[np.ndarray, ...]:
+        """(hit, M, minval) of x^T Q x restricted to each plane anchor + span_C(V).
+
+        In real coordinates s on the plane the form is s^T M s + 2 b.s + c0 with
+        minimum minval; the plane meets the ellipsoid x^T Q x <= 1 iff minval <= 1.
+        M is batch-last, (2r, 2r, m).
+        """
+        Q = self.quadric
+        a = _real(anchors)
+        M, QV = _restricted_form(Q, _real_columns(V))
+        b = (QV * a[:, None]).sum(axis=0)
+        c0 = (a * (Q @ a)).sum(axis=0)
+        sol = np.linalg.solve(M.transpose(2, 0, 1), b.T[..., None])[..., 0]
+        minval = c0 - (b * sol.T).sum(axis=0)
+        return minval <= 1.0 + 1e-12, M, minval
+
+    def meets(self, V: np.ndarray, anchors: np.ndarray) -> np.ndarray:
+        return self.section(V, anchors)[0]
+
     def __repr__(self) -> str:
         return f"Ellipsoid(n={self.n})"
 
 
 @dataclass(frozen=True)
-class GeodesicBall:
+class GeodesicBall(Shape):
     """Geodesic ball of radius R in the space form of holomorphic curvature 4*eps."""
 
     n: int
@@ -160,6 +252,8 @@ class GeodesicBall:
     R: float
 
     def __post_init__(self) -> None:
+        if self.n < 1:
+            raise ValueError(f"dimension n must be >= 1, got {self.n}")
         if self.R <= 0:
             raise ValueError("radius must be positive")
         if self.eps > 0 and self.R >= pi / (2 * sqrt(self.eps)):
@@ -173,8 +267,29 @@ class GeodesicBall:
     def volume(self) -> float:
         return sphere_area_and_ball_volume(self.eps, self.n, self.R)[1]
 
+    @property
+    def curvatures(self) -> Tuple[float, float]:
+        return geodesic_sphere_curvatures(self.eps, self.R)
 
-Shape = Union[Ellipsoid, GeodesicBall]
+    def grown(self, t: float) -> "GeodesicBall":
+        return GeodesicBall(n=self.n, eps=self.eps, R=self.R + t)
+
+    def boundary(self, level: int, symmetry: str) -> "BoundaryCloud":
+        """One node: the closed-form curvatures at the weight of the whole sphere area."""
+        n = self.n
+        mu_h, lam = self.curvatures
+        area, _ = sphere_area_and_ball_volume(self.eps, n, self.R)
+        normal = np.eye(1, 2 * n)
+        pos = self.R * normal
+        h = np.diag([mu_h] + [lam] * (2 * n - 2))[None]
+        frames = _adapted_frames(normal)
+        return BoundaryCloud(n, pos, normal, frames, h, np.array([area]), "constant-curvature")
+
+    def meets(self, V: np.ndarray, anchors: np.ndarray) -> np.ndarray:
+        """Flat planes (eps = 0) within distance R of the center."""
+        # the anchor minus its part in span_C(V) is the plane's nearest point
+        rel = anchors - (V * (V.conj() * anchors[:, None]).sum(axis=0)).sum(axis=1)
+        return np.sqrt(_sq_norm(rel)) <= self.R * (1 + 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -400,60 +515,15 @@ def symmetry_group(M: np.ndarray) -> str:
 def sample_boundary(shape: Shape, level: int = 0, symmetry: str = "none") -> BoundaryCloud:
     """Boundary quadrature cloud: sum of weight * f(x) converges to the area integral.
 
-    Ellipsoids use the sphere parametrization x = B u (B = Q^{-1/2}) with area
-    factor det(B) * |B^{-1} u| and the level-set shape operator; geodesic balls
-    use the closed-form constant curvatures as a single point of total weight
-    equal to the sphere area.
-
     `symmetry` (one of SYMMETRIES) names a group of holomorphic isometries
     that f is invariant under: "torus" for the U(n)-invariant curvature
     densities, the group of the flow generator for <X, N>-weighted ones
-    ("none" by default).  The rule is the one the smaller of that group and
-    the quadric's `symmetry_group` admits: torus-orbit, sign-fold or the full
-    product rule (see the module docstring).
+    ("none" by default).  `shape.boundary` takes the rule of the smaller of
+    that group and the shape's own (see the module docstring).
     """
     if symmetry not in SYMMETRIES:
         raise ValueError(f"symmetry must be one of {SYMMETRIES}, got {symmetry!r}")
-    if isinstance(shape, GeodesicBall):
-        n = shape.n
-        mu_h, lam = geodesic_sphere_curvatures(shape.eps, shape.R)
-        area, _ = sphere_area_and_ball_volume(shape.eps, shape.n, shape.R)
-        d2 = 2 * n
-        pos = np.zeros((1, d2))
-        pos[0, 0] = shape.R
-        normal = np.zeros((1, d2))
-        normal[0, 0] = 1.0
-        frames = _adapted_frames(normal)
-        h = np.diag([mu_h] + [lam] * (2 * n - 2))[None]
-        return BoundaryCloud(
-            n, pos, normal, frames, h, np.array([area]), "constant-curvature"
-        )
-
-    Q = shape.quadric
-    n = shape.n
-    d2 = 2 * n
-    evals, evecs = np.linalg.eigh(Q)
-    B = evecs @ np.diag(evals**-0.5) @ evecs.T
-    Binv = evecs @ np.diag(evals**0.5) @ evecs.T
-    detB = float(np.prod(evals**-0.5))
-
-    group = min(symmetry, symmetry_group(Q), key=SYMMETRIES.index)
-    if group == "torus":
-        u, w = torus_orbit_grid(n, level)
-    else:
-        u, w = sphere_grid(d2, level, fold=group == "sign")
-    rule = _RULES[group]
-    x = u @ B.T
-    Qx = x @ Q.T
-    gradnorm = np.linalg.norm(Qx, axis=1)
-    normals = Qx / gradnorm[:, None]
-    area_factor = detB * np.linalg.norm(u @ Binv.T, axis=1)
-    weights = w * area_factor
-
-    frames = _adapted_frames(normals)
-    h = np.einsum("mai,ij,mbj->mab", frames, Q, frames, optimize=True) / gradnorm[:, None, None]
-    h = (h + np.swapaxes(h, 1, 2)) / 2
-    return BoundaryCloud(n, x, normals, frames, h, weights, rule)
+    return shape.boundary(level, symmetry)
 
 
 # ---------------------------------------------------------------------------

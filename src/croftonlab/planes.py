@@ -32,9 +32,9 @@ invariant Grassmannian measure, so
 up to one overall normalization constant: the undetermined Grassmannian mass.
 That constant is the calibration `kappa`, fixed once per (n, r, eps) on a
 reference shape and then reused, so every further comparison is prediction.
-One predicate, `_ellipsoid_section`, decides whether a flat plane meets an
-ellipsoid and also returns the section's quadratic form, from which the
-total-Gauss estimate reads the section ellipses.
+The shape decides which flat planes meet it (`Shape.meets`); an ellipsoid
+also returns each section's quadratic form (`Ellipsoid.section`), from which
+the total-Gauss estimate reads the section ellipses.
 
 Projective case (eps = 1, holomorphic curvature 4): planes are complex
 (r+1)-subspaces of C^{n+1}, sampled Haar; the plane space is compact, so the
@@ -229,7 +229,7 @@ def _householder_q(A: np.ndarray) -> np.ndarray:
     reflectors = []
     for i in range(cols):
         alpha = A[i, i]
-        beta = -np.copysign(np.sqrt(_sq_norm(A[i:, i])), alpha.real)
+        beta = -np.copysign(np.sqrt(geom._sq_norm(A[i:, i])), alpha.real)
         v = A[i + 1 :, i] / (alpha - beta)
         tau = (beta - alpha) / beta
         _reflect(A[i:, i + 1 :], v, tau.conj())  # H^H from the left
@@ -249,32 +249,6 @@ def _reflect(B: np.ndarray, v: np.ndarray, t: np.ndarray) -> None:
         w = t * (B[0] + (v.conj()[:, None] * B[1:]).sum(axis=0))
         B[0] -= w
         B[1:] -= v[:, None] * w
-
-
-def _sq_norm(x: np.ndarray) -> np.ndarray:
-    """Squared Euclidean norm over the leading axis."""
-    return (x.real**2 + x.imag**2).sum(axis=0)
-
-
-def _real(z: np.ndarray) -> np.ndarray:
-    """Real coordinates (Re z_1, Im z_1, ...) along the leading axis: (n, ...) -> (2n, ...)."""
-    return np.stack([z.real, z.imag], axis=1).reshape((2 * len(z),) + z.shape[1:])
-
-
-def _real_columns(V: np.ndarray) -> np.ndarray:
-    """Real orthonormal basis of span_C(V): (n, r, m) complex -> (2n, 2r, m) real.
-
-    Column j maps to the pair (v_j, J v_j), with J as in
-    `geom.apply_complex_structure`."""
-    n, r, m = V.shape
-    return _real(np.stack([V, 1j * V], axis=2).reshape(n, 2 * r, m))
-
-
-def _restricted_form(A: np.ndarray, Vr: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """(Vr^T A Vr, A Vr) for a symmetric A and batch-last real columns Vr (d, k, m)."""
-    d, k, m = Vr.shape
-    AV = (A @ Vr.reshape(d, k * m)).reshape(d, k, m)
-    return np.stack([(Vr[:, s, None] * AV).sum(axis=0) for s in range(k)]), AV
 
 
 def _uniform_ball(g: np.ndarray, u: np.ndarray, radius: float) -> np.ndarray:
@@ -316,36 +290,10 @@ def _flat_planes(
 # ---------------------------------------------------------------------------
 
 
-def _ellipsoid_section(
-    Q: np.ndarray, V: np.ndarray, anchors: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(hit, M, minval) of x^T Q x restricted to each plane anchor + span_C(V).
-
-    In real coordinates s on the plane the form is s^T M s + 2 b.s + c0 with
-    minimum minval; the plane meets the ellipsoid x^T Q x <= 1 iff minval <= 1.
-    M is batch-last, (2r, 2r, m).
-    """
-    a = _real(anchors)
-    M, QV = _restricted_form(Q, _real_columns(V))
-    b = (QV * a[:, None]).sum(axis=0)
-    c0 = (a * (Q @ a)).sum(axis=0)
-    sol = np.linalg.solve(M.transpose(2, 0, 1), b.T[..., None])[..., 0]
-    minval = c0 - (b * sol.T).sum(axis=0)
-    return minval <= 1.0 + 1e-12, M, minval
-
-
-def _hits_flat(shape, V: np.ndarray, anchors: np.ndarray) -> np.ndarray:
-    if isinstance(shape, geom.GeodesicBall):
-        # distance from the center to the plane: the anchor minus its part in span_C(V)
-        rel = anchors - (V * (V.conj() * anchors[:, None]).sum(axis=0)).sum(axis=1)
-        return np.sqrt(_sq_norm(rel)) <= shape.R * (1 + 1e-12)
-    return _ellipsoid_section(shape.quadric, V, anchors)[0]
-
-
 def _hits_projective(ball: geom.GeodesicBall, W: np.ndarray) -> np.ndarray:
     # distance from the center [e_0] to the plane P(W): arccos |P_W e_0|, whose
     # coordinates in W's orthonormal columns are conj(W[0, j])
-    nrm = np.minimum(np.sqrt(_sq_norm(W[0])), 1.0)
+    nrm = np.minimum(np.sqrt(geom._sq_norm(W[0])), 1.0)
     return np.arccos(nrm) <= ball.R * (1 + 1e-12)
 
 
@@ -362,7 +310,7 @@ def chi_measure_estimate(shape, r: int, N: int, seed: int) -> MCEstimate:
 
         def work(rng: np.random.Generator, m: int) -> Tuple[int]:
             draws = _flat_draws(rng, m, n, r)
-            return (sum(int(np.count_nonzero(_hits_flat(shape, *_flat_planes(draws, s, r, rho))))
+            return (sum(int(np.count_nonzero(shape.meets(*_flat_planes(draws, s, r, rho))))
                         for s in _slices(m)),)
 
     elif shape.eps == 1:
@@ -397,6 +345,9 @@ def calibrate(
     level: int = 1,
 ) -> Calibration:
     """Fix kappa = measured plane measure / formula bracket on a reference shape."""
+    if (n, eps) != (reference_shape.n, reference_shape.eps):
+        raise ValueError(f"(n, eps) = ({n}, {eps}) differs from the reference shape's "
+                         f"({reference_shape.n}, {reference_shape.eps})")
     if table is None:
         table = valuations.shape_table(reference_shape, level)
     rhs = valuations.crofton_rhs(table, n, r, eps)
@@ -465,8 +416,6 @@ def total_gauss_estimate(
     window weight; the chi companion is the binomial estimate of the same
     plane stream, equal to `chi_measure_estimate`.
     """
-    if not isinstance(ellipsoid, geom.Ellipsoid):
-        raise ValueError("total Gauss estimate requires an ellipsoid")
     n = ellipsoid.n
     rho, weight = _flat_window(ellipsoid, r)
 
@@ -474,7 +423,7 @@ def total_gauss_estimate(
         draws = _flat_draws(rng, m, n, r)
         hits, parts = 0, []
         for s in _slices(m):
-            hit, M, minval = _ellipsoid_section(ellipsoid.quadric, *_flat_planes(draws, s, r, rho))
+            hit, M, minval = ellipsoid.section(*_flat_planes(draws, s, r, rho))
             hits += int(np.count_nonzero(hit))
             if r == 1:
                 parts.append(_section_curvatures(M[:, :, hit], minval[hit], nodes))
@@ -519,7 +468,7 @@ def grassmann_sigma_average(
         re, im = _frame_draws(rng, m, n - 1, r)
         dets = []
         for s in _slices(m):
-            S, _ = _restricted_form(hD, _real_columns(_frames(re[s], im[s])))
+            S, _ = geom._restricted_form(hD, geom._real_columns(_frames(re[s], im[s])))
             dets.append(np.linalg.det(S.transpose(2, 0, 1)))
         vals = np.concatenate(dets) - shift
         return float(vals.sum()), float((vals**2).sum())

@@ -240,8 +240,8 @@ def hermitian_volumes(
 
 
 def shape_table(shape: geom.Shape, level: int = 1) -> ValuationTable:
-    """Valuation table of a shape: the closed form for geodesic balls, quadrature otherwise."""
-    if isinstance(shape, geom.GeodesicBall):
+    """Valuation table: the closed form for constant-curvature boundaries, else quadrature."""
+    if shape.curvatures is not None:
         return ball_closed_form(shape.eps, shape.n, shape.R)
     return hermitian_volumes(shape, level)
 

@@ -2,10 +2,10 @@
 
 Flows act on shape parameters, never on point clouds:
 
-  * LinearFlow(A): phi_t = exp(tA) on R^{2n}; ellipsoids transport exactly to
-    ellipsoids through their quadratic form (flat case only).
+  * LinearFlow(A): phi_t = exp(tA) on R^{2n}, through `Shape.transformed`;
+    ellipsoids transport exactly through their quadratic form (flat case only).
   * RadialFlow(): moves the boundary of a geodesic ball of radius R to radius
-    R + t at unit normal speed (any curvature).
+    R + t at unit normal speed (any curvature), through `Shape.grown`.
 
 For a valuation key ("B", k, q), ("G", 2q, q) or "vol" the analytic variation
 contracts the exact variation operator with the tilde table: the valuation
@@ -55,7 +55,7 @@ __all__ = [
 
 @dataclass
 class LinearFlow:
-    """phi_t = exp(tA) acting on C^n = R^{2n}; requires a flat-space shape."""
+    """phi_t = exp(tA) acting on C^n = R^{2n}; moves ellipsoids only."""
 
     A: np.ndarray
 
@@ -65,10 +65,6 @@ class LinearFlow:
             raise ValueError("A must be square")
 
     def transport(self, shape: geom.Shape, t: float) -> geom.Shape:
-        if isinstance(shape, geom.GeodesicBall):
-            if shape.eps != 0:
-                raise ValueError("linear flows require eps = 0")
-            shape = geom.Ellipsoid.from_axes([shape.R] * self.A.shape[0])
         return shape.transformed(expm(t * self.A))
 
     @property
@@ -91,24 +87,13 @@ class RadialFlow:
     symmetry = "torus"  # a constant weight is invariant under every isometry
 
     def transport(self, shape: geom.Shape, t: float) -> geom.Shape:
-        if not isinstance(shape, geom.GeodesicBall):
-            raise ValueError("radial flow is defined for geodesic balls")
-        return geom.GeodesicBall(n=shape.n, eps=shape.eps, R=shape.R + t)
+        return shape.grown(t)
 
     def normal_speed(self, cloud: geom.BoundaryCloud) -> np.ndarray:
         return np.ones(len(cloud))
 
 
 Flow = Union[LinearFlow, RadialFlow]
-
-
-def _check_pairing(shape: geom.Shape, flow: Flow) -> None:
-    if isinstance(flow, LinearFlow):
-        if shape.eps != 0:
-            raise ValueError("linear flows pair with eps = 0 shapes only")
-    elif isinstance(flow, RadialFlow):
-        if not isinstance(shape, geom.GeodesicBall):
-            raise ValueError("radial flows pair with geodesic balls only")
 
 
 def tilde_integrals(
@@ -119,10 +104,10 @@ def tilde_integrals(
     The weight is invariant under `flow.symmetry`, so the boundary rule takes
     the strongest reduction that group and the shape admit: the sign fold for
     a diagonal generator on an axis-aligned ellipsoid, the torus-orbit rule
-    only when the generator also commutes with J on every pair (see
-    `geom.sample_boundary`).
+    only when it also commutes with J on every pair (`geom.sample_boundary`).
+    A flow that cannot move the shape (`flow.transport`) raises ValueError.
     """
-    _check_pairing(shape, flow)
+    flow.transport(shape, 0.0)
     return valuations.hermitian_volumes(
         shape, level, weight_fn=flow.normal_speed, weight_symmetry=flow.symmetry
     )
@@ -147,7 +132,6 @@ def _transported_tables(
     shape: geom.Shape, flow: Flow, h_step: float, level: int = 1
 ) -> Tuple[valuations.ValuationTable, valuations.ValuationTable]:
     """Valuation tables of the shape transported by +h_step and -h_step."""
-    _check_pairing(shape, flow)
     return (
         valuations.shape_table(flow.transport(shape, h_step), level),
         valuations.shape_table(flow.transport(shape, -h_step), level),
@@ -177,7 +161,6 @@ def variation_formula(
 
     `operator` is `variation_operator(shape.n)` when the caller already has
     it; building it costs exact rational arithmetic."""
-    _check_pairing(shape, flow)
     if tilde is None:
         tilde = tilde_integrals(shape, flow, level)
     if operator is None:

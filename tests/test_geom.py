@@ -287,6 +287,27 @@ def test_geodesic_sphere_radius_bounds():
         geom.GeodesicBall(n=2, eps=0.0, R=-1.0)
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_geodesic_ball_rejects_dimension_below_one(n):
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        geom.GeodesicBall(n=n, eps=0.0, R=1.0)
+
+
+def test_shape_protocol_answers_or_raises():
+    ball = geom.GeodesicBall(n=2, eps=1.0, R=0.5)
+    ellipsoid = geom.Ellipsoid.from_axes([1, 1, 2, 2])
+    assert ball.curvatures == geom.geodesic_sphere_curvatures(1.0, 0.5)
+    assert ellipsoid.curvatures is None
+    assert ball.grown(0.25) == geom.GeodesicBall(n=2, eps=1.0, R=0.75)
+    assert np.array_equal(ellipsoid.transformed(2 * np.eye(4)).quadric, ellipsoid.quadric / 4)
+    V = np.eye(2, 1, dtype=complex)[:, :, None]
+    anchors = np.zeros((2, 1), dtype=complex)
+    for unanswered in (lambda: ball.transformed(np.eye(4)), lambda: ellipsoid.grown(0.1),
+                       lambda: ball.section(V, anchors)):
+        with pytest.raises(ValueError):
+            unanswered()
+
+
 def test_jacobi_oracle_closed_forms():
     f, ratio = geom.jacobi_oracle(0.0, 2.0)
     assert f == pytest.approx(2.0, rel=1e-12)

@@ -162,7 +162,7 @@ def test_flat_hits_equal_the_einsum_oracle(n, r, kind):
         shape, *_einsum_flat_batch(n, r, rho, planes._chunk_rng(12, 0), ORACLE_PLANES)
     )
     assert 0 < np.count_nonzero(want) < ORACLE_PLANES
-    assert np.array_equal(planes._hits_flat(shape, V, anchors), want)
+    assert np.array_equal(shape.meets(V, anchors), want)
 
 
 @pytest.mark.parametrize("n,r", [(2, 1), (3, 1), (3, 2)])
@@ -182,12 +182,12 @@ def test_unitary_invariance_of_ball_hits():
     rng = planes._chunk_rng(4, 0)
     V, anchors = _sampled_flat(2, 1, 1.3, rng, 20000)
     ball = geom.GeodesicBall(n=2, eps=0.0, R=1.0)
-    base = planes._hits_flat(ball, V, anchors)
+    base = ball.meets(V, anchors)
     z = np.random.default_rng(0).standard_normal((2, 2)) + 1j * np.random.default_rng(
         1
     ).standard_normal((2, 2))
     U, _ = np.linalg.qr(z)
-    rotated = planes._hits_flat(ball, np.einsum("ij,jrm->irm", U, V), U @ anchors)
+    rotated = ball.meets(np.einsum("ij,jrm->irm", U, V), U @ anchors)
     assert np.array_equal(base, rotated)
 
 
@@ -199,9 +199,9 @@ def test_unitary_invariance_of_ball_hits():
 def test_meets_trivial_cases():
     rng = planes._chunk_rng(5, 0)
     V, anchors = _sampled_flat(2, 1, 0.0, rng, 1)  # through the origin
-    assert planes._hits_flat(UNIT_BALL, V, anchors)[0]
+    assert UNIT_BALL.meets(V, anchors)[0]
     far = 2.0 * _unit_perp(V[:, :, 0])[:, None]
-    assert not planes._hits_flat(UNIT_BALL, V, far)[0]
+    assert not UNIT_BALL.meets(V, far)[0]
 
 
 def _unit_perp(V):
@@ -222,7 +222,7 @@ def test_meets_against_minimizer_oracle():
     rng = planes._chunk_rng(6, 0)
     e = geom.Ellipsoid.from_axes([1, 1, 2, 2])
     V, anchors = _sampled_flat(2, 1, 2.5, rng, 400)
-    got = planes._hits_flat(e, V, anchors)
+    got = e.meets(V, anchors)
     Q = e.quadric
     for i in range(400):
         Vr = realify_complex_columns(V[:, :, i])
@@ -242,8 +242,8 @@ def test_hit_monotone_under_inclusion():
     big = geom.Ellipsoid.from_axes([1.0, 1.0, 2.0, 2.0])
     rng = planes._chunk_rng(7, 0)
     V, anchors = _sampled_flat(2, 1, 2.5, rng, 50000)
-    hs = planes._hits_flat(small, V, anchors)
-    hb = planes._hits_flat(big, V, anchors)
+    hs = small.meets(V, anchors)
+    hb = big.meets(V, anchors)
     assert not np.any(hs & ~hb)
 
 
@@ -286,7 +286,7 @@ def test_window_exactly_characterizes_ball_hits():
     rng = planes._chunk_rng(10, 0)
     V, anchors = _sampled_flat(2, 1, 3.0, rng, 5000)
     ball = geom.GeodesicBall(n=2, eps=0.0, R=0.35)
-    hits = planes._hits_flat(ball, V, anchors)
+    hits = ball.meets(V, anchors)
     inside = np.linalg.norm(anchors, axis=0) <= 0.35 * (1 + 1e-12)
     assert np.array_equal(hits, inside)
     assert abs(hits.mean() - (0.35 / 3.0) ** 2) < 3 * np.sqrt(hits.mean() / len(hits))
@@ -373,6 +373,18 @@ def test_calibrate_rejects_degenerate():
     )
     with pytest.raises(ValueError):
         planes.calibrate(2, 1, 0.0, UNIT_BALL, 100, 0, table=zeroed)
+
+
+@pytest.mark.parametrize(
+    "n,eps,shape",
+    [(2, 1.0, geom.GeodesicBall(n=2, eps=0.0, R=1.0)),
+     (3, 0.0, geom.GeodesicBall(n=2, eps=0.0, R=1.0)),
+     (3, 0.0, UNIT_BALL)],
+    ids=["eps", "ball-n", "ellipsoid-n"],
+)
+def test_calibrate_rejects_a_mismatched_reference(n, eps, shape):
+    with pytest.raises(ValueError, match="differs from the reference shape"):
+        planes.calibrate(n, 1, eps, shape, 100, 0)
 
 
 def test_cpn_radius_dependence():

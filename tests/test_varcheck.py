@@ -95,6 +95,16 @@ def test_invalid_pairings_raise():
         vc.tilde_integrals(ball_neg, vc.LinearFlow(np.eye(4)))
     with pytest.raises(ValueError):
         vc.tilde_integrals(geom.Ellipsoid.from_axes([1, 1, 1, 1]), vc.RadialFlow())
+    # a linear flow on a flat ball: the ball's one constant-curvature node
+    # cannot integrate a weight <Ax, N> that is not U(n)-invariant
+    flat_ball = geom.GeodesicBall(n=2, eps=0.0, R=1.0)
+    flow = vc.LinearFlow(np.diag([0.3, 0.1, 0.2, 0.05]))
+    with pytest.raises(ValueError):
+        vc.tilde_integrals(flat_ball, flow)
+    with pytest.raises(ValueError):
+        vc.variation_formula(flat_ball, flow, "vol")
+    with pytest.raises(ValueError):
+        vc.crofton_variation_check(flat_ball, flow, 1)
 
 
 # ---------------------------------------------------------------------------
