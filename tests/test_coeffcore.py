@@ -328,7 +328,7 @@ def test_variation_operator_targets_epsilon_structure():
 
 def test_variation_of_volume():
     op = cc.variation_operator(3)
-    assert op.targets("vol") == [("B", 5, 2, 0, rational(2))]
+    assert op.targets("vol") == (("B", 5, 2, 0, rational(2)),)
 
 
 def test_flat_variation_coeffs_match_primed_form():
