@@ -119,8 +119,9 @@ def main(argv=None) -> int:
         "base": git("rev-parse", args.base),
         "change": git("rev-parse", "HEAD") + (" + working tree" if git("status", "--porcelain")
                                                else ""),
-        "command": "python3 scripts/bench_record.py " + " ".join(
-            sys.argv[1:] if argv is None else argv),
+        # the basename of --out: a temporary output path stays out of the record
+        "command": f"python3 scripts/bench_record.py --base {args.base} "
+                   f"--out {Path(args.out).name} --seed {args.seed}",
         "host": {"cpu": cpu_model(), "nproc": os.cpu_count(),
                  "python": platform.python_version()},
         "workloads": {},

@@ -125,6 +125,27 @@ def _restricted_form(A: np.ndarray, Vr: np.ndarray) -> Tuple[np.ndarray, np.ndar
     return np.stack([(Vr[:, s, None] * AV).sum(axis=0) for s in range(k)]), AV
 
 
+def _inverse_form(M: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """b^T M^{-1} b for batch-last symmetric positive definite M (d, d, k) and b (d, k).
+
+    An elementwise Cholesky factor M = L L^T (lower triangle of M) with forward
+    substitution y = L^{-1} b, so the value is |y|^2.  Raises ValueError if a
+    pivot is not positive and finite: such a form has no minimum, and a NaN
+    would silently read as a miss."""
+    d = len(b)
+    L = np.empty_like(M)  # only its strictly lower part is written and read
+    y = np.empty_like(b)
+    for j in range(d):
+        pivot = M[j, j] - (L[j, :j] ** 2).sum(axis=0)
+        if not np.all((pivot > 0) & (pivot < np.inf)):
+            raise ValueError("section form is not positive definite (Cholesky pivot "
+                             f"{j} is not positive and finite)")
+        diag = np.sqrt(pivot)
+        L[j + 1 :, j] = (M[j + 1 :, j] - (L[j + 1 :, :j] * L[j, :j]).sum(axis=1)) / diag
+        y[j] = (b[j] - (L[j, :j] * y[:j]).sum(axis=0)) / diag
+    return (y * y).sum(axis=0)
+
+
 # ---------------------------------------------------------------------------
 # Shapes
 # ---------------------------------------------------------------------------
@@ -224,16 +245,15 @@ class Ellipsoid(Shape):
         """(hit, M, minval) of x^T Q x restricted to each plane anchor + span_C(V).
 
         In real coordinates s on the plane the form is s^T M s + 2 b.s + c0 with
-        minimum minval; the plane meets the ellipsoid x^T Q x <= 1 iff minval <= 1.
-        M is batch-last, (2r, 2r, m).
+        minimum minval = c0 - b^T M^{-1} b (`_inverse_form`); the plane meets the
+        ellipsoid x^T Q x <= 1 iff minval <= 1.  M is batch-last, (2r, 2r, m).
         """
         Q = self.quadric
         a = _real(anchors)
         M, QV = _restricted_form(Q, _real_columns(V))
         b = (QV * a[:, None]).sum(axis=0)
         c0 = (a * (Q @ a)).sum(axis=0)
-        sol = np.linalg.solve(M.transpose(2, 0, 1), b.T[..., None])[..., 0]
-        minval = c0 - (b * sol.T).sum(axis=0)
+        minval = c0 - _inverse_form(M, b)
         return minval <= 1.0 + 1e-12, M, minval
 
     def meets(self, V: np.ndarray, anchors: np.ndarray) -> np.ndarray:

@@ -16,10 +16,11 @@ planes nor any sum depend on the slicing.
 
 Batch-last layout: a slice of k frames is a (rows, cols, k) array and a
 slice of complex anchors an (n, k) array, so every small-matrix entry is one
-contiguous length-k vector.  The QR, the anchors, the hit predicates and the
-restricted quadratic forms are elementwise vector arithmetic on those
-entries; only solve (section minimum), eigvalsh (section ellipses) and det
-(Grassmann average) stay batched LAPACK calls.
+contiguous length-k vector.  The QR, the anchors, the hit predicates, the
+restricted quadratic forms, the section minimum (an elementwise Cholesky,
+`geom._inverse_form`) and the section ellipses' eigenvalues (closed form,
+`_eigenvalues_2x2`) are elementwise vector arithmetic on those entries; only
+det (the Grassmann average) stays a batched LAPACK call.
 
 Flat case (eps = 0): a plane is an affine subspace anchor + span_C(V), with V
 the first r columns of a Haar unitary frame and the anchor uniform in a
@@ -390,12 +391,22 @@ def _ellipse_total_curvature(alpha: np.ndarray, beta: np.ndarray, nodes: int) ->
     return total * (2 * pi / nodes)
 
 
+def _eigenvalues_2x2(M: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(smaller, larger) eigenvalues of batch-last symmetric positive definite
+    2x2 matrices M (2, 2, k), in closed form from the lower triangle: the larger
+    is (a+c)/2 + hypot((a-c)/2, b), the smaller det/larger, which does not cancel
+    as (a+c)/2 - hypot would."""
+    a, b, c = M[0, 0], M[1, 0], M[1, 1]
+    larger = (a + c) / 2 + np.hypot((a - c) / 2, b)
+    return (a * c - b * b) / larger, larger
+
+
 def _section_curvatures(M: np.ndarray, minval: np.ndarray, nodes: int) -> np.ndarray:
     """Total curvature of the r = 1 section ellipses {s^T M s + 2 b.s + c0 <= 1}
     of hit planes, from their forms M (2, 2, k) and minima minval (k)."""
-    evals = np.linalg.eigvalsh(M.transpose(2, 0, 1))
-    semiaxes = np.sqrt((1.0 - minval)[:, None] / evals)
-    return _ellipse_total_curvature(semiaxes[:, 1], semiaxes[:, 0], nodes)
+    smaller, larger = _eigenvalues_2x2(M)
+    t = 1.0 - minval
+    return _ellipse_total_curvature(np.sqrt(t / larger), np.sqrt(t / smaller), nodes)
 
 
 def total_gauss_estimate(

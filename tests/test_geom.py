@@ -308,6 +308,34 @@ def test_shape_protocol_answers_or_raises():
             unanswered()
 
 
+def _spd_stack(d, k, seed):
+    """k seeded symmetric positive definite (d, d) forms, batch-last, and vectors b (d, k)."""
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((k, d, d))
+    M = A @ A.transpose(0, 2, 1) + 0.1 * np.eye(d)
+    return np.ascontiguousarray(M.transpose(1, 2, 0)), rng.standard_normal((d, k))
+
+
+@pytest.mark.parametrize("d", [2, 4, 6])
+def test_inverse_form_equals_lapack_solve(d):
+    M, b = _spd_stack(d, 4096, 40 + d)
+    sol = np.linalg.solve(M.transpose(2, 0, 1), b.T[..., None])[..., 0]
+    want = (b * sol.T).sum(axis=0)
+    assert np.max(np.abs(geom._inverse_form(M, b) - want) / want) <= 1e-13
+
+
+@pytest.mark.parametrize("entry", [0.0, -1.0, np.nan, np.inf])
+@pytest.mark.parametrize("d", [2, 4])
+def test_inverse_form_rejects_degenerate_forms(d, entry):
+    # a singular, indefinite or non-finite form in the last place of the stack
+    # must raise, not return a NaN that would count as a miss
+    M, b = _spd_stack(d, 8, 7)
+    M[:, :, -1] = np.eye(d)
+    M[d - 1, d - 1, -1] = entry
+    with pytest.raises(ValueError, match="not positive definite"):
+        geom._inverse_form(M, b)
+
+
 def test_jacobi_oracle_closed_forms():
     f, ratio = geom.jacobi_oracle(0.0, 2.0)
     assert f == pytest.approx(2.0, rel=1e-12)

@@ -427,6 +427,18 @@ def test_total_gauss_requires_ellipsoid():
         planes.total_gauss_estimate(geom.GeodesicBall(n=2, eps=0.0, R=1.0), 1, 10, 0)
 
 
+@pytest.mark.parametrize("n", sorted(checks.FLAT_FAMILIES))
+def test_section_eigenvalues_equal_eigvalsh(n):
+    # r = 1 section forms of every flat family, hits and misses alike
+    for axes in checks.FLAT_FAMILIES[n]:
+        shape = geom.Ellipsoid.from_axes(axes)
+        V, anchors = _sampled_flat(n, 1, shape.circum_radius, planes._chunk_rng(15, 0), 20000)
+        _, M, _ = shape.section(V, anchors)
+        want = np.linalg.eigvalsh(M.transpose(2, 0, 1)).T
+        got = np.stack(planes._eigenvalues_2x2(M))
+        assert np.max(np.abs(got - want) / want) <= 1e-14
+
+
 def test_ellipse_total_curvature_quadrature():
     a = np.array([1.0, 2.0, 0.5])
     b = np.array([1.0, 0.7, 0.5])
