@@ -47,6 +47,12 @@ CPN_RADII = (0.3, 0.6, 0.9, 1.2)
 CPN_REFERENCE_R = 0.75
 
 
+def _quotient(a: float, b: float) -> float:
+    """a / b, or nan where the quotient is undefined (b = 0): a Monte Carlo
+    run without hits then fails its gate instead of raising."""
+    return a / b if b else float("nan")
+
+
 def _sphere_volume_closed_form(m: int) -> cc.PiScalar:
     """O_m = 2 pi^{(m+1)/2} / Gamma((m+1)/2) exactly: 2 pi^j / (j-1)! for
     m = 2j-1 and 2^{2j+1} pi^j j! / (2j)! for m = 2j."""
@@ -63,13 +69,20 @@ def identities(max_n: int) -> dict:
     with zero residual in every d-equation (1 <= r < n); cancellation: the
     eps-graded cancellation identity (1 <= r < n); epsIndependence: every
     eps-graded term of the varied bracket cancels (1 <= r <= n, r = n being
-    Gauss-Bonnet); normalizations: `sphere_volume_coeff(m)` against the
-    closed form of O_m (m < 2 max_n).  Below max_n = 2 the suite would check
-    O_1 alone, or nothing, and pass vacuously, so it raises ValueError.
+    Gauss-Bonnet; n = 1 included); normalizations: `sphere_volume_coeff(m)`
+    against the closed form of O_m (0 <= m < 2 max_n); shortGaussBonnet: the
+    short Gauss-Bonnet form equals the table, which holds with a hyperplane
+    Grassmannian of unit mass (`coeffcore.verify_short_gauss_bonnet`);
+    totalCurvature: the total-Gauss table is O_{2r-1} times the flat Crofton
+    table (1 <= r < n).  Below max_n = 2 the suite would check n = 1 alone,
+    so it raises ValueError.
     """
     if max_n < 2:
         raise ValueError(f"the identity suite needs max_n >= 2, got {max_n}")
-    results = {"solver": {}, "cancellation": {}, "epsIndependence": {}, "normalizations": {}}
+    groups = ("solver", "cancellation", "epsIndependence", "normalizations",
+              "shortGaussBonnet", "totalCurvature")
+    results = {group: {} for group in groups}
+    results["epsIndependence"]["1,1"] = cc.check_epsilon_independence(1, 1)
     for n in range(2, max_n + 1):
         for r in range(1, n):
             sol = cc.solve_crofton_system(n, r)
@@ -77,9 +90,13 @@ def identities(max_n: int) -> dict:
                 v == 0 for v in sol.d_equation_residuals().values()
             )
             results["cancellation"][f"{n},{r}"] = cc.verify_cancellation_identity(n, r)
+            flat = cc.flat_crofton_coeffs(n, r).scaled(cc.sphere_volume_coeff(2 * r - 1))
+            total = cc.total_gauss_coeffs(n, r)
+            results["totalCurvature"][f"{n},{r}"] = total.same_coefficients(flat)
         for r in range(1, n + 1):
             results["epsIndependence"][f"{n},{r}"] = cc.check_epsilon_independence(n, r)
-    for m in range(1, 2 * max_n):
+        results["shortGaussBonnet"][str(n)] = cc.verify_short_gauss_bonnet(n)
+    for m in range(0, 2 * max_n):
         results["normalizations"][str(m)] = (
             cc.sphere_volume_coeff(m) == _sphere_volume_closed_form(m)
         )
@@ -250,8 +267,8 @@ def total_gauss(
         res = planes.total_gauss_estimate(shape, r, N, seed + i)
         table = valuations.hermitian_volumes(shape, level)
         pred = cal.kappa * cc.total_gauss_coeffs(n, r).eval(table.mu_dict(), table.vol, 0.0)
-        z_table = res.total.z_score(pred, extra_stderr=cal.stderr * pred / cal.kappa)
-        ratio = res.total.mean / res.chi.mean
+        z_table = res.total.z_score(pred, extra_stderr=_quotient(cal.stderr * pred, cal.kappa))
+        ratio = _quotient(res.total.mean, res.chi.mean)
         items.append({"axes": axes, "total": res.total.to_json(), "chi": res.chi.to_json(),
                       "ratio": ratio, "ratioTarget": o, "prediction": pred, "zTable": z_table,
                       "pass": abs(z_table) < ztol and abs(ratio - o) / o < 1e-9})
@@ -292,6 +309,7 @@ def grassmann_pointwise(
         (ests[0].stderr / ests[1].mean) ** 2
         + (ests[0].mean * ests[1].stderr / ests[1].mean ** 2) ** 2
     )
-    zr = (ratio - ratio_pred) / ratio_err
+    # as in MCEstimate.z_score, a zero spread gives z = inf
+    zr = (ratio - ratio_pred) / ratio_err if ratio_err > 0 else float("inf")
     items["ratio"] = {"value": ratio, "prediction": ratio_pred, "z": zr}
     return {"items": items, "zTolerance": ztol, "pass": ok and abs(zr) < ztol}

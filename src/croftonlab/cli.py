@@ -21,6 +21,7 @@ import functools
 import io
 import json
 import sys
+from math import isfinite
 from typing import Dict, List, Optional
 
 from . import __version__, checks, geom, planes, valuations, varcheck
@@ -316,6 +317,8 @@ def _validate(parser: argparse.ArgumentParser, args) -> None:
         return
     if args.samples < 1:
         parser.error(f"argument --samples: must be an integer >= 1, got {args.samples}")
+    if args.tol is not None and not (isfinite(args.tol) and args.tol > 0):
+        parser.error(f"argument --tol: must be finite and positive, got {args.tol}")
     try:
         planes.thread_count()
     except ValueError as exc:

@@ -1,9 +1,10 @@
 """Exact coefficient tables for curvature integrals in complex space forms.
 
-Everything in this module is exact: coefficients live in the Laurent ring
-Q[pi, 1/pi], and the undetermined Grassmannian volume
-vol(G^C_{n-1,r}) is kept as an opaque formal unit per (n, r).  No floats enter
-until a caller asks a `PiScalar` for its numerical value.
+Everything in this module is exact: every coefficient is a monomial c * pi^p
+with c rational and p an integer (`PiScalar`), and the undetermined
+Grassmannian volume vol(G^C_{n-1,r}) is kept as an opaque formal unit per
+(n, r).  No floats enter until a caller asks a `PiScalar` for its numerical
+value.
 
 Volumes, normalizations, index lists and tables depend only on a few small
 integers, so their constructors are memoized (`functools.cache`): each value
@@ -12,7 +13,7 @@ is computed once per process.  The values are read-only: `PiScalar`,
 are `MappingProxyType`s and their lists are tuples.
 
 Contents:
-  * `PiScalar`            -- exact rational Laurent polynomial in pi
+  * `PiScalar`            -- exact monomial c * pi^p
   * ball/sphere volumes   -- omega_m, O_m
   * `form_norm_coeff`     -- the normalization c_{n,k,q} of the invariant forms
   * `CoeffTable`          -- epsilon-graded coefficient tables for the Crofton
@@ -22,8 +23,10 @@ Contents:
                              valuations B_{k,q}, Gamma_{2q,q} and the volume
   * consistency checks    -- linear-system solver reproducing the closed-form
                              Crofton coefficients, the combinatorial
-                             cancellation identity, and the epsilon-independence
-                             of the variation of the full graded tables
+                             cancellation identity, the epsilon-independence
+                             of the variation of the full graded tables, and
+                             the short Gauss-Bonnet form, which holds exactly
+                             when vol(G^C_{n-1,n-1}) = 1
 """
 
 from __future__ import annotations
@@ -60,7 +63,7 @@ __all__ = [
     "solve_crofton_system",
     "verify_cancellation_identity",
     "check_epsilon_independence",
-    "implied_hyperplane_grassmannian_volume",
+    "verify_short_gauss_bonnet",
 ]
 
 
@@ -73,28 +76,31 @@ class SingularSystemError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# PiScalar: exact Laurent polynomials in pi
+# PiScalar: exact monomials c * pi^p
 # ---------------------------------------------------------------------------
 
 
 class PiScalar:
-    """Exact element of Q[pi, 1/pi].
+    """Exact monomial coeff * pi**power: a rational times an integer power of pi.
 
-    Terms are stored as a read-only map ``pi_power -> Fraction``; zero
-    coefficients are never stored.  Integer powers suffice: every unit ball
-    volume, including the odd-dimensional omega_{2j+1} = 2^{j+1} pi^j / (2j+1)!!,
-    is a rational multiple of an integer power of pi.
+    Every coefficient of the tables is one: every unit ball volume, including
+    the odd-dimensional omega_{2j+1} = 2^{j+1} pi^j / (2j+1)!!, is a rational
+    multiple of an integer power of pi.  Products, quotients and powers add
+    exponents; a sum is defined for equal powers or a zero term, and any other
+    sum, which is no monomial, raises ValueError.  Zero has power 0.  The float
+    value is computed once, with the monomial.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("coeff", "power", "_float")
 
-    def __init__(self, terms: Optional[Mapping[int, Fraction]] = None):
-        # dict keys are unique: convert what is not a Fraction yet, drop zeros
-        object.__setattr__(self, "terms", MappingProxyType({
-            p: f
-            for p, c in (terms or {}).items()
-            if (f := c if isinstance(c, Fraction) else Fraction(c))
-        }))
+    def __init__(self, coeff: RationalLike = 0, power: int = 0):
+        c = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
+        if power != int(power):
+            raise ValueError(f"pi power must be an integer, got {power}")
+        p = int(power) if c else 0
+        object.__setattr__(self, "coeff", c)
+        object.__setattr__(self, "power", p)
+        object.__setattr__(self, "_float", float(c) * _PI ** p)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is read-only")
@@ -102,46 +108,44 @@ class PiScalar:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls) -> "PiScalar":
-        return cls()
-
-    @classmethod
     def one(cls) -> "PiScalar":
-        return cls({0: Fraction(1)})
+        return cls(1)
 
     @classmethod
     def from_rational(cls, x: RationalLike) -> "PiScalar":
-        return cls({0: Fraction(x)})
+        return cls(x)
 
     @classmethod
     def pi_power(cls, power: int, coeff: RationalLike = 1) -> "PiScalar":
         """coeff * pi**power."""
-        if power != int(power):
-            raise ValueError(f"pi power must be an integer, got {power}")
-        return cls({int(power): Fraction(coeff)})
+        return cls(coeff, power)
 
-    # -- ring operations ----------------------------------------------------
+    # -- arithmetic ----------------------------------------------------------
 
-    def _coerce(self, other) -> "PiScalar":
+    @staticmethod
+    def _coerce(other) -> "PiScalar":
         if isinstance(other, PiScalar):
             return other
         if isinstance(other, (int, Fraction)):
-            return PiScalar.from_rational(other)
+            return PiScalar(other)
         return NotImplemented  # type: ignore[return-value]
 
     def __add__(self, other) -> "PiScalar":
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        out = dict(self.terms)
-        for p, c in o.terms.items():
-            out[p] = out[p] + c if p in out else c
-        return PiScalar(out)
+        if not o.coeff:
+            return self
+        if not self.coeff:
+            return o
+        if self.power != o.power:
+            raise ValueError(f"{self} + {o} is not a monomial in pi")
+        return PiScalar(self.coeff + o.coeff, self.power)
 
     __radd__ = __add__
 
     def __neg__(self) -> "PiScalar":
-        return PiScalar({p: -c for p, c in self.terms.items()})
+        return PiScalar(-self.coeff, self.power)
 
     def __sub__(self, other) -> "PiScalar":
         o = self._coerce(other)
@@ -156,12 +160,7 @@ class PiScalar:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        out: Dict[int, Fraction] = {}
-        for p1, c1 in self.terms.items():
-            for p2, c2 in o.terms.items():
-                p, c = p1 + p2, c1 * c2
-                out[p] = out[p] + c if p in out else c
-        return PiScalar(out)
+        return PiScalar(self.coeff * o.coeff, self.power + o.power)
 
     __rmul__ = __mul__
 
@@ -169,68 +168,37 @@ class PiScalar:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        if len(o.terms) != 1:
-            raise ZeroDivisionError(
-                "PiScalar division only defined for nonzero monomial divisors"
-            )
-        (dp, dc), = o.terms.items()
-        return PiScalar({p - dp: c / dc for p, c in self.terms.items()})
+        return PiScalar(self.coeff / o.coeff, self.power - o.power)
 
     def __rtruediv__(self, other) -> "PiScalar":
         return self._coerce(other) / self
 
-    def inv(self) -> "PiScalar":
-        return PiScalar.one() / self
-
     def __pow__(self, k: int) -> "PiScalar":
-        if k < 0:
-            return self.inv() ** (-k)
-        out = PiScalar.one()
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return PiScalar(self.coeff ** k, self.power * k)
 
     # -- predicates / conversions -------------------------------------------
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.coeff)
 
     def __eq__(self, other) -> bool:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return self.terms == o.terms
+        return self.coeff == o.coeff and self.power == o.power
 
     def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
-
-    def as_monomial(self) -> Tuple[int, int, int]:
-        """Return (numerator, denominator, pi_power) for a monomial value."""
-        if not self.terms:
-            return (0, 1, 0)
-        if len(self.terms) != 1:
-            raise ValueError(f"not a monomial: {self}")
-        (p, c), = self.terms.items()
-        return (c.numerator, c.denominator, p)
+        return hash((self.coeff, self.power))
 
     def to_float(self) -> float:
-        return float(sum(float(c) * _PI ** p for p, c in self.terms.items()))
+        return self._float
 
     def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        return " + ".join(
-            f"{self.terms[p]}" if p == 0 else f"{self.terms[p]}*pi^{p}"
-            for p in sorted(self.terms)
-        )
+        return f"{self.coeff}" if self.power == 0 else f"{self.coeff}*pi^{self.power}"
 
     def coeff_json(self) -> Dict[str, str]:
-        num, den, ppow = self.as_monomial()
-        return {"num": str(num), "den": str(den), "piPow": str(ppow)}
+        c = self.coeff
+        return {"num": str(c.numerator), "den": str(c.denominator), "piPow": str(self.power)}
 
 
 # ---------------------------------------------------------------------------
@@ -850,57 +818,33 @@ def verify_cancellation_identity(n: int, r: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Consistency of the two Gauss-Bonnet expressions
+# The short Gauss-Bonnet form
 # ---------------------------------------------------------------------------
 
 
-@cache
-def implied_hyperplane_grassmannian_volume(n: int) -> PiScalar:
-    """The value of vol(G^C_{n-1,n-1}) implied by the short Gauss-Bonnet form.
+def verify_short_gauss_bonnet(n: int) -> bool:
+    """The short Gauss-Bonnet form equals the Gauss-Bonnet table, exactly:
 
-    Subtracting from the Gauss-Bonnet table the total-Gauss-curvature term
-    O_{2n-1} mu_{0,0}, the eps^k mu_{2k,k} string and the 2n eps^n vol term
-    must leave exactly 2n eps * (hyperplane Crofton table); solving any entry
-    for the formal unit and checking all others yields the implied constant.
+        O_{2n-1} chi = sum_{k<n} eps^k O_{2n-2k-1} binom(n-1,k)^{-1} mu_{2k,k}
+                       + 2n eps^n vol + 2n eps * (hyperplane Crofton bracket),
+
+    the k = 0 term being the total curvature O_{2n-1} mu_{0,0}.  The Crofton
+    bracket enters with its prefactor and its formal unit vol(G^C_{n-1,n-1})
+    set to 1, so the identity asserts that this unit is 1.
     """
     if n < 2:
         raise IndexRangeError("need n >= 2")
-    gb = gauss_bonnet_coeffs(n)
-    residual: Dict[Tuple[int, int, int], PiScalar] = {
-        key: v * gb.prefactor for key, v in gb.entries.items()
-    }
-    volres: Dict[int, PiScalar] = {p: v * gb.prefactor for p, v in gb.vol.items()}
-
-    def _sub(d, key, v):
-        d[key] = d.get(key, PiScalar.zero()) - v
-        if not d[key]:
-            del d[key]
-
-    _sub(residual, (0, 0, 0), sphere_volume_coeff(2 * n - 1))
-    for k in range(1, n):
-        _sub(
-            residual,
-            (2 * k, k, k),
-            sphere_volume_coeff(2 * n - 2 * k - 1) * Fraction(1, comb(n - 1, k)),
-        )
-    _sub(volres, n, PiScalar.from_rational(2 * n))
-
     cr = crofton_coeffs(n, n - 1)
-    implied: Optional[PiScalar] = None
-    for (k, q, p), v in sorted(cr.entries.items()):
-        target = v * cr.prefactor * (2 * n)
-        have = residual.pop((k, q, p + 1), PiScalar.zero())
-        ratio = have / target
-        if implied is None:
-            implied = ratio
-        elif implied != ratio:
-            raise AssertionError("inconsistent implied Grassmannian volume")
-    for p, v in sorted(cr.vol.items()):
-        target = v * cr.prefactor * (2 * n)
-        have = volres.pop(p + 1, PiScalar.zero())
-        if implied != have / target:
-            raise AssertionError("inconsistent implied Grassmannian volume (vol)")
-    if residual or volres:
-        raise AssertionError(f"unmatched residual terms: {residual} {volres}")
-    assert implied is not None
-    return implied
+    scale = cr.prefactor * (2 * n)
+    entries = {(k, q, p + 1): v * scale for (k, q, p), v in cr.entries.items()}
+    vol = {p + 1: v * scale for p, v in cr.vol.items()}
+    try:
+        for k in range(n):
+            o = sphere_volume_coeff(2 * n - 2 * k - 1) * Fraction(1, comb(n - 1, k))
+            entries[(2 * k, k, k)] = entries.get((2 * k, k, k), PiScalar()) + o
+        vol[n] = vol.get(n, PiScalar()) + 2 * n
+    except ValueError:  # a sum across powers of pi is no table coefficient
+        return False
+    return gauss_bonnet_coeffs(n).same_coefficients(
+        CoeffTable(n=n, r=None, entries=entries, vol=vol)
+    )

@@ -253,38 +253,17 @@ def _top_of_wedge(x: MultiVector, y: MultiVector) -> Coeff:
     return 0.0 if total is None else total
 
 
-DENSITY_BLOCK = 1 << 14  # points per evaluation block of `densities`
-
-
 def densities(forms: PullbackForms, keys: Sequence[Tuple[str, int, int]]) -> List[Coeff]:
     """Top-form coefficients of the densities `keys` = [(kind, k, q), ...].
 
     kind "beta":  beta ^ theta_0^{n-k+q} ^ theta_1^{k-2q-1} ^ theta_2^q;
     kind "gamma": gamma ^ theta_0^{n-k+q-1} ^ theta_1^{k-2q} ^ theta_2^q.
-    Batches run in blocks of DENSITY_BLOCK points, whose powers stay small;
-    every coefficient is elementwise in the points and a block keeps the
-    batch's terms, so the concatenated blocks equal the whole batch's values.
-    The index range is the caller's to check.
+    Keys run grouped by (kind, a, b), so only the current prefixes are held;
+    each theta_i^e is built once.  Every coefficient is elementwise in the
+    points, so the caller bounds the size of the powers by the size of the
+    batch (`valuations.QUADRATURE_CHUNK`).  The index range is the caller's
+    to check.
     """
-    m = np.size(forms.beta.terms[1])  # beta = a_{1bar}, coefficient 1 at every point
-    if m <= DENSITY_BLOCK:
-        return _block_densities(forms, keys)
-    blocks = [_block_densities(_points(forms, slice(s, s + DENSITY_BLOCK)), keys)
-              for s in range(0, m, DENSITY_BLOCK)]
-    return [np.concatenate(v) if isinstance(v[0], np.ndarray) else v[0] for v in zip(*blocks)]
-
-
-def _points(forms: PullbackForms, s: slice) -> PullbackForms:
-    """The forms of a batch restricted to the points s, with the same terms."""
-    def cut(x: MultiVector) -> MultiVector:
-        return MultiVector(x.d, {mask: c[s] for mask, c in x.terms.items()})
-    return PullbackForms(cut(forms.beta), cut(forms.gamma), cut(forms.theta0),
-                         cut(forms.theta1), cut(forms.theta2))
-
-
-def _block_densities(forms: PullbackForms, keys: Sequence[Tuple[str, int, int]]) -> List[Coeff]:
-    """`densities` on one block.  Keys run grouped by (kind, a, b), so only the
-    current prefixes are held; each theta_i^e is built once."""
     d = forms.theta2.d
     n = (d + 1) // 2
     thetas = (forms.theta0, forms.theta1, forms.theta2)

@@ -54,7 +54,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import cos, cosh, factorial, pi, sin, sinh, sqrt
+from math import cos, cosh, factorial, inf, isfinite, pi, sin, sinh, sqrt
 from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -182,6 +182,8 @@ class Ellipsoid(Shape):
         Q = np.asarray(quadric, dtype=float)
         if Q.ndim != 2 or Q.shape[0] != Q.shape[1] or Q.shape[0] % 2 != 0:
             raise ValueError("quadric must be a (2n, 2n) matrix")
+        if not np.all(np.isfinite(Q)):
+            raise ValueError("quadric entries must be finite")
         if np.max(np.abs(Q - Q.T)) > 1e-12 * max(1.0, np.max(np.abs(Q))):
             raise ValueError("quadric must be symmetric")
         evals = np.linalg.eigvalsh(Q)
@@ -195,9 +197,13 @@ class Ellipsoid(Shape):
         a = np.asarray(axes, dtype=float)
         if a.ndim != 1 or len(a) == 0 or len(a) % 2 != 0:
             raise ValueError("need 2n semiaxes")
+        if not np.all(np.isfinite(a)):
+            raise ValueError("semiaxes must be finite")
         if np.any(a <= 0):
             raise ValueError("semiaxes must be positive")
-        return cls(np.diag(1.0 / a**2))
+        with np.errstate(divide="ignore", over="ignore"):  # __init__ refuses an inf
+            quadric = np.diag(1.0 / a**2)
+        return cls(quadric)
 
     @property
     def circum_radius(self) -> float:
@@ -274,10 +280,22 @@ class GeodesicBall(Shape):
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError(f"dimension n must be >= 1, got {self.n}")
+        if not (isfinite(self.eps) and isfinite(self.R)):
+            raise ValueError(f"eps and R must be finite, got eps={self.eps}, R={self.R}")
         if self.R <= 0:
             raise ValueError("radius must be positive")
         if self.eps > 0 and self.R >= pi / (2 * sqrt(self.eps)):
             raise ValueError("radius beyond the injectivity bound pi/(2 sqrt(eps))")
+        # the closed forms: curvatures, sphere area and ball volume; the tables
+        # and their R-derivatives raise lambda to at most the power 2n
+        try:
+            mu_h, lam = self.curvatures
+            values = (mu_h * mu_h, lam ** (2 * self.n), *sphere_area_and_ball_volume(
+                self.eps, self.n, self.R))
+        except OverflowError:
+            values = (inf,)
+        if not all(map(isfinite, values)):
+            raise ValueError(f"radius {self.R} out of range: its closed forms overflow")
 
     @property
     def circum_radius(self) -> float:

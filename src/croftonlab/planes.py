@@ -88,6 +88,7 @@ __all__ = [
 SAMPLE_CHUNK = 1 << 16  # planes per chunk: one RNG stream, one thread-pool task
 QR_BLOCK = 1 << 13  # planes per slice of a chunk's computation
 ANGLE_BLOCK = 16
+SECTION_NODES = 256  # uniform-angle rule of the r = 1 section curvature integrals
 WINDOW_MARGIN = 1.01
 
 
@@ -401,28 +402,22 @@ def _eigenvalues_2x2(M: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return (a * c - b * b) / larger, larger
 
 
-def _section_curvatures(M: np.ndarray, minval: np.ndarray, nodes: int) -> np.ndarray:
+def _section_curvatures(M: np.ndarray, minval: np.ndarray) -> np.ndarray:
     """Total curvature of the r = 1 section ellipses {s^T M s + 2 b.s + c0 <= 1}
     of hit planes, from their forms M (2, 2, k) and minima minval (k)."""
     smaller, larger = _eigenvalues_2x2(M)
     t = 1.0 - minval
-    return _ellipse_total_curvature(np.sqrt(t / larger), np.sqrt(t / smaller), nodes)
+    return _ellipse_total_curvature(np.sqrt(t / larger), np.sqrt(t / smaller), SECTION_NODES)
 
 
-def total_gauss_estimate(
-    ellipsoid: geom.Ellipsoid,
-    r: int,
-    N: int,
-    seed: int,
-    nodes: int = 256,
-) -> TotalGaussResult:
+def total_gauss_estimate(ellipsoid: geom.Ellipsoid, r: int, N: int, seed: int) -> TotalGaussResult:
     """Plane average of the total Gauss curvature of ellipsoid sections (eps = 0).
 
     Each hit section is a convex body in a real 2r-space whose boundary Gauss
     map has degree one, so its total Gauss curvature is O_{2r-1}.  For r >= 2
     every hit contributes exactly that constant.  For r = 1 the section is an
     ellipse and its curvature integral is computed by a vectorized
-    uniform-angle rule on `nodes` points, which stays as the independent
+    uniform-angle rule on SECTION_NODES points, which stays as the independent
     check of the constant (2 pi).  Values are averaged with the translational
     window weight; the chi companion is the binomial estimate of the same
     plane stream, equal to `chi_measure_estimate`.
@@ -437,7 +432,7 @@ def total_gauss_estimate(
             hit, M, minval = ellipsoid.section(*_flat_planes(draws, s, r, rho))
             hits += int(np.count_nonzero(hit))
             if r == 1:
-                parts.append(_section_curvatures(M[:, :, hit], minval[hit], nodes))
+                parts.append(_section_curvatures(M[:, :, hit], minval[hit]))
         # the chunk's values in plane order, so each sum keeps its association
         vals = np.concatenate(parts) if parts else np.zeros(0)
         return hits, float(vals.sum()), float((vals**2).sum())

@@ -48,7 +48,6 @@ from .coeffcore import (
     crofton_coeffs,
     mu_indices,
     sphere_volume_coeff,
-    implied_hyperplane_grassmannian_volume,
 )
 
 __all__ = [
@@ -63,7 +62,7 @@ __all__ = [
     "crofton_rhs",
 ]
 
-QUADRATURE_CHUNK = 1 << 16
+QUADRATURE_CHUNK = 1 << 14  # boundary nodes per density batch
 
 
 def pairwise_sum(values: np.ndarray) -> float:
@@ -354,8 +353,9 @@ def gauss_bonnet_residual(
     mu-table form:      O_{2n-1} minus the full mu-table right-hand side.
     plane-measure form: O_{2n-1} - M_{2n-1} - sum_k eps^k O_{2n-2k-1}
                         binom(n-1,k)^{-1} mu_{2k,k} - 2n eps^n vol - 2n eps *
-                        (hyperplane measure bracket), using the table-implied
-                        hyperplane normalization.
+                        (hyperplane measure bracket), with the hyperplane
+                        Grassmannian of unit mass, as the exact identity
+                        `coeffcore.verify_short_gauss_bonnet` asserts.
     Returns (mu-form residual, plane-form residual).
     """
     n = shape.n
@@ -374,6 +374,5 @@ def gauss_bonnet_residual(
             * table.mu(2 * k, k)
         )
     if n >= 2:
-        implied = implied_hyperplane_grassmannian_volume(n).to_float()
-        res52 -= 2 * n * eps * implied * crofton_rhs(table, n, n - 1, eps)
+        res52 -= 2 * n * eps * crofton_rhs(table, n, n - 1, eps)
     return res51, res52

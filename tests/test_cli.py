@@ -403,6 +403,19 @@ def test_samples_and_threads_only_checked_for_check(capsys, monkeypatch):
         (["coeffs", "--identities", "--max-n", "1"], "--max-n"),
         (["coeffs", "--identities", "--max-n", "-3"], "--max-n"),
         (["check", "gamma-b", "--shape", "ellipsoid", "--axes", "1,1,2,2"], "--shape"),
+        (["check", "gauss-bonnet", "--eps", "nan", "--R", "1"], "must be finite"),
+        (["check", "gauss-bonnet", "--R", "inf"], "must be finite"),
+        (["check", "gauss-bonnet", "--shape", "ellipsoid", "--axes", "1,1,inf,2"], "finite"),
+        (["check", "gauss-bonnet", "--shape", "ellipsoid", "--axes", "1,nan,1,2"], "finite"),
+        (["check", "gauss-bonnet", "--shape", "ellipsoid", "--axes", "1e-200,1,1,2"], "finite"),
+        (["check", "gauss-bonnet", "--n", "3", "--eps", "1", "--R", "0.5", "--tol", "nan"],
+         "--tol"),
+        (["check", "gamma-b", "--eps", "1", "--R", "0.5", "--tol", "inf"], "--tol"),
+        (["check", "gamma-b", "--eps", "1", "--R", "0.5", "--tol", "0"], "--tol"),
+        (["check", "gauss-bonnet", "--eps", "-1", "--R", "400"], "overflow"),
+        (["volumes", "--eps", "-1", "--R", "800", "--closed-form"], "overflow"),
+        (["check", "variation", "--eps", "-1", "--R", "400"], "overflow"),
+        (["check", "gauss-bonnet", "--R", "1e-200"], "overflow"),
     ],
 )
 def test_bad_flag_values_are_parser_errors(argv, flag, capsys):
@@ -413,6 +426,24 @@ def test_bad_flag_values_are_parser_errors(argv, flag, capsys):
     assert "Traceback" not in err
     last = err.strip().splitlines()[-1]
     assert last.startswith("croftonlab") and "error:" in last and flag in last
+
+
+# few samples: a calibration or a family without hits, and a ratio whose
+# spread is zero; each check reports and fails instead of raising
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "total-gauss", "--n", "2", "--level", "0", "--samples", "1", "--seed", "0"],
+        ["check", "total-gauss", "--n", "2", "--level", "0", "--samples", "2", "--seed", "0"],
+        ["check", "grassmann-pointwise", "--n", "3", "--samples", "1"],
+    ],
+)
+def test_monte_carlo_checks_on_few_samples_fail_with_a_report(argv, capsys):
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    report = json.loads(captured.out)
+    assert report["pass"] is False
 
 
 @pytest.mark.parametrize(
@@ -468,7 +499,6 @@ CACHED = {
     "ball_volume_coeff", "sphere_volume_coeff", "form_norm_coeff", "mu_indices", "beta_indices",
     "gamma_indices", "crofton_coeffs", "flat_crofton_coeffs", "gauss_bonnet_coeffs",
     "total_gauss_coeffs", "variation_operator", "crofton_variation_coeffs",
-    "implied_hyperplane_grassmannian_volume",
 }
 
 
@@ -491,7 +521,6 @@ def test_cached_coefficients_equal_a_fresh_computation(capsys, monkeypatch):
         fn.cache_clear()
     for argv in EVERY_KIND:
         run_cli(argv, capsys)
-    cc.flat_crofton_coeffs(3, 2)  # only the acceptance suite reads the flat table
 
     assert {fn.__name__ for fn, _ in used} == CACHED
     values = {(fn, args): fn(*args) for fn, args in used}
@@ -523,9 +552,9 @@ def test_cached_coefficients_are_read_only():
     with pytest.raises(TypeError):
         op.primed["vol"] = ()
     with pytest.raises(AttributeError):
-        scalar.terms = {}
-    with pytest.raises(TypeError):
-        scalar.terms[0] = Fraction(1)
+        scalar.coeff = Fraction(1)
+    with pytest.raises(AttributeError):
+        scalar.power = 0
     with pytest.raises(TypeError):
         cc.crofton_variation_coeffs(3, 1)[(3, 1)] = scalar
 

@@ -12,6 +12,7 @@ from math import comb, factorial, pi
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from croftonlab import checks
 from croftonlab import coeffcore as cc
 from croftonlab.coeffcore import PiScalar
 
@@ -28,44 +29,52 @@ def pi_pow(p, c=1) -> PiScalar:
 # PiScalar
 # ---------------------------------------------------------------------------
 
-piscalars = st.builds(
-    lambda pairs: PiScalar({p: Fraction(a, b) for p, (a, b) in pairs.items()}),
-    st.dictionaries(
-        st.integers(-4, 4),
-        st.tuples(st.integers(-20, 20), st.integers(1, 12)),
-        max_size=4,
-    ),
-)
+fractions = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 12))
+powers = st.integers(-4, 4)
+piscalars = st.builds(PiScalar, fractions, powers)
 
 
 @settings(max_examples=60, deadline=None)
-@given(piscalars, piscalars, piscalars)
-def test_piscalar_ring_axioms(a, b, c):
-    assert a + b == b + a
-    assert (a + b) + c == a + (b + c)
+@given(piscalars, piscalars, piscalars, fractions, fractions)
+def test_piscalar_monomial_laws(a, b, c, x, y):
     assert a * b == b * a
     assert (a * b) * c == a * (b * c)
-    assert a * (b + c) == a * b + a * c
-    assert a + PiScalar.zero() == a
+    # products distribute over sums of one power of pi
+    u, v = PiScalar(x, b.power), PiScalar(y, b.power)
+    assert a * (u + v) == a * u + a * v
+    assert a - a == PiScalar(0)
+    assert a * 0 == PiScalar(0) and a + 0 == a
     assert a * PiScalar.one() == a
-    assert a - a == PiScalar.zero()
 
 
 @settings(max_examples=40, deadline=None)
-@given(piscalars, st.integers(-3, 3), st.fractions(min_value=-5, max_value=5))
+@given(piscalars, powers, st.fractions(min_value=-5, max_value=5))
 def test_piscalar_monomial_division(a, p, c):
     if c == 0:
         return
-    m = PiScalar({p: Fraction(c)})
+    m = PiScalar.pi_power(p, c)
     assert (a * m) / m == a
+
+
+@settings(max_examples=60, deadline=None)
+@given(fractions, powers)
+def test_piscalar_float_is_the_monomial_value(c, p):
+    assert PiScalar.pi_power(p, c).to_float() == float(c) * pi**p
 
 
 def test_piscalar_float_and_json():
     x = pi_pow(2, Fraction(3, 4))
-    assert abs(x.to_float() - 0.75 * pi**2) < 1e-15
+    assert x.to_float() == 0.75 * pi**2
     assert x.coeff_json() == {"num": "3", "den": "4", "piPow": "2"}
-    with pytest.raises(ValueError):
-        (x + rational(1)).as_monomial()
+    assert PiScalar(0, 3).coeff_json() == {"num": "0", "den": "1", "piPow": "0"}
+
+
+@pytest.mark.parametrize("a,b", [(pi_pow(2), rational(1)), (pi_pow(-1, 3), pi_pow(1, 3))])
+def test_piscalar_sum_across_powers_of_pi_is_refused(a, b):
+    with pytest.raises(ValueError, match="not a monomial"):
+        a + b
+    with pytest.raises(ValueError, match="not a monomial"):
+        a - b
 
 
 def test_piscalar_rejects_fractional_pi_powers():
@@ -271,9 +280,23 @@ def test_epsilon_independence():
             assert cc.check_epsilon_independence(n, r), (n, r)
 
 
-def test_implied_hyperplane_grassmannian_volume_is_one():
-    for n in range(2, 7):
-        assert cc.implied_hyperplane_grassmannian_volume(n) == rational(1)
+def test_short_gauss_bonnet_identity():
+    for n in range(2, 11):
+        assert cc.verify_short_gauss_bonnet(n), n
+    with pytest.raises(cc.IndexRangeError):
+        cc.verify_short_gauss_bonnet(1)
+
+
+@pytest.mark.parametrize("scale", [rational(2), pi_pow(1)])
+def test_short_gauss_bonnet_fails_on_a_wrong_hyperplane_table(scale, monkeypatch):
+    # a hyperplane Grassmannian of mass other than 1 breaks the identity,
+    # whether the mass is rational or carries a power of pi
+    crofton = cc.crofton_coeffs
+    monkeypatch.setattr(cc, "crofton_coeffs", lambda n, r: crofton(n, r).scaled(scale))
+    assert not cc.verify_short_gauss_bonnet(3)
+    results = checks.identities(3)
+    assert results["pass"] is False
+    assert results["shortGaussBonnet"] == {"2": False, "3": False}
 
 
 # ---------------------------------------------------------------------------

@@ -177,21 +177,6 @@ def test_densities_equal_the_full_wedge_chain_bit_for_bit(n):
             assert _bits(one) == _bits(value), (name, key)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
-def test_blocked_densities_equal_the_whole_batch(n, monkeypatch):
-    # blocks of 2 points, the last one partial, give the whole batch's bits;
-    # without a Hopf row the gamma densities are the float 0.0 in every block
-    keys = _all_keys(n)
-    cases = _sff_cases(np.random.default_rng(37 + n), n)
-    for name in ("batched", "no Hopf row", "diagonal"):
-        forms = ea.build_pullbacks(cases[name], n)
-        whole = ea.densities(forms, keys)
-        with monkeypatch.context() as mp:
-            mp.setattr(ea, "DENSITY_BLOCK", 2)
-            blocked = ea.densities(forms, keys)
-        assert [_bits(v) for v in blocked] == [_bits(v) for v in whole], name
-
-
 @pytest.mark.parametrize("n", [2, 3])
 def test_density_beta_matches_oracle(n):
     rng = np.random.default_rng(11 + n)
