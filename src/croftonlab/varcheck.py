@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import geom, valuations
 from .coeffcore import (
@@ -65,6 +64,8 @@ class LinearFlow:
             raise ValueError("A must be square")
 
     def transport(self, shape: geom.Shape, t: float) -> geom.Shape:
+        from scipy.linalg import expm  # loaded by the first transport, not on import
+
         return shape.transformed(expm(t * self.A))
 
     @property

@@ -3,10 +3,14 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import pi
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from croftonlab import checks, cli, extalg, geom, planes, valuations, varcheck
@@ -582,3 +586,76 @@ def test_one_parser_serves_every_call_of_a_process(capsys, monkeypatch):
     # every call builds a new parser
     monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
     assert outputs() == shared
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def fresh_python(code, *args):
+    """stdout of `code` run by a new interpreter that imports this checkout's croftonlab."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, check=True
+    )
+    return done.stdout
+
+
+LOADED_SCIPY = """
+import contextlib, io, json, sys
+from croftonlab import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    cli.main(sys.argv[1:])
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["coeffs", "--identities"],
+        ["check", "gamma-b", "--n", "3", "--eps", "1", "--R", "0.5"],
+        ["check", "gauss-bonnet", "--shape", "ball", "--n", "3", "--eps", "-1", "--R", "0.7"],
+        ["check", "crofton-cpn", "--n", "2", "--r", "1", "--samples", "2000", "--seed", "7"],
+    ],
+)
+def test_exact_closed_form_and_plane_commands_load_no_scipy(argv):
+    assert json.loads(fresh_python(LOADED_SCIPY, *argv)) == []
+
+
+def test_ellipsoid_quadrature_loads_scipy_special_only():
+    argv = ["check", "gauss-bonnet", "--shape", "ellipsoid", "--axes", "1,1,2,2", "--level", "0"]
+    loaded = set(json.loads(fresh_python(LOADED_SCIPY, *argv)))
+    assert "scipy.special" in loaded
+    assert not loaded & {"scipy.integrate", "scipy.optimize"}
+
+
+DEFERRED_CALLS = """
+import json, sys
+from math import pi
+import numpy as np
+from croftonlab import geom, varcheck
+cold = not any(m.split(".")[0] == "scipy" for m in sys.modules)
+flow = varcheck.LinearFlow(np.diag([0.3, -0.2, 0.1, 0.4]))
+values = {
+    "jacobi": geom.jacobi_oracle(1.0, pi / 3),
+    "torus": geom.torus_orbit_grid(3, 1),
+    "transport": (flow.transport(geom.Ellipsoid.from_axes([1, 1, 2, 2]), 0.25).quadric,),
+}
+print(json.dumps({"cold": cold, "values": {
+    k: [np.asarray(a, dtype=float).tobytes().hex() for a in v] for k, v in values.items()
+}}))
+"""
+
+
+def test_deferred_scipy_call_sites_match_in_a_cold_interpreter():
+    out = json.loads(fresh_python(DEFERRED_CALLS))
+    assert out["cold"]
+    flow = varcheck.LinearFlow(np.diag([0.3, -0.2, 0.1, 0.4]))
+    values = {
+        "jacobi": geom.jacobi_oracle(1.0, pi / 3),
+        "torus": geom.torus_orbit_grid(3, 1),
+        "transport": (flow.transport(geom.Ellipsoid.from_axes([1, 1, 2, 2]), 0.25).quadric,),
+    }
+    assert out["values"] == {
+        k: [np.asarray(a, dtype=float).tobytes().hex() for a in v] for k, v in values.items()
+    }
