@@ -309,6 +309,13 @@ def _validate(parser: argparse.ArgumentParser, args) -> None:
             n = args.body.n
         if what == "volumes" and args.closed_form and args.body.curvatures is None:
             parser.error("argument --closed-form: applies to geodesic balls (--shape ball)")
+        if what == "volumes" and args.richardson:
+            # the error estimate compares the table with one a level lower
+            if args.closed_form:
+                parser.error("argument --richardson: not allowed with --closed-form "
+                             "(an exact table has no quadrature error)")
+            if level < 1:
+                parser.error(f"argument --richardson: needs --level >= 1, got {level}")
         if what == "gamma-b" and args.body.curvatures is None:
             parser.error("argument --shape: gamma-b applies to geodesic balls (--shape ball)")
     if reads_r and not 1 <= args.r <= n - 1:

@@ -2,16 +2,17 @@
 
 Each domain is a `Shape` that answers what the other layers ask of it, so no
 layer outside this module tests a shape's class: its boundary quadrature
-cloud (`boundary(level, symmetry)`), which flat complex planes meet it
-(`meets`) and, for ellipsoids, their section forms (`section`), its
-principal curvatures when they are constant (`curvatures`, else None), and
-its exact transport by a linear map (`transformed`) or a radial growth
-(`grown`).  A kind that cannot answer raises ValueError.  The kinds are
-ellipsoids in C^n (flat case only), given by 2n semiaxes or a positive
-quadratic form and sampled through the unit sphere by a Gauss-Jacobi product
-rule in hyperspherical angles, and geodesic balls in the space form of
-holomorphic curvature 4*eps, whose boundary has constant principal
-curvatures: one value in the Hopf direction JN and one on the distribution.
+cloud, chunk by chunk (`boundary(level, symmetry, size)`), which flat
+complex planes meet it (`meets`) and, for ellipsoids, their section forms
+(`section`), its principal curvatures when they are constant (`curvatures`,
+else None), and its exact transport by a linear map (`transformed`) or a
+radial growth (`grown`).  A kind that cannot answer raises ValueError.  The
+kinds are ellipsoids in C^n (flat case only), given by 2n semiaxes or a
+positive quadratic form and sampled through the unit sphere by a
+Gauss-Jacobi product rule in hyperspherical angles, and geodesic balls in
+the space form of holomorphic curvature 4*eps, whose boundary has constant
+principal curvatures: one value in the Hopf direction JN and one on the
+distribution.
 
 Every sampled boundary point carries the adapted frame (JN, e_2, Je_2, ...),
 the second fundamental form in that frame (inner-normal convention: the unit
@@ -28,7 +29,7 @@ Boundary integrals whose integrand is invariant under a group of holomorphic
 isometries that preserves the domain reduce to one node per orbit.  The
 groups are nested, sign flips z_j -> -z_j inside the torus T^n
 (z_j -> e^{i t_j} z_j), and `symmetry_group` names the largest one a linear
-map commutes with.  `sample_boundary(..., symmetry=G)` states that the
+map commutes with.  `boundary_chunks(..., symmetry=G)` states that the
 integrand is G-invariant and takes the rule of the smaller of G and the
 quadric's group:
 
@@ -72,6 +73,7 @@ __all__ = [
     "symmetry_group",
     "sphere_grid",
     "torus_orbit_grid",
+    "boundary_chunks",
     "sample_boundary",
     "geodesic_sphere_curvatures",
     "jacobi_oracle",
@@ -217,10 +219,12 @@ class Ellipsoid(Shape):
         Minv = np.linalg.inv(np.asarray(M, dtype=float))
         return Ellipsoid(Minv.T @ self.quadric @ Minv)
 
-    def boundary(self, level: int, symmetry: str) -> "BoundaryCloud":
+    def boundary(self, level: int, symmetry: str,
+                 size: Optional[int]) -> Iterator["BoundaryCloud"]:
         """x = B u on the unit sphere (B = Q^{-1/2}, area factor det(B) |B^{-1} u|)
         with the level-set shape operator, on the rule of the smaller of
-        `symmetry` and `symmetry_group(Q)`."""
+        `symmetry` and `symmetry_group(Q)`.  The rule is built once; the
+        geometry of its nodes u[lo:lo + size] is computed chunk by chunk."""
         Q = self.quadric
         n = self.n
         evals, evecs = np.linalg.eigh(Q)
@@ -230,20 +234,22 @@ class Ellipsoid(Shape):
 
         group = min(symmetry, symmetry_group(Q), key=SYMMETRIES.index)
         if group == "torus":
-            u, w = torus_orbit_grid(n, level)
+            grid, grid_weights = torus_orbit_grid(n, level)
         else:
-            u, w = sphere_grid(2 * n, level, fold=group == "sign")
-        x = u @ B.T
-        Qx = x @ Q.T
-        gradnorm = np.linalg.norm(Qx, axis=1)
-        normals = Qx / gradnorm[:, None]
-        area_factor = detB * np.linalg.norm(u @ Binv.T, axis=1)
-        weights = w * area_factor
+            grid, grid_weights = sphere_grid(2 * n, level, fold=group == "sign")
+        step = size or len(grid)
+        for lo in range(0, len(grid), step):
+            u, w = grid[lo : lo + step], grid_weights[lo : lo + step]
+            x = u @ B.T
+            Qx = x @ Q.T
+            gradnorm = np.linalg.norm(Qx, axis=1)
+            normals = Qx / gradnorm[:, None]
+            weights = w * (detB * np.linalg.norm(u @ Binv.T, axis=1))
 
-        frames = _adapted_frames(normals)
-        h = np.einsum("mai,ij,mbj->mab", frames, Q, frames, optimize=True) / gradnorm[:, None, None]
-        h = (h + np.swapaxes(h, 1, 2)) / 2
-        return BoundaryCloud(n, x, normals, frames, h, weights, _RULES[group])
+            frames = _adapted_frames(normals)
+            h = np.einsum("mai,ij,mbj->mab", frames, Q, frames, optimize=True) / gradnorm[:, None, None]
+            h = (h + np.swapaxes(h, 1, 2)) / 2
+            yield BoundaryCloud(n, x, normals, frames, h, weights, _RULES[group])
 
     def section(self, V: np.ndarray, anchors: np.ndarray) -> Tuple[np.ndarray, ...]:
         """(hit, M, minval) of x^T Q x restricted to each plane anchor + span_C(V).
@@ -310,7 +316,8 @@ class GeodesicBall(Shape):
     def grown(self, t: float) -> "GeodesicBall":
         return GeodesicBall(n=self.n, eps=self.eps, R=self.R + t)
 
-    def boundary(self, level: int, symmetry: str) -> "BoundaryCloud":
+    def boundary(self, level: int, symmetry: str,
+                 size: Optional[int]) -> Iterator["BoundaryCloud"]:
         """One node: the closed-form curvatures at the weight of the whole sphere area."""
         n = self.n
         mu_h, lam = self.curvatures
@@ -319,7 +326,7 @@ class GeodesicBall(Shape):
         pos = self.R * normal
         h = np.diag([mu_h] + [lam] * (2 * n - 2))[None]
         frames = _adapted_frames(normal)
-        return BoundaryCloud(n, pos, normal, frames, h, np.array([area]), "constant-curvature")
+        yield BoundaryCloud(n, pos, normal, frames, h, np.array([area]), "constant-curvature")
 
     def meets(self, V: np.ndarray, anchors: np.ndarray) -> np.ndarray:
         """Flat planes (eps = 0) within distance R of the center."""
@@ -354,19 +361,6 @@ class BoundaryCloud:
 
     def __len__(self) -> int:
         return len(self.weights)
-
-    def chunks(self, size: int) -> Iterator["BoundaryCloud"]:
-        for lo in range(0, len(self), size):
-            hi = min(lo + size, len(self))
-            yield BoundaryCloud(
-                self.n,
-                self.positions[lo:hi],
-                self.normals[lo:hi],
-                self.frames[lo:hi],
-                self.h[lo:hi],
-                self.weights[lo:hi],
-                self.rule,
-            )
 
 
 BASE_POLAR_NODES = 8
@@ -432,8 +426,9 @@ def sphere_grid(d: int, level: int, fold: bool = False) -> Tuple[np.ndarray, np.
                 )
             axes_nodes[k], axes_weights[k] = nodes[keep], w[keep]
 
-    grids = np.meshgrid(*axes_nodes, indexing="ij")
-    wgrids = np.meshgrid(*axes_weights, indexing="ij")
+    # broadcast views: each axis is expanded to full size only while it is read
+    grids = np.meshgrid(*axes_nodes, indexing="ij", copy=False)
+    wgrids = np.meshgrid(*axes_weights, indexing="ij", copy=False)
     m = grids[0].size
     pts = np.empty((m, d))
     radial = np.ones(m)
@@ -563,18 +558,27 @@ def symmetry_group(M: np.ndarray) -> str:
     return "sign" if _commutes_with_sign_flips(M) else "none"
 
 
-def sample_boundary(shape: Shape, level: int = 0, symmetry: str = "none") -> BoundaryCloud:
-    """Boundary quadrature cloud: sum of weight * f(x) converges to the area integral.
+def boundary_chunks(shape: Shape, level: int, symmetry: str,
+                    size: Optional[int]) -> Iterator[BoundaryCloud]:
+    """Boundary quadrature cloud in consecutive chunks of at most `size` nodes
+    (one chunk when size is None): the sum of weight * f(x) over all chunks
+    converges to the area integral.  Only the rule's nodes and weights are
+    held whole; each chunk's geometry is computed when it is reached.
 
     `symmetry` (one of SYMMETRIES) names a group of holomorphic isometries
     that f is invariant under: "torus" for the U(n)-invariant curvature
-    densities, the group of the flow generator for <X, N>-weighted ones
-    ("none" by default).  `shape.boundary` takes the rule of the smaller of
-    that group and the shape's own (see the module docstring).
+    densities, the group of the flow generator for <X, N>-weighted ones.
+    `shape.boundary` takes the rule of the smaller of that group and the
+    shape's own (see the module docstring).
     """
     if symmetry not in SYMMETRIES:
         raise ValueError(f"symmetry must be one of {SYMMETRIES}, got {symmetry!r}")
-    return shape.boundary(level, symmetry)
+    return shape.boundary(level, symmetry, size)
+
+
+def sample_boundary(shape: Shape, level: int = 0, symmetry: str = "none") -> BoundaryCloud:
+    """The whole boundary cloud as one `BoundaryCloud` (see `boundary_chunks`)."""
+    return next(boundary_chunks(shape, level, symmetry, None))
 
 
 # ---------------------------------------------------------------------------

@@ -21,14 +21,17 @@ monomial, and
 
 Unweighted tables integrate U(n)-invariant densities, so they take the
 strongest exact symmetry reduction of the boundary rule that the shape admits
-(`geom.sample_boundary`): the torus-orbit rule on the (n-1)-simplex for
+(`geom.boundary_chunks`): the torus-orbit rule on the (n-1)-simplex for
 ellipsoids with semiaxes in equal pairs, the sign fold for other axis-aligned
 ellipsoids, the full product rule for general quadrics.  Weighted tables take
 the reduction that both the shape and the weight's symmetry group admit.  Each
 quadrature table records the rule and its node count in `quadrature`.
 
-Quadrature sums use a fixed-chunk pairwise tree so results are reproducible
-bit-for-bit at a given level.
+The boundary geometry is built and integrated one chunk of QUADRATURE_CHUNK
+nodes at a time (`geom.boundary_chunks`), so a table holds its rule's nodes
+and weights but never the whole cloud of frames and second fundamental
+forms.  Quadrature sums use a fixed-chunk pairwise tree so results are
+reproducible bit-for-bit at a given level.
 """
 
 from __future__ import annotations
@@ -62,7 +65,7 @@ __all__ = [
     "crofton_rhs",
 ]
 
-QUADRATURE_CHUNK = 1 << 14  # boundary nodes per density batch
+QUADRATURE_CHUNK = 1 << 14  # boundary nodes per geometry and density batch
 
 
 def pairwise_sum(values: np.ndarray) -> float:
@@ -178,7 +181,7 @@ def hermitian_volumes(
     the variation machinery for <X, N> factors), and `weight_symmetry` names
     the group in `geom.SYMMETRIES` the weight is invariant under.  Unweighted
     tables reduce the boundary rule by the shape's holomorphic symmetries
-    (torus orbits or sign flips, see `geom.sample_boundary`); weighted ones by
+    (torus orbits or sign flips, see `geom.boundary_chunks`); weighted ones by
     those the weight shares.  `quadrature` records the rule and its node count.
     The curvature sums M[j] come from `_elementary_symmetric_functions`.
     `richardson=True` also computes the table one level lower and stores
@@ -186,7 +189,6 @@ def hermitian_volumes(
     """
     n = shape.n
     symmetry = "torus" if weight_fn is None else weight_symmetry
-    cloud = geom.sample_boundary(shape, level, symmetry=symmetry)
 
     bkeys = beta_indices(n)
     gkeys = gamma_indices(n)
@@ -194,7 +196,10 @@ def hermitian_volumes(
     d = 2 * n - 1
     parts = {key: [] for key in keys}
     m_parts = [[] for _ in range(d + 1)]
-    for chunk in cloud.chunks(QUADRATURE_CHUNK):
+    nodes = 0
+    for chunk in geom.boundary_chunks(shape, level, symmetry, QUADRATURE_CHUNK):
+        rule = chunk.rule
+        nodes += len(chunk)
         w = chunk.weights
         if weight_fn is not None:
             w = w * weight_fn(chunk)
@@ -206,7 +211,7 @@ def hermitian_volumes(
         forms = extalg.build_pullbacks(chunk.h, n)
         for key, dens in zip(keys, extalg.densities(forms, keys)):
             parts[key].append(pairwise_sum(w * dens))
-        del forms
+        del forms, chunk  # freed before the next chunk is built
 
     total = {key: pairwise_sum(np.array(p)) for key, p in parts.items()}
     B = {
@@ -223,7 +228,7 @@ def hermitian_volumes(
     }
     vol = shape.volume
     table = ValuationTable(n=n, eps=shape.eps, B=B, Gamma=Gamma, M=M, vol=vol,
-                           quadrature={"rule": cloud.rule, "nodes": len(cloud)})
+                           quadrature={"rule": rule, "nodes": nodes})
     if richardson and level >= 1:
         coarse = hermitian_volumes(shape, level - 1, weight_fn=weight_fn,
                                    weight_symmetry=weight_symmetry)

@@ -105,7 +105,7 @@ def tilde_integrals(
     The weight is invariant under `flow.symmetry`, so the boundary rule takes
     the strongest reduction that group and the shape admit: the sign fold for
     a diagonal generator on an axis-aligned ellipsoid, the torus-orbit rule
-    only when it also commutes with J on every pair (`geom.sample_boundary`).
+    only when it also commutes with J on every pair (`geom.boundary_chunks`).
     A flow that cannot move the shape (`flow.transport`) raises ValueError.
     """
     flow.transport(shape, 0.0)

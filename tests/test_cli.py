@@ -103,21 +103,21 @@ def test_reports_state_the_quadrature_rule(axes, level, rule, nodes, capsys, mon
 
 
 def _plan_tables(monkeypatch):
-    """Refuse the product grid and record (rule, nodes) of every boundary rule."""
+    """Refuse the product grid and record (rule, nodes) of every quadrature table."""
 
     def no_grid(*args, **kwargs):
         raise AssertionError("product sphere grid requested")
 
-    sample = geom.sample_boundary
+    tabulate = valuations.hermitian_volumes
     plans = []
 
     def record(*args, **kwargs):
-        cloud = sample(*args, **kwargs)
-        plans.append((cloud.rule, len(cloud)))
-        return cloud
+        table = tabulate(*args, **kwargs)
+        plans.append((table.quadrature["rule"], table.quadrature["nodes"]))
+        return table
 
     monkeypatch.setattr(geom, "sphere_grid", no_grid)
-    monkeypatch.setattr(geom, "sample_boundary", record)
+    monkeypatch.setattr(valuations, "hermitian_volumes", record)
     return plans
 
 
@@ -420,6 +420,9 @@ def test_samples_and_threads_only_checked_for_check(capsys, monkeypatch):
         (["volumes", "--eps", "-1", "--R", "800", "--closed-form"], "overflow"),
         (["check", "variation", "--eps", "-1", "--R", "400"], "overflow"),
         (["check", "gauss-bonnet", "--R", "1e-200"], "overflow"),
+        (["volumes", "--shape", "ellipsoid", "--axes", "1,1,2,2", "--level", "0",
+          "--richardson"], "--richardson"),
+        (["volumes", "--R", "0.5", "--closed-form", "--richardson"], "--richardson"),
     ],
 )
 def test_bad_flag_values_are_parser_errors(argv, flag, capsys):

@@ -7,6 +7,7 @@ import pytest
 from scipy.integrate import nquad, quad
 
 from croftonlab import geom
+from croftonlab.valuations import QUADRATURE_CHUNK
 from croftonlab.coeffcore import ball_volume_coeff, sphere_volume_coeff
 from helpers import realify_complex_columns
 
@@ -130,11 +131,38 @@ def test_ellipsoid_validation_and_transform():
 
 
 def test_boundary_cloud_interface():
-    cloud = geom.sample_boundary(geom.Ellipsoid.from_axes([1, 1, 1, 1]), level=0)
+    e = geom.Ellipsoid.from_axes([1, 1, 1, 1])
+    cloud = geom.sample_boundary(e, level=0)
     assert np.all(cloud.weights > 0)
-    chunks = list(cloud.chunks(100))
+    chunks = list(geom.boundary_chunks(e, 0, "none", 100))
     assert len(chunks) == (len(cloud) + 99) // 100
     assert sum(len(c) for c in chunks) == len(cloud)
+    assert {c.rule for c in chunks} == {cloud.rule}
+    with pytest.raises(ValueError, match="symmetry must be one of"):
+        geom.boundary_chunks(e, 0, "u(n)", 100)  # refused before any chunk is built
+
+
+@pytest.mark.parametrize(
+    "shape,level,symmetry",
+    [
+        # a quadric with no symmetry: four 16,384-node product chunks
+        (geom.Ellipsoid(np.diag([1.0, 2.0, 3.0, 4.0]) + 0.1 * np.ones((4, 4))), 2, "none"),
+        # eight sign-folded chunks
+        (geom.Ellipsoid.from_axes([1, 2, 2, 3]), 3, "torus"),
+        (geom.GeodesicBall(n=3, eps=-1.0, R=0.8), 2, "torus"),
+    ],
+)
+def test_streamed_chunks_are_the_whole_cloud(shape, level, symmetry):
+    # each table chunk's geometry, computed from its own rows of the rule, is
+    # the matching slice of the whole cloud bit for bit
+    whole = geom.sample_boundary(shape, level, symmetry)
+    lo = 0
+    for chunk in geom.boundary_chunks(shape, level, symmetry, QUADRATURE_CHUNK):
+        assert 0 < len(chunk) <= QUADRATURE_CHUNK and chunk.rule == whole.rule
+        for name in ("positions", "normals", "frames", "h", "weights"):
+            assert np.array_equal(getattr(chunk, name), getattr(whole, name)[lo : lo + len(chunk)])
+        lo += len(chunk)
+    assert lo == len(whole)
 
 
 # ---------------------------------------------------------------------------

@@ -32,11 +32,15 @@ def test_pairwise_sum_deterministic_and_exactish():
         "n3_sign_fold_1_1_1_1_1_2_L0",
         "n4_torus_1_1_2_2_3_3_4_4_L0",
         "n2_tilde_1_2_2_3_L1",
+        "n2_sign_fold_1_2_2_3_L3",
+        "n2_tilde_1_2_2_3_L2",
     ],
 )
 def test_tables_match_golden_files(name):
-    # every entry pinned bit for bit (as its repr); the tilde table is weighted
-    # by <Ax, N> of a coupled generator, so it runs on the full product rule
+    # every entry pinned bit for bit (as its repr); the tilde tables are weighted
+    # by <Ax, N> of a coupled generator, so they run on the full product rule.
+    # The level-3 sign-fold (131,072 nodes) and level-2 tilde (65,536 nodes)
+    # tables span several QUADRATURE_CHUNKs.
     doc = json.loads((DATA / f"tables_{name}.json").read_text())
     shape = geom.Ellipsoid.from_axes(doc["axes"])
     if "generator" in doc:
@@ -214,10 +218,11 @@ def test_elementary_symmetric_kernel_on_one_node_ball_clouds(eps, R, n):
 )
 def test_curvature_sums_match_eigenvalues_on_table_clouds(axes, level):
     # the integrated M[j] of each table's cloud, kernel against eigenvalues
-    cloud = geom.sample_boundary(geom.Ellipsoid.from_axes(axes), level, symmetry="torus")
+    chunks = geom.boundary_chunks(geom.Ellipsoid.from_axes(axes), level, "torus",
+                                  val.QUADRATURE_CHUNK)
     got = np.zeros(len(axes))
     want = np.zeros(len(axes))
-    for chunk in cloud.chunks(val.QUADRATURE_CHUNK):
+    for chunk in chunks:
         got += _kernel(chunk.h) @ chunk.weights
         want += _eigvalsh_oracle(chunk.h) @ chunk.weights
     assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
@@ -312,6 +317,22 @@ def test_richardson_error_estimates():
         geom.Ellipsoid.from_axes([1, 2, 2, 3]), level=1, richardson=True
     )
     assert t.error["G:0,0"] < t_low.error["G:0,0"]
+
+
+def test_tables_build_their_boundary_geometry_one_chunk_at_a_time(monkeypatch):
+    # a 65,536-node product table: no frame batch may exceed one chunk
+    frames = geom._adapted_frames
+    batches = []
+
+    def record(normals):
+        batches.append(len(normals))
+        return frames(normals)
+
+    monkeypatch.setattr(geom, "_adapted_frames", record)
+    table = val.hermitian_volumes(geom.Ellipsoid(_seeded_quadric(4)), level=2)
+    assert table.quadrature == {"rule": "product", "nodes": 65536}
+    assert max(batches) <= val.QUADRATURE_CHUNK
+    assert sum(batches) == 65536
 
 
 @pytest.mark.parametrize("eps,R", [(1.0, 0.5), (-1.0, 0.8)])
