@@ -58,18 +58,20 @@ def _sphere_volume_closed_form(m: int) -> cc.PiScalar:
     m = 2j-1 and 2^{2j+1} pi^j j! / (2j)! for m = 2j."""
     j = (m + 1) // 2
     if m % 2:
-        return cc.PiScalar.pi_power(j, Fraction(2, factorial(j - 1)))
-    return cc.PiScalar.pi_power(j, Fraction(2 ** (2 * j + 1) * factorial(j), factorial(2 * j)))
+        return cc.PiScalar(Fraction(2, factorial(j - 1)), j)
+    return cc.PiScalar(Fraction(2 ** (2 * j + 1) * factorial(j), factorial(2 * j)), j)
 
 
 def identities(max_n: int) -> dict:
     """The exact coefficient suite for n = 2..max_n, one verdict per case.
 
-    solver: the flat Crofton system, solved exactly, matches its closed form
-    with zero residual in every d-equation (1 <= r < n); cancellation: the
-    eps-graded cancellation identity (1 <= r < n); epsIndependence: every
-    eps-graded term of the varied bracket cancels (1 <= r <= n, r = n being
-    Gauss-Bonnet; n = 1 included); normalizations: `sphere_volume_coeff(m)`
+    solver: the flat Crofton system, solved exactly, is the primed
+    `flat_crofton_coeffs` table, with zero residual in every d-equation
+    (1 <= r < n); cancellation: the eps-graded cancellation identity
+    (1 <= r < n); epsIndependence: the variation operator maps
+    `crofton_coeffs` to `crofton_variation_coeffs` with every eps-graded term
+    cancelled (1 <= r < n), and `gauss_bonnet_coeffs` to zero (r = n; n = 1
+    included); normalizations: `sphere_volume_coeff(m)`
     against the closed form of O_m (0 <= m < 2 max_n); shortGaussBonnet: the
     short Gauss-Bonnet form equals the table, which holds with a hyperplane
     Grassmannian of unit mass (`coeffcore.verify_short_gauss_bonnet`);

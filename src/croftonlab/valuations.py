@@ -185,8 +185,10 @@ def hermitian_volumes(
     those the weight shares.  `quadrature` records the rule and its node count.
     The curvature sums M[j] come from `_elementary_symmetric_functions`.
     `richardson=True` also computes the table one level lower and stores
-    |difference| as the error estimate per entry.
+    |difference| as the error estimate per entry; it needs level >= 1.
     """
+    if richardson and level < 1:
+        raise ValueError(f"richardson=True needs level >= 1, got level={level}")
     n = shape.n
     symmetry = "torus" if weight_fn is None else weight_symmetry
 
@@ -229,7 +231,7 @@ def hermitian_volumes(
     vol = shape.volume
     table = ValuationTable(n=n, eps=shape.eps, B=B, Gamma=Gamma, M=M, vol=vol,
                            quadrature={"rule": rule, "nodes": nodes})
-    if richardson and level >= 1:
+    if richardson:
         coarse = hermitian_volumes(shape, level - 1, weight_fn=weight_fn,
                                    weight_symmetry=weight_symmetry)
         err: Dict[str, float] = {}

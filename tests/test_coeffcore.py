@@ -6,6 +6,7 @@ against independent routes (the flat-space restriction, the solver, and the
 normalization identities).
 """
 
+from dataclasses import replace
 from fractions import Fraction
 from math import comb, factorial, pi
 
@@ -18,11 +19,11 @@ from croftonlab.coeffcore import PiScalar
 
 
 def rational(x) -> PiScalar:
-    return PiScalar.from_rational(x)
+    return PiScalar(x)
 
 
 def pi_pow(p, c=1) -> PiScalar:
-    return PiScalar.pi_power(p, c)
+    return PiScalar(c, p)
 
 
 # ---------------------------------------------------------------------------
@@ -44,7 +45,7 @@ def test_piscalar_monomial_laws(a, b, c, x, y):
     assert a * (u + v) == a * u + a * v
     assert a - a == PiScalar(0)
     assert a * 0 == PiScalar(0) and a + 0 == a
-    assert a * PiScalar.one() == a
+    assert a * PiScalar(1) == a
 
 
 @settings(max_examples=40, deadline=None)
@@ -52,14 +53,14 @@ def test_piscalar_monomial_laws(a, b, c, x, y):
 def test_piscalar_monomial_division(a, p, c):
     if c == 0:
         return
-    m = PiScalar.pi_power(p, c)
+    m = PiScalar(c, p)
     assert (a * m) / m == a
 
 
 @settings(max_examples=60, deadline=None)
 @given(fractions, powers)
 def test_piscalar_float_is_the_monomial_value(c, p):
-    assert PiScalar.pi_power(p, c).to_float() == float(c) * pi**p
+    assert PiScalar(c, p).to_float() == float(c) * pi**p
 
 
 def test_piscalar_float_and_json():
@@ -79,7 +80,7 @@ def test_piscalar_sum_across_powers_of_pi_is_refused(a, b):
 
 def test_piscalar_rejects_fractional_pi_powers():
     with pytest.raises(ValueError):
-        PiScalar.pi_power(Fraction(1, 2))
+        PiScalar(1, Fraction(1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +242,18 @@ def test_coefftable_rejects_bad_indices():
         cc.CoeffTable(n=2, r=1, entries={(4, 2, 0): rational(1)}, vol={})
 
 
+def test_coefftable_prefactor_defaults_to_one():
+    assert PiScalar() == rational(0)
+    assert cc.CoeffTable(n=2, r=None, entries={}, vol={}).prefactor == rational(1)
+
+
+def _doubled(table, key):
+    """`table` with one coefficient doubled: entry (k, q, p), or the volume term at eps^key."""
+    if isinstance(key, int):
+        return replace(table, vol={**table.vol, key: table.vol[key] * 2})
+    return replace(table, entries={**table.entries, key: table.entries[key] * 2})
+
+
 # ---------------------------------------------------------------------------
 # Linear system, cancellation identity, epsilon independence
 # ---------------------------------------------------------------------------
@@ -278,6 +291,60 @@ def test_epsilon_independence():
     for n in range(1, 7):
         for r in range(1, n + 1):
             assert cc.check_epsilon_independence(n, r), (n, r)
+
+
+@pytest.mark.parametrize("n,r", [(3, 0), (3, 4), (1, 2)])
+def test_epsilon_independence_range_errors(n, r):
+    with pytest.raises(cc.IndexRangeError):
+        cc.check_epsilon_independence(n, r)
+
+
+@pytest.mark.parametrize("r,key", [(1, 1), (2, (4, 1, 1)), (2, (4, 2, 1)), (2, 2)])
+def test_epsilon_independence_fails_on_a_wrong_crofton_table(r, key, monkeypatch):
+    # one eps >= 1 coefficient of the public table doubled (at r = 1 the
+    # volume term is the only one); the other r keep passing
+    crofton = cc.crofton_coeffs
+    monkeypatch.setattr(
+        cc, "crofton_coeffs",
+        lambda n, s: _doubled(crofton(n, s), key) if (n, s) == (3, r) else crofton(n, s),
+    )
+    assert not cc.check_epsilon_independence(3, r)
+    assert all(cc.check_epsilon_independence(3, s) for s in (1, 2, 3) if s != r)
+
+
+@pytest.mark.parametrize("key", [(2, 1, 1), (4, 1, 2), 3])
+def test_epsilon_independence_fails_on_a_wrong_gauss_bonnet_table(key, monkeypatch):
+    gauss_bonnet = cc.gauss_bonnet_coeffs
+    monkeypatch.setattr(
+        cc, "gauss_bonnet_coeffs",
+        lambda n: _doubled(gauss_bonnet(n), key) if n == 3 else gauss_bonnet(n),
+    )
+    assert not cc.check_epsilon_independence(3, 3)
+    assert cc.check_epsilon_independence(3, 2) and cc.check_epsilon_independence(2, 2)
+
+
+@pytest.mark.parametrize("scale", [rational(2), pi_pow(1)])
+def test_epsilon_independence_fails_on_a_rescaled_variation_table(scale, monkeypatch):
+    # a wrong eps^0 remainder fails, whether it is rational or carries pi
+    variation = cc.crofton_variation_coeffs
+    monkeypatch.setattr(
+        cc, "crofton_variation_coeffs",
+        lambda n, r: {key: c * scale for key, c in variation(n, r).items()},
+    )
+    assert not cc.check_epsilon_independence(3, 1)
+    assert cc.check_epsilon_independence(3, 3)
+
+
+def test_solver_group_fails_on_a_wrong_flat_table(monkeypatch):
+    flat = cc.flat_crofton_coeffs
+    monkeypatch.setattr(
+        cc, "flat_crofton_coeffs",
+        lambda n, r: _doubled(flat(n, r), (4, 2, 0)) if (n, r) == (3, 1) else flat(n, r),
+    )
+    assert not cc.solve_crofton_system(3, 1).closed_form_matches()
+    results = checks.identities(3)
+    assert results["pass"] is False
+    assert results["solver"] == {"2,1": True, "3,1": False, "3,2": True}
 
 
 def test_short_gauss_bonnet_identity():
@@ -354,17 +421,29 @@ def test_variation_of_volume():
     assert op.targets("vol") == (("B", 5, 2, 0, rational(2)),)
 
 
+def test_primed_normalization():
+    # B_{k,q} = c_{n,k,q} B', Gamma_{k,q} = c_{n,k,q} Gamma' / 2, vol = vol'
+    b, g = cc.form_norm_coeff(3, 4, 1), cc.form_norm_coeff(3, 2, 1)
+    graded = {("B", 4, 1): {0: 3 / b}, ("G", 2, 1): {1: 1 / g, 2: rational(0)},
+              "vol": {3: rational(5)}}
+    assert cc._primed(3, graded, rational(Fraction(1, 5))) == {
+        ("B", 4, 1): {0: Fraction(3, 5)}, ("G", 2, 1): {1: Fraction(1, 10)}, "vol": {3: 1},
+    }
+    with pytest.raises(ValueError, match="not rational"):
+        cc._primed(3, {("B", 4, 1): {0: rational(1)}})
+
+
 def test_flat_variation_coeffs_match_primed_form():
-    # unprimed coefficient of tilde-B_{2n-2r-1,q} equals the primed closed form
-    # divided by n! binom(n-1,r) c_{n,k,q}
+    # the primed coefficient of tilde-B_{2n-2r-1,q}, times n! binom(n-1,r),
+    # is the closed form 4 a binom(n-r, a) binom(r+1, a) / 4^a, a = n-r-q
     for n in range(2, 6):
         for r in range(1, n):
             coeffs = cc.crofton_variation_coeffs(n, r)
-            primed = cc._flat_variation_primed(n, r)
-            for (kind, k, q), c in primed.items():
-                expected = (
-                    rational(Fraction(c, factorial(n) * comb(n - 1, r)))
-                    / cc.form_norm_coeff(n, k, q)
-                )
-                assert coeffs[(k, q)] == expected, (n, r, k, q)
-            assert len(coeffs) == len(primed)
+            primed = cc._primed(n, {("B", k, q): {0: c} for (k, q), c in coeffs.items()})
+            scale = factorial(n) * comb(n - 1, r)
+            expected = {
+                ("B", 2 * n - 2 * r - 1, n - r - a):
+                    {0: Fraction(4 * a * comb(n - r, a) * comb(r + 1, a), 4 ** a)}
+                for a in range(1, min(r + 1, n - r) + 1)
+            }
+            assert {key: {0: v[0] * scale} for key, v in primed.items()} == expected, (n, r)

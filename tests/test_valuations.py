@@ -319,6 +319,13 @@ def test_richardson_error_estimates():
     assert t.error["G:0,0"] < t_low.error["G:0,0"]
 
 
+@pytest.mark.parametrize("level", [0, -1])
+def test_richardson_below_level_one_raises(level):
+    # there is no coarser table to difference against
+    with pytest.raises(ValueError, match="level >= 1"):
+        val.hermitian_volumes(geom.Ellipsoid.from_axes([1, 1, 2, 2]), level, richardson=True)
+
+
 def test_tables_build_their_boundary_geometry_one_chunk_at_a_time(monkeypatch):
     # a 65,536-node product table: no frame batch may exceed one chunk
     frames = geom._adapted_frames
