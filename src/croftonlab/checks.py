@@ -3,12 +3,12 @@
 Each check is a pure function of its shapes, level, sample counts, seeds and
 tolerance, and returns the `results` dict that `croftonlab check` reports; its
 "pass" entry is the verdict.  A tolerance of None selects the check's default.
-Monte Carlo checks calibrate kappa with `cal_seed` and draw their i-th
-estimate with seed `seed + i`.
+Monte Carlo checks draw their i-th estimate with seed `seed + i` and predict
+it with the closed-form `planes.kappa`.
 
-Layers are called through their module attributes (`planes.calibrate`, not a
-name imported from `planes`), so a caller that wraps a layer function in its
-module also sees the calls made here.
+Layers are called through their module attributes (`planes.chi_measure_estimate`,
+not a name imported from `planes`), so a caller that wraps a layer function in
+its module also sees the calls made here.
 """
 
 from __future__ import annotations
@@ -44,13 +44,6 @@ FLAT_FAMILIES: Dict[int, List[List[float]]] = {
 }
 
 CPN_RADII = (0.3, 0.6, 0.9, 1.2)
-CPN_REFERENCE_R = 0.75
-
-
-def _quotient(a: float, b: float) -> float:
-    """a / b, or nan where the quotient is undefined (b = 0): a Monte Carlo
-    run without hits then fails its gate instead of raising."""
-    return a / b if b else float("nan")
 
 
 def _sphere_volume_closed_form(m: int) -> cc.PiScalar:
@@ -146,50 +139,42 @@ def gamma_b(ball: geom.GeodesicBall, tol: Optional[float] = None) -> dict:
 
 
 def crofton_flat(
-    reference: geom.Shape, r: int, families: Sequence[Sequence[float]], level: int,
-    N: int, cal_seed: int, seed: int, ztol: Optional[float] = None,
-    tables: Optional[Sequence[valuations.ValuationTable]] = None,
+    r: int, families: Sequence[Sequence[float]], level: int, N: int, seed: int,
+    ztol: Optional[float] = None,
 ) -> dict:
-    """Flat Crofton Monte Carlo: one kappa from `reference`, then predictions.
-
-    Each family passes if |z| < ztol (calibration error included) and
-    stderr/mean < 1%.  `tables` are the families' valuation tables when the
-    caller already has them; otherwise they are computed at `level`.
-    """
+    """Flat Crofton Monte Carlo on ellipsoid families of one n: each estimate
+    against kappa times the bracket of its table at `level`.  A family passes
+    if |z| < ztol and stderr/mean < 1%."""
     ztol = Z_GATE if ztol is None else ztol
-    n = reference.n
-    cal = planes.calibrate(n, r, 0.0, reference, N, cal_seed, level=level)
+    n = len(families[0]) // 2
+    kappa = planes.kappa(n, r, 0).to_float()
     items = []
     for i, axes in enumerate(families):
         shape = geom.Ellipsoid.from_axes(axes)
-        table = valuations.hermitian_volumes(shape, level) if tables is None else tables[i]
-        rhs = valuations.crofton_rhs(table, n, r, 0.0)
+        rhs = valuations.crofton_rhs(valuations.hermitian_volumes(shape, level), n, r, 0.0)
         est = planes.chi_measure_estimate(shape, r, N, seed + i)
-        z = est.z_score(cal.kappa * rhs, extra_stderr=cal.stderr * rhs)
+        z = est.z_score(kappa * rhs)
         rel_sd = est.stderr / est.mean if est.mean else float("inf")
-        items.append({"axes": axes, "estimate": est.to_json(), "prediction": cal.kappa * rhs,
+        items.append({"axes": axes, "estimate": est.to_json(), "prediction": kappa * rhs,
                       "z": z, "stderrOverMean": rel_sd, "pass": abs(z) < ztol and rel_sd < 0.01})
-    return {"kappa": cal.kappa, "kappaStderr": cal.stderr, "items": items,
-            "zTolerance": ztol, "pass": all(it["pass"] for it in items)}
+    return {"kappa": kappa, "items": items, "zTolerance": ztol,
+            "pass": all(it["pass"] for it in items)}
 
 
-def crofton_cpn(
-    n: int, r: int, N: int, cal_seed: int, seed: int, ztol: Optional[float] = None
-) -> dict:
+def crofton_cpn(n: int, r: int, N: int, seed: int, ztol: Optional[float] = None) -> dict:
     """Projective (eps = 1) Crofton radius dependence on geodesic balls."""
     ztol = Z_GATE if ztol is None else ztol
-    ref = geom.GeodesicBall(n=n, eps=1.0, R=CPN_REFERENCE_R)
-    cal = planes.calibrate(n, r, 1.0, ref, N, cal_seed)
+    kappa = planes.kappa(n, r, 1).to_float()
     items = []
     for i, R in enumerate(CPN_RADII):
         ball = geom.GeodesicBall(n=n, eps=1.0, R=R)
         rhs = valuations.crofton_rhs(valuations.ball_closed_form(1.0, n, R), n, r, 1.0)
         est = planes.chi_measure_estimate(ball, r, N, seed + i)
-        z = est.z_score(cal.kappa * rhs, extra_stderr=cal.stderr * rhs)
-        items.append({"R": R, "estimate": est.to_json(), "prediction": cal.kappa * rhs,
+        z = est.z_score(kappa * rhs)
+        items.append({"R": R, "estimate": est.to_json(), "prediction": kappa * rhs,
                       "z": z, "pass": abs(z) < ztol})
-    return {"kappa": cal.kappa, "kappaStderr": cal.stderr, "items": items,
-            "zTolerance": ztol, "pass": all(it["pass"] for it in items)}
+    return {"kappa": kappa, "items": items, "zTolerance": ztol,
+            "pass": all(it["pass"] for it in items)}
 
 
 def variation(
@@ -250,31 +235,33 @@ def crofton_variation(
 
 
 def total_gauss(
-    reference: geom.Shape, r: int, families: Sequence[Sequence[float]], level: int,
-    N: int, cal_seed: int, seed: int, ztol: Optional[float] = None,
+    r: int, families: Sequence[Sequence[float]], level: int, N: int, seed: int,
+    ztol: Optional[float] = None,
 ) -> dict:
     """Plane-averaged total Gauss curvature of sections, two gates per family.
 
-    The average is compared with kappa times the total-Gauss table (|z| <
-    ztol), and its ratio to the chi estimate of the same plane stream with
-    O_{2r-1} (relative 1e-9: every hit contributes O_{2r-1}).
+    The families share one n.  The average is compared with kappa times the
+    total-Gauss table (|z| < ztol), and its ratio to the chi estimate of the
+    same plane stream with O_{2r-1} (relative 1e-9: every hit contributes
+    O_{2r-1}).
     """
     ztol = Z_GATE if ztol is None else ztol
-    n = reference.n
-    cal = planes.calibrate(n, r, 0.0, reference, N, cal_seed, level=level)
+    n = len(families[0]) // 2
+    kappa = planes.kappa(n, r, 0).to_float()
     o = cc.sphere_volume_coeff(2 * r - 1).to_float()
     items = []
     for i, axes in enumerate(families):
         shape = geom.Ellipsoid.from_axes(axes)
         res = planes.total_gauss_estimate(shape, r, N, seed + i)
         table = valuations.hermitian_volumes(shape, level)
-        pred = cal.kappa * cc.total_gauss_coeffs(n, r).eval(table.mu_dict(), table.vol, 0.0)
-        z_table = res.total.z_score(pred, extra_stderr=_quotient(cal.stderr * pred, cal.kappa))
-        ratio = _quotient(res.total.mean, res.chi.mean)
+        pred = kappa * cc.total_gauss_coeffs(n, r).eval(table.mu_dict(), table.vol, 0.0)
+        z_table = res.total.z_score(pred)
+        # nan without hits: the run fails its gate instead of raising
+        ratio = res.total.mean / res.chi.mean if res.chi.mean else float("nan")
         items.append({"axes": axes, "total": res.total.to_json(), "chi": res.chi.to_json(),
                       "ratio": ratio, "ratioTarget": o, "prediction": pred, "zTable": z_table,
                       "pass": abs(z_table) < ztol and abs(ratio - o) / o < 1e-9})
-    return {"kappa": cal.kappa, "items": items, "zTolerance": ztol,
+    return {"kappa": kappa, "items": items, "zTolerance": ztol,
             "pass": all(it["pass"] for it in items)}
 
 

@@ -54,7 +54,7 @@ def _emit(report: dict, args) -> None:
     else:
         flat: Dict[str, object] = {}
         _flatten("", report, flat)
-        # csv quotes values with commas (raw --axes); str() keeps None as "None"
+        # csv quotes any value holding a comma; str() keeps None as "None"
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(flat)
@@ -164,14 +164,6 @@ def cmd_volumes(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _flat_reference(args) -> geom.Ellipsoid:
-    """The unit ball of --n, reference of the checks over FLAT_FAMILIES[n]."""
-    if args.n not in checks.FLAT_FAMILIES:
-        raise ValueError(f"--n: default ellipsoid families exist for n in "
-                         f"{sorted(checks.FLAT_FAMILIES)}, got n={args.n}")
-    return geom.Ellipsoid.from_axes([1.0] * (2 * args.n))
-
-
 def _check_level(args) -> int:
     """The quadrature level a check runs at: crofton-mc tabulates n != 2 at level 1."""
     return 1 if args.what == "crofton-mc" and args.n != 2 else args.level
@@ -183,29 +175,27 @@ CHECKS = {
     "gauss-bonnet": lambda a: checks.gauss_bonnet(a.body, a.level, a.tol),
     "gamma-b": lambda a: checks.gamma_b(a.body, a.tol),
     "crofton-mc": lambda a: checks.crofton_flat(
-        a.body, a.r, checks.FLAT_FAMILIES[a.n], a.level, a.samples, a.seed, a.seed + 1, a.tol),
-    "crofton-cpn": lambda a: checks.crofton_cpn(a.n, a.r, a.samples, a.seed, a.seed + 1, a.tol),
+        a.r, checks.FLAT_FAMILIES[a.n], a.level, a.samples, a.seed + 1, a.tol),
+    "crofton-cpn": lambda a: checks.crofton_cpn(a.n, a.r, a.samples, a.seed + 1, a.tol),
     "variation": lambda a: checks.variation(a.body, a.level, a.tol),
     "crofton-variation": lambda a: checks.crofton_variation(a.body, a.r, a.level, a.tol),
     "total-gauss": lambda a: checks.total_gauss(
-        a.body, a.r, checks.FLAT_FAMILIES[a.n][:2], a.level, a.samples, a.seed,
-        a.seed + 1, a.tol),
+        a.r, checks.FLAT_FAMILIES[a.n][:2], a.level, a.samples, a.seed + 1, a.tol),
     "grassmann-pointwise": lambda a: checks.grassmann_pointwise(
         a.n, a.r, a.samples, a.seed, a.seed + 1, 2048, a.seed, a.tol),
 }
 
 # what each command reads: the shape it builds from --shape/--axes/--n/--eps/--R
-# (the flat reference reads --n alone; None: no shape, it reads --n directly),
-# and whether it reads --r and --level
+# (None: no shape, it reads --n directly), and whether it reads --r and --level
 READS = {
     "volumes": (_shape_from_args, False, True),
     "gauss-bonnet": (_shape_from_args, False, True),
     "gamma-b": (_shape_from_args, False, False),
-    "crofton-mc": (_flat_reference, True, True),
+    "crofton-mc": (None, True, True),
     "crofton-cpn": (None, True, False),
     "variation": (_shape_from_args, False, True),
     "crofton-variation": (_shape_from_args, True, True),
-    "total-gauss": (_flat_reference, True, True),
+    "total-gauss": (None, True, True),
     "grassmann-pointwise": (None, True, False),
 }
 
@@ -220,7 +210,7 @@ def cmd_check(args) -> int:
         "eps": args.eps,
         "R": args.R,
         "shape": args.shape,
-        "axes": args.axes,
+        "axes": _parse_axes(args.axes),
         "level": args.level,
         "samples": args.samples,
         "seed": args.seed,
@@ -318,12 +308,19 @@ def _validate(parser: argparse.ArgumentParser, args) -> None:
                 parser.error(f"argument --richardson: needs --level >= 1, got {level}")
         if what == "gamma-b" and args.body.curvatures is None:
             parser.error("argument --shape: gamma-b applies to geodesic balls (--shape ball)")
+        if what in ("crofton-mc", "total-gauss") and n not in checks.FLAT_FAMILIES:
+            parser.error(f"argument --n: default ellipsoid families exist for n in "
+                         f"{sorted(checks.FLAT_FAMILIES)}, got n={n}")
     if reads_r and not 1 <= args.r <= n - 1:
         parser.error(f"argument --r: need 1 <= r <= n-1, got r={args.r}, n={n}")
     if args.command != "check":
         return
     if args.samples < 1:
         parser.error(f"argument --samples: must be an integer >= 1, got {args.samples}")
+    try:  # every check reports the parsed --axes
+        _parse_axes(args.axes)
+    except ValueError as exc:
+        parser.error(f"argument --axes: {exc}")
     if args.tol is not None and not (isfinite(args.tol) and args.tol > 0):
         parser.error(f"argument --tol: must be finite and positive, got {args.tol}")
     try:

@@ -586,7 +586,7 @@ def crofton_variation_coeffs(n: int, r: int) -> Mapping[Tuple[int, int], PiScala
     """Coefficients of tilde{B}_{2n-2r-1,q} in the variation of the plane measure.
 
     Relative to the formal vol(G^C_{n-1,r}); includes the binom(n-1,r)^{-1}
-    prefactor so the result pairs with `crofton_coeffs` under one calibration.
+    prefactor so the result pairs with `crofton_coeffs` under one kappa.
     """
     _require_plane_dim(n, r)
     base = (

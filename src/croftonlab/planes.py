@@ -31,8 +31,8 @@ invariant Grassmannian measure, so
     E[window_volume * 1{plane meets shape}] = (measure of planes meeting shape)
 
 up to one overall normalization constant: the undetermined Grassmannian mass.
-That constant is the calibration `kappa`, fixed once per (n, r, eps) on a
-reference shape and then reused, so every further comparison is prediction.
+That constant is the closed form `kappa`, so every comparison with the
+formula bracket is a prediction.
 The shape decides which flat planes meet it (`Shape.meets`); an ellipsoid
 also returns each section's quadratic form (`Ellipsoid.section`), from which
 the total-Gauss estimate reads the section ellipses.
@@ -60,13 +60,14 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from math import pi, sqrt
+from math import perm, pi, sqrt
 from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 from . import extalg, geom, valuations
 from .coeffcore import (
+    PiScalar,
     ball_volume_coeff,
     crofton_variation_coeffs,
     form_norm_coeff,
@@ -79,6 +80,7 @@ __all__ = [
     "TotalGaussResult",
     "chi_measure_estimate",
     "calibrate",
+    "kappa",
     "total_gauss_estimate",
     "grassmann_sigma_average",
     "cor44_density_combination",
@@ -176,7 +178,7 @@ def _moments_estimate(
 
 @dataclass
 class Calibration:
-    """kappa: the numeric stand-in for the Grassmannian mass convention."""
+    """kappa as `calibrate` measures it, with its standard error."""
 
     n: int
     r: int
@@ -266,6 +268,18 @@ def _flat_window(shape, r: int) -> Tuple[float, float]:
     return rho, ball_volume_coeff(2 * (shape.n - r)).to_float() * rho ** (2 * (shape.n - r))
 
 
+def kappa(n: int, r: int, eps: float) -> PiScalar:
+    """kappa = sampled plane measure / `crofton_rhs`, exactly (eps = 0 or 1, 1 <= r < n).
+
+    eps = 0: (n-1)!/((n-r-1)! pi^r) under `_flat_window`'s measure, Lebesgue anchors in
+    the complement times Haar directions, by which the planes meeting B(R) have measure
+    omega_{2(n-r)} R^{2(n-r)}; eps = 1: n!(n-1)!/(r!(n-r-1)! pi^n), Haar planes in CP^n."""
+    if eps not in (0, 1) or not 0 < r < n:
+        raise ValueError(f"kappa needs eps = 0 or 1 and 1 <= r < n, got eps={eps}, r={r}, n={n}")
+    c = perm(n - 1, r)
+    return PiScalar(c, -r) if eps == 0 else PiScalar(c * perm(n, n - r), -n)
+
+
 def _flat_draws(rng: np.random.Generator, m: int, n: int, r: int) -> Tuple[np.ndarray, ...]:
     """A chunk's flat-plane draws, in stream order: the frame blocks (m, n, n),
     the anchor normals (m, 2(n-r)) and the anchor radii's uniforms (m)."""
@@ -346,7 +360,9 @@ def calibrate(
     table: Optional[valuations.ValuationTable] = None,
     level: int = 1,
 ) -> Calibration:
-    """Fix kappa = measured plane measure / formula bracket on a reference shape."""
+    """Measure kappa = sampled plane measure / formula bracket on a reference
+    shape: the Monte Carlo reference of the closed-form `kappa`, kept for its
+    test and the benchmark."""
     if (n, eps) != (reference_shape.n, reference_shape.eps):
         raise ValueError(f"(n, eps) = ({n}, {eps}) differs from the reference shape's "
                          f"({reference_shape.n}, {reference_shape.eps})")

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -131,10 +132,10 @@ def test_volumes_of_a_j_invariant_n3_ellipsoid_at_the_default_level(capsys, monk
 
 
 def test_total_gauss_n3_tables_at_the_default_level(capsys, monkeypatch):
-    # reference and both families are T^n-invariant: three 1024-node tables
+    # both families are T^n-invariant: two 1024-node tables
     plans = _plan_tables(monkeypatch)
     run_cli(["check", "total-gauss", "--n", "3", "--samples", "200", "--seed", "3"], capsys)
-    assert plans == [("torus-orbit", 32**2)] * 3
+    assert plans == [("torus-orbit", 32**2)] * 2
 
 
 def test_check_gauss_bonnet_pass_and_fail(capsys):
@@ -251,7 +252,7 @@ def test_csv_output_flattens_kq_keys(capsys, tmp_path):
     row = _csv_rows(out_path.read_text())
     assert "results.table.mu:2.1" in row
     assert "mu:2,1" not in row  # (k,q) keys flatten as "k.q"
-    # the raw --axes string holds commas: quoted, it stays one column
+    # the parsed --axes flatten to one column per semiaxis
     code, out = run_cli(
         ["check", "gauss-bonnet", "--shape", "ellipsoid", "--axes", "1,1,2,2", "--level", "1",
          "--format", "csv"],
@@ -259,8 +260,21 @@ def test_csv_output_flattens_kq_keys(capsys, tmp_path):
     )
     assert code == 0
     row = _csv_rows(out)
-    assert row["config.axes"] == "1,1,2,2"
+    assert [row[f"config.axes.{i}"] for i in range(4)] == ["1.0", "1.0", "2.0", "2.0"]
+    assert "config.axes" not in row
     assert row["config.tol"] == "None"
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_check_reports_state_the_parsed_axes(fmt, capsys):
+    # commas or spaces, the same semiaxes give the same report
+    outs = []
+    for axes in ("1,1,2,2", "1 1 2 2"):
+        code, out = run_cli(["check", "gauss-bonnet", "--shape", "ellipsoid", "--axes", axes,
+                             "--level", "1", "--format", fmt], capsys)
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
 
 
 def test_output_file_json(capsys, tmp_path):
@@ -423,6 +437,8 @@ def test_samples_and_threads_only_checked_for_check(capsys, monkeypatch):
         (["volumes", "--shape", "ellipsoid", "--axes", "1,1,2,2", "--level", "0",
           "--richardson"], "--richardson"),
         (["volumes", "--R", "0.5", "--closed-form", "--richardson"], "--richardson"),
+        # every check reports the parsed --axes, a ball's too
+        (["check", "gamma-b", "--eps", "1", "--R", "0.5", "--axes", "1,x"], "--axes"),
     ],
 )
 def test_bad_flag_values_are_parser_errors(argv, flag, capsys):
@@ -435,8 +451,8 @@ def test_bad_flag_values_are_parser_errors(argv, flag, capsys):
     assert last.startswith("croftonlab") and "error:" in last and flag in last
 
 
-# few samples: a calibration or a family without hits, and a ratio whose
-# spread is zero; each check reports and fails instead of raising
+# few samples: a family without hits, and a ratio whose spread is zero; each
+# check reports and fails instead of raising
 @pytest.mark.parametrize(
     "argv",
     [
@@ -470,6 +486,22 @@ def test_monte_carlo_checks_on_few_samples_fail_with_a_report(argv, capsys):
 )
 def test_flags_are_only_checked_where_a_command_reads_them(argv):
     cli._validate(cli.build_parser(), cli.build_parser().parse_args(argv))
+
+
+def test_readme_commands_parse_and_validate():
+    # the README's command block: every documented flag exists and validates,
+    # and every check is documented; nothing runs
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line)[1:] for line in block.splitlines()
+                if line.startswith("croftonlab ")]
+    parser = cli.build_parser()
+    for argv in commands:
+        try:
+            cli._validate(parser, parser.parse_args(argv))
+        except SystemExit:
+            pytest.fail(f"README command rejected: croftonlab {shlex.join(argv)}")
+    assert {argv[1] for argv in commands if argv[0] == "check"} == set(cli.CHECKS)
 
 
 def test_every_command_states_what_it_reads(capsys):

@@ -1,4 +1,4 @@
-"""Plane sampling, hit predicates, calibration and the Grassmann average.
+"""Plane sampling, hit predicates, kappa and the Grassmann average.
 
 Monte Carlo assertions use fixed seeds and 3 sigma gates (sharper where the
 statistic is exact); the heavy 1e6-sample runs live in the acceptance suite.
@@ -7,7 +7,7 @@ anchors (n, m).  They are computed as the estimators compute them: a chunk's
 draws first, then the QR_BLOCK-plane slices.
 """
 
-from math import pi, sqrt
+from math import comb, pi, sin, sqrt
 
 import numpy as np
 import pytest
@@ -276,7 +276,7 @@ def test_unmodelled_positive_curvature_rejected():
 
 
 # ---------------------------------------------------------------------------
-# chi-measure estimates and calibration
+# chi-measure estimates and kappa
 # ---------------------------------------------------------------------------
 
 
@@ -354,9 +354,42 @@ def test_calibration_properties():
     assert abs(cal1.kappa - cal3.kappa) < 3 * sd
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_kappa_times_the_ball_bracket_is_the_exact_plane_measure(n):
+    # no sampling, no quadrature: the flat planes meeting B(R) have anchors in
+    # the projected ball, and a Haar r-plane of CP^n passes within R of a point
+    # with the probability that a Binomial(n, sin^2 R) count reaches n - r
+    for r in range(1, n):
+        for R in (0.1, 0.3, 0.7, 1.2, 1.5):
+            flat = planes.kappa(n, r, 0).to_float() * val.crofton_rhs(
+                val.ball_closed_form(0.0, n, R), n, r, 0.0)
+            want = cc.ball_volume_coeff(2 * (n - r)).to_float() * R ** (2 * (n - r))
+            assert flat == pytest.approx(want, rel=1e-12, abs=0), (n, r, R)
+            X = sin(R) ** 2
+            cpn = planes.kappa(n, r, 1).to_float() * val.crofton_rhs(
+                val.ball_closed_form(1.0, n, R), n, r, 1.0)
+            want = sum(comb(n, j) * X**j * (1 - X) ** (n - j) for j in range(n - r, n + 1))
+            assert cpn == pytest.approx(want, rel=1e-12, abs=0), (n, r, R)
+
+
+def test_kappa_closed_forms():
+    assert planes.kappa(3, 1, 0) == cc.PiScalar(2, -1)
+    assert planes.kappa(3, 2, 1) == cc.PiScalar(6, -3)
+    for n, r, eps in ((2, 1, -1.0), (2, 1, 0.5), (2, 2, 0.0), (3, 0, 1.0)):
+        with pytest.raises(ValueError, match="eps = 0 or 1 and 1 <= r < n"):
+            planes.kappa(n, r, eps)
+
+
+@pytest.mark.parametrize("n,r", [(2, 1), (3, 1), (3, 2)])
+@pytest.mark.parametrize("eps,R", [(0.0, 1.0), (1.0, 0.75)])
+def test_calibration_measures_the_closed_form_kappa(n, r, eps, R):
+    cal = planes.calibrate(n, r, eps, geom.GeodesicBall(n=n, eps=eps, R=R), 200000,
+                           7000 + 100 * int(eps) + 10 * n + r)
+    assert abs(cal.kappa - planes.kappa(n, r, eps).to_float()) < 3 * cal.stderr
+
+
 def test_calibrated_crofton_across_shapes():
-    ref = geom.GeodesicBall(n=2, eps=0.0, R=1.0)
-    res = checks.crofton_flat(ref, 1, checks.FLAT_FAMILIES[2], 2, 200000, 51, 52, 3.0)
+    res = checks.crofton_flat(1, checks.FLAT_FAMILIES[2], 2, 200000, 52, 3.0)
     assert res["pass"], res["items"]
 
 
@@ -411,8 +444,7 @@ def test_section_total_curvature_is_gauss_map_degree():
 
 
 def test_total_gauss_matches_coefficient_table():
-    ref = geom.GeodesicBall(n=2, eps=0.0, R=1.0)
-    res = checks.total_gauss(ref, 1, [[1, 1, 2, 2]], 2, 150000, 81, 82, 3.0)
+    res = checks.total_gauss(1, [[1, 1, 2, 2]], 2, 150000, 82, 3.0)
     assert res["pass"], res["items"]
 
 
