@@ -242,8 +242,8 @@ def total_gauss(
 
     The families share one n.  The average is compared with kappa times the
     total-Gauss table (|z| < ztol), and its ratio to the chi estimate of the
-    same plane stream with O_{2r-1} (relative 1e-9: every hit contributes
-    O_{2r-1}).
+    same plane stream with O_{2r-1} (relative 1e-9): that gate guards that the
+    estimator counts each hit section at its Gauss-map degree, O_{2r-1}.
     """
     ztol = Z_GATE if ztol is None else ztol
     n = len(families[0]) // 2

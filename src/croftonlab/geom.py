@@ -3,16 +3,15 @@
 Each domain is a `Shape` that answers what the other layers ask of it, so no
 layer outside this module tests a shape's class: its boundary quadrature
 cloud, chunk by chunk (`boundary(level, symmetry, size)`), which flat
-complex planes meet it (`meets`) and, for ellipsoids, their section forms
-(`section`), its principal curvatures when they are constant (`curvatures`,
-else None), and its exact transport by a linear map (`transformed`) or a
-radial growth (`grown`).  A kind that cannot answer raises ValueError.  The
-kinds are ellipsoids in C^n (flat case only), given by 2n semiaxes or a
-positive quadratic form and sampled through the unit sphere by a
-Gauss-Jacobi product rule in hyperspherical angles, and geodesic balls in
-the space form of holomorphic curvature 4*eps, whose boundary has constant
-principal curvatures: one value in the Hopf direction JN and one on the
-distribution.
+complex planes meet it (`meets`), its principal curvatures when they are
+constant (`curvatures`, else None), and its exact transport by a linear map
+(`transformed`) or a radial growth (`grown`).  A kind that cannot answer
+raises ValueError.  The kinds are ellipsoids in C^n (flat case only), given
+by 2n semiaxes or a positive quadratic form and sampled through the unit
+sphere by a Gauss-Jacobi product rule in hyperspherical angles, and geodesic
+balls in the space form of holomorphic curvature 4*eps, whose boundary has
+constant principal curvatures: one value in the Hopf direction JN and one on
+the distribution.
 
 Every sampled boundary point carries the adapted frame (JN, e_2, Je_2, ...),
 the second fundamental form in that frame (inner-normal convention: the unit
@@ -153,13 +152,11 @@ def _inverse_form(M: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 class Shape:
     """A domain of dimension n in curvature 4*eps answering for its geometry (see
-    the module docstring).  The defaults below are the questions a kind may leave
-    unanswered.  Planes are batch-last and complex: V (n, r, m), anchors (n, m)."""
+    the module docstring).  Every kind answers `boundary` and `meets`, whose
+    planes are batch-last and complex: V (n, r, m), anchors (n, m).  The
+    defaults below are the questions a kind may leave unanswered."""
 
     curvatures: Optional[Tuple[float, float]] = None
-
-    def section(self, V: np.ndarray, anchors: np.ndarray):
-        raise ValueError(f"{self!r} has no quadratic plane sections (ellipsoids only)")
 
     def transformed(self, M: np.ndarray) -> "Shape":
         raise ValueError(f"{self!r} is not moved by linear flows (ellipsoids only)")
@@ -251,23 +248,19 @@ class Ellipsoid(Shape):
             h = (h + np.swapaxes(h, 1, 2)) / 2
             yield BoundaryCloud(n, x, normals, frames, h, weights, _RULES[group])
 
-    def section(self, V: np.ndarray, anchors: np.ndarray) -> Tuple[np.ndarray, ...]:
-        """(hit, M, minval) of x^T Q x restricted to each plane anchor + span_C(V).
+    def meets(self, V: np.ndarray, anchors: np.ndarray) -> np.ndarray:
+        """Which planes anchor + span_C(V) meet the ellipsoid x^T Q x <= 1.
 
-        In real coordinates s on the plane the form is s^T M s + 2 b.s + c0 with
-        minimum minval = c0 - b^T M^{-1} b (`_inverse_form`); the plane meets the
-        ellipsoid x^T Q x <= 1 iff minval <= 1.  M is batch-last, (2r, 2r, m).
+        In real coordinates s on the plane, x^T Q x is s^T M s + 2 b.s + c0 with
+        minimum c0 - b^T M^{-1} b (`_inverse_form`); the plane meets the
+        ellipsoid iff that minimum is <= 1.
         """
         Q = self.quadric
         a = _real(anchors)
         M, QV = _restricted_form(Q, _real_columns(V))
         b = (QV * a[:, None]).sum(axis=0)
         c0 = (a * (Q @ a)).sum(axis=0)
-        minval = c0 - _inverse_form(M, b)
-        return minval <= 1.0 + 1e-12, M, minval
-
-    def meets(self, V: np.ndarray, anchors: np.ndarray) -> np.ndarray:
-        return self.section(V, anchors)[0]
+        return c0 - _inverse_form(M, b) <= 1.0 + 1e-12
 
     def __repr__(self) -> str:
         return f"Ellipsoid(n={self.n})"

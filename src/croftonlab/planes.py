@@ -8,18 +8,17 @@ for the same draws.
 Draw, then slice: a chunk first draws all its variates (`_frame_draws`,
 `_flat_draws`), and everything after runs on `_slices`, QR_BLOCK planes at
 a time, whose working set stays in cache: the frames (`_frames`), the
-anchors, the hit predicates, the section forms and ellipses and the
-Grassmann determinants.  Only the raw draws and the per-plane values that a
-chunk sums are chunk-sized.  Hit counts add slice by slice; per-plane values
-are concatenated in plane order and summed once per chunk, so neither the
-planes nor any sum depend on the slicing.
+anchors, the hit predicates and the Grassmann determinants.  Only the raw
+draws and the per-plane values that a chunk sums are chunk-sized.  Hit counts
+add slice by slice; per-plane values are concatenated in plane order and
+summed once per chunk, so neither the planes nor any sum depend on the
+slicing.
 
 Batch-last layout: a slice of k frames is a (rows, cols, k) array and a
 slice of complex anchors an (n, k) array, so every small-matrix entry is one
 contiguous length-k vector.  The QR, the anchors, the hit predicates, the
-restricted quadratic forms, the section minimum (an elementwise Cholesky,
-`geom._inverse_form`) and the section ellipses' eigenvalues (closed form,
-`_eigenvalues_2x2`) are elementwise vector arithmetic on those entries; only
+restricted quadratic forms and the section minimum (an elementwise Cholesky,
+`geom._inverse_form`) are elementwise vector arithmetic on those entries; only
 det (the Grassmann average) stays a batched LAPACK call.
 
 Flat case (eps = 0): a plane is an affine subspace anchor + span_C(V), with V
@@ -33,9 +32,9 @@ invariant Grassmannian measure, so
 up to one overall normalization constant: the undetermined Grassmannian mass.
 That constant is the closed form `kappa`, so every comparison with the
 formula bracket is a prediction.
-The shape decides which flat planes meet it (`Shape.meets`); an ellipsoid
-also returns each section's quadratic form (`Ellipsoid.section`), from which
-the total-Gauss estimate reads the section ellipses.
+The shape decides which flat planes meet it (`Shape.meets`).  Every hit
+section is convex, so its total Gauss curvature is the Gauss-map degree times
+O_{2r-1}, and the total-Gauss estimate weights the same hit count by it.
 
 Projective case (eps = 1, holomorphic curvature 4): planes are complex
 (r+1)-subspaces of C^{n+1}, sampled Haar; the plane space is compact, so the
@@ -60,7 +59,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from math import perm, pi, sqrt
+from math import perm, sqrt
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -89,8 +88,6 @@ __all__ = [
 
 SAMPLE_CHUNK = 1 << 16  # planes per chunk: one RNG stream, one thread-pool task
 QR_BLOCK = 1 << 13  # planes per slice of a chunk's computation
-ANGLE_BLOCK = 16
-SECTION_NODES = 256  # uniform-angle rule of the r = 1 section curvature integrals
 WINDOW_MARGIN = 1.01
 
 
@@ -318,8 +315,9 @@ def _hits_projective(ball: geom.GeodesicBall, W: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def chi_measure_estimate(shape, r: int, N: int, seed: int) -> MCEstimate:
-    """Monte Carlo estimate of the (kappa-relative) measure of planes meeting shape."""
+def _hit_count(shape, r: int, N: int, seed: int) -> Tuple[int, float]:
+    """(hits, weight): how many of N sampled planes meet shape, and the measure
+    that one hit stands for (the flat window volume, or 1 for CP^n)."""
     n = shape.n
     if shape.eps == 0:
         rho, weight = _flat_window(shape, r)
@@ -347,6 +345,12 @@ def chi_measure_estimate(shape, r: int, N: int, seed: int) -> MCEstimate:
             f"got eps = {shape.eps}"
         )
     (hits,) = _chunk_sums(N, seed, work)
+    return hits, weight
+
+
+def chi_measure_estimate(shape, r: int, N: int, seed: int) -> MCEstimate:
+    """Monte Carlo estimate of the (kappa-relative) measure of planes meeting shape."""
+    hits, weight = _hit_count(shape, r, N, seed)
     return _binomial_estimate(hits, N, seed, weight)
 
 
@@ -389,81 +393,25 @@ class TotalGaussResult:
 
     total: MCEstimate
     chi: MCEstimate
-    per_hit_mean: float
 
 
-def _ellipse_total_curvature(alpha: np.ndarray, beta: np.ndarray, nodes: int) -> np.ndarray:
-    """Integral of curvature ds over the ellipse with semiaxes (alpha, beta).
-
-    Uniform-angle rule on the smooth periodic integrand a b / (a^2 sin^2 + b^2 cos^2);
-    spectrally accurate since slice eccentricity is bounded by the shape's.
-    """
-    ab, a2, b2 = alpha * beta, alpha**2, beta**2
-    total = np.zeros(np.shape(ab))
-    # blocks of angles keep the temporaries at ANGLE_BLOCK values per ellipse
-    for start in range(0, nodes, ANGLE_BLOCK):
-        t = (np.arange(start, min(start + ANGLE_BLOCK, nodes)) + 0.5) * (2 * pi / nodes)
-        s2, c2 = np.sin(t)[:, None] ** 2, np.cos(t)[:, None] ** 2
-        total += (ab / (a2 * s2 + b2 * c2)).sum(axis=0)
-    return total * (2 * pi / nodes)
-
-
-def _eigenvalues_2x2(M: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """(smaller, larger) eigenvalues of batch-last symmetric positive definite
-    2x2 matrices M (2, 2, k), in closed form from the lower triangle: the larger
-    is (a+c)/2 + hypot((a-c)/2, b), the smaller det/larger, which does not cancel
-    as (a+c)/2 - hypot would."""
-    a, b, c = M[0, 0], M[1, 0], M[1, 1]
-    larger = (a + c) / 2 + np.hypot((a - c) / 2, b)
-    return (a * c - b * b) / larger, larger
-
-
-def _section_curvatures(M: np.ndarray, minval: np.ndarray) -> np.ndarray:
-    """Total curvature of the r = 1 section ellipses {s^T M s + 2 b.s + c0 <= 1}
-    of hit planes, from their forms M (2, 2, k) and minima minval (k)."""
-    smaller, larger = _eigenvalues_2x2(M)
-    t = 1.0 - minval
-    return _ellipse_total_curvature(np.sqrt(t / larger), np.sqrt(t / smaller), SECTION_NODES)
-
-
-def total_gauss_estimate(ellipsoid: geom.Ellipsoid, r: int, N: int, seed: int) -> TotalGaussResult:
-    """Plane average of the total Gauss curvature of ellipsoid sections (eps = 0).
+def total_gauss_estimate(shape, r: int, N: int, seed: int) -> TotalGaussResult:
+    """Plane average of the total Gauss curvature of flat sections (eps = 0).
 
     Each hit section is a convex body in a real 2r-space whose boundary Gauss
-    map has degree one, so its total Gauss curvature is O_{2r-1}.  For r >= 2
-    every hit contributes exactly that constant.  For r = 1 the section is an
-    ellipse and its curvature integral is computed by a vectorized
-    uniform-angle rule on SECTION_NODES points, which stays as the independent
-    check of the constant (2 pi).  Values are averaged with the translational
-    window weight; the chi companion is the binomial estimate of the same
-    plane stream, equal to `chi_measure_estimate`.
+    map has degree one, so its total Gauss curvature is O_{2r-1}: the total is
+    the binomial estimate of the hits at O_{2r-1} times the window weight, and
+    chi is that of the same hits at the window weight, equal to
+    `chi_measure_estimate`.
     """
-    n = ellipsoid.n
-    rho, weight = _flat_window(ellipsoid, r)
-
-    def work(rng: np.random.Generator, m: int) -> Tuple[int, float, float]:
-        draws = _flat_draws(rng, m, n, r)
-        hits, parts = 0, []
-        for s in _slices(m):
-            hit, M, minval = ellipsoid.section(*_flat_planes(draws, s, r, rho))
-            hits += int(np.count_nonzero(hit))
-            if r == 1:
-                parts.append(_section_curvatures(M[:, :, hit], minval[hit]))
-        # the chunk's values in plane order, so each sum keeps its association
-        vals = np.concatenate(parts) if parts else np.zeros(0)
-        return hits, float(vals.sum()), float((vals**2).sum())
-
-    hits, sv, sv2 = _chunk_sums(N, seed, work)
-    if r == 1:
-        per_hit = sv / hits if hits else float("nan")
-    else:
-        o = sphere_volume_coeff(2 * r - 1).to_float()
-        sv, sv2 = o * hits, o * o * hits
-        per_hit = o if hits else float("nan")
+    if shape.eps != 0:
+        raise ValueError(f"total Gauss curvature of sections needs flat planes (eps = 0), "
+                         f"got eps = {shape.eps}")
+    hits, weight = _hit_count(shape, r, N, seed)
+    o = sphere_volume_coeff(2 * r - 1).to_float()
     return TotalGaussResult(
-        total=_moments_estimate(sv, sv2, N, seed, weight),
+        total=_binomial_estimate(hits, N, seed, o * weight),
         chi=_binomial_estimate(hits, N, seed, weight),
-        per_hit_mean=per_hit,
     )
 
 

@@ -328,10 +328,7 @@ def test_shape_protocol_answers_or_raises():
     assert ellipsoid.curvatures is None
     assert ball.grown(0.25) == geom.GeodesicBall(n=2, eps=1.0, R=0.75)
     assert np.array_equal(ellipsoid.transformed(2 * np.eye(4)).quadric, ellipsoid.quadric / 4)
-    V = np.eye(2, 1, dtype=complex)[:, :, None]
-    anchors = np.zeros((2, 1), dtype=complex)
-    for unanswered in (lambda: ball.transformed(np.eye(4)), lambda: ellipsoid.grown(0.1),
-                       lambda: ball.section(V, anchors)):
+    for unanswered in (lambda: ball.transformed(np.eye(4)), lambda: ellipsoid.grown(0.1)):
         with pytest.raises(ValueError):
             unanswered()
 

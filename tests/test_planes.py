@@ -315,11 +315,14 @@ def test_chi_estimate_deterministic_and_thread_independent(monkeypatch):
     "axes,r,N,seed", [([1, 2, 2, 3], 1, 30000, 9), ([1, 1, 1, 1, 2, 2], 2, 300, 4)]
 )
 def test_total_gauss_chi_is_the_chi_measure_estimate(axes, r, N, seed):
-    # both estimators reduce the same plane stream with the same binomial builder
+    # both estimators reduce the same plane stream with the same binomial builder,
+    # and every hit section counts at its Gauss-map degree O_{2r-1}
     e = geom.Ellipsoid.from_axes(axes)
-    assert planes.total_gauss_estimate(e, r, N, seed).chi == planes.chi_measure_estimate(
-        e, r, N, seed
-    )
+    res = planes.total_gauss_estimate(e, r, N, seed)
+    assert res.chi == planes.chi_measure_estimate(e, r, N, seed)
+    o = cc.sphere_volume_coeff(2 * r - 1).to_float()
+    assert res.total.mean == pytest.approx(o * res.chi.mean, rel=1e-15)
+    assert res.total.stderr == pytest.approx(o * res.chi.stderr, rel=1e-15)
 
 
 def test_scaling_of_plane_measure():
@@ -439,7 +442,6 @@ def test_section_total_curvature_is_gauss_map_degree():
     res = planes.total_gauss_estimate(
         geom.Ellipsoid.from_axes([1, 1, 2, 2]), 1, 50000, 71
     )
-    assert res.per_hit_mean == pytest.approx(2 * pi, rel=1e-10)
     assert res.total.mean / res.chi.mean == pytest.approx(2 * pi, rel=1e-10)
 
 
@@ -450,32 +452,16 @@ def test_total_gauss_matches_coefficient_table():
 
 def test_section_total_curvature_is_exact_for_r2():
     res = planes.total_gauss_estimate(geom.Ellipsoid.from_axes([1, 1, 1, 1, 2, 2]), 2, 300, 4)
-    assert res.per_hit_mean == cc.sphere_volume_coeff(3).to_float()
     assert res.total.mean / res.chi.mean == pytest.approx(2 * pi**2, rel=1e-12)
 
 
-def test_total_gauss_requires_ellipsoid():
-    with pytest.raises(ValueError):
-        planes.total_gauss_estimate(geom.GeodesicBall(n=2, eps=0.0, R=1.0), 1, 10, 0)
-
-
-@pytest.mark.parametrize("n", sorted(checks.FLAT_FAMILIES))
-def test_section_eigenvalues_equal_eigvalsh(n):
-    # r = 1 section forms of every flat family, hits and misses alike
-    for axes in checks.FLAT_FAMILIES[n]:
-        shape = geom.Ellipsoid.from_axes(axes)
-        V, anchors = _sampled_flat(n, 1, shape.circum_radius, planes._chunk_rng(15, 0), 20000)
-        _, M, _ = shape.section(V, anchors)
-        want = np.linalg.eigvalsh(M.transpose(2, 0, 1)).T
-        got = np.stack(planes._eigenvalues_2x2(M))
-        assert np.max(np.abs(got - want) / want) <= 1e-14
-
-
-def test_ellipse_total_curvature_quadrature():
-    a = np.array([1.0, 2.0, 0.5])
-    b = np.array([1.0, 0.7, 0.5])
-    vals = planes._ellipse_total_curvature(a, b, 256)
-    assert vals == pytest.approx(2 * pi * np.ones(3), rel=1e-12)
+def test_total_gauss_requires_flat_planes():
+    for eps in (1.0, -1.0):
+        with pytest.raises(ValueError, match="eps = 0"):
+            planes.total_gauss_estimate(geom.GeodesicBall(n=2, eps=eps, R=0.5), 1, 10, 0)
+    # a flat ball's sections are round 2r-balls
+    res = planes.total_gauss_estimate(geom.GeodesicBall(n=2, eps=0.0, R=1.0), 1, 2000, 0)
+    assert res.total.mean / res.chi.mean == pytest.approx(2 * pi, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
