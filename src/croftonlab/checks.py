@@ -151,7 +151,7 @@ def crofton_flat(
     items = []
     for i, axes in enumerate(families):
         shape = geom.Ellipsoid.from_axes(axes)
-        rhs = valuations.crofton_rhs(valuations.hermitian_volumes(shape, level), n, r, 0.0)
+        rhs = valuations.crofton_rhs(valuations.hermitian_volumes(shape, level), r)
         est = planes.chi_measure_estimate(shape, r, N, seed + i)
         z = est.z_score(kappa * rhs)
         rel_sd = est.stderr / est.mean if est.mean else float("inf")
@@ -168,7 +168,7 @@ def crofton_cpn(n: int, r: int, N: int, seed: int, ztol: Optional[float] = None)
     items = []
     for i, R in enumerate(CPN_RADII):
         ball = geom.GeodesicBall(n=n, eps=1.0, R=R)
-        rhs = valuations.crofton_rhs(valuations.ball_closed_form(1.0, n, R), n, r, 1.0)
+        rhs = valuations.crofton_rhs(valuations.ball_closed_form(1.0, n, R), r)
         est = planes.chi_measure_estimate(ball, r, N, seed + i)
         z = est.z_score(kappa * rhs)
         items.append({"R": R, "estimate": est.to_json(), "prediction": kappa * rhs,
@@ -190,8 +190,7 @@ def variation(
     oracle value.  `quadrature` states the tilde table's rule and node count.
     """
     flow = _flow(shape, diag)
-    operator = cc.variation_operator(shape.n)
-    keys = operator.keys()
+    keys = cc.variation_operator(shape.n).keys()
     if shape.curvatures is not None:
         tol, label = (1e-6 if tol is None else tol), "oracle"
         deriv = valuations.ball_closed_form_derivative(shape.eps, shape.n, shape.R)
@@ -204,8 +203,7 @@ def variation(
     scale = max(abs(v) for v in oracle.values())
     items = {}
     for key in keys:
-        formula = varcheck.variation_formula(shape, flow, key, level=level, tilde=tilde,
-                                             operator=operator)
+        formula = varcheck.variation_formula(key, tilde)
         err = abs(formula - oracle[key]) / max(abs(oracle[key]), 1e-6 * scale)
         items[varcheck.key_name(key)] = {"formula": formula, label: oracle[key], "relErr": err}
     return {"keys": items, "quadrature": tilde.quadrature, "tolerance": tol,
@@ -227,7 +225,7 @@ def crofton_variation(
     flow = _flow(shape, diag)
     tilde = varcheck.tilde_integrals(shape, flow, level=level)
     lhs, rhs = varcheck.crofton_variation_check(
-        shape, flow, r, level=level, h_step=1e-4 if ball else 1e-3, tilde=tilde
+        shape, flow, r, tilde, level=level, h_step=1e-4 if ball else 1e-3
     )
     err = abs(lhs - rhs) / max(abs(rhs), 1e-12)
     return {"fd": lhs, "formula": rhs, "relErr": err, "quadrature": tilde.quadrature,

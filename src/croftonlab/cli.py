@@ -20,6 +20,7 @@ import csv
 import functools
 import io
 import json
+import os
 import sys
 from math import isfinite
 from typing import Dict, List, Optional
@@ -60,11 +61,19 @@ def _emit(report: dict, args) -> None:
         writer.writerow(flat)
         writer.writerow([str(v) for v in flat.values()])
         text = buf.getvalue()[:-1]
-    if args.out:
+    if not args.out:
+        try:
+            print(text, flush=True)  # a closed pipe raises here, not in the exit flush
+        except BrokenPipeError:
+            # `croftonlab ... | head`: the reader left early; the exit flush writes nowhere
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            sys.exit(1)
+        return
+    try:  # _validate has refused a missing directory; this is, say, a full disk
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
-    else:
-        print(text)
+    except OSError as exc:
+        sys.exit(f"croftonlab: error: cannot write --out {args.out}: {exc.strerror or exc}")
 
 
 def _report(args, config: dict, results: dict, passed: Optional[bool] = None) -> dict:
@@ -149,12 +158,17 @@ def cmd_volumes(args) -> int:
     if args.closed_form:
         table = valuations.ball_closed_form(shape.eps, shape.n, shape.R)
     else:
-        table = valuations.hermitian_volumes(shape, args.level, richardson=args.richardson)
+        table = valuations.hermitian_volumes(shape, args.level)
     results = {"table": table.to_json()}
     if table.quadrature:
         results["quadrature"] = table.quadrature
-    if table.error:
-        results["richardsonError"] = table.error
+    if args.richardson:
+        # the error bar of each B, Gamma and M entry: its change from one level lower
+        fine = results["table"]
+        coarse = valuations.hermitian_volumes(shape, args.level - 1).to_json()
+        results["richardsonError"] = {
+            key: abs(fine[key] - coarse[key]) for key in fine if key[:2] in ("B:", "G:", "M:")
+        }
     _emit(_report(args, config, results), args)
     return 0
 
@@ -276,6 +290,10 @@ def _validate(parser: argparse.ArgumentParser, args) -> None:
 
     Only the flags the command reads are checked; the shape it reads is built
     here, once, as args.body."""
+    if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
+        parser.error(f"argument --out: no directory {os.path.dirname(args.out)!r} to write into")
+    if os.path.isdir(args.out):
+        parser.error(f"argument --out: {args.out!r} is a directory")
     if args.command == "coeffs":
         # the tables read --n, --crofton and --total-gauss also --r
         if not args.identities and args.n < 1:

@@ -13,10 +13,11 @@ balls in the space form of holomorphic curvature 4*eps, whose boundary has
 constant principal curvatures: one value in the Hopf direction JN and one on
 the distribution.
 
-Every sampled boundary point carries the adapted frame (JN, e_2, Je_2, ...),
-the second fundamental form in that frame (inner-normal convention: the unit
-sphere gets II = Id, so convex bodies have positive curvatures), and a
-quadrature weight.  e_2, ..., e_n are columns 2..n of the one complex
+Every sampled boundary point carries its position, its outward normal N,
+the second fundamental form in the adapted frame (JN, e_2, Je_2, ...)
+(inner-normal convention: the unit sphere gets II = Id, so convex bodies have
+positive curvatures), and a quadrature weight.  The frame itself is freed once
+the form exists.  e_2, ..., e_n are columns 2..n of the one complex
 Householder reflector that sends e_1 to a unit multiple of N, in closed form
 per node.  Another basis of the distribution conjugates h by an element of
 U(n-1), which the U(n)-invariant densities do not see.  The geodesic
@@ -245,8 +246,9 @@ class Ellipsoid(Shape):
 
             frames = _adapted_frames(normals)
             h = np.einsum("mai,ij,mbj->mab", frames, Q, frames, optimize=True) / gradnorm[:, None, None]
+            del frames  # freed before the chunk is yielded
             h = (h + np.swapaxes(h, 1, 2)) / 2
-            yield BoundaryCloud(n, x, normals, frames, h, weights, _RULES[group])
+            yield BoundaryCloud(n, x, normals, h, weights, _RULES[group])
 
     def meets(self, V: np.ndarray, anchors: np.ndarray) -> np.ndarray:
         """Which planes anchor + span_C(V) meet the ellipsoid x^T Q x <= 1.
@@ -318,8 +320,7 @@ class GeodesicBall(Shape):
         normal = np.eye(1, 2 * n)
         pos = self.R * normal
         h = np.diag([mu_h] + [lam] * (2 * n - 2))[None]
-        frames = _adapted_frames(normal)
-        yield BoundaryCloud(n, pos, normal, frames, h, np.array([area]), "constant-curvature")
+        yield BoundaryCloud(n, pos, normal, h, np.array([area]), "constant-curvature")
 
     def meets(self, V: np.ndarray, anchors: np.ndarray) -> np.ndarray:
         """Flat planes (eps = 0) within distance R of the center."""
@@ -334,20 +335,19 @@ class GeodesicBall(Shape):
 
 
 class BoundaryCloud:
-    """Struct-of-arrays boundary sample: position, outward normal, frame, II, weight.
+    """Struct-of-arrays boundary sample: position, outward normal, II, weight.
 
-    Each frame's rows are (JN, e_2, Je_2, ..., e_n, Je_n); h is the second
-    fundamental form in that frame with the inner-normal sign convention.  For
+    h is the second fundamental form in the adapted frame (JN, e_2, Je_2, ...,
+    e_n, Je_n) of `_adapted_frames` with the inner-normal sign convention.  For
     geodesic balls at eps != 0 the position is a geodesic polar marker, not an
     embedding.  `rule` names the quadrature that placed the nodes (see the
     module docstring; "constant-curvature" for the one node of a geodesic ball).
     """
 
-    def __init__(self, n, positions, normals, frames, h, weights, rule):
+    def __init__(self, n, positions, normals, h, weights, rule):
         self.n = n
         self.positions = positions
         self.normals = normals
-        self.frames = frames
         self.h = h
         self.weights = weights
         self.rule = rule

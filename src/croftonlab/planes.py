@@ -372,7 +372,7 @@ def calibrate(
                          f"({reference_shape.n}, {reference_shape.eps})")
     if table is None:
         table = valuations.shape_table(reference_shape, level)
-    rhs = valuations.crofton_rhs(table, n, r, eps)
+    rhs = valuations.crofton_rhs(table, r)
     if abs(rhs) < 1e-12:
         raise ValueError("reference bracket is degenerate; cannot calibrate")
     est = chi_measure_estimate(reference_shape, r, N, seed)

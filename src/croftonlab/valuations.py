@@ -23,13 +23,14 @@ Unweighted tables integrate U(n)-invariant densities, so they take the
 strongest exact symmetry reduction of the boundary rule that the shape admits
 (`geom.boundary_chunks`): the torus-orbit rule on the (n-1)-simplex for
 ellipsoids with semiaxes in equal pairs, the sign fold for other axis-aligned
-ellipsoids, the full product rule for general quadrics.  Weighted tables take
-the reduction that both the shape and the weight's symmetry group admit.  Each
-quadrature table records the rule and its node count in `quadrature`.
+ellipsoids, the full product rule for general quadrics.  Tables weighted by a
+flow's normal speed take the reduction that both the shape and the flow's
+symmetry group admit.  Each quadrature table records the rule and its node
+count in `quadrature`.
 
 The boundary geometry is built and integrated one chunk of QUADRATURE_CHUNK
 nodes at a time (`geom.boundary_chunks`), so a table holds its rule's nodes
-and weights but never the whole cloud of frames and second fundamental
+and weights but never the whole cloud of normals and second fundamental
 forms.  Quadrature sums use a fixed-chunk pairwise tree so results are
 reproducible bit-for-bit at a given level.
 """
@@ -38,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import comb, factorial
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -90,7 +91,6 @@ class ValuationTable:
     Gamma: Dict[Tuple[int, int], float]
     M: Dict[int, float]
     vol: float
-    error: Dict[str, float] = field(default_factory=dict)
     quadrature: Dict[str, object] = field(default_factory=dict)
 
     def mu(self, k: int, q: int) -> float:
@@ -168,29 +168,20 @@ def _elementary_symmetric_functions(h: np.ndarray) -> np.ndarray:
     return prev
 
 
-def hermitian_volumes(
-    shape: geom.Shape,
-    level: int = 1,
-    richardson: bool = False,
-    weight_fn=None,
-    weight_symmetry: str = "none",
-) -> ValuationTable:
+def hermitian_volumes(shape: geom.Shape, level: int = 1, flow=None) -> ValuationTable:
     """Valuation table by boundary quadrature of the exterior-algebra densities.
 
-    `weight_fn(cloud_chunk) -> (m,) array` scales the boundary measure (used by
-    the variation machinery for <X, N> factors), and `weight_symmetry` names
-    the group in `geom.SYMMETRIES` the weight is invariant under.  Unweighted
-    tables reduce the boundary rule by the shape's holomorphic symmetries
-    (torus orbits or sign flips, see `geom.boundary_chunks`); weighted ones by
-    those the weight shares.  `quadrature` records the rule and its node count.
-    The curvature sums M[j] come from `_elementary_symmetric_functions`.
-    `richardson=True` also computes the table one level lower and stores
-    |difference| as the error estimate per entry; it needs level >= 1.
+    Without a flow the table integrates the U(n)-invariant densities, and the
+    boundary rule reduces by every holomorphic symmetry of the shape (torus
+    orbits or sign flips, see `geom.boundary_chunks`).  A `varcheck` flow
+    weights the boundary measure by its `normal_speed` <X, N>, and the rule
+    reduces only by the symmetries its `symmetry` group shares (the tilde
+    table of `varcheck.tilde_integrals`).  `quadrature` records the rule and
+    its node count.  The curvature sums M[j] come from
+    `_elementary_symmetric_functions`.
     """
-    if richardson and level < 1:
-        raise ValueError(f"richardson=True needs level >= 1, got level={level}")
     n = shape.n
-    symmetry = "torus" if weight_fn is None else weight_symmetry
+    symmetry = "torus" if flow is None else flow.symmetry
 
     bkeys = beta_indices(n)
     gkeys = gamma_indices(n)
@@ -203,8 +194,8 @@ def hermitian_volumes(
         rule = chunk.rule
         nodes += len(chunk)
         w = chunk.weights
-        if weight_fn is not None:
-            w = w * weight_fn(chunk)
+        if flow is not None:
+            w = w * flow.normal_speed(chunk)
         # the curvature sums first: their temporaries are freed before the forms exist
         esp = _elementary_symmetric_functions(chunk.h.transpose(1, 2, 0))
         for j in range(d + 1):
@@ -228,21 +219,8 @@ def hermitian_volumes(
         j: pairwise_sum(np.array(m_parts[j])) / comb(d, j)
         for j in range(d + 1)
     }
-    vol = shape.volume
-    table = ValuationTable(n=n, eps=shape.eps, B=B, Gamma=Gamma, M=M, vol=vol,
-                           quadrature={"rule": rule, "nodes": nodes})
-    if richardson:
-        coarse = hermitian_volumes(shape, level - 1, weight_fn=weight_fn,
-                                   weight_symmetry=weight_symmetry)
-        err: Dict[str, float] = {}
-        for key in B:
-            err[f"B:{key[0]},{key[1]}"] = abs(B[key] - coarse.B[key])
-        for key in Gamma:
-            err[f"G:{key[0]},{key[1]}"] = abs(Gamma[key] - coarse.Gamma[key])
-        for j in M:
-            err[f"M:{j}"] = abs(M[j] - coarse.M[j])
-        table.error = err
-    return table
+    return ValuationTable(n=n, eps=shape.eps, B=B, Gamma=Gamma, M=M, vol=shape.volume,
+                          quadrature={"rule": rule, "nodes": nodes})
 
 
 def shape_table(shape: geom.Shape, level: int = 1) -> ValuationTable:
@@ -345,16 +323,13 @@ def check_gamma_b_relation(table: ValuationTable) -> Dict[Tuple[int, int], float
     return out
 
 
-def crofton_rhs(table: ValuationTable, n: int, r: int, eps: float) -> float:
-    """Numeric bracket of the r-plane measure formula (kappa-relative)."""
-    return crofton_coeffs(n, r).eval(table.mu_dict(), table.vol, eps)
+def crofton_rhs(table: ValuationTable, r: int) -> float:
+    """Numeric bracket of the r-plane measure formula (kappa-relative), at the
+    table's n and eps."""
+    return crofton_coeffs(table.n, r).eval(table.mu_dict(), table.vol, table.eps)
 
 
-def gauss_bonnet_residual(
-    shape: geom.Shape,
-    level: int = 1,
-    table: Optional[ValuationTable] = None,
-) -> Tuple[float, float]:
+def gauss_bonnet_residual(shape: geom.Shape, table: ValuationTable) -> Tuple[float, float]:
     """Residuals of the two Gauss-Bonnet expressions on a convex shape (chi = 1).
 
     mu-table form:      O_{2n-1} minus the full mu-table right-hand side.
@@ -363,12 +338,11 @@ def gauss_bonnet_residual(
                         (hyperplane measure bracket), with the hyperplane
                         Grassmannian of unit mass, as the exact identity
                         `coeffcore.verify_short_gauss_bonnet` asserts.
+    `table` is the shape's valuation table (`shape_table`).
     Returns (mu-form residual, plane-form residual).
     """
     n = shape.n
     eps = shape.eps
-    if table is None:
-        table = shape_table(shape, level)
     o = sphere_volume_coeff(2 * n - 1).to_float()
     res51 = o - gauss_bonnet_coeffs(n).eval(table.mu_dict(), table.vol, eps)
 
@@ -381,5 +355,5 @@ def gauss_bonnet_residual(
             * table.mu(2 * k, k)
         )
     if n >= 2:
-        res52 -= 2 * n * eps * crofton_rhs(table, n, n - 1, eps)
+        res52 -= 2 * n * eps * crofton_rhs(table, n - 1)
     return res51, res52

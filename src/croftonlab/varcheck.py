@@ -16,7 +16,10 @@ whose B and Gamma entries are the normalized tilde integrals
 
 A tilde table integrates <X, N> times U(n)-invariant densities, so its
 boundary rule may fold by every symmetry of the shape that also leaves
-<X, N> invariant: `Flow.symmetry` names that group of the flow.
+<X, N> invariant: `Flow.symmetry` names that group of the flow, and
+`valuations.hermitian_volumes(shape, level, flow)` weights by its
+`normal_speed`.  The variation formulas and the Crofton variation check take
+the tilde table as an argument and read n and eps from it.
 
 The oracle is a central finite difference of quadrature (or closed-form)
 valuations under exact shape transport.  Radial flows on balls admit an
@@ -26,17 +29,12 @@ analytic derivative, giving the sharpest cross-check at eps != 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import Dict, Sequence, Tuple, Union
 
 import numpy as np
 
 from . import geom, valuations
-from .coeffcore import (
-    VariationOperator,
-    crofton_variation_coeffs,
-    gauss_bonnet_coeffs,
-    variation_operator,
-)
+from .coeffcore import crofton_variation_coeffs, variation_operator
 
 __all__ = [
     "LinearFlow",
@@ -48,7 +46,6 @@ __all__ = [
     "central_differences",
     "variation_formula",
     "crofton_variation_check",
-    "gauss_bonnet_rhs_variation_fd",
 ]
 
 
@@ -109,9 +106,7 @@ def tilde_integrals(
     A flow that cannot move the shape (`flow.transport`) raises ValueError.
     """
     flow.transport(shape, 0.0)
-    return valuations.hermitian_volumes(
-        shape, level, weight_fn=flow.normal_speed, weight_symmetry=flow.symmetry
-    )
+    return valuations.hermitian_volumes(shape, level, flow)
 
 
 Key = Union[Tuple[str, int, int], str]
@@ -150,25 +145,12 @@ def central_differences(
     }
 
 
-def variation_formula(
-    shape: geom.Shape,
-    flow: Flow,
-    key: Key,
-    level: int = 1,
-    tilde: Optional[valuations.ValuationTable] = None,
-    operator: Optional[VariationOperator] = None,
-) -> float:
-    """Analytic first variation: operator coefficients contracted with tildes.
-
-    `operator` is `variation_operator(shape.n)` when the caller already has
-    it; building it costs exact rational arithmetic."""
-    if tilde is None:
-        tilde = tilde_integrals(shape, flow, level)
-    if operator is None:
-        operator = variation_operator(shape.n)
+def variation_formula(key: Key, tilde: valuations.ValuationTable) -> float:
+    """Analytic first variation of `key`: the coefficients of the (cached)
+    `variation_operator(tilde.n)` contracted with the tilde table at tilde.eps."""
     total = 0.0
-    for kind, k, q, p, coeff in operator.targets(key):
-        total += coeff.to_float() * shape.eps**p * valuation_value(tilde, (kind, k, q))
+    for kind, k, q, p, coeff in variation_operator(tilde.n).targets(key):
+        total += coeff.to_float() * tilde.eps**p * valuation_value(tilde, (kind, k, q))
     return total
 
 
@@ -176,38 +158,21 @@ def crofton_variation_check(
     shape: geom.Shape,
     flow: Flow,
     r: int,
+    tilde: valuations.ValuationTable,
     level: int = 1,
     h_step: float = 1e-3,
-    tilde: Optional[valuations.ValuationTable] = None,
 ) -> Tuple[float, float]:
     """(finite difference, analytic formula) for the varied plane-measure bracket.
 
     Both sides are kappa-relative (no Grassmannian mass), so they compare
     directly: the left side differentiates the Crofton bracket along the flow,
-    the right side is the tilde-B combination of the variation formula.
+    the right side is the tilde-B combination of the variation formula on
+    `tilde`, the flow's tilde table (`tilde_integrals`).
     """
-    n = shape.n
-    eps = shape.eps
     plus, minus = _transported_tables(shape, flow, h_step, level)
-    lhs_fd = (
-        valuations.crofton_rhs(plus, n, r, eps) - valuations.crofton_rhs(minus, n, r, eps)
-    ) / (2 * h_step)
-    if tilde is None:
-        tilde = tilde_integrals(shape, flow, level)
+    lhs_fd = (valuations.crofton_rhs(plus, r) - valuations.crofton_rhs(minus, r)) / (2 * h_step)
     rhs_formula = sum(
         c.to_float() * tilde.B[(k, q)]
-        for (k, q), c in crofton_variation_coeffs(n, r).items()
+        for (k, q), c in crofton_variation_coeffs(shape.n, r).items()
     )
     return lhs_fd, rhs_formula
-
-
-def gauss_bonnet_rhs_variation_fd(
-    shape: geom.Shape, flow: Flow, level: int = 1, h_step: float = 1e-3
-) -> float:
-    """Finite difference of the Gauss-Bonnet right-hand side (should vanish)."""
-    eps = shape.eps
-    gb = gauss_bonnet_coeffs(shape.n)
-    plus, minus = _transported_tables(shape, flow, h_step, level)
-    return (
-        gb.eval(plus.mu_dict(), plus.vol, eps) - gb.eval(minus.mu_dict(), minus.vol, eps)
-    ) / (2 * h_step)

@@ -17,3 +17,21 @@ def realify_complex_columns(Vc: np.ndarray) -> np.ndarray:
     out[..., 0::2, 1::2] = -Vc.imag
     out[..., 1::2, 1::2] = Vc.real
     return out
+
+
+def richardson_error(fine, coarse) -> dict:
+    """|fine - coarse| for every B, Gamma and M entry of two valuation tables,
+    the error bar `croftonlab volumes --richardson` reports."""
+    a, b = fine.to_json(), coarse.to_json()
+    return {key: abs(a[key] - b[key]) for key in a if key.split(":")[0] in ("B", "G", "M")}
+
+
+class ProductRuleWeight:
+    """A flow's normal speed claiming no symmetry, so that a table weighted by
+    it (`valuations.hermitian_volumes(shape, level, weight)`) takes the full
+    product rule."""
+
+    symmetry = "none"
+
+    def __init__(self, flow):
+        self.normal_speed = flow.normal_speed

@@ -16,6 +16,7 @@ import pytest
 
 from croftonlab import checks, cli, extalg, geom, planes, valuations, varcheck
 from croftonlab import coeffcore as cc
+from helpers import richardson_error
 
 
 def run_cli(args, capsys):
@@ -83,7 +84,13 @@ def test_volumes_richardson(capsys):
     )
     assert code == 0
     rep = json.loads(out)
-    assert "richardsonError" in rep["results"]
+    # |T_1 - T_0| bit for bit, for every B, Gamma and M entry and nothing else
+    shape = geom.Ellipsoid.from_axes([1, 1, 2, 2])
+    fine = valuations.hermitian_volumes(shape, 1)
+    want = richardson_error(fine, valuations.hermitian_volumes(shape, 0))
+    assert rep["results"]["table"] == fine.to_json()
+    assert len(want) == len(fine.to_json()) - len(cc.mu_indices(2)) - 1  # all but mu and vol
+    assert rep["results"]["richardsonError"] == want
 
 
 @pytest.mark.parametrize(
@@ -439,9 +446,17 @@ def test_samples_and_threads_only_checked_for_check(capsys, monkeypatch):
         (["volumes", "--R", "0.5", "--closed-form", "--richardson"], "--richardson"),
         # every check reports the parsed --axes, a ball's too
         (["check", "gamma-b", "--eps", "1", "--R", "0.5", "--axes", "1,x"], "--axes"),
+        # an --out that cannot be opened is refused before anything runs
+        (["coeffs", "--gb", "--out", "{tmp}/missing/x.json"], "--out"),
+        (["check", "gauss-bonnet", "--shape", "ellipsoid", "--axes", "1,1,2,2",
+          "--out", "{tmp}/missing/x.json"], "--out"),
+        (["volumes", "--R", "0.5", "--closed-form", "--out", "{tmp}"], "--out"),
     ],
 )
-def test_bad_flag_values_are_parser_errors(argv, flag, capsys):
+def test_bad_flag_values_are_parser_errors(argv, flag, capsys, tmp_path, monkeypatch):
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    # a refused command builds no table
+    monkeypatch.setattr(valuations, "hermitian_volumes", None)
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == 2
@@ -694,3 +709,29 @@ def test_deferred_scipy_call_sites_match_in_a_cold_interpreter():
     assert out["values"] == {
         k: [np.asarray(a, dtype=float).tobytes().hex() for a in v] for k, v in values.items()
     }
+
+
+def test_a_reader_that_leaves_early_gets_no_traceback():
+    # `croftonlab coeffs --gb --n 2 | head -0`: the pipe's read end is closed
+    # before the command starts, so writing the report fails with EPIPE
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "croftonlab.cli", "coeffs", "--gb", "--n", "2"],
+            env=dict(os.environ, PYTHONPATH=str(SRC)), stdout=write_end, stderr=subprocess.PIPE,
+            text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (1, "")  # no traceback, no warning
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that refuses writes")
+def test_a_failed_out_write_is_one_line(capsys):
+    # /dev/full opens but refuses every write (ENOSPC)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["coeffs", "--gb", "--n", "2", "--out", "/dev/full"])
+    assert exc.value.code not in (0, None)
+    assert str(exc.value) == "croftonlab: error: cannot write --out /dev/full: No space left on device"
+    assert capsys.readouterr().out == ""

@@ -365,12 +365,12 @@ def test_kappa_times_the_ball_bracket_is_the_exact_plane_measure(n):
     for r in range(1, n):
         for R in (0.1, 0.3, 0.7, 1.2, 1.5):
             flat = planes.kappa(n, r, 0).to_float() * val.crofton_rhs(
-                val.ball_closed_form(0.0, n, R), n, r, 0.0)
+                val.ball_closed_form(0.0, n, R), r)
             want = cc.ball_volume_coeff(2 * (n - r)).to_float() * R ** (2 * (n - r))
             assert flat == pytest.approx(want, rel=1e-12, abs=0), (n, r, R)
             X = sin(R) ** 2
             cpn = planes.kappa(n, r, 1).to_float() * val.crofton_rhs(
-                val.ball_closed_form(1.0, n, R), n, r, 1.0)
+                val.ball_closed_form(1.0, n, R), r)
             want = sum(comb(n, j) * X**j * (1 - X) ** (n - j) for j in range(n - r, n + 1))
             assert cpn == pytest.approx(want, rel=1e-12, abs=0), (n, r, R)
 
@@ -398,7 +398,7 @@ def test_calibrated_crofton_across_shapes():
 
 def test_crofton_rhs_unit_ball_value():
     table = val.ball_closed_form(0.0, 2, 1.0)
-    assert val.crofton_rhs(table, 2, 1, 0.0) == pytest.approx(pi**2, rel=1e-12)
+    assert val.crofton_rhs(table, 1) == pytest.approx(pi**2, rel=1e-12)
 
 
 def test_calibrate_rejects_degenerate():
@@ -427,7 +427,7 @@ def test_cpn_radius_dependence():
     cal = planes.calibrate(2, 1, 1.0, geom.GeodesicBall(n=2, eps=1.0, R=0.75), 200000, 61)
     for i, R in enumerate((0.3, 0.9)):
         ball = geom.GeodesicBall(n=2, eps=1.0, R=R)
-        rhs = val.crofton_rhs(val.ball_closed_form(1.0, 2, R), 2, 1, 1.0)
+        rhs = val.crofton_rhs(val.ball_closed_form(1.0, 2, R), 1)
         est = planes.chi_measure_estimate(ball, 1, 200000, 62 + i)
         z = est.z_score(cal.kappa * rhs, extra_stderr=cal.stderr * rhs)
         assert abs(z) < 3.0, (R, z)

@@ -9,7 +9,7 @@ import pytest
 
 from croftonlab import geom, valuations as val, varcheck as vc
 from croftonlab.coeffcore import sphere_volume_coeff
-from helpers import realify_complex_columns
+from helpers import ProductRuleWeight, realify_complex_columns, richardson_error
 
 
 UNIT_BALL_C2 = geom.Ellipsoid.from_axes([1, 1, 1, 1])
@@ -85,9 +85,7 @@ def _pair_rotation(angle):
 def test_sign_folded_table_matches_full_grid(shape, level):
     folded = val.hermitian_volumes(shape, level).to_json()
     # a weighted table keeps the full grid; unit weights leave the integrand as is
-    full = val.hermitian_volumes(
-        shape, level, weight_fn=lambda chunk: np.ones(len(chunk))
-    ).to_json()
+    full = val.hermitian_volumes(shape, level, ProductRuleWeight(vc.RadialFlow())).to_json()
     for key, value in full.items():
         assert folded[key] == pytest.approx(value, rel=1e-13), key
 
@@ -104,10 +102,11 @@ def test_torus_orbit_table_within_product_rule_error(axes, level, monkeypatch):
     orbit = val.hermitian_volumes(shape, level)
     assert orbit.quadrature["rule"] == "torus-orbit"
     _without_torus_rule(monkeypatch)
-    product = val.hermitian_volumes(shape, level, richardson=True)
+    product = val.hermitian_volumes(shape, level)
     assert product.quadrature["rule"] == "sign-fold"
     got, want = orbit.to_json(), product.to_json()
-    for key, err in product.error.items():
+    errors = richardson_error(product, val.hermitian_volumes(shape, level - 1))
+    for key, err in errors.items():
         assert abs(got[key] - want[key]) <= err, key
 
 
@@ -307,23 +306,13 @@ def test_rigid_motion_invariance():
 
 
 def test_richardson_error_estimates():
-    t = val.hermitian_volumes(
-        geom.Ellipsoid.from_axes([1, 2, 2, 3]), level=2, richardson=True
-    )
-    assert t.error
+    e = geom.Ellipsoid.from_axes([1, 2, 2, 3])
+    t0, t1, t2 = (val.hermitian_volumes(e, level) for level in (0, 1, 2))
+    error, error_low = richardson_error(t2, t1), richardson_error(t1, t0)
+    assert error
     # the level-2 error estimate is tiny relative to the entries
-    assert t.error["G:0,0"] < 1e-4
-    t_low = val.hermitian_volumes(
-        geom.Ellipsoid.from_axes([1, 2, 2, 3]), level=1, richardson=True
-    )
-    assert t.error["G:0,0"] < t_low.error["G:0,0"]
-
-
-@pytest.mark.parametrize("level", [0, -1])
-def test_richardson_below_level_one_raises(level):
-    # there is no coarser table to difference against
-    with pytest.raises(ValueError, match="level >= 1"):
-        val.hermitian_volumes(geom.Ellipsoid.from_axes([1, 1, 2, 2]), level, richardson=True)
+    assert error["G:0,0"] < 1e-4
+    assert error["G:0,0"] < error_low["G:0,0"]
 
 
 def test_tables_build_their_boundary_geometry_one_chunk_at_a_time(monkeypatch):
@@ -363,7 +352,7 @@ def test_gamma_b_relation_flat_reduces_to_equality():
 @pytest.mark.parametrize("R", [0.3, 0.6, 0.9])
 def test_gauss_bonnet_balls(eps, n, R):
     ball = geom.GeodesicBall(n=n, eps=eps, R=R)
-    r51, r52 = val.gauss_bonnet_residual(ball)
+    r51, r52 = val.gauss_bonnet_residual(ball, val.shape_table(ball))
     o = sphere_volume_coeff(2 * n - 1).to_float()
     assert abs(r51) / o < 1e-8
     assert abs(r52) / o < 1e-8
@@ -371,7 +360,8 @@ def test_gauss_bonnet_balls(eps, n, R):
 
 @pytest.mark.parametrize("axes", [[1, 1, 2, 2], [1, 2, 2, 3], [1, 1, 1, 2]])
 def test_gauss_bonnet_flat_ellipsoids(axes):
-    r51, r52 = val.gauss_bonnet_residual(geom.Ellipsoid.from_axes(axes), level=2)
+    e = geom.Ellipsoid.from_axes(axes)
+    r51, r52 = val.gauss_bonnet_residual(e, val.hermitian_volumes(e, 2))
     o = sphere_volume_coeff(3).to_float()
     assert abs(r51) / o < 1e-6
     assert abs(r52) / o < 1e-6

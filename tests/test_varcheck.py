@@ -8,6 +8,7 @@ import pytest
 from croftonlab import checks
 from croftonlab import coeffcore as cc
 from croftonlab import geom, valuations as val, varcheck as vc
+from helpers import ProductRuleWeight, richardson_error
 
 
 def rel_err(a, b, scale):
@@ -47,10 +48,9 @@ def test_flow_symmetry_groups():
     assert vc.RadialFlow().symmetry == "torus"
 
 
-def _product_rule_tilde(shape, flow, level, richardson=False):
+def _product_rule_tilde(shape, flow, level):
     """The tilde table on the full product rule: the weight claims no symmetry."""
-    return val.hermitian_volumes(shape, level, richardson=richardson,
-                                 weight_fn=flow.normal_speed, weight_symmetry="none")
+    return val.hermitian_volumes(shape, level, ProductRuleWeight(flow))
 
 
 @pytest.mark.parametrize(
@@ -73,10 +73,10 @@ def test_torus_orbit_tilde_table_within_product_rule_error():
     flow = vc.LinearFlow(np.diag([0.3, 0.3, 0.1, 0.1]))
     orbit = vc.tilde_integrals(e, flow, level=2)
     assert orbit.quadrature == {"rule": "torus-orbit", "nodes": 32}
-    full = _product_rule_tilde(e, flow, 2, richardson=True)
+    full = _product_rule_tilde(e, flow, 2)
     got, want = orbit.to_json(), full.to_json()
     # entries the product rule integrates exactly differ by roundoff only
-    for key, err in full.error.items():
+    for key, err in richardson_error(full, _product_rule_tilde(e, flow, 1)).items():
         assert abs(got[key] - want[key]) <= max(err, 1e-14 * abs(want[key])), key
 
 
@@ -101,10 +101,9 @@ def test_invalid_pairings_raise():
     flow = vc.LinearFlow(np.diag([0.3, 0.1, 0.2, 0.05]))
     with pytest.raises(ValueError):
         vc.tilde_integrals(flat_ball, flow)
+    # nor can the flow transport the ball, whatever tilde table it is handed
     with pytest.raises(ValueError):
-        vc.variation_formula(flat_ball, flow, "vol")
-    with pytest.raises(ValueError):
-        vc.crofton_variation_check(flat_ball, flow, 1)
+        vc.crofton_variation_check(flat_ball, flow, 1, val.shape_table(flat_ball))
 
 
 # ---------------------------------------------------------------------------
@@ -124,8 +123,9 @@ def test_radial_fd_matches_formula():
     flow = vc.RadialFlow()
     keys = (("B", 2, 0), ("G", 2, 1), "vol")
     fds = vc.central_differences(ball, flow, keys, 1e-4)
+    tilde = vc.tilde_integrals(ball, flow)
     for key in keys:
-        assert fds[key] == pytest.approx(vc.variation_formula(ball, flow, key), rel=1e-6)
+        assert fds[key] == pytest.approx(vc.variation_formula(key, tilde), rel=1e-6)
 
 
 def test_fd_second_order_convergence():
@@ -146,8 +146,8 @@ def test_volume_first_variation_is_area():
     ball = geom.GeodesicBall(n=3, eps=-1.0, R=0.7)
     flow = vc.RadialFlow()
     area = geom.sphere_area_and_ball_volume(-1.0, 3, 0.7)[0]
-    assert vc.variation_formula(ball, flow, "vol") == pytest.approx(area, rel=1e-12)
     tilde = vc.tilde_integrals(ball, flow)
+    assert vc.variation_formula("vol", tilde) == pytest.approx(area, rel=1e-12)
     assert 2 * tilde.B[(5, 2)] == pytest.approx(area, rel=1e-12)
 
 
@@ -184,7 +184,7 @@ def _assert_linear_flow_formula(a, axes, keys):
     tilde = vc.tilde_integrals(e, flow, level=2)
     fds = vc.central_differences(e, flow, keys, 1e-3, level=2)
     for key in keys:
-        fm = vc.variation_formula(e, flow, key, level=2, tilde=tilde)
+        fm = vc.variation_formula(key, tilde)
         assert rel_err(fds[key], fm, abs(fds[key]) + 1) < 1e-4, key
 
 
@@ -211,9 +211,10 @@ def test_isometry_generator_kills_variations():
     flow = vc.LinearFlow(J)
     keys = (("B", 2, 0), ("G", 2, 1), ("B", 3, 1), "vol")
     fds = vc.central_differences(ball, flow, keys, 1e-3, level=1)
+    tilde = vc.tilde_integrals(ball, flow, level=1)
     for key in keys:
         assert abs(fds[key]) < 1e-9
-        assert abs(vc.variation_formula(ball, flow, key, level=1)) < 1e-9
+        assert abs(vc.variation_formula(key, tilde)) < 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -221,31 +222,38 @@ def test_isometry_generator_kills_variations():
 # ---------------------------------------------------------------------------
 
 
+def _radial_crofton_variation(ball, r):
+    """(fd, formula) of the radial Crofton variation of a ball, step 1e-4."""
+    flow = vc.RadialFlow()
+    return vc.crofton_variation_check(ball, flow, r, vc.tilde_integrals(ball, flow), h_step=1e-4)
+
+
 @pytest.mark.parametrize("eps,R", [(0.0, 1.0), (1.0, 0.5), (-1.0, 0.8)])
 def test_crofton_variation_on_balls(eps, R):
     ball = geom.GeodesicBall(n=2, eps=eps, R=R)
-    lhs, rhs = vc.crofton_variation_check(ball, vc.RadialFlow(), 1, h_step=1e-4)
+    lhs, rhs = _radial_crofton_variation(ball, 1)
     assert lhs == pytest.approx(rhs, rel=1e-6)
 
 
 def test_crofton_variation_on_balls_n3():
     for r in (1, 2):
         ball = geom.GeodesicBall(n=3, eps=1.0, R=0.6)
-        lhs, rhs = vc.crofton_variation_check(ball, vc.RadialFlow(), r, h_step=1e-4)
+        lhs, rhs = _radial_crofton_variation(ball, r)
         assert lhs == pytest.approx(rhs, rel=1e-6)
 
 
 def test_crofton_variation_on_ellipsoid():
     e = geom.Ellipsoid.from_axes([1, 1, 2, 2])
     flow = vc.LinearFlow(np.diag([0.3, -0.1, 0.2, 0.05]))
-    lhs, rhs = vc.crofton_variation_check(e, flow, 1, level=2, h_step=1e-3)
+    tilde = vc.tilde_integrals(e, flow, level=2)
+    lhs, rhs = vc.crofton_variation_check(e, flow, 1, tilde, level=2, h_step=1e-3)
     assert lhs == pytest.approx(rhs, rel=1e-4)
 
 
 def test_unit_ball_crofton_variation_value():
     # growing the unit ball: d/dR of the bracket pi^2 R^2 at R = 1 is 2 pi^2
     ball = geom.GeodesicBall(n=2, eps=0.0, R=1.0)
-    lhs, rhs = vc.crofton_variation_check(ball, vc.RadialFlow(), 1, h_step=1e-4)
+    lhs, rhs = _radial_crofton_variation(ball, 1)
     assert rhs == pytest.approx(2 * pi**2, rel=1e-10)
     assert lhs == pytest.approx(2 * pi**2, rel=1e-8)
 
@@ -255,10 +263,19 @@ def test_unit_ball_crofton_variation_value():
 # ---------------------------------------------------------------------------
 
 
+def _gauss_bonnet_rhs_variation(shape, flow, h_step, level=1):
+    """Central difference of the Gauss-Bonnet right-hand side: gauss_bonnet_coeffs(n),
+    linear in (mu, vol), contracted with the central difference of every valuation key."""
+    n = shape.n
+    fds = vc.central_differences(shape, flow, cc.variation_operator(n).keys(), h_step, level)
+    mu = {(k, q): fds[("G" if k == 2 * q else "B", k, q)] for (k, q) in cc.mu_indices(n)}
+    return cc.gauss_bonnet_coeffs(n).eval(mu, fds["vol"], shape.eps)
+
+
 @pytest.mark.parametrize("eps,R", [(1.0, 0.5), (-1.0, 0.8)])
 def test_gauss_bonnet_rhs_null_variation_balls(eps, R):
     ball = geom.GeodesicBall(n=2, eps=eps, R=R)
-    fd = vc.gauss_bonnet_rhs_variation_fd(ball, vc.RadialFlow(), h_step=1e-4)
+    fd = _gauss_bonnet_rhs_variation(ball, vc.RadialFlow(), 1e-4)
     scale = cc.sphere_volume_coeff(3).to_float()
     assert abs(fd) / scale < 1e-8
 
@@ -266,6 +283,6 @@ def test_gauss_bonnet_rhs_null_variation_balls(eps, R):
 def test_gauss_bonnet_rhs_null_variation_ellipsoid():
     e = geom.Ellipsoid.from_axes([1, 1, 2, 2])
     flow = vc.LinearFlow(np.diag([0.3, -0.1, 0.2, 0.05]))
-    fd = vc.gauss_bonnet_rhs_variation_fd(e, flow, level=2, h_step=1e-3)
+    fd = _gauss_bonnet_rhs_variation(e, flow, 1e-3, level=2)
     scale = cc.sphere_volume_coeff(3).to_float()
     assert abs(fd) / scale < 1e-6
