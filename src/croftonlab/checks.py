@@ -177,29 +177,32 @@ def crofton_cpn(n: int, r: int, N: int, seed: int, ztol: Optional[float] = None)
             "pass": all(it["pass"] for it in items)}
 
 
+def _oracle(shape: geom.Shape, flow: varcheck.Flow, level: int):
+    """(report label, derivative table, default tolerance) of a variation
+    check's oracle: the analytic R-derivative of the closed form for balls
+    (tol 1e-6), central differences of the tables transported to +-1e-3 for
+    ellipsoids (tol 1e-4)."""
+    if shape.curvatures is not None:
+        return "oracle", valuations.ball_closed_form_derivative(shape.eps, shape.n, shape.R), 1e-6
+    return "fd", varcheck.central_differences(shape, flow, 1e-3, level), 1e-4
+
+
 def variation(
     shape: geom.Shape, level: int, tol: Optional[float] = None,
     diag: Optional[Sequence[float]] = None,
 ) -> dict:
-    """Variation formula of every valuation key against an independent oracle.
+    """Variation formula of every valuation key against the derivative table
+    of `_oracle`: balls flow radially, ellipsoids by exp(t diag).
 
-    Balls flow radially against the analytic derivative of the closed form
-    (default tol 1e-6).  Ellipsoids flow by exp(t diag) against central
-    differences of the tables transported to +-1e-3, one pair for all keys
-    (default tol 1e-4).  Errors are relative, floored at 1e-6 of the largest
-    oracle value.  `quadrature` states the tilde table's rule and node count.
+    Errors are relative, floored at 1e-6 of the largest oracle value.
+    `quadrature` states the tilde table's rule and node count.
     """
     flow = _flow(shape, diag)
     keys = cc.variation_operator(shape.n).keys()
-    if shape.curvatures is not None:
-        tol, label = (1e-6 if tol is None else tol), "oracle"
-        deriv = valuations.ball_closed_form_derivative(shape.eps, shape.n, shape.R)
-        tilde = varcheck.tilde_integrals(shape, flow)
-        oracle = {key: varcheck.valuation_value(deriv, key) for key in keys}
-    else:
-        tol, label = (1e-4 if tol is None else tol), "fd"
-        tilde = varcheck.tilde_integrals(shape, flow, level=level)
-        oracle = varcheck.central_differences(shape, flow, keys, 1e-3, level)
+    label, deriv, default_tol = _oracle(shape, flow, level)
+    tol = default_tol if tol is None else tol
+    tilde = varcheck.tilde_integrals(shape, flow, level=level)
+    oracle = {key: varcheck.valuation_value(deriv, key) for key in keys}
     scale = max(abs(v) for v in oracle.values())
     items = {}
     for key in keys:
@@ -214,21 +217,19 @@ def crofton_variation(
     shape: geom.Shape, r: int, level: int, tol: Optional[float] = None,
     diag: Optional[Sequence[float]] = None,
 ) -> dict:
-    """Variation of the plane-measure bracket: finite difference vs formula.
+    """Variation of the plane-measure bracket: the bracket of `_oracle`'s
+    derivative table against `varcheck.crofton_variation_formula`.
 
-    Balls flow radially with step 1e-4 (default tol 1e-6); ellipsoids flow by
-    exp(t diag) with step 1e-3 (default tol 1e-4).  `quadrature` states the
-    tilde table's rule and node count.
+    `quadrature` states the tilde table's rule and node count.
     """
-    ball = shape.curvatures is not None
-    tol = (1e-6 if ball else 1e-4) if tol is None else tol
     flow = _flow(shape, diag)
+    label, deriv, default_tol = _oracle(shape, flow, level)
+    tol = default_tol if tol is None else tol
     tilde = varcheck.tilde_integrals(shape, flow, level=level)
-    lhs, rhs = varcheck.crofton_variation_check(
-        shape, flow, r, tilde, level=level, h_step=1e-4 if ball else 1e-3
-    )
+    lhs = valuations.crofton_rhs(deriv, r)
+    rhs = varcheck.crofton_variation_formula(r, tilde)
     err = abs(lhs - rhs) / max(abs(rhs), 1e-12)
-    return {"fd": lhs, "formula": rhs, "relErr": err, "quadrature": tilde.quadrature,
+    return {label: lhs, "formula": rhs, "relErr": err, "quadrature": tilde.quadrature,
             "tolerance": tol, "pass": err < tol}
 
 

@@ -590,6 +590,17 @@ def jacobi_value(kappa: float, R: float) -> float:
     return sinh(s * R) / s
 
 
+def _jacobi_log_derivative(kappa: float, R: float) -> float:
+    """f'/f of `jacobi_value(kappa, .)` at R."""
+    if kappa == 0:
+        return 1.0 / R
+    if kappa > 0:
+        s = sqrt(kappa)
+        return s * cos(s * R) / sin(s * R)
+    s = sqrt(-kappa)
+    return s * cosh(s * R) / sinh(s * R)
+
+
 def geodesic_sphere_curvatures(eps: float, R: float) -> Tuple[float, float]:
     """(mu_H, lambda): principal curvatures of the geodesic sphere of radius R.
 
@@ -600,19 +611,9 @@ def geodesic_sphere_curvatures(eps: float, R: float) -> Tuple[float, float]:
     """
     if R <= 0:
         raise ValueError("radius must be positive")
-    if eps == 0:
-        return 1.0 / R, 1.0 / R
-    if eps > 0:
-        s = sqrt(eps)
-        if R >= pi / (2 * s):
-            raise ValueError("radius beyond injectivity bound")
-        lam = s * cos(s * R) / sin(s * R)
-        mu_h = 2 * s * cos(2 * s * R) / sin(2 * s * R)
-        return mu_h, lam
-    s = sqrt(-eps)
-    lam = s * cosh(s * R) / sinh(s * R)
-    mu_h = 2 * s * cosh(2 * s * R) / sinh(2 * s * R)
-    return mu_h, lam
+    if eps > 0 and R >= pi / (2 * sqrt(eps)):
+        raise ValueError("radius beyond injectivity bound")
+    return _jacobi_log_derivative(4 * eps, R), _jacobi_log_derivative(eps, R)
 
 
 def jacobi_oracle(kappa: float, R: float) -> Tuple[float, float]:

@@ -159,18 +159,16 @@ def _binomial_estimate(hits: int, N: int, seed: int, weight: float) -> MCEstimat
 
 
 def _moments_estimate(
-    sv: float, sv2: float, N: int, seed: int, weight: float = 1.0, shift: float = 0.0
+    sv: float, sv2: float, N: int, seed: int, shift: float = 0.0
 ) -> MCEstimate:
-    """weight times the sample mean of values v, from sv = sum(v - shift) and
+    """The sample mean of values v, from sv = sum(v - shift) and
     sv2 = sum((v - shift)^2).
 
     A shift near the mean keeps sv2 - sv^2/N from cancelling: for values that
     are constant up to roundoff the standard error stays at roundoff, not at
     sqrt(eps) times the mean."""
     var = max(0.0, (sv2 - sv * sv / N) / max(1, N - 1))
-    return MCEstimate(
-        mean=weight * (shift + sv / N), stderr=weight * sqrt(var / N), samples=N, seed=seed
-    )
+    return MCEstimate(mean=shift + sv / N, stderr=sqrt(var / N), samples=N, seed=seed)
 
 
 @dataclass

@@ -83,7 +83,7 @@ def pairwise_sum(values: np.ndarray) -> float:
 
 @dataclass
 class ValuationTable:
-    """Valuation values of one domain (or their radial derivative, for balls)."""
+    """Valuation values of one domain, or their derivatives along a flow."""
 
     n: int
     eps: float

@@ -1,4 +1,4 @@
-"""First-variation formulas checked against finite differences.
+"""First-variation formulas and the derivative tables they are checked against.
 
 Flows act on shape parameters, never on point clouds:
 
@@ -18,18 +18,22 @@ A tilde table integrates <X, N> times U(n)-invariant densities, so its
 boundary rule may fold by every symmetry of the shape that also leaves
 <X, N> invariant: `Flow.symmetry` names that group of the flow, and
 `valuations.hermitian_volumes(shape, level, flow)` weights by its
-`normal_speed`.  The variation formulas and the Crofton variation check take
+`normal_speed`.  `variation_formula` and `crofton_variation_formula` take
 the tilde table as an argument and read n and eps from it.
 
-The oracle is a central finite difference of quadrature (or closed-form)
-valuations under exact shape transport.  Radial flows on balls admit an
-analytic derivative, giving the sharpest cross-check at eps != 0.
+Both variation checks compare against a derivative table, a
+`ValuationTable` of d/dt of every entry: the analytic radial derivative of
+the closed form for balls (`valuations.ball_closed_form_derivative`), and
+`central_differences` of the tables under exact shape transport for
+ellipsoids.  The Crofton variation differentiates the plane-measure bracket
+as `valuations.crofton_rhs` of that table, since the bracket is linear in the
+table's entries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Sequence, Tuple, Union
+from typing import Tuple, Union
 
 import numpy as np
 
@@ -45,7 +49,7 @@ __all__ = [
     "key_name",
     "central_differences",
     "variation_formula",
-    "crofton_variation_check",
+    "crofton_variation_formula",
 ]
 
 
@@ -124,25 +128,25 @@ def key_name(key: Key) -> str:
     return "vol" if key == "vol" else f"{key[0]}:{key[1]},{key[2]}"
 
 
-def _transported_tables(
-    shape: geom.Shape, flow: Flow, h_step: float, level: int = 1
-) -> Tuple[valuations.ValuationTable, valuations.ValuationTable]:
-    """Valuation tables of the shape transported by +h_step and -h_step."""
-    return (
-        valuations.shape_table(flow.transport(shape, h_step), level),
-        valuations.shape_table(flow.transport(shape, -h_step), level),
-    )
-
-
 def central_differences(
-    shape: geom.Shape, flow: Flow, keys: Sequence[Key], h_step: float, level: int = 1
-) -> Dict[Key, float]:
-    """Central differences of several valuations from one pair of transported tables."""
-    plus, minus = _transported_tables(shape, flow, h_step, level)
-    return {
-        key: (valuation_value(plus, key) - valuation_value(minus, key)) / (2 * h_step)
-        for key in keys
-    }
+    shape: geom.Shape, flow: Flow, h_step: float, level: int = 1
+) -> valuations.ValuationTable:
+    """Derivative table by central differences: every B, Gamma, M and vol entry
+    is (plus - minus) / (2 h_step) of the tables of the shape transported by
+    +h_step and -h_step."""
+    plus = valuations.shape_table(flow.transport(shape, h_step), level)
+    minus = valuations.shape_table(flow.transport(shape, -h_step), level)
+
+    def diff(a, b):
+        return (a - b) / (2 * h_step)
+
+    return valuations.ValuationTable(
+        n=plus.n, eps=plus.eps,
+        B={key: diff(v, minus.B[key]) for key, v in plus.B.items()},
+        Gamma={key: diff(v, minus.Gamma[key]) for key, v in plus.Gamma.items()},
+        M={j: diff(v, minus.M[j]) for j, v in plus.M.items()},
+        vol=diff(plus.vol, minus.vol),
+    )
 
 
 def variation_formula(key: Key, tilde: valuations.ValuationTable) -> float:
@@ -154,25 +158,10 @@ def variation_formula(key: Key, tilde: valuations.ValuationTable) -> float:
     return total
 
 
-def crofton_variation_check(
-    shape: geom.Shape,
-    flow: Flow,
-    r: int,
-    tilde: valuations.ValuationTable,
-    level: int = 1,
-    h_step: float = 1e-3,
-) -> Tuple[float, float]:
-    """(finite difference, analytic formula) for the varied plane-measure bracket.
-
-    Both sides are kappa-relative (no Grassmannian mass), so they compare
-    directly: the left side differentiates the Crofton bracket along the flow,
-    the right side is the tilde-B combination of the variation formula on
-    `tilde`, the flow's tilde table (`tilde_integrals`).
-    """
-    plus, minus = _transported_tables(shape, flow, h_step, level)
-    lhs_fd = (valuations.crofton_rhs(plus, r) - valuations.crofton_rhs(minus, r)) / (2 * h_step)
-    rhs_formula = sum(
+def crofton_variation_formula(r: int, tilde: valuations.ValuationTable) -> float:
+    """Analytic first variation of the plane-measure bracket (kappa-relative):
+    the tilde-B combination `crofton_variation_coeffs(tilde.n, r)`."""
+    return sum(
         c.to_float() * tilde.B[(k, q)]
-        for (k, q), c in crofton_variation_coeffs(shape.n, r).items()
+        for (k, q), c in crofton_variation_coeffs(tilde.n, r).items()
     )
-    return lhs_fd, rhs_formula

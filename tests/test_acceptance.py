@@ -213,7 +213,7 @@ def test_criterion_07_variation_formulas():
     key = ("B", 2, 0)
     exact = vc.valuation_value(val.ball_closed_form_derivative(1.0, 2, 0.5), key)
     errs = [
-        abs(vc.central_differences(ball, vc.RadialFlow(), [key], hh)[key] - exact)
+        abs(vc.valuation_value(vc.central_differences(ball, vc.RadialFlow(), hh), key) - exact)
         for hh in (1e-2, 5e-3, 2.5e-3)
     ]
     ratios = [errs[0] / errs[1], errs[1] / errs[2]]

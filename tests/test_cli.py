@@ -183,6 +183,18 @@ def test_check_variation_ball(capsys):
     assert code == 0
 
 
+def test_ball_crofton_variation_near_the_injectivity_bound_reports(capsys):
+    # 1e-4 below pi/2: no transported ball is needed, so the check reports
+    # (ill-conditioned here, it may fail) instead of raising
+    code = cli.main(["check", "crofton-variation", "--shape", "ball", "--n", "2",
+                     "--eps", "1", "--R", "1.5707", "--r", "1"])
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    report = json.loads(captured.out)
+    assert code == (0 if report["pass"] else 1)
+    assert set(report["results"]) >= {"oracle", "formula", "relErr"}
+
+
 def test_check_crofton_mc_small(capsys):
     code, out = run_cli(
         ["check", "crofton-mc", "--n", "2", "--r", "1", "--samples", "60000",

@@ -101,9 +101,9 @@ def test_invalid_pairings_raise():
     flow = vc.LinearFlow(np.diag([0.3, 0.1, 0.2, 0.05]))
     with pytest.raises(ValueError):
         vc.tilde_integrals(flat_ball, flow)
-    # nor can the flow transport the ball, whatever tilde table it is handed
+    # nor can the flow transport the ball for central differences
     with pytest.raises(ValueError):
-        vc.crofton_variation_check(flat_ball, flow, 1, val.shape_table(flat_ball))
+        vc.central_differences(flat_ball, flow, 1e-3)
 
 
 # ---------------------------------------------------------------------------
@@ -122,10 +122,11 @@ def test_radial_fd_matches_formula():
     ball = geom.GeodesicBall(n=2, eps=1.0, R=0.5)
     flow = vc.RadialFlow()
     keys = (("B", 2, 0), ("G", 2, 1), "vol")
-    fds = vc.central_differences(ball, flow, keys, 1e-4)
+    fds = vc.central_differences(ball, flow, 1e-4)
     tilde = vc.tilde_integrals(ball, flow)
     for key in keys:
-        assert fds[key] == pytest.approx(vc.variation_formula(key, tilde), rel=1e-6)
+        fd = vc.valuation_value(fds, key)
+        assert fd == pytest.approx(vc.variation_formula(key, tilde), rel=1e-6)
 
 
 def test_fd_second_order_convergence():
@@ -134,7 +135,7 @@ def test_fd_second_order_convergence():
     key = ("B", 2, 0)
     exact = vc.valuation_value(val.ball_closed_form_derivative(1.0, 2, 0.5), key)
     errs = [
-        abs(vc.central_differences(ball, flow, [key], h)[key] - exact)
+        abs(vc.valuation_value(vc.central_differences(ball, flow, h), key) - exact)
         for h in (1e-2, 5e-3, 2.5e-3)
     ]
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.05)
@@ -157,15 +158,14 @@ def test_volume_first_variation_is_area():
 
 
 def test_linear_flow_variation_all_keys():
-    # one transported pair of tables gives every key its own difference, bit for bit
+    # the check reports the central-difference table's entry of every key, bit for bit
     e = geom.Ellipsoid.from_axes([1, 1, 2, 2])
     diag = [0.3, -0.1, 0.2, 0.05]
     res = checks.variation(e, 2, 1e-4, diag=diag)
     assert res["pass"], res["keys"]
-    flow = vc.LinearFlow(np.diag(diag))
+    fds = vc.central_differences(e, vc.LinearFlow(np.diag(diag)), 1e-3, level=2)
     for key in cc.variation_operator(2).keys():
-        fd = vc.central_differences(e, flow, [key], 1e-3, level=2)[key]
-        assert res["keys"][vc.key_name(key)]["fd"] == fd, key
+        assert res["keys"][vc.key_name(key)]["fd"] == vc.valuation_value(fds, key), key
 
 
 NONDIAGONAL_GENERATOR = np.array(
@@ -182,10 +182,10 @@ def _assert_linear_flow_formula(a, axes, keys):
     e = geom.Ellipsoid.from_axes(axes)
     flow = vc.LinearFlow(a)
     tilde = vc.tilde_integrals(e, flow, level=2)
-    fds = vc.central_differences(e, flow, keys, 1e-3, level=2)
+    fds = vc.central_differences(e, flow, 1e-3, level=2)
     for key in keys:
-        fm = vc.variation_formula(key, tilde)
-        assert rel_err(fds[key], fm, abs(fds[key]) + 1) < 1e-4, key
+        fd, fm = vc.valuation_value(fds, key), vc.variation_formula(key, tilde)
+        assert rel_err(fd, fm, abs(fd) + 1) < 1e-4, key
 
 
 def test_linear_flow_nondiagonal_generator():
@@ -210,10 +210,10 @@ def test_isometry_generator_kills_variations():
     ball = geom.Ellipsoid.from_axes([1, 1, 1, 1])
     flow = vc.LinearFlow(J)
     keys = (("B", 2, 0), ("G", 2, 1), ("B", 3, 1), "vol")
-    fds = vc.central_differences(ball, flow, keys, 1e-3, level=1)
+    fds = vc.central_differences(ball, flow, 1e-3, level=1)
     tilde = vc.tilde_integrals(ball, flow, level=1)
     for key in keys:
-        assert abs(fds[key]) < 1e-9
+        assert abs(vc.valuation_value(fds, key)) < 1e-9
         assert abs(vc.variation_formula(key, tilde)) < 1e-9
 
 
@@ -225,14 +225,28 @@ def test_isometry_generator_kills_variations():
 def _radial_crofton_variation(ball, r):
     """(fd, formula) of the radial Crofton variation of a ball, step 1e-4."""
     flow = vc.RadialFlow()
-    return vc.crofton_variation_check(ball, flow, r, vc.tilde_integrals(ball, flow), h_step=1e-4)
+    fd = val.crofton_rhs(vc.central_differences(ball, flow, 1e-4), r)
+    return fd, vc.crofton_variation_formula(r, vc.tilde_integrals(ball, flow))
 
 
-@pytest.mark.parametrize("eps,R", [(0.0, 1.0), (1.0, 0.5), (-1.0, 0.8)])
-def test_crofton_variation_on_balls(eps, R):
-    ball = geom.GeodesicBall(n=2, eps=eps, R=R)
-    lhs, rhs = _radial_crofton_variation(ball, 1)
-    assert lhs == pytest.approx(rhs, rel=1e-6)
+@pytest.mark.parametrize(
+    "n,eps,R,r",
+    [
+        pytest.param(2, 0.0, 1.0, 1, id="0.0-1.0"),
+        pytest.param(2, 1.0, 0.5, 1, id="1.0-0.5"),
+        pytest.param(2, -1.0, 0.8, 1, id="-1.0-0.8"),
+        # small radii: central differences at step 1e-4 miss the 1e-6 gate by
+        # their h^2/R^2 error, or cannot shrink the ball at all
+        (3, -1.0, 0.1, 1),
+        (4, 1.0, 0.15, 1),
+        (5, 0.0, 0.2, 1),
+        (2, 0.0, 5e-5, 1),
+    ],
+)
+def test_crofton_variation_on_balls(n, eps, R, r):
+    res = checks.crofton_variation(geom.GeodesicBall(n=n, eps=eps, R=R), r, 1)
+    assert res["pass"] and res["relErr"] <= 1e-12, res
+    assert "fd" not in res  # the analytic R-derivative is the oracle
 
 
 def test_crofton_variation_on_balls_n3():
@@ -246,8 +260,8 @@ def test_crofton_variation_on_ellipsoid():
     e = geom.Ellipsoid.from_axes([1, 1, 2, 2])
     flow = vc.LinearFlow(np.diag([0.3, -0.1, 0.2, 0.05]))
     tilde = vc.tilde_integrals(e, flow, level=2)
-    lhs, rhs = vc.crofton_variation_check(e, flow, 1, tilde, level=2, h_step=1e-3)
-    assert lhs == pytest.approx(rhs, rel=1e-4)
+    lhs = val.crofton_rhs(vc.central_differences(e, flow, 1e-3, level=2), 1)
+    assert lhs == pytest.approx(vc.crofton_variation_formula(1, tilde), rel=1e-4)
 
 
 def test_unit_ball_crofton_variation_value():
@@ -265,11 +279,9 @@ def test_unit_ball_crofton_variation_value():
 
 def _gauss_bonnet_rhs_variation(shape, flow, h_step, level=1):
     """Central difference of the Gauss-Bonnet right-hand side: gauss_bonnet_coeffs(n),
-    linear in (mu, vol), contracted with the central difference of every valuation key."""
-    n = shape.n
-    fds = vc.central_differences(shape, flow, cc.variation_operator(n).keys(), h_step, level)
-    mu = {(k, q): fds[("G" if k == 2 * q else "B", k, q)] for (k, q) in cc.mu_indices(n)}
-    return cc.gauss_bonnet_coeffs(n).eval(mu, fds["vol"], shape.eps)
+    linear in (mu, vol), evaluated on the central-difference table."""
+    fds = vc.central_differences(shape, flow, h_step, level)
+    return cc.gauss_bonnet_coeffs(shape.n).eval(fds.mu_dict(), fds.vol, shape.eps)
 
 
 @pytest.mark.parametrize("eps,R", [(1.0, 0.5), (-1.0, 0.8)])
