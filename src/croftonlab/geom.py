@@ -21,9 +21,11 @@ the form exists.  e_2, ..., e_n are columns 2..n of the one complex
 Householder reflector that sends e_1 to a unit multiple of N, in closed form
 per node.  Another basis of the distribution conjugates h by an element of
 U(n-1), which the U(n)-invariant densities do not see.  The geodesic
-sphere's area and the ball's volume are closed forms in the Jacobi field
-f_eps; a numeric Jacobi-field integrator serves as the independent oracle
-for the geodesic-sphere curvatures.
+sphere's curvatures and area and the ball's volume are closed forms in the
+Jacobi fields f_eps and f_{4 eps}.
+
+The Gauss-Jacobi rules are computed here with numpy alone: Golub-Welsch
+with one Newton step (`_gauss_jacobi`).
 
 Boundary integrals whose integrand is invariant under a group of holomorphic
 isometries that preserves the domain reduce to one node per orbit.  The
@@ -55,7 +57,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import cos, cosh, factorial, inf, isfinite, pi, sin, sinh, sqrt
+from math import cos, cosh, exp, factorial, inf, isfinite, lgamma, log, pi, sin, sinh, sqrt
 from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -67,7 +69,6 @@ __all__ = [
     "GeodesicBall",
     "Shape",
     "BoundaryCloud",
-    "ConjugatePointError",
     "apply_complex_structure",
     "SYMMETRIES",
     "symmetry_group",
@@ -76,14 +77,9 @@ __all__ = [
     "boundary_chunks",
     "sample_boundary",
     "geodesic_sphere_curvatures",
-    "jacobi_oracle",
     "jacobi_value",
     "sphere_area_and_ball_volume",
 ]
-
-
-class ConjugatePointError(RuntimeError):
-    """Jacobi field vanished before the requested radius."""
 
 
 # ---------------------------------------------------------------------------
@@ -362,15 +358,46 @@ BASE_AZIMUTH_NODES = 16
 
 def _gauss_jacobi(p: int, alpha: float, beta: float) -> Tuple[np.ndarray, np.ndarray]:
     """p-point Gauss-Jacobi rule for the weight (1 - x)^alpha (1 + x)^beta on
-    [-1, 1]: (nodes, weights), nodes ascending.
+    [-1, 1], alpha, beta >= 0: (nodes, weights), nodes ascending.
 
-    scipy.special is imported here, on the first call, so that commands
-    without boundary quadrature (exact tables, closed-form balls, plane
-    sampling) load no scipy.
+    Golub-Welsch (Math. Comp. 23, 1969): the nodes are the eigenvalues of the
+    symmetric tridiagonal Jacobi matrix of the orthonormal Jacobi polynomials
+    p_k, b_{k+1} p_{k+1} = (x - a_k) p_k - b_k p_{k-1}, each refined by one
+    Newton step on p_p; one pass of the recurrence gives p_p and its first
+    two derivatives.  The weights are proportional to 1 / ((1 - x^2) p_p'^2),
+    scaled to the exact mass 2^(alpha+beta+1) B(alpha+1, beta+1); for
+    alpha = beta nodes and weights are symmetrized about 0.  The orthonormal
+    recurrence neither underflows nor overflows at high p.  A rule costs
+    about 0.3 ms at p = 32 and 2 ms at p = 128 on a 2-vCPU machine.
     """
-    from scipy.special import roots_jacobi
+    s = alpha + beta
+    k = np.arange(1.0, p + 1)
+    c = 2 * k + s
+    a = np.empty(p)
+    a[0] = (beta - alpha) / (s + 2)
+    a[1:] = (beta * beta - alpha * alpha) / (c[:-1] * (c[:-1] + 2))
+    b = np.sqrt(4 * k * (k + alpha) * (k + beta) * (k + s) / (c * c * (c + 1) * (c - 1)))
+    x = np.linalg.eigvalsh(np.diag(a) + np.diag(b[:-1], 1) + np.diag(b[:-1], -1))
 
-    return roots_jacobi(p, alpha, beta)
+    # rows p_k, p_k', p_k'' at the eigenvalues, by the recurrence
+    y0, y1 = np.zeros((3, p)), np.zeros((3, p))
+    y1[0] = 1.0
+    for a_k, b_k, b_next in zip(a, np.r_[0.0, b[:-1]], b):
+        y = (x - a_k) * y1 - b_k * y0
+        y[1] += y1[0]
+        y[2] += 2 * y1[1]
+        y /= b_next
+        y0, y1 = y1, y
+    f, df, ddf = y1
+    step = f / df
+    x = x - step
+    df = df - ddf * step  # p_p' at the refined node, to first order in the step
+    w = 1.0 / ((1 - x) * (1 + x) * df * df)
+    if alpha == beta:
+        x = (x - x[::-1]) / 2
+        w = (w + w[::-1]) / 2
+    mass = exp((s + 1) * log(2) + lgamma(alpha + 1) + lgamma(beta + 1) - lgamma(s + 2))
+    return x, w * (mass / w.sum())
 
 
 @lru_cache(maxsize=32)
@@ -451,9 +478,9 @@ def torus_orbit_grid(n: int, level: int) -> Tuple[np.ndarray, np.ndarray]:
     coordinates s_i = t_i (1 - t_1) ... (1 - t_{i-1}) have Jacobian
     prod_i (1 - t_i)^{n-1-i}; coordinate i takes p = 8 * 2^L Gauss-Jacobi
     nodes for that weight.  Returns (points (p^{n-1}, 2n), weights) with the
-    weights summing to O_{2n-1}.  Uncached: a call takes 0.25-0.7 ms for
-    (n, L) in {(2, 2), (3, 1), (3, 2), (4, 0)} on a 2-vCPU machine, about
-    half of it in the n - 1 Gauss-Jacobi rules.
+    weights summing to O_{2n-1}.  Uncached: most of a call is its n - 1
+    Gauss-Jacobi rules, about 0.2 ms each at p = 16 and 0.3 ms at p = 32 on
+    a 2-vCPU machine.
     """
     p = BASE_POLAR_NODES * 2**level
     ts, one_minus_ts, axes_weights = [], [], []
@@ -581,24 +608,30 @@ def sample_boundary(shape: Shape, level: int = 0, symmetry: str = "none") -> Bou
 
 def jacobi_value(kappa: float, R: float) -> float:
     """Closed-form solution of f'' + kappa f = 0, f(0)=0, f'(0)=1."""
+    s = _root_curvature(kappa)
     if kappa == 0:
         return R
     if kappa > 0:
-        s = sqrt(kappa)
         return sin(s * R) / s
-    s = sqrt(-kappa)
     return sinh(s * R) / s
 
 
 def _jacobi_log_derivative(kappa: float, R: float) -> float:
     """f'/f of `jacobi_value(kappa, .)` at R."""
+    s = _root_curvature(kappa)
     if kappa == 0:
         return 1.0 / R
     if kappa > 0:
-        s = sqrt(kappa)
         return s * cos(s * R) / sin(s * R)
-    s = sqrt(-kappa)
     return s * cosh(s * R) / sinh(s * R)
+
+
+def _root_curvature(kappa: float) -> float:
+    """sqrt(|kappa|); ValueError for a kappa that is not finite, as 4 eps is
+    for |eps| > 4.49e307."""
+    if not isfinite(kappa):
+        raise ValueError(f"curvature {kappa!r} is not finite (4*eps overflows for |eps| > 4.49e307)")
+    return sqrt(abs(kappa))
 
 
 def geodesic_sphere_curvatures(eps: float, R: float) -> Tuple[float, float]:
@@ -614,44 +647,6 @@ def geodesic_sphere_curvatures(eps: float, R: float) -> Tuple[float, float]:
     if eps > 0 and R >= pi / (2 * sqrt(eps)):
         raise ValueError("radius beyond injectivity bound")
     return _jacobi_log_derivative(4 * eps, R), _jacobi_log_derivative(eps, R)
-
-
-def jacobi_oracle(kappa: float, R: float) -> Tuple[float, float]:
-    """Numeric Jacobi field: adaptive integration of f'' + kappa f = 0.
-
-    Returns (f(R), f'(R)/f(R)); raises ConjugatePointError if f vanishes on
-    (0, R].  Independent of the closed forms above.
-    """
-    if R <= 0:
-        raise ValueError("radius must be positive")
-    # scipy.integrate, the heaviest scipy subpackage, is loaded by the first
-    # call: only this oracle uses it
-    from scipy.integrate import solve_ivp
-
-    def rhs(t, y):
-        return [y[1], -kappa * y[0]]
-
-    def crossing(t, y):
-        # downward zero crossing; the initial upward departure from 0 is ignored
-        return y[0]
-
-    crossing.terminal = True
-    crossing.direction = -1
-    sol = solve_ivp(
-        rhs,
-        (0.0, R),
-        [0.0, 1.0],
-        method="DOP853",
-        rtol=1e-12,
-        atol=1e-14,
-        events=crossing,
-        max_step=R / 8,
-    )
-    scale = float(np.max(np.abs(sol.y[0])))
-    if sol.status == 1 or sol.y[0, -1] <= 1e-10 * scale:
-        raise ConjugatePointError(f"Jacobi field vanished on (0, {R}]")
-    f, fp = sol.y[0, -1], sol.y[1, -1]
-    return f, fp / f
 
 
 def sphere_area_and_ball_volume(eps: float, n: int, R: float) -> Tuple[float, float]:

@@ -33,6 +33,8 @@ table's entries.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import ceil, factorial, log2
 from typing import Tuple, Union
 
 import numpy as np
@@ -53,9 +55,43 @@ __all__ = [
 ]
 
 
+# [13/13] Pade approximant of exp: q(x) / q(-x) with q(x) = sum_k c_k x^k,
+# c_k = (26 - k)! 13! / (26! k! (13 - k)!), and the 1-norm up to which its
+# backward error stays below the unit roundoff (Higham, SIAM J. Matrix Anal.
+# Appl. 26, 2005)
+PADE_13 = tuple(
+    float(Fraction(factorial(26 - k) * factorial(13), factorial(26) * factorial(k) * factorial(13 - k)))
+    for k in range(14)
+)
+THETA_13 = 5.371920351148152
+
+
+def _expm(A: np.ndarray) -> np.ndarray:
+    """exp(A) by scaling and squaring: the [13/13] Pade approximant of
+    exp(A / 2^s), with 2^s the smallest power of two that brings the 1-norm
+    to THETA_13, squared s times."""
+    norm = np.linalg.norm(A, 1)
+    s = ceil(log2(norm / THETA_13)) if norm > THETA_13 else 0
+    A = A / 2.0**s
+    c = PADE_13
+    A2 = A @ A
+    A4 = A2 @ A2
+    A6 = A4 @ A2
+    eye = np.eye(len(A))
+    # q(A) = V + U with U the odd and V the even part
+    U = A @ (A6 @ (c[13] * A6 + c[11] * A4 + c[9] * A2) + c[7] * A6 + c[5] * A4
+             + c[3] * A2 + c[1] * eye)
+    V = A6 @ (c[12] * A6 + c[10] * A4 + c[8] * A2) + c[6] * A6 + c[4] * A4 + c[2] * A2 + eye
+    E = np.linalg.solve(V - U, V + U)
+    for _ in range(s):
+        E = E @ E
+    return E
+
+
 @dataclass
 class LinearFlow:
-    """phi_t = exp(tA) acting on C^n = R^{2n}; moves ellipsoids only."""
+    """phi_t = exp(tA) acting on C^n = R^{2n}; moves ellipsoids only.  The
+    exponential is `_expm`, a numpy scaling and squaring."""
 
     A: np.ndarray
 
@@ -63,11 +99,11 @@ class LinearFlow:
         self.A = np.asarray(self.A, dtype=float)
         if self.A.ndim != 2 or self.A.shape[0] != self.A.shape[1]:
             raise ValueError("A must be square")
+        if not np.all(np.isfinite(self.A)):
+            raise ValueError("A must be finite")
 
     def transport(self, shape: geom.Shape, t: float) -> geom.Shape:
-        from scipy.linalg import expm  # loaded by the first transport, not on import
-
-        return shape.transformed(expm(t * self.A))
+        return shape.transformed(_expm(t * self.A))
 
     @property
     def symmetry(self) -> str:

@@ -1,6 +1,7 @@
 """Helpers shared by the test modules."""
 
 import numpy as np
+from scipy.integrate import solve_ivp
 
 
 def realify_complex_columns(Vc: np.ndarray) -> np.ndarray:
@@ -35,3 +36,43 @@ class ProductRuleWeight:
 
     def __init__(self, flow):
         self.normal_speed = flow.normal_speed
+
+
+class ConjugatePointError(RuntimeError):
+    """Jacobi field vanished before the requested radius."""
+
+
+def jacobi_oracle(kappa: float, R: float):
+    """Numeric Jacobi field: adaptive integration of f'' + kappa f = 0,
+    f(0) = 0, f'(0) = 1.
+
+    Returns (f(R), f'(R)/f(R)); raises ConjugatePointError if f vanishes on
+    (0, R].  Independent of the closed forms of `geom`.
+    """
+    if R <= 0:
+        raise ValueError("radius must be positive")
+
+    def rhs(t, y):
+        return [y[1], -kappa * y[0]]
+
+    def crossing(t, y):
+        # downward zero crossing; the initial upward departure from 0 is ignored
+        return y[0]
+
+    crossing.terminal = True
+    crossing.direction = -1
+    sol = solve_ivp(
+        rhs,
+        (0.0, R),
+        [0.0, 1.0],
+        method="DOP853",
+        rtol=1e-12,
+        atol=1e-14,
+        events=crossing,
+        max_step=R / 8,
+    )
+    scale = float(np.max(np.abs(sol.y[0])))
+    if sol.status == 1 or sol.y[0, -1] <= 1e-10 * scale:
+        raise ConjugatePointError(f"Jacobi field vanished on (0, {R}]")
+    f, fp = sol.y[0, -1], sol.y[1, -1]
+    return f, fp / f

@@ -11,7 +11,6 @@ from fractions import Fraction
 from math import pi
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from croftonlab import checks, cli, extalg, geom, planes, valuations, varcheck
@@ -478,6 +477,21 @@ def test_bad_flag_values_are_parser_errors(argv, flag, capsys, tmp_path, monkeyp
     assert last.startswith("croftonlab") and "error:" in last and flag in last
 
 
+@pytest.mark.parametrize("eps", ["1e308", "-1e308"])
+def test_overflowing_hopf_curvature_is_refused_in_one_error_line(eps, capsys):
+    # 4 eps overflows: refused with the overflow named, where the bare "math
+    # domain error" of math.sin (eps > 0) or a nan curvature (eps < 0) used to
+    # surface
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["check", "gamma-b", "--n", "3", f"--eps={eps}", "--R", "1e-160"])
+    assert exc.value.code == 2
+    usage, *lines = capsys.readouterr().err.splitlines()
+    assert usage.startswith("usage: croftonlab")
+    inf = "inf" if eps[0] != "-" else "-inf"
+    assert lines == ["croftonlab: error: invalid shape (--shape/--axes/--n/--eps/--R): "
+                     f"curvature {inf} is not finite (4*eps overflows for |eps| > 4.49e307)"]
+
+
 # few samples: a family without hits, and a ratio whose spread is zero; each
 # check reports and fails instead of raising
 @pytest.mark.parametrize(
@@ -684,43 +698,39 @@ def test_exact_closed_form_and_plane_commands_load_no_scipy(argv):
     assert json.loads(fresh_python(LOADED_SCIPY, *argv)) == []
 
 
-def test_ellipsoid_quadrature_loads_scipy_special_only():
-    argv = ["check", "gauss-bonnet", "--shape", "ellipsoid", "--axes", "1,1,2,2", "--level", "0"]
-    loaded = set(json.loads(fresh_python(LOADED_SCIPY, *argv)))
-    assert "scipy.special" in loaded
-    assert not loaded & {"scipy.integrate", "scipy.optimize"}
+# every check kind and `volumes --richardson`, ellipsoid quadrature and linear
+# flows included, at small sizes; all run in one interpreter
+EVERY_COMMAND = [
+    ["check", "gauss-bonnet", "--shape", "ellipsoid", "--axes", "1,2,2,3", "--level", "0"],
+    ["check", "variation", "--shape", "ellipsoid", "--axes", "1,1,2,2", "--level", "0"],
+    ["check", "crofton-variation", "--shape", "ellipsoid", "--axes", "1,1,2,2", "--level", "0"],
+    ["check", "variation", "--shape", "ball", "--n", "2", "--eps", "1", "--R", "0.5"],
+    ["check", "crofton-variation", "--shape", "ball", "--n", "2", "--eps", "-1", "--R", "0.5"],
+    ["check", "gamma-b", "--n", "3", "--eps", "1", "--R", "0.5"],
+    ["check", "crofton-mc", "--n", "2", "--r", "1", "--level", "0", "--samples", "2000"],
+    ["check", "total-gauss", "--n", "2", "--r", "1", "--level", "0", "--samples", "2000"],
+    ["check", "crofton-cpn", "--n", "2", "--r", "1", "--samples", "2000"],
+    ["check", "grassmann-pointwise", "--n", "3", "--r", "1", "--samples", "2000"],
+    ["volumes", "--shape", "ellipsoid", "--axes", "1,2,2,3", "--level", "1", "--richardson"],
+]
 
-
-DEFERRED_CALLS = """
-import json, sys
-from math import pi
-import numpy as np
-from croftonlab import geom, varcheck
-cold = not any(m.split(".")[0] == "scipy" for m in sys.modules)
-flow = varcheck.LinearFlow(np.diag([0.3, -0.2, 0.1, 0.4]))
-values = {
-    "jacobi": geom.jacobi_oracle(1.0, pi / 3),
-    "torus": geom.torus_orbit_grid(3, 1),
-    "transport": (flow.transport(geom.Ellipsoid.from_axes([1, 1, 2, 2]), 0.25).quadric,),
-}
-print(json.dumps({"cold": cold, "values": {
-    k: [np.asarray(a, dtype=float).tobytes().hex() for a in v] for k, v in values.items()
-}}))
+LOADED_SCIPY_AFTER_ALL = """
+import contextlib, io, json, sys
+from croftonlab import cli
+kinds = set()
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli.main(argv)
+    kinds.add(argv[1] if argv[0] == "check" else argv[0])
+print(json.dumps({"kinds": sorted(kinds),
+                  "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
 """
 
 
-def test_deferred_scipy_call_sites_match_in_a_cold_interpreter():
-    out = json.loads(fresh_python(DEFERRED_CALLS))
-    assert out["cold"]
-    flow = varcheck.LinearFlow(np.diag([0.3, -0.2, 0.1, 0.4]))
-    values = {
-        "jacobi": geom.jacobi_oracle(1.0, pi / 3),
-        "torus": geom.torus_orbit_grid(3, 1),
-        "transport": (flow.transport(geom.Ellipsoid.from_axes([1, 1, 2, 2]), 0.25).quadric,),
-    }
-    assert out["values"] == {
-        k: [np.asarray(a, dtype=float).tobytes().hex() for a in v] for k, v in values.items()
-    }
+def test_no_command_loads_scipy():
+    out = json.loads(fresh_python(LOADED_SCIPY_AFTER_ALL, json.dumps(EVERY_COMMAND)))
+    assert out["kinds"] == sorted([*cli.CHECKS, "volumes"])
+    assert out["scipy"] == []
 
 
 def test_a_reader_that_leaves_early_gets_no_traceback():

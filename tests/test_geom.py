@@ -1,20 +1,80 @@
 """Boundary quadrature, adapted frames and space-form radial geometry."""
 
-from math import cos, pi, sin, sqrt, tan, tanh
+from fractions import Fraction
+from math import comb, cos, gamma, pi, sin, sqrt, tan, tanh
 
 import numpy as np
 import pytest
 from scipy.integrate import nquad, quad
+from scipy.special import roots_jacobi
 
 from croftonlab import geom
 from croftonlab.valuations import QUADRATURE_CHUNK
 from croftonlab.coeffcore import ball_volume_coeff, sphere_volume_coeff
-from helpers import realify_complex_columns
+from helpers import ConjugatePointError, jacobi_oracle, realify_complex_columns
 
 
 # ---------------------------------------------------------------------------
 # Sphere grids and ellipsoid sampling
 # ---------------------------------------------------------------------------
+
+
+# every (p, alpha, beta) the rules request at levels 0-4: `sphere_grid` takes
+# alpha = beta = (d - 2 - i) / 2 for d <= 10, `torus_orbit_grid` alpha in
+# {0, ..., 3} with beta = 0 (alpha = beta = 0 is listed once)
+GAUSS_JACOBI_CASES = [(8 * 2**level, alpha, beta) for level in range(5)
+                      for alpha, beta in [(i / 2, i / 2) for i in range(8)]
+                      + [(float(a), 0.0) for a in (1, 2, 3)]]
+
+
+def _jacobi_moments(p, alpha, beta):
+    """Exact moments of x^j, j < 2p, for the weight (1 - x)^alpha (1 + x)^beta:
+    (mass, [m_j / mass]), the ratios as exact fractions.
+
+    With t = (1 + x)/2 the weight has the Beta moments E[t^i] =
+    prod_{l<i} (beta + 1 + l) / (alpha + beta + 2 + l); x^j = (2t - 1)^j."""
+    a, b = Fraction(alpha), Fraction(beta)
+    t_moments, ratio = [], Fraction(1)
+    for i in range(2 * p):
+        t_moments.append(ratio)
+        ratio *= (b + 1 + i) / (a + b + 2 + i)
+    mass = 2 ** (alpha + beta + 1) * gamma(alpha + 1) * gamma(beta + 1) / gamma(alpha + beta + 2)
+    return mass, [sum(comb(j, i) * 2**i * (-1) ** (j - i) * t_moments[i] for i in range(j + 1))
+                  for j in range(2 * p)]
+
+
+@pytest.mark.parametrize("p,alpha,beta", GAUSS_JACOBI_CASES)
+def test_gauss_jacobi_rules_integrate_polynomials_of_degree_2p_minus_1(p, alpha, beta):
+    # each x^j to 1e-13 relative to the integral of |x|^j (which is the
+    # relative error wherever x^j >= 0; odd moments of a symmetric weight are 0)
+    x, w = geom._gauss_jacobi(p, alpha, beta)
+    assert np.all(np.diff(x) > 0) and np.all(w > 0)
+    if alpha == beta:  # exactly symmetric, so the sign fold halves it bit for bit
+        assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+    mass, moments = _jacobi_moments(p, alpha, beta)
+    power = np.ones(p)
+    for j, moment in enumerate(moments):
+        scale = float(np.sum(w * np.abs(power)))
+        assert abs(float(np.sum(w * power)) - mass * float(moment)) <= 1e-13 * scale, j
+        power = power * x
+
+
+@pytest.mark.parametrize("p,alpha,beta", [case for case in GAUSS_JACOBI_CASES if case[0] <= 64])
+def test_gauss_jacobi_rules_equal_scipy(p, alpha, beta):
+    # at p = 128 scipy's own weights are further from a 60-digit reference
+    # (5.5e-11 for Legendre) than these (3.4e-13), so it is no reference there
+    x, w = geom._gauss_jacobi(p, alpha, beta)
+    xs, ws = roots_jacobi(p, alpha, beta)
+    assert np.max(np.abs(x - xs)) <= 4.4e-16
+    assert np.max(np.abs(w / ws - 1)) <= 1e-11
+
+
+def test_gauss_jacobi_rules_stay_finite_at_high_order():
+    # the orthonormal recurrence neither under- nor overflows where a monic
+    # p_p' would (2^-p)
+    x, w = geom._gauss_jacobi(1024, 0.0, 0.0)
+    assert np.all(np.isfinite(w)) and w.sum() == pytest.approx(2.0, rel=1e-14)
+    assert np.all(np.diff(x) > 0)
 
 
 @pytest.mark.parametrize("d,expected", [(4, 2 * pi**2), (6, pi**3)])
@@ -315,6 +375,25 @@ def test_geodesic_sphere_radius_bounds():
         geom.GeodesicBall(n=2, eps=0.0, R=-1.0)
 
 
+@pytest.mark.parametrize("eps", [1e308, -1e308, 4.5e307, -4.5e307])
+def test_overflowing_hopf_curvature_is_refused(eps):
+    # 4 eps overflows to +-inf, where the closed forms returned nan or failed
+    # inside math.sin
+    overflow = "is not finite \\(4\\*eps overflows"
+    with pytest.raises(ValueError, match=overflow):
+        geom.geodesic_sphere_curvatures(eps, 1e-160)
+    with pytest.raises(ValueError, match=overflow):
+        geom.sphere_area_and_ball_volume(eps, 3, 1e-160)
+    with pytest.raises(ValueError, match=overflow):
+        geom.GeodesicBall(n=3, eps=eps, R=1e-160)
+    for closed_form in (geom.jacobi_value, geom._jacobi_log_derivative):
+        with pytest.raises(ValueError, match=overflow):
+            closed_form(4 * eps, 1e-160)
+    # the largest eps whose 4 eps is finite still has closed forms
+    mu_h, lam = geom.geodesic_sphere_curvatures(np.copysign(4.49e307, eps), 1e-160)
+    assert all(map(np.isfinite, (mu_h, lam)))
+
+
 @pytest.mark.parametrize("n", [0, -1])
 def test_geodesic_ball_rejects_dimension_below_one(n):
     with pytest.raises(ValueError, match="n must be >= 1"):
@@ -362,27 +441,27 @@ def test_inverse_form_rejects_degenerate_forms(d, entry):
 
 
 def test_jacobi_oracle_closed_forms():
-    f, ratio = geom.jacobi_oracle(0.0, 2.0)
+    f, ratio = jacobi_oracle(0.0, 2.0)
     assert f == pytest.approx(2.0, rel=1e-12)
     assert ratio == pytest.approx(0.5, rel=1e-12)
-    f, ratio = geom.jacobi_oracle(1.0, pi / 3)
+    f, ratio = jacobi_oracle(1.0, pi / 3)
     assert f == pytest.approx(sin(pi / 3), rel=1e-10)
     assert ratio == pytest.approx(1 / tan(pi / 3), rel=1e-10)
 
 
 def test_jacobi_oracle_conjugate_point():
-    with pytest.raises(geom.ConjugatePointError):
-        geom.jacobi_oracle(4.0, pi / 2)
-    with pytest.raises(geom.ConjugatePointError):
-        geom.jacobi_oracle(1.0, 1.1 * pi)
+    with pytest.raises(ConjugatePointError):
+        jacobi_oracle(4.0, pi / 2)
+    with pytest.raises(ConjugatePointError):
+        jacobi_oracle(1.0, 1.1 * pi)
 
 
 @pytest.mark.parametrize("eps", [1.0, -1.0])
 @pytest.mark.parametrize("R", [0.3, 0.6, 0.9])
 def test_curvatures_match_jacobi_oracle(eps, R):
     mu_h, lam = geom.geodesic_sphere_curvatures(eps, R)
-    _, hopf = geom.jacobi_oracle(4 * eps, R)
-    _, dist = geom.jacobi_oracle(eps, R)
+    _, hopf = jacobi_oracle(4 * eps, R)
+    _, dist = jacobi_oracle(eps, R)
     assert mu_h == pytest.approx(hopf, rel=1e-10, abs=1e-10)
     assert lam == pytest.approx(dist, rel=1e-10)
 

@@ -4,6 +4,7 @@ from math import pi
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from croftonlab import checks
 from croftonlab import coeffcore as cc
@@ -46,6 +47,38 @@ def test_flow_symmetry_groups():
     assert vc.LinearFlow(np.diag([0.3, 0.3, 0.1, 0.1])).symmetry == "torus"
     assert vc.LinearFlow(NONDIAGONAL_GENERATOR).symmetry == "none"
     assert vc.RadialFlow().symmetry == "torus"
+
+
+@pytest.mark.parametrize("d", [2, 4, 6, 8])
+def test_expm_equals_scipy(d):
+    # random generators of 2-norm up to 2, against scipy's scaling and squaring
+    rng = np.random.default_rng(10 + d)
+    for _ in range(200):
+        A = rng.standard_normal((d, d))
+        A *= rng.uniform(0, 2) / np.linalg.norm(A, 2)
+        want = expm(A)
+        assert np.linalg.norm(vc._expm(A) - want) <= 1e-14 * np.linalg.norm(want)
+
+
+def test_expm_scales_and_squares_large_generators():
+    # 1-norms beyond THETA_13 take the squarings: a turn by 10 radians, and
+    # a diagonal generator, whose exponentials are exact
+    turn = np.array([[0.0, -10.0], [10.0, 0.0]])
+    assert np.max(np.abs(vc._expm(turn) - [[np.cos(10), -np.sin(10)], [np.sin(10), np.cos(10)]])) <= 1e-13
+    diag = np.array([-12.0, 0.5, 9.0])
+    E = vc._expm(np.diag(diag))
+    assert np.allclose(np.diag(E), np.exp(diag), rtol=1e-13, atol=0)
+    assert not np.any(E[~np.eye(3, dtype=bool)])
+    assert np.array_equal(vc._expm(np.zeros((4, 4))), np.eye(4))
+
+
+@pytest.mark.parametrize("entry", [np.inf, np.nan])
+def test_linear_flow_rejects_a_generator_that_is_not_finite(entry):
+    # the scaling of the exponential needs a finite 1-norm
+    A = np.eye(4)
+    A[1, 2] = entry
+    with pytest.raises(ValueError, match="finite"):
+        vc.LinearFlow(A)
 
 
 def _product_rule_tilde(shape, flow, level):
