@@ -21,6 +21,7 @@ import functools
 import io
 import json
 import os
+import re
 import sys
 from math import isfinite
 from typing import Dict, List, Optional
@@ -240,11 +241,23 @@ def cmd_check(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, reading `-1e-3` and `-2.5E+4` as negative numbers too.
+
+    argparse itself takes only `-1`- and `-.5`-style strings for numbers, so
+    `--eps -1e-3` failed with "expected one argument".  Subparsers are made
+    of the parent's class, so every float flag of every command reads them."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The one parser of this process: parsing leaves it unchanged, so it is
     built on the first call and shared by every later one."""
-    p = argparse.ArgumentParser(prog="croftonlab", description=__doc__)
+    p = _Parser(prog="croftonlab", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp):

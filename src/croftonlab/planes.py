@@ -5,17 +5,16 @@ Gaussian matrix, computed by Householder reflections with LAPACK's sign
 convention (R has a real diagonal), so it is the Q that LAPACK's QR returns
 for the same draws.
 
-Draw, then slice: a chunk first draws all its variates (`_frame_draws`,
-`_flat_draws`), and everything after runs on `_slices`, QR_BLOCK planes at
-a time, whose working set stays in cache: the frames (`_frames`), the
-anchors, the hit predicates and the Grassmann determinants.  Only the raw
-draws and the per-plane values that a chunk sums are chunk-sized.  Hit counts
-add slice by slice; per-plane values are concatenated in plane order and
-summed once per chunk, so neither the planes nor any sum depend on the
-slicing.
+One chunk, one stream: `_chunk_sums` hands each task a chunk of at most
+SAMPLE_CHUNK planes, which draws its variates from its own Philox stream
+(`_frame_draws`, `_flat_draws`) and computes on them directly: the frames
+(`_frames`), the anchors, the hit predicates and the Grassmann determinants.
+A chunk is small (its flat draws take about 1.4 MB at n = 3), so its working
+set stays near the cache, and numpy releases the GIL while it fills the draws,
+so with CROFTONLAB_THREADS above 1 the draws run on the thread pool as well.
 
-Batch-last layout: a slice of k frames is a (rows, cols, k) array and a
-slice of complex anchors an (n, k) array, so every small-matrix entry is one
+Batch-last layout: a chunk of k frames is a (rows, cols, k) array and a
+chunk of complex anchors an (n, k) array, so every small-matrix entry is one
 contiguous length-k vector.  The QR, the anchors, the hit predicates, the
 restricted quadratic forms and the section minimum (an elementwise Cholesky,
 `geom._inverse_form`) are elementwise vector arithmetic on those entries; only
@@ -45,13 +44,13 @@ noncompact and no canonical finite window exists; those formulas are verified
 through closed-form geodesic balls and the mutual consistency checks instead.
 
 RNG discipline: `_chunk_sums` splits the N samples into SAMPLE_CHUNK-sized
-chunks, draws each chunk from its own counter-based Philox stream and adds
-the per-chunk sums in chunk order, so estimates depend only on (seed, N), not
-on scheduling.  Within a chunk the draws come in a fixed order: the real
-Gaussian block (m, rows, cols), the imaginary block, then for flat planes the
-anchor normals (m, 2(n - r)) and the uniforms (m).  Hit counts become a
-binomial estimate, sums of values and of their squares (about a fixed shift)
-a sample-moment estimate.
+chunks (the last one partial), draws each chunk from its own counter-based
+Philox stream and adds the per-chunk sums in chunk order, so estimates depend
+only on (seed, N), not on scheduling.  Within a chunk the draws come in a fixed
+order: the real Gaussian block (m, rows, cols), the imaginary block, then for
+flat planes the anchor normals (m, 2(n - r)) and the uniforms (m).  Hit counts
+become a binomial estimate, sums of values and of their squares (about a fixed
+shift) a sample-moment estimate.
 """
 
 from __future__ import annotations
@@ -86,8 +85,7 @@ __all__ = [
     "thread_count",
 ]
 
-SAMPLE_CHUNK = 1 << 16  # planes per chunk: one RNG stream, one thread-pool task
-QR_BLOCK = 1 << 13  # planes per slice of a chunk's computation
+SAMPLE_CHUNK = 1 << 13  # planes per chunk: one RNG stream, one thread-pool task
 WINDOW_MARGIN = 1.01
 
 
@@ -189,14 +187,6 @@ class Calibration:
 # ---------------------------------------------------------------------------
 
 
-def _slices(m: int):
-    """The QR_BLOCK-plane slices of a chunk of m planes, in plane order.
-
-    Every estimator draws its chunk first and then computes on these slices,
-    so each slice's working set stays in cache."""
-    return (slice(lo, min(lo + QR_BLOCK, m)) for lo in range(0, m, QR_BLOCK))
-
-
 def _frame_draws(
     rng: np.random.Generator, m: int, rows: int, cols: int
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -205,7 +195,7 @@ def _frame_draws(
 
 
 def _frames(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    """Haar-random complex frames of one slice of draws, batch-last: Q of re + i im.
+    """Haar-random complex frames of a chunk's draws, batch-last: Q of re + i im.
 
     re and im are (k, rows, cols); the result has shape (rows, cols, k), each
     matrix entry one length-k vector."""
@@ -282,16 +272,15 @@ def _flat_draws(rng: np.random.Generator, m: int, n: int, r: int) -> Tuple[np.nd
 
 
 def _flat_planes(
-    draws: Tuple[np.ndarray, ...], s: slice, r: int, rho: float
+    draws: Tuple[np.ndarray, ...], r: int, rho: float
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Flat planes of the slice s of a chunk's draws, batch-last and complex:
-    (V (n, r, k), anchor (n, k)).
+    """Flat planes of a chunk's draws, batch-last and complex: (V (n, r, k), anchor (n, k)).
 
     The anchor is Q[:, r:] (b_0 + i b_1, b_2 + i b_3, ...) for b uniform in the
     radius-rho ball of R^{2(n-r)}: uniform in that ball of span_C(Q[:, r:])."""
     re, im, g, u = draws
-    Q = _frames(re[s], im[s])
-    b = _uniform_ball(g[s], u[s], rho)
+    Q = _frames(re, im)
+    b = _uniform_ball(g, u, rho)
     anchors = (Q[:, r:] * (b[0::2] + 1j * b[1::2])).sum(axis=1)
     return Q[:, :r], anchors
 
@@ -321,17 +310,15 @@ def _hit_count(shape, r: int, N: int, seed: int) -> Tuple[int, float]:
         rho, weight = _flat_window(shape, r)
 
         def work(rng: np.random.Generator, m: int) -> Tuple[int]:
-            draws = _flat_draws(rng, m, n, r)
-            return (sum(int(np.count_nonzero(shape.meets(*_flat_planes(draws, s, r, rho))))
-                        for s in _slices(m)),)
+            V, anchors = _flat_planes(_flat_draws(rng, m, n, r), r, rho)
+            return (int(np.count_nonzero(shape.meets(V, anchors))),)
 
     elif shape.eps == 1:
         weight = 1.0
 
         def work(rng: np.random.Generator, m: int) -> Tuple[int]:
-            re, im = _frame_draws(rng, m, n + 1, r + 1)
-            return (sum(int(np.count_nonzero(_hits_projective(shape, _frames(re[s], im[s]))))
-                        for s in _slices(m)),)
+            W = _frames(*_frame_draws(rng, m, n + 1, r + 1))
+            return (int(np.count_nonzero(_hits_projective(shape, W))),)
 
     elif shape.eps < 0:
         raise NotImplementedError(
@@ -433,12 +420,9 @@ def grassmann_sigma_average(
     shift = float(np.linalg.det(hD[: 2 * r, : 2 * r]))
 
     def work(rng: np.random.Generator, m: int) -> Tuple[float, float]:
-        re, im = _frame_draws(rng, m, n - 1, r)
-        dets = []
-        for s in _slices(m):
-            S, _ = geom._restricted_form(hD, geom._real_columns(_frames(re[s], im[s])))
-            dets.append(np.linalg.det(S.transpose(2, 0, 1)))
-        vals = np.concatenate(dets) - shift
+        V = _frames(*_frame_draws(rng, m, n - 1, r))
+        S, _ = geom._restricted_form(hD, geom._real_columns(V))
+        vals = np.linalg.det(S.transpose(2, 0, 1)) - shift
         return float(vals.sum()), float((vals**2).sum())
 
     return _moments_estimate(*_chunk_sums(N, seed, work), N, seed, shift=shift)

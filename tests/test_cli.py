@@ -327,9 +327,9 @@ def test_coeffs_reports_match_golden_files(name, argv, capsys):
     assert out == (DATA / f"coeffs_{name}.json").read_text()
 
 
-# Monte Carlo reports pinned byte for byte: 70,000 samples are one full chunk
-# plus a partial chunk whose last QR_BLOCK slice is partial, so the files fix
-# the plane streams and the order of every reduction
+# Monte Carlo reports pinned byte for byte: 70,000 samples are eight full
+# chunks plus one 4,464-plane chunk, so the files fix the plane streams and
+# the order of every reduction
 MC_GOLDEN = {
     "crofton_mc_n2_r1": ["crofton-mc", "--n", "2", "--r", "1", "--level", "1"],
     "crofton_cpn_n2_r1": ["crofton-cpn", "--n", "2", "--r", "1"],
@@ -475,6 +475,33 @@ def test_bad_flag_values_are_parser_errors(argv, flag, capsys, tmp_path, monkeyp
     assert "Traceback" not in err
     last = err.strip().splitlines()[-1]
     assert last.startswith("croftonlab") and "error:" in last and flag in last
+
+
+def _outcome(argv, capsys):
+    """(exit code, stdout, stderr) of one CLI run, parser errors included."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    "flag,value,argv",
+    [
+        ("--eps", "-1e-3", ["check", "gamma-b", "--n", "3", "--R", "0.5"]),
+        ("--eps", "-2.5E-1", ["volumes", "--R", "0.5", "--closed-form"]),
+        ("--R", "-5e-1", ["check", "gauss-bonnet"]),
+        ("--tol", "-1e-3", ["check", "gamma-b", "--n", "3", "--eps", "1", "--R", "0.5"]),
+    ],
+)
+def test_negative_exponent_values_read_like_the_equals_spelling(flag, value, argv, capsys):
+    # argparse alone took "-1e-3" for an option: "expected one argument"
+    spaced = _outcome([*argv, flag, value], capsys)
+    joined = _outcome([*argv, f"{flag}={value}"], capsys)
+    assert spaced == joined
+    assert "expected one argument" not in spaced[2]
 
 
 @pytest.mark.parametrize("eps", ["1e308", "-1e308"])

@@ -4,9 +4,10 @@ Monte Carlo assertions use fixed seeds and 3 sigma gates (sharper where the
 statistic is exact); the heavy 1e6-sample runs live in the acceptance suite.
 Sampled frames and anchors are batch-last: frames (rows, cols, m), complex
 anchors (n, m).  They are computed as the estimators compute them: a chunk's
-draws first, then the QR_BLOCK-plane slices.
+draws, then its frames and anchors.
 """
 
+import tracemalloc
 from math import comb, pi, sin, sqrt
 
 import numpy as np
@@ -23,16 +24,13 @@ UNIT_BALL = geom.Ellipsoid.from_axes([1, 1, 1, 1])
 
 
 def _sampled_frames(rng, m, rows, cols):
-    """m Haar frames (rows, cols, m): the chunk's draws, then the QR slice by slice."""
-    re, im = planes._frame_draws(rng, m, rows, cols)
-    return np.concatenate([planes._frames(re[s], im[s]) for s in planes._slices(m)], axis=-1)
+    """m Haar frames (rows, cols, m) of one chunk: its draws, then the QR."""
+    return planes._frames(*planes._frame_draws(rng, m, rows, cols))
 
 
 def _sampled_flat(n, r, rho, rng, m):
-    """m flat planes (V (n, r, m), anchors (n, m)): the chunk's draws, then slices."""
-    draws = planes._flat_draws(rng, m, n, r)
-    V, anchors = zip(*(planes._flat_planes(draws, s, r, rho) for s in planes._slices(m)))
-    return np.concatenate(V, axis=-1), np.concatenate(anchors, axis=-1)
+    """m flat planes (V (n, r, m), anchors (n, m)) of one chunk: its draws, then the planes."""
+    return planes._flat_planes(planes._flat_draws(rng, m, n, r), r, rho)
 
 
 # ---------------------------------------------------------------------------
@@ -64,23 +62,54 @@ def test_anchor_orthogonal_to_plane():
     assert np.max(np.abs(dots)) < 1e-12
 
 
-@pytest.mark.parametrize("m", [1, planes.QR_BLOCK, planes.QR_BLOCK + 1, 70000 - planes.SAMPLE_CHUNK,
-                               planes.SAMPLE_CHUNK])
-def test_slices_cover_a_chunk_in_plane_order(m):
-    slices = list(planes._slices(m))
-    assert np.array_equal(np.concatenate([np.arange(m)[s] for s in slices]), np.arange(m))
-    assert all(0 < s.stop - s.start <= planes.QR_BLOCK for s in slices)
+@pytest.mark.parametrize("N", [1, 4464, planes.SAMPLE_CHUNK, planes.SAMPLE_CHUNK + 1,
+                               65536, 70000])
+def test_chunk_sums_hand_work_chunks_in_order(N, monkeypatch):
+    # every chunk but the last holds SAMPLE_CHUNK planes, and each chunk's
+    # stream is the one _chunk_rng gives its index, at any thread count
+    monkeypatch.setenv("CROFTONLAB_THREADS", "3")
+    full, rest = divmod(N, planes.SAMPLE_CHUNK)
+    sizes = [planes.SAMPLE_CHUNK] * full + ([rest] if rest else [])
+
+    class Ordered(tuple):
+        # sums by concatenation, so the column sum keeps the order it adds in
+        # (sum() starts from 0)
+        def __radd__(self, other):
+            return tuple(other or ()) + tuple(self)
+
+    def work(rng, m):
+        return (Ordered([(m, rng.random())]),)
+
+    (chunks,) = planes._chunk_sums(N, 9, work)
+    assert chunks == tuple((m, planes._chunk_rng(9, ci).random()) for ci, m in enumerate(sizes))
+    assert sum(m for m, _ in chunks) == N
+
+
+def test_concurrent_chunks_stay_small(monkeypatch):
+    # two threads hold two chunks of draws and planes at once: about 10 MiB of
+    # numpy arrays at 8,192 planes a chunk, 18-24 MiB at 65,536
+    monkeypatch.setenv("CROFTONLAB_THREADS", "2")
+    ball = geom.GeodesicBall(n=3, eps=0.0, R=1.0)
+    tracemalloc.start()
+    try:
+        planes.chi_measure_estimate(ball, 2, 100_000, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_sliced_planes_equal_whole_chunk_planes():
-    # per-plane arithmetic does not depend on the slice a plane falls in, so
-    # slicing keeps every plane bit for bit
-    m = planes.QR_BLOCK + 123
+    # per-plane arithmetic is elementwise: a plane does not depend on the
+    # other planes of its chunk, so computing a chunk in pieces keeps every
+    # plane bit for bit
+    m = planes.SAMPLE_CHUNK + 123
     draws = planes._flat_draws(planes._chunk_rng(14, 0), m, 3, 1)
-    whole = planes._flat_planes(draws, slice(0, m), 1, 2.0)
-    sliced = _sampled_flat(3, 1, 2.0, planes._chunk_rng(14, 0), m)
-    for got, want in zip(sliced, whole):
-        assert np.array_equal(got, want)
+    whole = planes._flat_planes(draws, 1, 2.0)
+    pieces = [planes._flat_planes(tuple(d[s] for d in draws), 1, 2.0)
+              for s in (slice(0, 1000), slice(1000, m))]
+    for got, want in zip(zip(*pieces), whole):
+        assert np.array_equal(np.concatenate(got, axis=-1), want)
 
 
 # ---------------------------------------------------------------------------
