@@ -16,11 +16,12 @@ Contents:
   * `PiScalar`            -- exact monomial c * pi^p
   * ball/sphere volumes   -- omega_m, O_m
   * `form_norm_coeff`     -- the normalization c_{n,k,q} of the invariant forms
-  * `CoeffTable`          -- epsilon-graded coefficient tables for the Crofton
-                             formula, the Gauss-Bonnet formula and the total
-                             Gauss curvature average; the first three are one
-                             bracket (`_graded_bracket`), Gauss-Bonnet being
-                             its r = n case and the flat table its eps^0 part
+  * `CoeffTable`          -- epsilon-graded tables of whole coefficients for
+                             the Crofton formula, the Gauss-Bonnet formula and
+                             the total Gauss curvature average; the first three
+                             are one bracket (`_graded_bracket`), Gauss-Bonnet
+                             being its r = n case and the flat table its eps^0
+                             part; the short Gauss-Bonnet form reads the first
   * `VariationOperator`   -- first-variation coefficients of the boundary
                              valuations B_{k,q}, Gamma_{2q,q} and the volume,
                              in the primed normalization (`_primed_unit`)
@@ -31,13 +32,14 @@ Contents:
                              `crofton_coeffs` (its remainder must be
                              `crofton_variation_coeffs`) and of the varied
                              `gauss_bonnet_coeffs` (no remainder); and the
-                             short Gauss-Bonnet form, which holds exactly
-                             when vol(G^C_{n-1,n-1}) = 1
+                             short Gauss-Bonnet form
+                             (`short_gauss_bonnet_coeffs`), which holds
+                             exactly when vol(G^C_{n-1,n-1}) = 1
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache
 from math import comb, factorial, pi as _PI
@@ -69,6 +71,7 @@ __all__ = [
     "solve_crofton_system",
     "verify_cancellation_identity",
     "check_epsilon_independence",
+    "short_gauss_bonnet_coeffs",
     "verify_short_gauss_bonnet",
 ]
 
@@ -285,20 +288,20 @@ class CoeffTable:
 
     The identity reads
 
-        LHS = prefactor * [ sum_{(k,q,p)} entries[(k,q,p)] * eps^p * mu_{k,q}
-                            + sum_p vol[p] * eps^p * vol(domain) ]
+        LHS = sum_{(k,q,p)} entries[(k,q,p)] * eps^p * mu_{k,q}
+              + sum_p vol[p] * eps^p * vol(domain)
 
     optionally times the formal unit vol(G^C_{n-1,r}) when `grassmannian`
-    is set.  `prefactor` is the rational binomial prefactor of the identity;
-    entries hold the bracket coefficients so that e.g. the volume entry of the
-    Crofton table is exactly (r+1) at eps-power r.  Tables are read-only.
+    is set.  Every coefficient is whole: a plane table's binomial factor
+    binom(n-1, r)^{-1} is folded into its entries and volume coefficients, so
+    e.g. the volume entry of the Crofton table is exactly (r+1) /
+    binom(n-1, r) at eps-power r.  Tables are read-only.
     """
 
     n: int
     r: Optional[int]
     entries: Mapping[Tuple[int, int, int], PiScalar]
     vol: Mapping[int, PiScalar]
-    prefactor: PiScalar = field(default_factory=lambda: PiScalar(1))
     grassmannian: bool = False
 
     def __post_init__(self) -> None:
@@ -310,41 +313,31 @@ class CoeffTable:
                 raise IndexRangeError(f"negative eps power {p}")
 
     def scaled(self, s: PiScalar) -> "CoeffTable":
-        return CoeffTable(
-            n=self.n,
-            r=self.r,
-            entries={key: v * s for key, v in self.entries.items()},
-            vol={p: v * s for p, v in self.vol.items()},
-            prefactor=self.prefactor,
-            grassmannian=self.grassmannian,
-        )
+        return replace(self, entries={key: v * s for key, v in self.entries.items()},
+                       vol={p: v * s for p, v in self.vol.items()})
 
     def same_coefficients(self, other: "CoeffTable") -> bool:
-        """Exact equality of prefactor-folded coefficients (symbolic flag aside)."""
-        a = {key: v * self.prefactor for key, v in self.entries.items() if v}
-        b = {key: v * other.prefactor for key, v in other.entries.items() if v}
-        av = {p: v * self.prefactor for p, v in self.vol.items() if v}
-        bv = {p: v * other.prefactor for p, v in other.vol.items() if v}
-        return a == b and av == bv
+        """Exact equality of the nonzero coefficients (symbolic flag aside)."""
+        def nonzero(coeffs: Mapping) -> dict:
+            return {key: v for key, v in coeffs.items() if v}
+        return (nonzero(self.entries) == nonzero(other.entries)
+                and nonzero(self.vol) == nonzero(other.vol))
 
     def eval(self, mu: Dict[Tuple[int, int], float], vol: float, eps: float) -> float:
-        """Numeric value of the bracket, excluding any formal vol(G^C) unit."""
+        """Numeric value of the identity, excluding any formal vol(G^C) unit."""
         total = 0.0
         for (k, q, p), c in sorted(self.entries.items()):
             total += c.to_float() * (eps ** p) * mu[(k, q)]
         for p, c in sorted(self.vol.items()):
             total += c.to_float() * (eps ** p) * vol
-        return self.prefactor.to_float() * total
+        return total
 
     def to_json(self) -> Dict[str, object]:
-        ent = []
-        for (k, q, p) in sorted(self.entries):
-            c = self.entries[(k, q, p)] * self.prefactor
-            ent.append({"k": k, "q": q, "epsPow": p, "coeff": c.coeff_json()})
-        volent = [
-            {"epsPow": p, "coeff": (c * self.prefactor).coeff_json()}
-            for p, c in sorted(self.vol.items())
+        ent = [
+            {"k": k, "q": q, "epsPow": p, "coeff": self.entries[(k, q, p)].coeff_json()}
+            for (k, q, p) in sorted(self.entries)
         ]
+        volent = [{"epsPow": p, "coeff": c.coeff_json()} for p, c in sorted(self.vol.items())]
         return {
             "n": self.n,
             "r": self.r,
@@ -360,13 +353,15 @@ def _require_plane_dim(n: int, r: int) -> None:
 
 
 def _graded_bracket(n: int, r: int) -> CoeffTable:
-    """The eps-graded bracket of the r-plane measure (1 <= r <= n):
+    """The eps-graded bracket of the r-plane measure (1 <= r <= n, and r = 0
+    at n = 1):
 
         eps^r (r+1) vol + sum_{j=n-r}^{n-1} eps^{j-n+r} omega_{2n-2j} binom(n,j)^{-1}
             [ (j-n+r+1) mu_{2j,j} + sum_{q<j} binom(2j-2q, j-q) 4^{q-j} mu_{2j,q} ].
 
-    r = n is the Gauss-Bonnet bracket.  The public tables add their prefactor
-    and formal unit.
+    r = n is the Gauss-Bonnet bracket; at n = 1, r = 0 the sum is empty and
+    the bracket is the measure of points, vol.  The public tables fold in
+    their binomial factor and add their formal unit.
     """
     entries: Dict[Tuple[int, int, int], PiScalar] = {}
     for j in range(n - r, n):
@@ -380,17 +375,18 @@ def _graded_bracket(n: int, r: int) -> CoeffTable:
 
 def _plane_table(n: int, r: int) -> CoeffTable:
     _require_plane_dim(n, r)
-    return replace(_graded_bracket(n, r), prefactor=PiScalar(Fraction(1, comb(n - 1, r))),
-                   grassmannian=True)
+    table = _graded_bracket(n, r).scaled(PiScalar(Fraction(1, comb(n - 1, r))))
+    return replace(table, grassmannian=True)
 
 
 @cache
 def crofton_coeffs(n: int, r: int) -> CoeffTable:
     """Measure of complex r-planes meeting a domain, as a mu-table.
 
-    The entries are `_graded_bracket(n, r)`: mu_{2j,q} at eps-power j-(n-r)
-    for j = n-r..n-1, plus the (r+1) volume entry at eps-power r; everything
-    is relative to the symbolic prefactor vol(G^C_{n-1,r}) / binom(n-1, r).
+    The entries are `_graded_bracket(n, r)` divided by binom(n-1, r):
+    mu_{2j,q} at eps-power j-(n-r) for j = n-r..n-1, plus the volume entry
+    (r+1) / binom(n-1, r) at eps-power r; everything is relative to the
+    formal unit vol(G^C_{n-1,r}).
     """
     return _plane_table(n, r)
 
@@ -400,7 +396,7 @@ def flat_crofton_coeffs(n: int, r: int) -> CoeffTable:
     """Flat-space (eps = 0) Crofton table: the eps^0 entries of `crofton_coeffs`.
 
     Coefficient of mu_{2n-2r,q}:  omega_{2r} binom(n,r)^{-1} binom(2n-2r-2q, n-r-q) / 4^{n-r-q},
-    all relative to vol(G^C_{n-1,r}) / binom(n-1,r).
+    divided by binom(n-1,r), relative to vol(G^C_{n-1,r}).
     """
     table = _plane_table(n, r)
     return replace(table, entries={key: c for key, c in table.entries.items() if key[2] == 0},
@@ -425,22 +421,15 @@ def total_gauss_coeffs(n: int, r: int) -> CoeffTable:
 
     Coefficient of mu_{2n-2r,q}:
         2r omega_{2r}^2 binom(n,r)^{-1} binom(2n-2r-2q, n-r-q) / 4^{n-r-q},
-    relative to vol(G^C_{n-1,r}) / binom(n-1,r).
+    divided by binom(n-1,r), relative to vol(G^C_{n-1,r}).
     """
     _require_plane_dim(n, r)
     entries: Dict[Tuple[int, int, int], PiScalar] = {}
-    w = ball_volume_coeff(2 * r) ** 2 * Fraction(2 * r, comb(n, r))
+    w = ball_volume_coeff(2 * r) ** 2 * Fraction(2 * r, comb(n, r) * comb(n - 1, r))
     for q in range(max(0, n - 2 * r), n - r + 1):
         a = n - r - q
         entries[(2 * n - 2 * r, q, 0)] = w * Fraction(comb(2 * a, a), 4 ** a)
-    return CoeffTable(
-        n=n,
-        r=r,
-        entries=entries,
-        vol={},
-        prefactor=PiScalar(Fraction(1, comb(n - 1, r))),
-        grassmannian=True,
-    )
+    return CoeffTable(n=n, r=r, entries=entries, vol={}, grassmannian=True)
 
 
 # ---------------------------------------------------------------------------
@@ -469,16 +458,14 @@ def _primed_unit(n: int, key: Key) -> PiScalar:
     return c / 2 if kind == "G" else c
 
 
-def _primed(
-    n: int, graded: Mapping[Key, Mapping[int, PiScalar]], prefactor: PiScalar = PiScalar(1)
-) -> Graded:
-    """Primed coefficients (key -> eps power -> rational), prefactor folded in.
+def _primed(n: int, graded: Mapping[Key, Mapping[int, PiScalar]]) -> Graded:
+    """Primed coefficients (key -> eps power -> rational).
 
     Zeros are dropped; a coefficient that keeps a power of pi raises ValueError.
     """
     out: Graded = {}
     for key, by_power in graded.items():
-        unit = _primed_unit(n, key) * prefactor
+        unit = _primed_unit(n, key)
         for p, c in by_power.items():
             x = c * unit
             if x.power:
@@ -493,7 +480,7 @@ def _primed_table(table: CoeffTable) -> Graded:
     graded: Dict[Key, Dict[int, PiScalar]] = {"vol": dict(table.vol)}
     for (k, q, p), c in table.entries.items():
         graded.setdefault(("G" if k == 2 * q else "B", k, q), {})[p] = c
-    return _primed(table.n, graded, table.prefactor)
+    return _primed(table.n, graded)
 
 
 def _delta_B_primed(n: int, k: int, q: int) -> List[PrimedTarget]:
@@ -585,8 +572,8 @@ def variation_operator(n: int) -> VariationOperator:
 def crofton_variation_coeffs(n: int, r: int) -> Mapping[Tuple[int, int], PiScalar]:
     """Coefficients of tilde{B}_{2n-2r-1,q} in the variation of the plane measure.
 
-    Relative to the formal vol(G^C_{n-1,r}); includes the binom(n-1,r)^{-1}
-    prefactor so the result pairs with `crofton_coeffs` under one kappa.
+    Relative to the formal vol(G^C_{n-1,r}); like `crofton_coeffs`, it
+    includes the binom(n-1,r)^{-1} factor, so both pair under one kappa.
     """
     _require_plane_dim(n, r)
     base = (
@@ -781,29 +768,39 @@ def verify_cancellation_identity(n: int, r: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def verify_short_gauss_bonnet(n: int) -> bool:
-    """The short Gauss-Bonnet form equals the Gauss-Bonnet table, exactly:
+def short_gauss_bonnet_coeffs(n: int) -> CoeffTable:
+    """The short Gauss-Bonnet form without its total-curvature term O_{2n-1} mu_{0,0}:
 
-        O_{2n-1} chi = sum_{k<n} eps^k O_{2n-2k-1} binom(n-1,k)^{-1} mu_{2k,k}
-                       + 2n eps^n vol + 2n eps * (hyperplane Crofton bracket),
+        sum_{0<k<n} eps^k O_{2n-2k-1} binom(n-1,k)^{-1} mu_{2k,k}
+            + 2n eps^n vol + 2n eps * (hyperplane measure bracket),
 
-    the k = 0 term being the total curvature O_{2n-1} mu_{0,0}.  The Crofton
-    bracket enters with its prefactor and its formal unit vol(G^C_{n-1,n-1})
-    set to 1, so the identity asserts that this unit is 1.
+    the bracket being `crofton_coeffs(n, n-1)`, looked up at each call (no
+    memo), with its formal unit set to 1; at n = 1 the hyperplanes are points
+    and the bracket is vol.  A sum across powers of pi raises ValueError.
     """
-    if n < 2:
-        raise IndexRangeError("need n >= 2")
-    cr = crofton_coeffs(n, n - 1)
-    scale = cr.prefactor * (2 * n)
-    entries = {(k, q, p + 1): v * scale for (k, q, p), v in cr.entries.items()}
-    vol = {p + 1: v * scale for p, v in cr.vol.items()}
+    if n < 1:
+        raise IndexRangeError("need n >= 1")
+    hyper = _graded_bracket(1, 0) if n == 1 else crofton_coeffs(n, n - 1)
+    entries = {(k, q, p + 1): c * (2 * n) for (k, q, p), c in hyper.entries.items()}
+    vol = {p + 1: c * (2 * n) for p, c in hyper.vol.items()}
+    for k in range(1, n):
+        o = sphere_volume_coeff(2 * n - 2 * k - 1) * Fraction(1, comb(n - 1, k))
+        entries[(2 * k, k, k)] = entries.get((2 * k, k, k), PiScalar()) + o
+    vol[n] = vol.get(n, PiScalar()) + 2 * n
+    return CoeffTable(n=n, r=None, entries=entries, vol=vol)
+
+
+def verify_short_gauss_bonnet(n: int) -> bool:
+    """The Gauss-Bonnet table equals `short_gauss_bonnet_coeffs(n)` plus the
+    total curvature O_{2n-1} mu_{0,0}, exactly (n >= 1).
+
+    The short form sets the formal unit vol(G^C_{n-1,n-1}) to 1, so the
+    identity asserts that this unit is 1.
+    """
+    gb = gauss_bonnet_coeffs(n)  # n < 1 raises here, not as a swallowed ValueError
     try:
-        for k in range(n):
-            o = sphere_volume_coeff(2 * n - 2 * k - 1) * Fraction(1, comb(n - 1, k))
-            entries[(2 * k, k, k)] = entries.get((2 * k, k, k), PiScalar()) + o
-        vol[n] = vol.get(n, PiScalar()) + 2 * n
+        short = short_gauss_bonnet_coeffs(n)
     except ValueError:  # a sum across powers of pi is no table coefficient
         return False
-    return gauss_bonnet_coeffs(n).same_coefficients(
-        CoeffTable(n=n, r=None, entries=entries, vol=vol)
-    )
+    total = {(0, 0, 0): sphere_volume_coeff(2 * n - 1)}
+    return gb.same_coefficients(replace(short, entries={**short.entries, **total}))

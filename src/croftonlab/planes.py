@@ -435,11 +435,9 @@ def cor44_density_combination(n: int, r: int, h: np.ndarray) -> float:
     degree-(2r) boundary densities; all constants included, no free factor.
     """
     coeffs = crofton_variation_coeffs(n, r)
+    keys = [("beta", k, q) for (k, q) in coeffs]
+    dens = extalg.densities(extalg.build_pullbacks(h, n), keys)
     total = 0.0
-    for (k, q), c in coeffs.items():
-        total += (
-            c.to_float()
-            * form_norm_coeff(n, k, q).to_float()
-            * float(extalg.density_beta(n, k, q, h))
-        )
+    for ((k, q), c), value in zip(coeffs.items(), dens):
+        total += c.to_float() * form_norm_coeff(n, k, q).to_float() * float(value)
     return total

@@ -51,6 +51,7 @@ from .coeffcore import (
     gauss_bonnet_coeffs,
     crofton_coeffs,
     mu_indices,
+    short_gauss_bonnet_coeffs,
     sphere_volume_coeff,
 )
 
@@ -333,27 +334,18 @@ def gauss_bonnet_residual(shape: geom.Shape, table: ValuationTable) -> Tuple[flo
     """Residuals of the two Gauss-Bonnet expressions on a convex shape (chi = 1).
 
     mu-table form:      O_{2n-1} minus the full mu-table right-hand side.
-    plane-measure form: O_{2n-1} - M_{2n-1} - sum_k eps^k O_{2n-2k-1}
-                        binom(n-1,k)^{-1} mu_{2k,k} - 2n eps^n vol - 2n eps *
-                        (hyperplane measure bracket), with the hyperplane
+    plane-measure form: O_{2n-1} - M_{2n-1} minus the short form's other terms,
+                        `coeffcore.short_gauss_bonnet_coeffs` (the hyperplane
                         Grassmannian of unit mass, as the exact identity
-                        `coeffcore.verify_short_gauss_bonnet` asserts.
+                        `coeffcore.verify_short_gauss_bonnet` asserts; points
+                        at n = 1).
     `table` is the shape's valuation table (`shape_table`).
     Returns (mu-form residual, plane-form residual).
     """
     n = shape.n
     eps = shape.eps
+    mu = table.mu_dict()
     o = sphere_volume_coeff(2 * n - 1).to_float()
-    res51 = o - gauss_bonnet_coeffs(n).eval(table.mu_dict(), table.vol, eps)
-
-    res52 = o - table.M[2 * n - 1] - 2 * n * eps**n * table.vol
-    for k in range(1, n):
-        res52 -= (
-            eps**k
-            * sphere_volume_coeff(2 * n - 2 * k - 1).to_float()
-            / comb(n - 1, k)
-            * table.mu(2 * k, k)
-        )
-    if n >= 2:
-        res52 -= 2 * n * eps * crofton_rhs(table, n - 1)
+    res51 = o - gauss_bonnet_coeffs(n).eval(mu, table.vol, eps)
+    res52 = o - table.M[2 * n - 1] - short_gauss_bonnet_coeffs(n).eval(mu, table.vol, eps)
     return res51, res52

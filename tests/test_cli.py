@@ -155,6 +155,16 @@ def test_check_gauss_bonnet_pass_and_fail(capsys):
     assert json.loads(out)["pass"] is False
 
 
+@pytest.mark.parametrize("eps", ["-1", "0", "1"])
+def test_check_gauss_bonnet_on_a_disk_in_a_complex_line(eps, capsys):
+    # at n = 1 the hyperplanes are points, and the plane form keeps their term
+    code, out = run_cli(["check", "gauss-bonnet", "--n", "1", "--eps", eps, "--R", "0.5"],
+                        capsys)
+    results = json.loads(out)["results"]
+    assert code == 0
+    assert results["relativeMuForm"] < 1e-14 and results["relativePlaneForm"] < 1e-14
+
+
 def test_check_gamma_b(capsys):
     code, out = run_cli(
         ["check", "gamma-b", "--n", "3", "--eps", "1", "--R", "0.5"], capsys
@@ -535,6 +545,17 @@ def test_monte_carlo_checks_on_few_samples_fail_with_a_report(argv, capsys):
     assert "Traceback" not in captured.err
     report = json.loads(captured.out)
     assert report["pass"] is False
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_grassmann_pointwise_over_the_whole_distribution(n, capsys):
+    # at r = n - 1 every sample is det(h_D): the spread is roundoff, so the
+    # estimates and the ratio are gated at 1e-12 relative instead of by z
+    code, out = run_cli(["check", "grassmann-pointwise", "--n", str(n), "--r", str(n - 1),
+                         "--samples", "2000"], capsys)
+    items = json.loads(out)["results"]["items"]
+    assert code == 0
+    assert all(items[name]["relErr"] < 1e-12 for name in ("h0", "h1", "ratio"))
 
 
 @pytest.mark.parametrize(

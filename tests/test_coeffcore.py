@@ -6,14 +6,14 @@ against independent routes (the flat-space restriction, the solver, and the
 normalization identities).
 """
 
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 from math import comb, factorial, pi
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from croftonlab import checks
+from croftonlab import checks, geom
 from croftonlab import coeffcore as cc
 from croftonlab.coeffcore import PiScalar
 
@@ -145,7 +145,7 @@ def test_form_norm_range_errors():
 
 def test_crofton_table_2_1():
     t = cc.crofton_coeffs(2, 1)
-    assert t.grassmannian and t.prefactor == rational(1)
+    assert t.grassmannian
     assert t.vol == {1: rational(2)}
     # eps = 0 coefficients fixed by the flat-space closed form: the
     # mu_{2,1} slot carries pi/2 and mu_{2,0} carries pi/4
@@ -242,9 +242,20 @@ def test_coefftable_rejects_bad_indices():
         cc.CoeffTable(n=2, r=1, entries={(4, 2, 0): rational(1)}, vol={})
 
 
-def test_coefftable_prefactor_defaults_to_one():
+def test_plane_tables_carry_whole_coefficients():
+    # binom(n-1, r)^{-1} is folded into every coefficient: no separate factor
+    # is stored, and eval returns the whole value
     assert PiScalar() == rational(0)
-    assert cc.CoeffTable(n=2, r=None, entries={}, vol={}).prefactor == rational(1)
+    assert [f.name for f in fields(cc.CoeffTable)] == ["n", "r", "entries", "vol", "grassmannian"]
+    for n in range(2, 7):
+        for r in range(1, n):
+            whole = rational(Fraction(r + 1, comb(n - 1, r)))
+            assert cc.crofton_coeffs(n, r).vol == {r: whole}, (n, r)
+    table = cc.crofton_coeffs(4, 1)
+    mu = {key: 0.0 for key in cc.mu_indices(4)}
+    assert table.eval(mu, 1.0, 1.0) == 2 / 3
+    # the total-Gauss mu_{6,3} coefficient: 2r omega_{2r}^2 / (binom(n,r) binom(n-1,r))
+    assert cc.total_gauss_coeffs(4, 1).entries[(6, 3, 0)] == pi_pow(2, Fraction(1, 6))
 
 
 def _doubled(table, key):
@@ -348,22 +359,33 @@ def test_solver_group_fails_on_a_wrong_flat_table(monkeypatch):
 
 
 def test_short_gauss_bonnet_identity():
-    for n in range(2, 11):
+    for n in range(1, 11):
         assert cc.verify_short_gauss_bonnet(n), n
     with pytest.raises(cc.IndexRangeError):
-        cc.verify_short_gauss_bonnet(1)
+        cc.verify_short_gauss_bonnet(0)
+    with pytest.raises(cc.IndexRangeError):
+        cc.short_gauss_bonnet_coeffs(0)
 
 
 @pytest.mark.parametrize("scale", [rational(2), pi_pow(1)])
 def test_short_gauss_bonnet_fails_on_a_wrong_hyperplane_table(scale, monkeypatch):
     # a hyperplane Grassmannian of mass other than 1 breaks the identity,
-    # whether the mass is rational or carries a power of pi
+    # whether the mass is rational or carries a power of pi, and the plane
+    # form of the Gauss-Bonnet check reads the same table
     crofton = cc.crofton_coeffs
     monkeypatch.setattr(cc, "crofton_coeffs", lambda n, r: crofton(n, r).scaled(scale))
     assert not cc.verify_short_gauss_bonnet(3)
     results = checks.identities(3)
     assert results["pass"] is False
     assert results["shortGaussBonnet"] == {"2": False, "3": False}
+    ball = geom.GeodesicBall(n=3, eps=-1.0, R=0.7)
+    if scale.power:  # the sum across powers of pi is no table coefficient
+        with pytest.raises(ValueError, match="not a monomial"):
+            checks.gauss_bonnet(ball, 2)
+    else:
+        res = checks.gauss_bonnet(ball, 2)
+        assert res["relativeMuForm"] < 1e-12
+        assert res["relativePlaneForm"] > 1e-3 and res["pass"] is False
 
 
 # ---------------------------------------------------------------------------
@@ -426,8 +448,8 @@ def test_primed_normalization():
     b, g = cc.form_norm_coeff(3, 4, 1), cc.form_norm_coeff(3, 2, 1)
     graded = {("B", 4, 1): {0: 3 / b}, ("G", 2, 1): {1: 1 / g, 2: rational(0)},
               "vol": {3: rational(5)}}
-    assert cc._primed(3, graded, rational(Fraction(1, 5))) == {
-        ("B", 4, 1): {0: Fraction(3, 5)}, ("G", 2, 1): {1: Fraction(1, 10)}, "vol": {3: 1},
+    assert cc._primed(3, graded) == {
+        ("B", 4, 1): {0: Fraction(3)}, ("G", 2, 1): {1: Fraction(1, 2)}, "vol": {3: 5},
     }
     with pytest.raises(ValueError, match="not rational"):
         cc._primed(3, {("B", 4, 1): {0: rational(1)}})
