@@ -57,14 +57,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import cos, cosh, exp, factorial, inf, isfinite, lgamma, log, pi, sin, sinh, sqrt
-from typing import Iterator, List, Optional, Tuple
+from math import cos, cosh, exp, factorial, inf, isfinite, lgamma, log, pi, prod, sin, sinh, sqrt
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from .coeffcore import ball_volume_coeff, sphere_volume_coeff
 
 __all__ = [
+    "Workspace",
     "Ellipsoid",
     "GeodesicBall",
     "Shape",
@@ -100,37 +101,96 @@ def _sq_norm(x: np.ndarray) -> np.ndarray:
     return (x.real**2 + x.imag**2).sum(axis=0)
 
 
-def _real(z: np.ndarray) -> np.ndarray:
-    """Real coordinates (Re z_1, Im z_1, ...) along the leading axis: (n, ...) -> (2n, ...)."""
-    return np.stack([z.real, z.imag], axis=1).reshape((2 * len(z),) + z.shape[1:])
+class Workspace:
+    """Named scratch arrays that one thread reuses, call after call.
+
+    `take(name, shape, dtype)` returns the first prod(shape) entries of the
+    buffer called `name`, shaped: the same memory each time, reallocated only
+    when a larger array or another dtype is asked for.  An array taken under
+    a name is dead once that name is taken again.  A function that is handed
+    no workspace makes a fresh one, so its arrays are fresh too."""
+
+    def __init__(self) -> None:
+        self._buffers: Dict[str, np.ndarray] = {}
+
+    def take(self, name: str, shape: Tuple[int, ...], dtype=float) -> np.ndarray:
+        size = prod(shape)
+        buf = self._buffers.get(name)
+        if buf is None or buf.dtype != dtype or buf.size < size:
+            buf = self._buffers[name] = np.empty(size, dtype)
+        return buf[:size].reshape(shape)
 
 
-def _real_columns(V: np.ndarray) -> np.ndarray:
+def _real_columns(V: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Real orthonormal basis of span_C(V): (n, r, m) complex -> (2n, 2r, m) real.
 
-    Column j maps to the pair (v_j, J v_j), with J as in
-    `apply_complex_structure`."""
+    Column 2j is v_j in the coordinates (Re z_1, Im z_1, ...) and column
+    2j + 1 is J v_j = i v_j, with J as in `apply_complex_structure`: four
+    strided copies of V's real and imaginary parts, written into `out` when
+    it is given."""
     n, r, m = V.shape
-    return _real(np.stack([V, 1j * V], axis=2).reshape(n, 2 * r, m))
+    if out is None:
+        out = np.empty((2 * n, 2 * r, m))
+    out[0::2, 0::2] = V.real
+    out[1::2, 0::2] = V.imag
+    np.negative(V.imag, out=out[0::2, 1::2])
+    out[1::2, 1::2] = V.real
+    return out
 
 
-def _restricted_form(A: np.ndarray, Vr: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """(Vr^T A Vr, A Vr) for a symmetric A and batch-last real columns Vr (d, k, m)."""
-    d, k, m = Vr.shape
-    AV = (A @ Vr.reshape(d, k * m)).reshape(d, k, m)
-    return np.stack([(Vr[:, s, None] * AV).sum(axis=0) for s in range(k)]), AV
+def _nonzero_product(A: np.ndarray, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out <- A x for a (d, d) matrix A and batch-last x (d, m), without BLAS.
+
+    A diagonal A is one scaling of x's rows, bitwise equal to A @ x.  Any
+    other A sums A[:, j] x[j] over its nonzero columns j in column order (a
+    zero entry adds a zero).  Either way the summation order is fixed,
+    whatever the BLAS build or its threads."""
+    diagonal = np.diagonal(A)
+    if np.count_nonzero(A) == np.count_nonzero(diagonal):
+        return np.multiply(x, diagonal[:, None], out=out)
+    first, *rest = np.flatnonzero(A.any(axis=0))
+    np.multiply(A[:, first, None], x[first], out=out)
+    for j in rest:
+        out += A[:, j, None] * x[j]
+    return out
+
+
+def _restricted_form(A: np.ndarray, X: np.ndarray, lower: bool = False,
+                     ws: Optional[Workspace] = None) -> np.ndarray:
+    """X^T A X (k, k, m) for a symmetric (d, d) A and batch-last real columns X (d, k, m).
+
+    Entry (s, t) sums X[i, s] (A X)[i, t] over i in order, with A X[:, t] from
+    `_nonzero_product`, one column at a time: no BLAS inside a chunk.  With
+    lower=True (and d >= k) only the lower triangle s >= t is formed, in
+    place: column t's entries overwrite X[t:, t] once the column is used, and
+    the result is the view X[:k]; otherwise the whole form is a new array."""
+    d, k, m = X.shape
+    ws = ws or Workspace()
+    F = X[:k] if lower else ws.take("form", (k, k, m))
+    AX = ws.take("form column", (d, m))
+    terms = ws.take("form terms", (d, m))
+    entries = ws.take("form entries", (k, m))
+    for t in range(k):
+        _nonzero_product(A, X[:, t], AX)
+        first = t if lower else 0
+        for s in range(first, k):
+            np.multiply(X[:, s], AX, out=terms)
+            terms.sum(axis=0, out=entries[s])
+        F[first:, t] = entries[first:]
+    return F
 
 
 def _inverse_form(M: np.ndarray, b: np.ndarray) -> np.ndarray:
     """b^T M^{-1} b for batch-last symmetric positive definite M (d, d, k) and b (d, k).
 
     An elementwise Cholesky factor M = L L^T (lower triangle of M) with forward
-    substitution y = L^{-1} b, so the value is |y|^2.  Raises ValueError if a
-    pivot is not positive and finite: such a form has no minimum, and a NaN
-    would silently read as a miss."""
+    substitution y = L^{-1} b, so the value is |y|^2.  Works in place: L
+    overwrites the strictly lower triangle of M (the diagonal is only read)
+    and y overwrites b.  Raises ValueError if a pivot is not positive and
+    finite: such a form has no minimum, and a NaN would silently read as a
+    miss."""
     d = len(b)
-    L = np.empty_like(M)  # only its strictly lower part is written and read
-    y = np.empty_like(b)
+    L, y = M, b
     for j in range(d):
         pivot = M[j, j] - (L[j, :j] ** 2).sum(axis=0)
         if not np.all((pivot > 0) & (pivot < np.inf)):
@@ -139,7 +199,7 @@ def _inverse_form(M: np.ndarray, b: np.ndarray) -> np.ndarray:
         diag = np.sqrt(pivot)
         L[j + 1 :, j] = (M[j + 1 :, j] - (L[j + 1 :, :j] * L[j, :j]).sum(axis=1)) / diag
         y[j] = (b[j] - (L[j, :j] * y[:j]).sum(axis=0)) / diag
-    return (y * y).sum(axis=0)
+    return np.square(y, out=y).sum(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +211,8 @@ class Shape:
     """A domain of dimension n in curvature 4*eps answering for its geometry (see
     the module docstring).  Every kind answers `boundary` and `meets`, whose
     planes are batch-last and complex: V (n, r, m), anchors (n, m).  The
-    defaults below are the questions a kind may leave unanswered."""
+    defaults below are the questions a kind may leave unanswered.  `meets`
+    takes an optional `Workspace` for its scratch arrays."""
 
     curvatures: Optional[Tuple[float, float]] = None
 
@@ -246,19 +307,26 @@ class Ellipsoid(Shape):
             h = (h + np.swapaxes(h, 1, 2)) / 2
             yield BoundaryCloud(n, x, normals, h, weights, _RULES[group])
 
-    def meets(self, V: np.ndarray, anchors: np.ndarray) -> np.ndarray:
+    def meets(self, V: np.ndarray, anchors: np.ndarray,
+              ws: Optional[Workspace] = None) -> np.ndarray:
         """Which planes anchor + span_C(V) meet the ellipsoid x^T Q x <= 1.
 
         In real coordinates s on the plane, x^T Q x is s^T M s + 2 b.s + c0 with
         minimum c0 - b^T M^{-1} b (`_inverse_form`); the plane meets the
-        ellipsoid iff that minimum is <= 1.
+        ellipsoid iff that minimum is <= 1.  All three come from the lower
+        triangle of one restricted form F: Q on the real columns Vr of V
+        followed by the anchor a, so M = F[:2r, :2r], b = F[2r, :2r] = (Q Vr)^T a
+        and c0 = F[2r, 2r] = a^T Q a.
         """
-        Q = self.quadric
-        a = _real(anchors)
-        M, QV = _restricted_form(Q, _real_columns(V))
-        b = (QV * a[:, None]).sum(axis=0)
-        c0 = (a * (Q @ a)).sum(axis=0)
-        return c0 - _inverse_form(M, b) <= 1.0 + 1e-12
+        n, r, m = V.shape
+        ws = ws or Workspace()
+        k = 2 * r
+        X = ws.take("columns", (2 * n, k + 1, m))
+        _real_columns(V, out=X[:, :k])
+        X[0::2, k] = anchors.real
+        X[1::2, k] = anchors.imag
+        F = _restricted_form(self.quadric, X, lower=True, ws=ws)
+        return F[k, k] - _inverse_form(F[:k, :k], F[k, :k]) <= 1.0 + 1e-12
 
     def __repr__(self) -> str:
         return f"Ellipsoid(n={self.n})"
@@ -318,10 +386,19 @@ class GeodesicBall(Shape):
         h = np.diag([mu_h] + [lam] * (2 * n - 2))[None]
         yield BoundaryCloud(n, pos, normal, h, np.array([area]), "constant-curvature")
 
-    def meets(self, V: np.ndarray, anchors: np.ndarray) -> np.ndarray:
+    def meets(self, V: np.ndarray, anchors: np.ndarray,
+              ws: Optional[Workspace] = None) -> np.ndarray:
         """Flat planes (eps = 0) within distance R of the center."""
-        # the anchor minus its part in span_C(V) is the plane's nearest point
-        rel = anchors - (V * (V.conj() * anchors[:, None]).sum(axis=0)).sum(axis=1)
+        # the anchor minus its part in span_C(V), sum_j v_j (v_j^H anchor), is
+        # the plane's nearest point
+        n, r, m = V.shape
+        ws = ws or Workspace()
+        terms = ws.take("terms", (n, r, m), complex)
+        coords = ws.take("coordinates", (r, m), complex)
+        rel = ws.take("nearest", (n, m), complex)
+        np.multiply(np.conjugate(V, out=terms), anchors[:, None], out=terms)
+        np.multiply(V, terms.sum(axis=0, out=coords), out=terms)
+        np.subtract(anchors, terms.sum(axis=1, out=rel), out=rel)
         return np.sqrt(_sq_norm(rel)) <= self.R * (1 + 1e-12)
 
 

@@ -13,6 +13,19 @@ A chunk is small (its flat draws take about 1.4 MB at n = 3), so its working
 set stays near the cache, and numpy releases the GIL while it fills the draws,
 so with CROFTONLAB_THREADS above 1 the draws run on the thread pool as well.
 
+Threads and memory: the chunks run on one persistent thread pool, created on
+first use and replaced when CROFTONLAB_THREADS changes, so at most one pool is
+alive.  Each `_chunk_sums` call gives every thread that runs its chunks one
+`geom.Workspace` for the call's lifetime: the draws' staging buffer, the
+frames, the anchors and the section forms' real columns are taken from it and
+reused chunk after chunk, and the workspace is dropped when the estimate
+returns.  So a chunk allocates almost nothing, and the heap is not trimmed and
+faulted back in between chunks.  A chunk calls no BLAS either: the section
+forms are elementwise sums in a fixed order (`geom._nonzero_product`), so
+OpenBLAS threads neither compete with the pool nor change an estimate.
+Helpers called outside an estimate make their own workspace and return fresh
+arrays.
+
 Batch-last layout: a chunk of k frames is a (rows, cols, k) array and a
 chunk of complex anchors an (n, k) array, so every small-matrix entry is one
 contiguous length-k vector.  The QR, the anchors, the hit predicates, the
@@ -56,10 +69,11 @@ shift) a sample-moment estimate.
 from __future__ import annotations
 
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import perm, sqrt
-from typing import Callable, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -106,24 +120,46 @@ def _chunk_rng(seed: int, chunk: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
+_pool: Optional[Tuple[int, ThreadPoolExecutor]] = None  # (workers, the plane pool)
+_pool_lock = threading.Lock()
+
+
+def _worker_pool(workers: int) -> ThreadPoolExecutor:
+    """The one plane pool, created on first use and replaced when the worker
+    count changes.  Call with _pool_lock held."""
+    global _pool
+    if _pool is None or _pool[0] != workers:
+        if _pool is not None:
+            _pool[1].shutdown()
+        _pool = workers, ThreadPoolExecutor(max_workers=workers,
+                                            thread_name_prefix="croftonlab-planes")
+    return _pool[1]
+
+
 def _chunk_sums(
-    N: int, seed: int, work: Callable[[np.random.Generator, int], Tuple]
+    N: int, seed: int, work: Callable[[np.random.Generator, int, geom.Workspace], Tuple]
 ) -> Tuple:
-    """Column sums of work(rng, m) over the chunks of N samples, in chunk order."""
+    """Column sums of work(rng, m, ws) over the chunks of N samples, in chunk order.
+
+    ws is the workspace of the thread that runs the chunk: it lives for this
+    call, so its buffers serve chunk after chunk and are freed on return."""
     if N < 1:
         raise ValueError(f"need at least one sample, got N={N}")
     full, rest = divmod(N, SAMPLE_CHUNK)
     sizes = [SAMPLE_CHUNK] * full + ([rest] if rest else [])
+    workspaces: Dict[int, geom.Workspace] = {}
 
     def run(ci: int) -> Tuple:
-        return work(_chunk_rng(seed, ci), sizes[ci])
+        ws = workspaces.setdefault(threading.get_ident(), geom.Workspace())
+        return work(_chunk_rng(seed, ci), sizes[ci], ws)
 
     workers = thread_count()
     if workers <= 1 or len(sizes) <= 1:
         parts = [run(ci) for ci in range(len(sizes))]
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(run, range(len(sizes))))
+        with _pool_lock:
+            results = _worker_pool(workers).map(run, range(len(sizes)))
+        parts = list(results)
     return tuple(sum(column) for column in zip(*parts))
 
 
@@ -187,49 +223,52 @@ class Calibration:
 # ---------------------------------------------------------------------------
 
 
-def _frame_draws(
-    rng: np.random.Generator, m: int, rows: int, cols: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """A chunk's frame draws: the real, then the imaginary (m, rows, cols) Gaussian block."""
-    return rng.standard_normal((m, rows, cols)), rng.standard_normal((m, rows, cols))
+def _normal_block(rng: np.random.Generator, out: np.ndarray, ws: geom.Workspace) -> np.ndarray:
+    """Fill the batch-last out (..., m) with the stream's next (m, ...) block of
+    standard normals, drawn into the workspace's real staging buffer."""
+    stage = rng.standard_normal(out=ws.take("stage", out.shape[-1:] + out.shape[:-1]))
+    out[...] = stage.transpose(*range(1, stage.ndim), 0)
+    return out
 
 
-def _frames(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    """Haar-random complex frames of a chunk's draws, batch-last: Q of re + i im.
+def _frame_draws(rng: np.random.Generator, m: int, rows: int, cols: int,
+                 ws: Optional[geom.Workspace] = None) -> np.ndarray:
+    """A chunk's frame draws, batch-last: re + i im (rows, cols, m), from the
+    real, then the imaginary (m, rows, cols) Gaussian block of the stream."""
+    ws = ws or geom.Workspace()
+    A = ws.take("frames", (rows, cols, m), complex)
+    _normal_block(rng, A.real, ws)
+    _normal_block(rng, A.imag, ws)
+    return A
 
-    re and im are (k, rows, cols); the result has shape (rows, cols, k), each
-    matrix entry one length-k vector."""
-    k, rows, cols = re.shape
-    A = np.empty((rows, cols, k), dtype=complex)
-    A.real = re.transpose(1, 2, 0)
-    A.imag = im.transpose(1, 2, 0)
-    return _householder_q(A)
 
-
-def _householder_q(A: np.ndarray) -> np.ndarray:
-    """Q of the QR of the batch-last matrices A (rows, cols, m), cols <= rows;
-    overwrites A.
+def _frames(A: np.ndarray) -> np.ndarray:
+    """Haar-random complex frames of a chunk's draws A (rows, cols, m), cols <= rows:
+    Q of the QR of A, formed in place over A.
 
     LAPACK's conventions (zgeqr2/zung2r): the reflector of column i sends
     (alpha, x) to beta e_i with beta = -sign(Re alpha) |(alpha, x)|, so R's
     diagonal is real and Q is the Q factor LAPACK's zgeqrf/zungqr return.
     """
-    rows, cols, m = A.shape
-    reflectors = []
+    cols = A.shape[1]
+    # reflector i is kept in column i: v below the diagonal, tau on it
     for i in range(cols):
         alpha = A[i, i]
         beta = -np.copysign(np.sqrt(geom._sq_norm(A[i:, i])), alpha.real)
-        v = A[i + 1 :, i] / (alpha - beta)
+        v = A[i + 1 :, i]
+        v /= alpha - beta
         tau = (beta - alpha) / beta
         _reflect(A[i:, i + 1 :], v, tau.conj())  # H^H from the left
-        reflectors.append((v, tau))
-    Q = np.zeros((rows, cols, m), dtype=complex)
+        A[i, i] = tau
+    # Q = H_0 ... H_{cols-1} applied to the first cols columns of I, last
+    # reflector first: step i reads only columns > i and then writes column i
     for i in reversed(range(cols)):
-        v, tau = reflectors[i]
-        _reflect(Q[i:, i + 1 :], v, tau)
-        Q[i, i] = 1.0 - tau
-        Q[i + 1 :, i] = -tau * v
-    return Q
+        v, tau = A[i + 1 :, i], A[i, i]
+        _reflect(A[i:, i + 1 :], v, tau)
+        np.multiply(-tau, v, out=v)
+        A[i, i] = 1.0 - tau
+        A[:i, i] = 0.0
+    return A
 
 
 def _reflect(B: np.ndarray, v: np.ndarray, t: np.ndarray) -> None:
@@ -241,10 +280,14 @@ def _reflect(B: np.ndarray, v: np.ndarray, t: np.ndarray) -> None:
 
 
 def _uniform_ball(g: np.ndarray, u: np.ndarray, radius: float) -> np.ndarray:
-    """Points uniform in the radius ball of R^dim from normals g (k, dim) and
-    uniforms u (k), batch-last: (dim, k)."""
-    g = np.ascontiguousarray(g.T)
-    return g * (radius * u ** (1.0 / len(g)) / np.sqrt((g * g).sum(axis=0)))
+    """Points uniform in the radius ball of R^dim from batch-last normals g
+    (dim, k) and uniforms u (k): (dim, k), formed in place over g; u is
+    overwritten."""
+    u **= 1.0 / len(g)
+    u *= radius
+    u /= np.sqrt((g * g).sum(axis=0))
+    g *= u
+    return g
 
 
 def _flat_window(shape, r: int) -> Tuple[float, float]:
@@ -265,23 +308,36 @@ def kappa(n: int, r: int, eps: float) -> PiScalar:
     return PiScalar(c, -r) if eps == 0 else PiScalar(c * perm(n, n - r), -n)
 
 
-def _flat_draws(rng: np.random.Generator, m: int, n: int, r: int) -> Tuple[np.ndarray, ...]:
-    """A chunk's flat-plane draws, in stream order: the frame blocks (m, n, n),
-    the anchor normals (m, 2(n-r)) and the anchor radii's uniforms (m)."""
-    return (*_frame_draws(rng, m, n, n), rng.standard_normal((m, 2 * (n - r))), rng.random(m))
+def _flat_draws(rng: np.random.Generator, m: int, n: int, r: int,
+                ws: Optional[geom.Workspace] = None) -> Tuple[np.ndarray, ...]:
+    """A chunk's flat-plane draws, batch-last, in stream order: the frame draws
+    (n, n, m) of `_frame_draws`, the anchor normals (2(n-r), m) from an
+    (m, 2(n-r)) block and the anchor radii's uniforms (m)."""
+    ws = ws or geom.Workspace()
+    A = _frame_draws(rng, m, n, n, ws)
+    g = _normal_block(rng, ws.take("normals", (2 * (n - r), m)), ws)
+    u = rng.random(out=ws.take("uniforms", (m,)))
+    return A, g, u
 
 
-def _flat_planes(
-    draws: Tuple[np.ndarray, ...], r: int, rho: float
-) -> Tuple[np.ndarray, np.ndarray]:
+def _flat_planes(draws: Tuple[np.ndarray, ...], r: int, rho: float,
+                 ws: Optional[geom.Workspace] = None) -> Tuple[np.ndarray, np.ndarray]:
     """Flat planes of a chunk's draws, batch-last and complex: (V (n, r, k), anchor (n, k)).
 
     The anchor is Q[:, r:] (b_0 + i b_1, b_2 + i b_3, ...) for b uniform in the
-    radius-rho ball of R^{2(n-r)}: uniform in that ball of span_C(Q[:, r:])."""
-    re, im, g, u = draws
-    Q = _frames(re, im)
+    radius-rho ball of R^{2(n-r)}: uniform in that ball of span_C(Q[:, r:]).
+    The draws are overwritten: Q over the frame draws, b over the normals."""
+    ws = ws or geom.Workspace()
+    A, g, u = draws
+    n = len(A)
+    Q = _frames(A)
     b = _uniform_ball(g, u, rho)
-    anchors = (Q[:, r:] * (b[0::2] + 1j * b[1::2])).sum(axis=1)
+    coords = ws.take("anchor coordinates", (n - r, b.shape[1]), complex)
+    coords.real, coords.imag = b[0::2], b[1::2]
+    anchors = ws.take("anchors", (n, b.shape[1]), complex)
+    np.multiply(Q[:, r], coords[0], out=anchors)
+    for j in range(1, n - r):
+        anchors += Q[:, r + j] * coords[j]
     return Q[:, :r], anchors
 
 
@@ -309,15 +365,15 @@ def _hit_count(shape, r: int, N: int, seed: int) -> Tuple[int, float]:
     if shape.eps == 0:
         rho, weight = _flat_window(shape, r)
 
-        def work(rng: np.random.Generator, m: int) -> Tuple[int]:
-            V, anchors = _flat_planes(_flat_draws(rng, m, n, r), r, rho)
-            return (int(np.count_nonzero(shape.meets(V, anchors))),)
+        def work(rng: np.random.Generator, m: int, ws: geom.Workspace) -> Tuple[int]:
+            V, anchors = _flat_planes(_flat_draws(rng, m, n, r, ws), r, rho, ws)
+            return (int(np.count_nonzero(shape.meets(V, anchors, ws))),)
 
     elif shape.eps == 1:
         weight = 1.0
 
-        def work(rng: np.random.Generator, m: int) -> Tuple[int]:
-            W = _frames(*_frame_draws(rng, m, n + 1, r + 1))
+        def work(rng: np.random.Generator, m: int, ws: geom.Workspace) -> Tuple[int]:
+            W = _frames(_frame_draws(rng, m, n + 1, r + 1, ws))
             return (int(np.count_nonzero(_hits_projective(shape, W))),)
 
     elif shape.eps < 0:
@@ -419,9 +475,10 @@ def grassmann_sigma_average(
     # moments about the value on the first coordinate r-plane
     shift = float(np.linalg.det(hD[: 2 * r, : 2 * r]))
 
-    def work(rng: np.random.Generator, m: int) -> Tuple[float, float]:
-        V = _frames(*_frame_draws(rng, m, n - 1, r))
-        S, _ = geom._restricted_form(hD, geom._real_columns(V))
+    def work(rng: np.random.Generator, m: int, ws: geom.Workspace) -> Tuple[float, float]:
+        V = _frames(_frame_draws(rng, m, n - 1, r, ws))
+        X = geom._real_columns(V, out=ws.take("columns", (2 * n - 2, 2 * r, m)))
+        S = geom._restricted_form(hD, X, ws=ws)
         vals = np.linalg.det(S.transpose(2, 0, 1)) - shift
         return float(vals.sum()), float((vals**2).sum())
 

@@ -8,7 +8,7 @@ import pytest
 from scipy.integrate import nquad, quad
 from scipy.special import roots_jacobi
 
-from croftonlab import geom
+from croftonlab import checks, geom
 from croftonlab.valuations import QUADRATURE_CHUNK
 from croftonlab.coeffcore import ball_volume_coeff, sphere_volume_coeff
 from helpers import ConjugatePointError, jacobi_oracle, realify_complex_columns
@@ -438,6 +438,88 @@ def test_inverse_form_rejects_degenerate_forms(d, entry):
     M[d - 1, d - 1, -1] = entry
     with pytest.raises(ValueError, match="not positive definite"):
         geom._inverse_form(M, b)
+
+
+# The section forms without BLAS, against the BLAS construction they replace:
+# bitwise on the axis-aligned quadrics of every Monte Carlo family, a few ulps
+# on a general symmetric form.
+
+FLAT_QUADRICS = [geom.Ellipsoid.from_axes(axes).quadric
+                 for families in checks.FLAT_FAMILIES.values() for axes in families]
+
+
+def _bits(x):
+    return np.ascontiguousarray(x).view(np.uint64)
+
+
+def _haar_columns(n, r, m, seed):
+    """Batch-last Haar frames V (n, r, m) from LAPACK's QR."""
+    rng = np.random.default_rng(seed)
+    Z = rng.standard_normal((m, n, n)) + 1j * rng.standard_normal((m, n, n))
+    return np.ascontiguousarray(np.linalg.qr(Z)[0].transpose(1, 2, 0)[:, :r])
+
+
+def _stacked_real_columns(V):
+    """The real columns of span_C(V) by stacking (v_j, i v_j) and then (Re, Im)."""
+    n, r, m = V.shape
+    z = np.stack([V, 1j * V], axis=2).reshape(n, 2 * r, m)
+    return np.stack([z.real, z.imag], axis=1).reshape(2 * n, 2 * r, m)
+
+
+def _blas_form(A, X):
+    """X^T A X with A X as one BLAS product, entry (s, t) summed over rows in order."""
+    d, k, m = X.shape
+    AX = (A @ X.reshape(d, k * m)).reshape(d, k, m)
+    return np.stack([(X[:, s, None] * AX).sum(axis=0) for s in range(k)])
+
+
+@pytest.mark.parametrize("n,r", [(2, 1), (3, 1), (3, 2), (4, 3)])
+def test_real_columns_equal_the_stacked_construction(n, r):
+    V = _haar_columns(n, r, 4096, 50 + n + r)
+    assert np.array_equal(_bits(geom._real_columns(V)), _bits(_stacked_real_columns(V)))
+    assert np.array_equal(geom._real_columns(V)[:, :, 7], realify_complex_columns(V[:, :, 7]))
+
+
+def test_nonzero_product_equals_the_matrix_product():
+    rng = np.random.default_rng(51)
+    for Q in FLAT_QUADRICS:
+        X = rng.standard_normal((len(Q), 4096))
+        got = geom._nonzero_product(Q, X, np.empty_like(X))
+        assert np.array_equal(_bits(got), _bits(Q @ X))
+    for d in (4, 6, 8):
+        A = rng.standard_normal((d, d))
+        A = (A + A.T) / 2
+        A[0, -1] = A[-1, 0] = 0.0
+        X = rng.standard_normal((d, 4096))
+        got = geom._nonzero_product(A, X, np.empty_like(X))
+        scale = np.abs(A) @ np.abs(X)
+        assert np.all(np.abs(got - A @ X) <= 4 * np.finfo(float).eps * scale)
+    zero_row = np.diag([1.0, 0.0, 2.0])
+    X = rng.standard_normal((3, 16))
+    assert np.array_equal(geom._nonzero_product(zero_row, X, np.empty_like(X)), zero_row @ X)
+
+
+@pytest.mark.parametrize("lower", [False, True])
+def test_restricted_form_equals_the_blas_form(lower):
+    # the meets layout: the real columns of V, then the anchor's coordinates
+    rng = np.random.default_rng(52)
+    for Q in FLAT_QUADRICS:
+        n = len(Q) // 2
+        for r in range(1, n):
+            V = _haar_columns(n, r, 4096, 53 + n + r)
+            X = np.concatenate([geom._real_columns(V), rng.standard_normal((2 * n, 1, 4096))],
+                               axis=1)
+            want = _blas_form(Q, X)
+            got = geom._restricted_form(Q, X.copy(), lower=lower)
+            s, t = np.tril_indices(2 * r + 1) if lower else np.indices((2 * r + 1,) * 2)
+            assert np.array_equal(_bits(got[s, t]), _bits(want[s, t])), (n, r)
+    A = rng.standard_normal((6, 6))
+    A = (A + A.T) / 2
+    X = geom._real_columns(_haar_columns(3, 2, 4096, 54))
+    want = _blas_form(A, X)
+    got = geom._restricted_form(A, X.copy(), lower=lower)
+    s, t = np.tril_indices(4) if lower else np.indices((4, 4))
+    assert np.max(np.abs(got[s, t] - want[s, t])) <= 64 * np.finfo(float).eps
 
 
 def test_jacobi_oracle_closed_forms():

@@ -7,8 +7,11 @@ anchors (n, m).  They are computed as the estimators compute them: a chunk's
 draws, then its frames and anchors.
 """
 
+import json
+import threading
 import tracemalloc
 from math import comb, pi, sin, sqrt
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,11 +24,12 @@ from helpers import realify_complex_columns
 
 
 UNIT_BALL = geom.Ellipsoid.from_axes([1, 1, 1, 1])
+DATA = Path(__file__).parent / "data"
 
 
 def _sampled_frames(rng, m, rows, cols):
     """m Haar frames (rows, cols, m) of one chunk: its draws, then the QR."""
-    return planes._frames(*planes._frame_draws(rng, m, rows, cols))
+    return planes._frames(planes._frame_draws(rng, m, rows, cols))
 
 
 def _sampled_flat(n, r, rho, rng, m):
@@ -77,7 +81,7 @@ def test_chunk_sums_hand_work_chunks_in_order(N, monkeypatch):
         def __radd__(self, other):
             return tuple(other or ()) + tuple(self)
 
-    def work(rng, m):
+    def work(rng, m, ws):
         return (Ordered([(m, rng.random())]),)
 
     (chunks,) = planes._chunk_sums(N, 9, work)
@@ -86,17 +90,75 @@ def test_chunk_sums_hand_work_chunks_in_order(N, monkeypatch):
 
 
 def test_concurrent_chunks_stay_small(monkeypatch):
-    # two threads hold two chunks of draws and planes at once: about 10 MiB of
-    # numpy arrays at 8,192 planes a chunk, 18-24 MiB at 65,536
+    # two threads each keep one workspace for the whole estimate (frames,
+    # real columns and section form at 8,192 planes a chunk); the bounds are
+    # the traced peaks of the kernel that allocated every chunk afresh: the
+    # n = 3 ball at 11 MiB, the n = 3, r = 2 ellipsoid at 14.5 MiB and the
+    # CP^2 ball at 6.7 MiB
     monkeypatch.setenv("CROFTONLAB_THREADS", "2")
-    ball = geom.GeodesicBall(n=3, eps=0.0, R=1.0)
-    tracemalloc.start()
-    try:
-        planes.chi_measure_estimate(ball, 2, 100_000, 7)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 * 2**20
+    cases = [
+        (geom.GeodesicBall(n=3, eps=0.0, R=1.0), 2, 11.0),
+        (geom.Ellipsoid.from_axes([1, 1, 1, 1, 2, 2]), 2, 14.5),
+        (geom.GeodesicBall(n=2, eps=1.0, R=1.0), 1, 6.7),
+    ]
+    for shape, r, bound in cases:
+        tracemalloc.start()
+        try:
+            planes.chi_measure_estimate(shape, r, 100_000, 7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * 2**20, (shape, peak / 2**20)
+
+
+def test_pool_and_workspaces_across_thread_counts(monkeypatch):
+    # one pool, replaced when the thread count changes, and workspaces that
+    # live for one estimate: every thread count gives the same estimates
+    a = np.random.default_rng(8).standard_normal((5, 5))
+    h = (a + a.T) / 2
+    shape = geom.Ellipsoid.from_axes([1, 1, 1, 1, 2, 2])
+
+    def estimates():
+        return (planes.chi_measure_estimate(shape, 2, 30000, 5),
+                planes.grassmann_sigma_average(h, 1, 30000, 5))
+
+    results = []
+    for threads in ("1", "3", "2", "1"):
+        monkeypatch.setenv("CROFTONLAB_THREADS", threads)
+        results.append(estimates())
+    assert all(result == results[0] for result in results)
+
+    def pool_threads():
+        return {t for t in threading.enumerate() if t.name.startswith("croftonlab-planes")}
+
+    # only the two-thread pool is left: the three-thread pool's workers are
+    # gone, and the next two-thread estimate runs on the same workers
+    workers = pool_threads()
+    assert 1 <= len(workers) <= 2
+    monkeypatch.setenv("CROFTONLAB_THREADS", "2")
+    assert estimates() == results[0]
+    assert pool_threads() == workers
+
+
+def test_failing_chunk_raises_and_the_next_estimate_matches_its_golden(monkeypatch):
+    monkeypatch.setenv("CROFTONLAB_THREADS", "3")
+
+    def work(rng, m, ws):
+        if m < planes.SAMPLE_CHUNK:
+            raise RuntimeError("the last chunk failed")
+        return (m,)
+
+    with pytest.raises(RuntimeError, match="the last chunk failed"):
+        planes._chunk_sums(5 * planes.SAMPLE_CHUNK + 1, 0, work)
+    est = planes.chi_measure_estimate(geom.Ellipsoid.from_axes([1, 1, 1, 1, 2, 2]), 2, 70000, 5)
+    golden = json.loads((DATA / "mc_chi_estimates_n3.json").read_text())["axes_1_1_1_1_2_2_r2"]
+    assert {"mean": repr(est.mean), "stderr": repr(est.stderr)} == golden
+
+
+def test_planes_outside_an_estimate_are_fresh_arrays():
+    first = _sampled_flat(3, 2, 2.0, planes._chunk_rng(15, 0), 1000)
+    second = _sampled_flat(3, 2, 2.0, planes._chunk_rng(15, 1), 1000)
+    assert not any(np.shares_memory(x, y) for x in first for y in second)
 
 
 def test_sliced_planes_equal_whole_chunk_planes():
@@ -105,8 +167,9 @@ def test_sliced_planes_equal_whole_chunk_planes():
     # plane bit for bit
     m = planes.SAMPLE_CHUNK + 123
     draws = planes._flat_draws(planes._chunk_rng(14, 0), m, 3, 1)
-    whole = planes._flat_planes(draws, 1, 2.0)
-    pieces = [planes._flat_planes(tuple(d[s] for d in draws), 1, 2.0)
+    # the planes overwrite their draws, so each computation gets a copy
+    whole = planes._flat_planes(tuple(d.copy() for d in draws), 1, 2.0)
+    pieces = [planes._flat_planes(tuple(d[..., s].copy() for d in draws), 1, 2.0)
               for s in (slice(0, 1000), slice(1000, m))]
     for got, want in zip(zip(*pieces), whole):
         assert np.array_equal(np.concatenate(got, axis=-1), want)
