@@ -8,8 +8,11 @@ Subcommands:
             gauss-bonnet | gamma-b | crofton-mc | crofton-cpn | variation |
             crofton-variation | total-gauss | grassmann-pointwise
 
-Reports are JSON (default) or CSV, embed the full configuration, seed and
-tolerance, and contain no timestamps: identical (config, seed) runs emit
+READS declares the flags each command reads, by check kind and by shape kind
+or coeffs table.  A given flag the command does not read is a usage error
+(exit code 2), only the flags it reads are validated, and a report's `config`
+is exactly those flags with the values that ran.  Reports are JSON (default)
+or CSV and contain no timestamps: identical (config, seed) runs emit
 byte-identical output regardless of CROFTONLAB_THREADS.
 """
 
@@ -77,14 +80,26 @@ def _emit(report: dict, args) -> None:
         sys.exit(f"croftonlab: error: cannot write --out {args.out}: {exc.strerror or exc}")
 
 
-def _report(args, config: dict, results: dict, passed: Optional[bool] = None) -> dict:
+def _config(args) -> dict:
+    """The flags the command read, with the values that ran: the parsed
+    --axes, an ellipsoid's own n and crofton-mc's level."""
+    config = {"subcommand": args.command}
+    if args.command != "volumes":
+        config["what"] = args.what
+    for dest in args.reads:
+        key = re.sub(r"_(\w)", lambda m: m[1].upper(), dest)  # max_n -> maxN
+        config[key] = _parse_axes(args.axes) if dest == "axes" else getattr(args, dest)
+    return config
+
+
+def _report(args, results: dict, passed: Optional[bool] = None) -> dict:
     # no timestamps and no thread count: identical (config, seed) runs must
     # emit byte-identical reports regardless of CROFTONLAB_THREADS
     rep = {
         "schemaVersion": SCHEMA_VERSION,
         "tool": "croftonlab",
         "version": __version__,
-        "config": config,
+        "config": _config(args),
         "results": results,
     }
     if passed is not None:
@@ -104,47 +119,28 @@ def _shape_from_args(args) -> geom.Shape:
     return geom.GeodesicBall(n=args.n, eps=args.eps, R=args.R)
 
 
-def _shape_config(args) -> dict:
-    if args.shape == "ellipsoid":
-        return {"type": "ellipsoid", "axes": _parse_axes(args.axes)}
-    return {"type": "ball", "n": args.n, "eps": args.eps, "R": args.R}
-
-
 # ---------------------------------------------------------------------------
 # coeffs
 # ---------------------------------------------------------------------------
 
 
 def cmd_coeffs(args) -> int:
-    config = {
-        "subcommand": "coeffs",
-        "n": args.n,
-        "r": args.r,
-        "maxN": args.max_n,
-    }
     if args.identities:
         results = checks.identities(args.max_n)
         ok = results.pop("pass")
-        _emit(_report(args, config, results, ok), args)
+        _emit(_report(args, results, ok), args)
         return 0 if ok else 1
-
-    if args.gb:
-        table = cc.gauss_bonnet_coeffs(args.n)
-    elif args.crofton:
-        table = cc.crofton_coeffs(args.n, args.r)
-    elif args.total_gauss:
-        table = cc.total_gauss_coeffs(args.n, args.r)
-    elif args.variation:
+    if args.variation:
         op = cc.variation_operator(args.n)
-        results = {}
-        for key in op.keys():
-            results[varcheck.key_name(key)] = [
-                {"kind": kind, "k": k, "q": q, "epsPow": p, "coeff": str(coeff)}
-                for kind, k, q, p, coeff in op.targets(key)
-            ]
-        _emit(_report(args, config, results), args)
-        return 0
-    _emit(_report(args, config, table.to_json()), args)
+        results = {varcheck.key_name(key): [
+            {"kind": kind, "k": k, "q": q, "epsPow": p, "coeff": str(coeff)}
+            for kind, k, q, p, coeff in op.targets(key)] for key in op.keys()}
+    elif args.gb:
+        results = cc.gauss_bonnet_coeffs(args.n).to_json()
+    else:
+        tabulate = cc.crofton_coeffs if args.crofton else cc.total_gauss_coeffs
+        results = tabulate(args.n, args.r).to_json()
+    _emit(_report(args, results), args)
     return 0
 
 
@@ -155,7 +151,6 @@ def cmd_coeffs(args) -> int:
 
 def cmd_volumes(args) -> int:
     shape = args.body
-    config = {"subcommand": "volumes", "shape": _shape_config(args), "level": args.level}
     if args.closed_form:
         table = valuations.ball_closed_form(shape.eps, shape.n, shape.R)
     else:
@@ -170,7 +165,7 @@ def cmd_volumes(args) -> int:
         results["richardsonError"] = {
             key: abs(fine[key] - coarse[key]) for key in fine if key[:2] in ("B:", "G:", "M:")
         }
-    _emit(_report(args, config, results), args)
+    _emit(_report(args, results), args)
     return 0
 
 
@@ -179,13 +174,8 @@ def cmd_volumes(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _check_level(args) -> int:
-    """The quadrature level a check runs at: crofton-mc tabulates n != 2 at level 1."""
-    return 1 if args.what == "crofton-mc" and args.n != 2 else args.level
-
-
 # each entry maps the flags onto the arguments of one shared check; a.body is
-# the shape that READS names, built once by _validate
+# the shape whose flags READS names, built once by _validate
 CHECKS = {
     "gauss-bonnet": lambda a: checks.gauss_bonnet(a.body, a.level, a.tol),
     "gamma-b": lambda a: checks.gamma_b(a.body, a.tol),
@@ -200,45 +190,47 @@ CHECKS = {
         a.n, a.r, a.samples, a.seed, a.seed + 1, 2048, a.seed, a.tol),
 }
 
-# what each command reads: the shape it builds from --shape/--axes/--n/--eps/--R
-# (None: no shape, it reads --n directly), and whether it reads --r and --level
-READS = {
-    "volumes": (_shape_from_args, False, True),
-    "gauss-bonnet": (_shape_from_args, False, True),
-    "gamma-b": (_shape_from_args, False, False),
-    "crofton-mc": (None, True, True),
-    "crofton-cpn": (None, True, False),
-    "variation": (_shape_from_args, False, True),
-    "crofton-variation": (_shape_from_args, True, True),
-    "total-gauss": (None, True, True),
-    "grassmann-pointwise": (None, True, False),
-}
-
 
 def cmd_check(args) -> int:
-    args.level = _check_level(args)  # the report states the level that ran
-    config = {
-        "subcommand": "check",
-        "what": args.what,
-        "n": args.n,
-        "r": args.r,
-        "eps": args.eps,
-        "R": args.R,
-        "shape": args.shape,
-        "axes": _parse_axes(args.axes),
-        "level": args.level,
-        "samples": args.samples,
-        "seed": args.seed,
-        "tol": args.tol,
-    }
     results = CHECKS[args.what](args)
-    _emit(_report(args, config, results, results.get("pass")), args)
+    _emit(_report(args, results, results.get("pass")), args)
     return 0 if results.get("pass") else 1
 
 
 # ---------------------------------------------------------------------------
 # argument parsing
 # ---------------------------------------------------------------------------
+
+BALL = ("shape", "n", "eps", "R")
+ELLIPSOID = ("shape", "axes", "n", "level")  # a given --n must equal len(axes) / 2
+MONTE_CARLO = ("n", "r", "samples", "seed", "tol")
+
+# the flags (by dest) each command reads: by coeffs table, by volumes or check
+# kind and shape kind, None for a check that builds no shape from the flags
+READS = {
+    ("coeffs", "gb"): ("n",),
+    ("coeffs", "crofton"): ("n", "r"),
+    ("coeffs", "total_gauss"): ("n", "r"),
+    ("coeffs", "variation"): ("n",),
+    ("coeffs", "identities"): ("max_n",),
+    ("volumes", "ball"): BALL + ("closed_form",),
+    ("volumes", "ellipsoid"): ELLIPSOID + ("richardson",),
+    ("gauss-bonnet", "ball"): BALL + ("tol",),
+    ("gauss-bonnet", "ellipsoid"): ELLIPSOID + ("tol",),
+    ("gamma-b", "ball"): BALL + ("tol",),
+    ("variation", "ball"): BALL + ("tol",),
+    ("variation", "ellipsoid"): ELLIPSOID + ("tol",),
+    ("crofton-variation", "ball"): BALL + ("r", "tol"),
+    ("crofton-variation", "ellipsoid"): ELLIPSOID + ("r", "tol"),
+    ("crofton-mc", None): MONTE_CARLO + ("level",),  # n = 3 runs level 1 only
+    ("crofton-cpn", None): MONTE_CARLO,
+    ("total-gauss", None): MONTE_CARLO + ("level",),
+    ("grassmann-pointwise", None): MONTE_CARLO,
+}
+
+# a check draws its estimates at seeds up to seed + 4 (crofton-cpn's four
+# radii); every one must be a seed in [0, 2**63)
+SEED_MAX = 2**63 - 1 - len(checks.CPN_RADII)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -253,6 +245,15 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 
+class _Given(argparse.Action):
+    """Store a flag's value (its const if it takes none) and add its dest to
+    args.given, so that _validate can refuse a given flag the command does not read."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, self.const if self.nargs == 0 else values)
+        namespace.given = namespace.given | {self.dest}
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The one parser of this process: parsing leaves it unchanged, so it is
@@ -261,16 +262,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp):
-        sp.add_argument("--n", type=int, default=2)
-        sp.add_argument("--r", type=int, default=1)
-        sp.add_argument("--eps", type=float, default=0.0)
-        sp.add_argument("--R", type=float, default=1.0)
-        sp.add_argument("--shape", choices=["ellipsoid", "ball"], default="ball")
-        sp.add_argument("--axes", type=str, default="")
-        sp.add_argument("--level", type=int, default=2)
-        sp.add_argument("--samples", type=int, default=100000)
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--tol", type=float, default=None)
+        sp.set_defaults(given=frozenset())
+        sp.add_argument("--n", type=int, default=2, action=_Given)
+        sp.add_argument("--r", type=int, default=1, action=_Given)
+        sp.add_argument("--eps", type=float, default=0.0, action=_Given)
+        sp.add_argument("--R", type=float, default=1.0, action=_Given)
+        sp.add_argument("--shape", choices=["ellipsoid", "ball"], default="ball", action=_Given)
+        sp.add_argument("--axes", type=str, default="", action=_Given)
+        sp.add_argument("--level", type=int, default=2, action=_Given)
+        sp.add_argument("--samples", type=int, default=100000, action=_Given)
+        sp.add_argument("--seed", type=int, default=0, action=_Given)
+        sp.add_argument("--tol", type=float, default=None, action=_Given)
         sp.add_argument("--format", choices=["json", "csv"], default="json")
         sp.add_argument("--out", type=str, default="")
 
@@ -282,13 +284,14 @@ def build_parser() -> argparse.ArgumentParser:
     table.add_argument("--total-gauss", dest="total_gauss", action="store_true")
     table.add_argument("--variation", action="store_true")
     table.add_argument("--identities", action="store_true")
-    pc.add_argument("--max-n", dest="max_n", type=int, default=6)
+    pc.add_argument("--max-n", dest="max_n", type=int, default=6, action=_Given)
     pc.set_defaults(func=cmd_coeffs)
 
     pv = sub.add_parser("volumes", help="valuation table of a shape")
     common(pv)
-    pv.add_argument("--richardson", action="store_true")
-    pv.add_argument("--closed-form", dest="closed_form", action="store_true")
+    pv.add_argument("--richardson", action=_Given, nargs=0, const=True, default=False)
+    pv.add_argument("--closed-form", dest="closed_form", action=_Given, nargs=0, const=True,
+                    default=False)
     pv.set_defaults(func=cmd_volumes)
 
     pk = sub.add_parser("check", help="run one verification, exit 0 iff it passes")
@@ -299,65 +302,62 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _validate(parser: argparse.ArgumentParser, args) -> None:
-    """Reject, as parser errors, flag values the command would fail on.
-
-    Only the flags the command reads are checked; the shape it reads is built
-    here, once, as args.body."""
+    """Refuse, as parser errors, a given flag the command does not read and a read
+    value it would fail on; store the read flags as args.reads and build the
+    shape they name, once, as args.body."""
     if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
         parser.error(f"argument --out: no directory {os.path.dirname(args.out)!r} to write into")
     if os.path.isdir(args.out):
         parser.error(f"argument --out: {args.out!r} is a directory")
     if args.command == "coeffs":
-        # the tables read --n, --crofton and --total-gauss also --r
-        if not args.identities and args.n < 1:
-            parser.error(f"argument --n: must be an integer >= 1, got {args.n}")
-        # below 2 the suite has nothing to check (checks.identities raises)
-        if args.identities and args.max_n < 2:
-            parser.error(f"argument --max-n: must be an integer >= 2, got {args.max_n}")
-        n, reads_r = args.n, args.crofton or args.total_gauss
+        what, kind = "coeffs", next(k for w, k in READS if w == "coeffs" and getattr(args, k))
+        args.what = kind.replace("_", "-")
     else:
         what = args.what if args.command == "check" else args.command
-        build, reads_r, reads_level = READS[what]
-        level = _check_level(args) if args.command == "check" else args.level
-        if reads_level and level < 0:
-            parser.error(f"argument --level: must be an integer >= 0, got {args.level}")
-        args.body, n = None, args.n
-        if build is not None:
-            try:
-                args.body = build(args)
-            except ValueError as exc:
-                parser.error(f"invalid shape (--shape/--axes/--n/--eps/--R): {exc}")
-            n = args.body.n
-        if what == "volumes" and args.closed_form and args.body.curvatures is None:
-            parser.error("argument --closed-form: applies to geodesic balls (--shape ball)")
-        if what == "volumes" and args.richardson:
-            # the error estimate compares the table with one a level lower
-            if args.closed_form:
-                parser.error("argument --richardson: not allowed with --closed-form "
-                             "(an exact table has no quadrature error)")
-            if level < 1:
-                parser.error(f"argument --richardson: needs --level >= 1, got {level}")
-        if what == "gamma-b" and args.body.curvatures is None:
-            parser.error("argument --shape: gamma-b applies to geodesic balls (--shape ball)")
-        if what in ("crofton-mc", "total-gauss") and n not in checks.FLAT_FAMILIES:
-            parser.error(f"argument --n: default ellipsoid families exist for n in "
-                         f"{sorted(checks.FLAT_FAMILIES)}, got n={n}")
-    if reads_r and not 1 <= args.r <= n - 1:
-        parser.error(f"argument --r: need 1 <= r <= n-1, got r={args.r}, n={n}")
-    if args.command != "check":
-        return
-    if args.samples < 1:
+        kind = args.shape if (what, args.shape) in READS else None
+    reads = args.reads = READS.get((what, kind))
+    if reads is None:
+        parser.error(f"argument --shape: {what} applies to geodesic balls (--shape ball)")
+    unread = sorted(args.given.difference(reads))
+    if unread:
+        flags = ", ".join("--" + dest.replace("_", "-") for dest in unread)
+        parser.error(f"argument {flags}: not read by {what}" + (f" ({kind})" if kind else ""))
+    if "n" in reads and args.n < 1:
+        parser.error(f"argument --n: must be an integer >= 1, got {args.n}")
+    if "shape" in reads:
+        try:
+            args.body = _shape_from_args(args)
+        except ValueError as exc:
+            parser.error(f"invalid shape (--shape/--axes/--n/--eps/--R): {exc}")
+        if "n" in args.given and args.n != args.body.n:
+            parser.error(f"argument --n: --axes give n={args.body.n}, got n={args.n}")
+        args.n = args.body.n
+    if what in ("crofton-mc", "total-gauss") and args.n not in checks.FLAT_FAMILIES:
+        parser.error(f"argument --n: default ellipsoid families exist for n in "
+                     f"{sorted(checks.FLAT_FAMILIES)}, got n={args.n}")
+    if what == "crofton-mc" and args.n != 2:  # the n = 3 family tables run at level 1
+        if "level" in args.given:
+            parser.error(f"argument --level: crofton-mc runs n={args.n} at level 1 only")
+        args.level = 1
+    if "r" in reads and not 1 <= args.r <= args.n - 1:
+        parser.error(f"argument --r: need 1 <= r <= n-1, got r={args.r}, n={args.n}")
+    if "level" in reads and args.level < 0:
+        parser.error(f"argument --level: must be an integer >= 0, got {args.level}")
+    if "richardson" in args.given and args.level < 1:  # it differences levels L and L-1
+        parser.error(f"argument --richardson: needs --level >= 1, got {args.level}")
+    if "max_n" in reads and args.max_n < 2:  # checks.identities has nothing to check
+        parser.error(f"argument --max-n: must be an integer >= 2, got {args.max_n}")
+    if "samples" in reads and args.samples < 1:
         parser.error(f"argument --samples: must be an integer >= 1, got {args.samples}")
-    try:  # every check reports the parsed --axes
-        _parse_axes(args.axes)
-    except ValueError as exc:
-        parser.error(f"argument --axes: {exc}")
-    if args.tol is not None and not (isfinite(args.tol) and args.tol > 0):
+    if "seed" in reads and not 0 <= args.seed <= SEED_MAX:
+        parser.error(f"argument --seed: must be an integer in [0, {SEED_MAX}], got {args.seed}")
+    if "tol" in reads and args.tol is not None and not (isfinite(args.tol) and args.tol > 0):
         parser.error(f"argument --tol: must be finite and positive, got {args.tol}")
-    try:
-        planes.thread_count()
-    except ValueError as exc:
-        parser.error(str(exc))
+    if args.command == "check":
+        try:
+            planes.thread_count()
+        except ValueError as exc:
+            parser.error(str(exc))
 
 
 def main(argv=None) -> int:

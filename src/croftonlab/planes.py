@@ -116,7 +116,7 @@ def thread_count() -> int:
 
 
 def _chunk_rng(seed: int, chunk: int) -> np.random.Generator:
-    ss = np.random.SeedSequence(entropy=int(seed) & (2**63 - 1), spawn_key=(chunk,))
+    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(chunk,))
     return np.random.Generator(np.random.Philox(ss))
 
 

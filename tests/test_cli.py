@@ -219,21 +219,20 @@ def test_check_crofton_mc_small(capsys):
 @pytest.mark.parametrize(
     "argv,level",
     [
-        (["check", "crofton-mc", "--n", "3", "--level", "2"], 1),
+        # crofton-mc tabulates its n = 3 families at level 1, the level it reports
+        (["check", "crofton-mc", "--n", "3"], 1),
         (["check", "crofton-mc", "--n", "2", "--level", "2"], 2),
         (["check", "total-gauss", "--n", "3", "--level", "0"], 0),
     ],
 )
 def test_check_reports_the_level_it_runs(argv, level, capsys, monkeypatch):
-    args = cli.build_parser().parse_args(argv)
-    assert cli._check_level(args) == level
     ran = {}
 
     def fake_check(a):
         ran["level"] = a.level
         return {"pass": True}
 
-    monkeypatch.setitem(cli.CHECKS, args.what, fake_check)
+    monkeypatch.setitem(cli.CHECKS, argv[1], fake_check)
     code, out = run_cli(argv, capsys)
     assert code == 0
     assert ran["level"] == json.loads(out)["config"]["level"] == level
@@ -256,11 +255,16 @@ def test_report_embeds_config_seed_tolerance(capsys):
         capsys,
     )
     rep = json.loads(out)
-    assert rep["config"]["seed"] == 0
+    assert "seed" not in rep["config"]  # a deterministic check reads no seed
     assert rep["config"]["tol"] == 1e-8
     assert rep["results"]["tolerance"] == 1e-8
     assert rep["version"]
     assert rep["tool"] == "croftonlab"
+    _, out = run_cli(["check", "crofton-cpn", "--n", "2", "--samples", "100", "--tol", "50"],
+                     capsys)
+    rep = json.loads(out)
+    assert rep["config"]["seed"] == 0 and rep["config"]["tol"] == 50
+    assert [it["estimate"]["seed"] for it in rep["results"]["items"]] == [1, 2, 3, 4]
 
 
 def _csv_rows(text):
@@ -408,13 +412,6 @@ def test_invalid_thread_count_is_a_parser_error(value, capsys, monkeypatch):
     assert "CROFTONLAB_THREADS" in err and repr(value) in err
 
 
-def test_samples_and_threads_only_checked_for_check(capsys, monkeypatch):
-    monkeypatch.setenv("CROFTONLAB_THREADS", "abc")
-    assert cli.main(["coeffs", "--gb", "--samples", "0"]) == 0
-    assert json.loads(capsys.readouterr().out)["results"]["entries"]
-    assert cli.main(["volumes", "--n", "2", "--R", "0.5", "--samples", "0"]) == 0
-
-
 @pytest.mark.parametrize(
     "argv,flag",
     [
@@ -465,13 +462,33 @@ def test_samples_and_threads_only_checked_for_check(capsys, monkeypatch):
         (["volumes", "--shape", "ellipsoid", "--axes", "1,1,2,2", "--level", "0",
           "--richardson"], "--richardson"),
         (["volumes", "--R", "0.5", "--closed-form", "--richardson"], "--richardson"),
-        # every check reports the parsed --axes, a ball's too
+        # a ball check reads no --axes
         (["check", "gamma-b", "--eps", "1", "--R", "0.5", "--axes", "1,x"], "--axes"),
         # an --out that cannot be opened is refused before anything runs
         (["coeffs", "--gb", "--out", "{tmp}/missing/x.json"], "--out"),
         (["check", "gauss-bonnet", "--shape", "ellipsoid", "--axes", "1,1,2,2",
           "--out", "{tmp}/missing/x.json"], "--out"),
         (["volumes", "--R", "0.5", "--closed-form", "--out", "{tmp}"], "--out"),
+        # every seed a check derives, seed + i, must lie in [0, 2**63): -1 used to
+        # raise in numpy, and the others drew the streams of seeds 2**63 apart
+        (["check", "grassmann-pointwise", "--n", "2", "--samples", "100", "--seed", "-1"],
+         "--seed"),
+        (["check", "crofton-cpn", "--n", "2", "--samples", "2000", "--seed", "-2"], "--seed"),
+        (["check", "crofton-cpn", "--n", "2", "--samples", "2000",
+          "--seed", "9223372036854775806"], "--seed"),
+        (["check", "crofton-cpn", "--n", "2", "--samples", "2000",
+          "--seed", "9223372036854775804"], "--seed"),
+        # an ellipsoid's n is half its semiaxis count; a given --n must agree
+        (["check", "gauss-bonnet", "--shape", "ellipsoid", "--axes", "1,1,1,1,2,2", "--n", "2"],
+         "--n"),
+        # crofton-mc runs n = 3 at level 1: a given --level, even 1, is refused, not replaced
+        (["check", "crofton-mc", "--n", "3", "--level", "1"], "--level"),
+        # flags a command does not read; these ran eps = 1 balls at four fixed
+        # radii, and the one-node ball rule twice for a zero error bar at level 3
+        (["check", "crofton-cpn", "--n", "2", "--eps", "-1", "--shape", "ellipsoid",
+          "--axes", "1,1,2,2", "--level", "5"], "--eps"),
+        (["volumes", "--shape", "ball", "--n", "2", "--eps", "1", "--R", "0.5", "--level", "3",
+          "--richardson"], "--richardson"),
     ],
 )
 def test_bad_flag_values_are_parser_errors(argv, flag, capsys, tmp_path, monkeypatch):
@@ -558,23 +575,95 @@ def test_grassmann_pointwise_over_the_whole_distribution(n, capsys):
     assert all(items[name]["relErr"] < 1e-12 for name in ("h0", "h1", "ratio"))
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        # gamma-b takes no plane dimension
-        ["check", "gamma-b", "--n", "2", "--r", "5", "--eps", "1", "--R", "0.5"],
-        # the ellipsoid's n, not --n, bounds r and sizes the table
-        ["check", "crofton-variation", "--shape", "ellipsoid", "--axes", "1,1,1,1,2,2",
-         "--r", "2"],
-        ["volumes", "--shape", "ellipsoid", "--axes", "1,1", "--n", "0"],
-        # neither reads --level, and crofton-mc tabulates n = 3 at level 1
-        ["check", "crofton-cpn", "--level", "-1"],
-        ["check", "grassmann-pointwise", "--level", "-1"],
-        ["check", "crofton-mc", "--n", "3", "--level", "-1"],
-    ],
-)
-def test_flags_are_only_checked_where_a_command_reads_them(argv):
-    cli._validate(cli.build_parser(), cli.build_parser().parse_args(argv))
+# the flags (by dest) each command reads, by coeffs table or by command and
+# shape kind, written out here independently of cli.READS
+BALL = {"shape", "n", "eps", "R"}
+ELLIPSOID = {"shape", "axes", "n", "level"}
+MONTE_CARLO = {"n", "r", "samples", "seed", "tol"}
+READ_SETS = {
+    ("coeffs", "gb"): {"n"},
+    ("coeffs", "crofton"): {"n", "r"},
+    ("coeffs", "total_gauss"): {"n", "r"},
+    ("coeffs", "variation"): {"n"},
+    ("coeffs", "identities"): {"max_n"},
+    ("volumes", "ball"): BALL | {"closed_form"},
+    ("volumes", "ellipsoid"): ELLIPSOID | {"richardson"},
+    **{(what, "ball"): BALL | {"tol"} for what in ("gauss-bonnet", "gamma-b", "variation")},
+    **{(what, "ellipsoid"): ELLIPSOID | {"tol"} for what in ("gauss-bonnet", "variation")},
+    ("crofton-variation", "ball"): BALL | {"r", "tol"},
+    ("crofton-variation", "ellipsoid"): ELLIPSOID | {"r", "tol"},
+    ("crofton-mc", None): MONTE_CARLO | {"level"},
+    ("crofton-cpn", None): MONTE_CARLO,
+    ("total-gauss", None): MONTE_CARLO | {"level"},
+    ("grassmann-pointwise", None): MONTE_CARLO,
+}
+# one valid value of every settable flag (None: a flag without a value)
+VALUES = {"n": "2", "r": "1", "eps": "0.5", "R": "0.5", "shape": "ball", "axes": "1,1,2,2",
+          "level": "1", "samples": "100", "seed": "1", "tol": "0.5", "max_n": "3",
+          "closed_form": None, "richardson": None}
+CONFIG_KEYS = {"max_n": "maxN", "closed_form": "closedForm"}
+
+
+def _flag_argv(dests, kind):
+    argv = []
+    for dest in sorted(dests):
+        value = kind if dest == "shape" and kind else VALUES[dest]
+        argv += ["--" + dest.replace("_", "-")] + ([value] if value else [])
+    return argv
+
+
+@pytest.mark.parametrize("command,kind", READ_SETS, ids=[f"{c}-{k}" for c, k in READ_SETS])
+def test_each_command_reads_exactly_its_flags(command, kind, capsys, monkeypatch):
+    # nothing numeric runs for a check; the exact tables and the volumes here are small
+    for what in cli.CHECKS:
+        monkeypatch.setitem(cli.CHECKS, what, lambda a: {"pass": True})
+    reads = READ_SETS[(command, kind)]
+    assert set(cli.READS[(command, kind)]) == reads
+    if command == "coeffs":
+        argv = ["coeffs", "--" + kind.replace("_", "-")]
+    else:
+        argv = ["volumes"] if command == "volumes" else ["check", command]
+    argv += _flag_argv(reads, kind)
+    # only read flags: the config is the read set
+    code, out, err = _outcome(argv, capsys)
+    assert code == 0, err
+    want = {CONFIG_KEYS.get(dest, dest) for dest in reads} | {"subcommand"}
+    assert set(json.loads(out)["config"]) == want | ({"what"} if command != "volumes" else set())
+    # any one flag more: exit 2, naming it, before anything runs
+    for dest in set(VALUES) - reads:
+        code, out, err = _outcome(argv + _flag_argv({dest}, None), capsys)
+        assert (code, out) == (2, ""), dest
+        assert "Traceback" not in err
+        assert "--" + dest.replace("_", "-") in err.strip().splitlines()[-1]
+
+
+def test_the_largest_seed_draws_valid_streams(capsys):
+    # crofton-cpn draws seeds up to seed + 4 = 2**63 - 1
+    argv = ["check", "crofton-cpn", "--n", "2", "--samples", "100", "--tol", "50",
+            "--seed", str(2**63 - 5)]
+    assert cli.main(argv) == 0
+    items = json.loads(capsys.readouterr().out)["results"]["items"]
+    assert items[-1]["estimate"]["seed"] == 2**63 - 1
+
+
+def test_benchmark_command_lines_parse_and_validate(monkeypatch):
+    # every command line the benchmark runs in-process stays accepted
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    import workloads
+
+    argvs = [["check", "gamma-b", "--n", "2", "--eps", "1", "--R", "0.5"]]  # run.py's warm-up
+    monkeypatch.setattr(workloads, "cli_op", lambda *argv: argvs.append(list(argv)))
+    workloads.build("deterministic", 0)
+    workloads.build("montecarlo", 0)
+    parser = cli.build_parser()
+    distinct = {shlex.join(argv): argv for argv in argvs}
+    for argv in distinct.values():
+        try:
+            cli._validate(parser, parser.parse_args(argv))
+        except SystemExit:
+            pytest.fail(f"benchmark command rejected: croftonlab {shlex.join(argv)}")
+    assert ["coeffs", "--identities"] in argvs
+    assert {argv[1] for argv in argvs if argv[0] == "check"} == set(cli.CHECKS)
 
 
 def test_readme_commands_parse_and_validate():
@@ -591,14 +680,6 @@ def test_readme_commands_parse_and_validate():
         except SystemExit:
             pytest.fail(f"README command rejected: croftonlab {shlex.join(argv)}")
     assert {argv[1] for argv in commands if argv[0] == "check"} == set(cli.CHECKS)
-
-
-def test_every_command_states_what_it_reads(capsys):
-    assert set(cli.READS) == set(cli.CHECKS) | {"volumes"}
-    assert cli.main(["check", "gamma-b", "--n", "2", "--r", "5", "--eps", "1", "--R", "0.5"]) == 0
-    capsys.readouterr()
-    assert cli.main(["volumes", "--shape", "ellipsoid", "--axes", "1,1", "--n", "0"]) == 0
-    assert json.loads(capsys.readouterr().out)["config"]["shape"]["axes"] == [1.0, 1.0]
 
 
 # one run of every subcommand and check kind, small enough to be quick; the
