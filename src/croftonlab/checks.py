@@ -100,13 +100,9 @@ def identities(max_n: int) -> dict:
     return results
 
 
-def _flow(shape: geom.Shape, diag: Optional[Sequence[float]]) -> varcheck.Flow:
-    """Radial flow for balls (constant curvature), else exp(t diag) (default 0.3 - 0.07 i)."""
-    if shape.curvatures is not None:
-        return varcheck.RadialFlow()
-    if diag is None:
-        diag = [0.3 - 0.07 * i for i in range(2 * shape.n)]
-    return varcheck.LinearFlow(np.diag(diag))
+def _with_rule(results: dict, table: valuations.ValuationTable) -> dict:
+    """`results`, plus the rule and node count of a quadrature table as `quadrature`."""
+    return {**results, "quadrature": table.quadrature} if table.quadrature else results
 
 
 def gauss_bonnet(shape: geom.Shape, level: int, tol: Optional[float] = None) -> dict:
@@ -118,12 +114,9 @@ def gauss_bonnet(shape: geom.Shape, level: int, tol: Optional[float] = None) -> 
     table = valuations.shape_table(shape, level)
     r_mu, r_plane = valuations.gauss_bonnet_residual(shape, table=table)
     rel_mu, rel_plane = abs(r_mu) / o, abs(r_plane) / o
-    results = {"residualMuForm": r_mu, "residualPlaneForm": r_plane, "relativeMuForm": rel_mu,
-               "relativePlaneForm": rel_plane, "tolerance": tol,
-               "pass": rel_mu < tol and rel_plane < tol}
-    if table.quadrature:
-        results["quadrature"] = table.quadrature
-    return results
+    return _with_rule({"residualMuForm": r_mu, "residualPlaneForm": r_plane,
+                       "relativeMuForm": rel_mu, "relativePlaneForm": rel_plane, "tolerance": tol,
+                       "pass": rel_mu < tol and rel_plane < tol}, table)
 
 
 def gamma_b(ball: geom.GeodesicBall, tol: Optional[float] = None) -> dict:
@@ -178,14 +171,19 @@ def crofton_cpn(n: int, r: int, N: int, seed: int, ztol: Optional[float] = None)
             "pass": all(it["pass"] for it in items)}
 
 
-def _oracle(shape: geom.Shape, flow: varcheck.Flow, level: int):
-    """(report label, derivative table, default tolerance) of a variation
-    check's oracle: the analytic R-derivative of the closed form for balls
-    (tol 1e-6), central differences of the tables transported to +-1e-3 for
-    ellipsoids (tol 1e-4)."""
+def _oracle(shape: geom.Shape, level: int, diag: Optional[Sequence[float]]):
+    """(report label, tilde table, derivative table, default tolerance): a ball
+    grows at unit normal speed, so its tilde table is its closed form and its
+    oracle the analytic R-derivative (tol 1e-6); an ellipsoid flows by
+    exp(t diag) (default 0.3 - 0.07 i), with central differences at +-1e-3 (tol 1e-4)."""
     if shape.curvatures is not None:
-        return "oracle", valuations.ball_closed_form_derivative(shape.eps, shape.n, shape.R), 1e-6
-    return "fd", varcheck.central_differences(shape, flow, 1e-3, level), 1e-4
+        return ("oracle", valuations.shape_table(shape),
+                valuations.ball_closed_form_derivative(shape.eps, shape.n, shape.R), 1e-6)
+    if diag is None:
+        diag = [0.3 - 0.07 * i for i in range(2 * shape.n)]
+    flow = varcheck.LinearFlow(np.diag(diag))
+    return ("fd", varcheck.tilde_integrals(shape, flow, level),
+            varcheck.central_differences(shape, flow, 1e-3, level), 1e-4)
 
 
 def variation(
@@ -193,16 +191,14 @@ def variation(
     diag: Optional[Sequence[float]] = None,
 ) -> dict:
     """Variation formula of every valuation key against the derivative table
-    of `_oracle`: balls flow radially, ellipsoids by exp(t diag).
+    of `_oracle`: balls grow radially, ellipsoids flow by exp(t diag).
 
     Errors are relative, floored at 1e-6 of the largest oracle value.
-    `quadrature` states the tilde table's rule and node count.
+    `quadrature` states the rule and node count of a quadrature tilde table.
     """
-    flow = _flow(shape, diag)
     keys = cc.variation_operator(shape.n).keys()
-    label, deriv, default_tol = _oracle(shape, flow, level)
+    label, tilde, deriv, default_tol = _oracle(shape, level, diag)
     tol = default_tol if tol is None else tol
-    tilde = varcheck.tilde_integrals(shape, flow, level=level)
     oracle = {key: varcheck.valuation_value(deriv, key) for key in keys}
     scale = max(abs(v) for v in oracle.values())
     items = {}
@@ -210,8 +206,8 @@ def variation(
         formula = varcheck.variation_formula(key, tilde)
         err = abs(formula - oracle[key]) / max(abs(oracle[key]), 1e-6 * scale)
         items[varcheck.key_name(key)] = {"formula": formula, label: oracle[key], "relErr": err}
-    return {"keys": items, "quadrature": tilde.quadrature, "tolerance": tol,
-            "pass": all(it["relErr"] < tol for it in items.values())}
+    return _with_rule({"keys": items, "tolerance": tol,
+                       "pass": all(it["relErr"] < tol for it in items.values())}, tilde)
 
 
 def crofton_variation(
@@ -221,17 +217,15 @@ def crofton_variation(
     """Variation of the plane-measure bracket: the bracket of `_oracle`'s
     derivative table against `varcheck.crofton_variation_formula`.
 
-    `quadrature` states the tilde table's rule and node count.
+    `quadrature` states the rule and node count of a quadrature tilde table.
     """
-    flow = _flow(shape, diag)
-    label, deriv, default_tol = _oracle(shape, flow, level)
+    label, tilde, deriv, default_tol = _oracle(shape, level, diag)
     tol = default_tol if tol is None else tol
-    tilde = varcheck.tilde_integrals(shape, flow, level=level)
     lhs = valuations.crofton_rhs(deriv, r)
     rhs = varcheck.crofton_variation_formula(r, tilde)
     err = abs(lhs - rhs) / max(abs(rhs), 1e-12)
-    return {label: lhs, "formula": rhs, "relErr": err, "quadrature": tilde.quadrature,
-            "tolerance": tol, "pass": err < tol}
+    return _with_rule({label: lhs, "formula": rhs, "relErr": err, "tolerance": tol,
+                       "pass": err < tol}, tilde)
 
 
 def total_gauss(

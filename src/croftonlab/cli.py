@@ -151,10 +151,7 @@ def cmd_coeffs(args) -> int:
 
 def cmd_volumes(args) -> int:
     shape = args.body
-    if args.closed_form:
-        table = valuations.ball_closed_form(shape.eps, shape.n, shape.R)
-    else:
-        table = valuations.hermitian_volumes(shape, args.level)
+    table = valuations.shape_table(shape, args.level)
     results = {"table": table.to_json()}
     if table.quadrature:
         results["quadrature"] = table.quadrature
@@ -213,7 +210,7 @@ READS = {
     ("coeffs", "total_gauss"): ("n", "r"),
     ("coeffs", "variation"): ("n",),
     ("coeffs", "identities"): ("max_n",),
-    ("volumes", "ball"): BALL + ("closed_form",),
+    ("volumes", "ball"): BALL,
     ("volumes", "ellipsoid"): ELLIPSOID + ("richardson",),
     ("gauss-bonnet", "ball"): BALL + ("tol",),
     ("gauss-bonnet", "ellipsoid"): ELLIPSOID + ("tol",),
@@ -290,9 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv = sub.add_parser("volumes", help="valuation table of a shape")
     common(pv)
     pv.add_argument("--richardson", action=_Given, nargs=0, const=True, default=False)
-    pv.add_argument("--closed-form", dest="closed_form", action=_Given, nargs=0, const=True,
-                    default=False)
-    pv.set_defaults(func=cmd_volumes)
+    pv.set_defaults(func=cmd_volumes, closed_form=False)  # read by bench/workloads.cli_plan
 
     pk = sub.add_parser("check", help="run one verification, exit 0 iff it passes")
     pk.add_argument("what", choices=sorted(CHECKS))
@@ -364,7 +359,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     _validate(parser, args)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except geom.RuleTooLarge as exc:  # refused before the rule is allocated
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

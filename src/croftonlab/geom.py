@@ -5,13 +5,13 @@ layer outside this module tests a shape's class: its boundary quadrature
 cloud, chunk by chunk (`boundary(level, symmetry, size)`), which flat
 complex planes meet it (`meets`), its principal curvatures when they are
 constant (`curvatures`, else None), and its exact transport by a linear map
-(`transformed`) or a radial growth (`grown`).  A kind that cannot answer
-raises ValueError.  The kinds are ellipsoids in C^n (flat case only), given
-by 2n semiaxes or a positive quadratic form and sampled through the unit
-sphere by a Gauss-Jacobi product rule in hyperspherical angles, and geodesic
-balls in the space form of holomorphic curvature 4*eps, whose boundary has
-constant principal curvatures: one value in the Hopf direction JN and one on
-the distribution.
+(`transformed`).  A kind that cannot answer raises ValueError.  The kinds
+are ellipsoids in C^n (flat case only), given by 2n semiaxes or a positive
+quadratic form and sampled through the unit sphere by a Gauss-Jacobi
+product rule in hyperspherical angles, and geodesic balls in the space form
+of holomorphic curvature 4*eps, whose boundary has constant principal
+curvatures: one value in the Hopf direction JN and one on the distribution.
+A ball answers no `boundary`: its tables are closed forms (`valuations`).
 
 Every sampled boundary point carries its position, its outward normal N,
 the second fundamental form in the adapted frame (JN, e_2, Je_2, ...)
@@ -66,6 +66,8 @@ from .coeffcore import ball_volume_coeff, sphere_volume_coeff
 
 __all__ = [
     "Workspace",
+    "MAX_RULE_NODES",
+    "RuleTooLarge",
     "Ellipsoid",
     "GeodesicBall",
     "Shape",
@@ -76,7 +78,6 @@ __all__ = [
     "sphere_grid",
     "torus_orbit_grid",
     "boundary_chunks",
-    "sample_boundary",
     "geodesic_sphere_curvatures",
     "jacobi_value",
     "sphere_area_and_ball_volume",
@@ -209,18 +210,19 @@ def _inverse_form(M: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 class Shape:
     """A domain of dimension n in curvature 4*eps answering for its geometry (see
-    the module docstring).  Every kind answers `boundary` and `meets`, whose
-    planes are batch-last and complex: V (n, r, m), anchors (n, m).  The
-    defaults below are the questions a kind may leave unanswered.  `meets`
-    takes an optional `Workspace` for its scratch arrays."""
+    the module docstring).  Every kind answers `meets`, whose planes are
+    batch-last and complex: V (n, r, m), anchors (n, m).  The defaults below
+    are the questions a kind may leave unanswered.  `meets` takes an optional
+    `Workspace` for its scratch arrays."""
 
     curvatures: Optional[Tuple[float, float]] = None
 
     def transformed(self, M: np.ndarray) -> "Shape":
         raise ValueError(f"{self!r} is not moved by linear flows (ellipsoids only)")
 
-    def grown(self, t: float) -> "Shape":
-        raise ValueError(f"{self!r} is not moved by radial flows (geodesic balls only)")
+    def boundary(self, level: int, symmetry: str,
+                 size: Optional[int]) -> Iterator["BoundaryCloud"]:
+        raise ValueError(f"{self!r} has no boundary quadrature (ellipsoids only)")
 
 
 class Ellipsoid(Shape):
@@ -372,20 +374,6 @@ class GeodesicBall(Shape):
     def curvatures(self) -> Tuple[float, float]:
         return geodesic_sphere_curvatures(self.eps, self.R)
 
-    def grown(self, t: float) -> "GeodesicBall":
-        return GeodesicBall(n=self.n, eps=self.eps, R=self.R + t)
-
-    def boundary(self, level: int, symmetry: str,
-                 size: Optional[int]) -> Iterator["BoundaryCloud"]:
-        """One node: the closed-form curvatures at the weight of the whole sphere area."""
-        n = self.n
-        mu_h, lam = self.curvatures
-        area, _ = sphere_area_and_ball_volume(self.eps, n, self.R)
-        normal = np.eye(1, 2 * n)
-        pos = self.R * normal
-        h = np.diag([mu_h] + [lam] * (2 * n - 2))[None]
-        yield BoundaryCloud(n, pos, normal, h, np.array([area]), "constant-curvature")
-
     def meets(self, V: np.ndarray, anchors: np.ndarray,
               ws: Optional[Workspace] = None) -> np.ndarray:
         """Flat planes (eps = 0) within distance R of the center."""
@@ -411,10 +399,9 @@ class BoundaryCloud:
     """Struct-of-arrays boundary sample: position, outward normal, II, weight.
 
     h is the second fundamental form in the adapted frame (JN, e_2, Je_2, ...,
-    e_n, Je_n) of `_adapted_frames` with the inner-normal sign convention.  For
-    geodesic balls at eps != 0 the position is a geodesic polar marker, not an
-    embedding.  `rule` names the quadrature that placed the nodes (see the
-    module docstring; "constant-curvature" for the one node of a geodesic ball).
+    e_n, Je_n) of `_adapted_frames` with the inner-normal sign convention.
+    `rule` names the quadrature that placed the nodes (see the module
+    docstring).
     """
 
     def __init__(self, n, positions, normals, h, weights, rule):
@@ -431,6 +418,18 @@ class BoundaryCloud:
 
 BASE_POLAR_NODES = 8
 BASE_AZIMUTH_NODES = 16
+
+MAX_RULE_NODES = 1 << 24  # nodes of a rule on S^{2n-1}: their points alone take n/4 GiB
+
+
+class RuleTooLarge(ValueError):
+    """A boundary rule of more than MAX_RULE_NODES nodes, refused before it is built."""
+
+
+def _check_rule_size(rule: str, level: int, nodes: int) -> None:
+    if nodes > MAX_RULE_NODES:
+        raise RuleTooLarge(f"the level-{level} {rule} rule needs {nodes:,} boundary nodes, "
+                           f"over the limit of {MAX_RULE_NODES:,}")
 
 
 def _gauss_jacobi(p: int, alpha: float, beta: float) -> Tuple[np.ndarray, np.ndarray]:
@@ -485,6 +484,7 @@ def sphere_grid(d: int, level: int, fold: bool = False) -> Tuple[np.ndarray, np.
     z = cos(theta) with the exact weight (1 - z^2)^{(d-2-i)/2}, the azimuth by
     a uniform (trapezoidal) rule.  Level L scales every node count by 2^L.
     Returns (points (m, d), weights (m,)); weights sum to the sphere volume.
+    A rule of more than MAX_RULE_NODES nodes raises `RuleTooLarge`.
 
     `fold=True` (d = 2n) builds only the nodes whose even coordinates
     u_0, u_2, ..., u_{d-2} are all positive, one per orbit of the sign flips
@@ -499,6 +499,9 @@ def sphere_grid(d: int, level: int, fold: bool = False) -> Tuple[np.ndarray, np.
         raise ValueError("the sign fold needs an even dimension")
     n_polar = BASE_POLAR_NODES * 2**level
     n_az = BASE_AZIMUTH_NODES * 2**level
+    # the fold keeps half of each of the d/2 axes that set an even coordinate
+    nodes = n_polar ** (d - 2) * n_az // (2 ** (d // 2) if fold else 1)
+    _check_rule_size("sign-fold" if fold else "product", level, nodes)
 
     axes_nodes: List[np.ndarray] = []
     axes_weights: List[np.ndarray] = []
@@ -555,11 +558,12 @@ def torus_orbit_grid(n: int, level: int) -> Tuple[np.ndarray, np.ndarray]:
     coordinates s_i = t_i (1 - t_1) ... (1 - t_{i-1}) have Jacobian
     prod_i (1 - t_i)^{n-1-i}; coordinate i takes p = 8 * 2^L Gauss-Jacobi
     nodes for that weight.  Returns (points (p^{n-1}, 2n), weights) with the
-    weights summing to O_{2n-1}.  Uncached: most of a call is its n - 1
-    Gauss-Jacobi rules, about 0.2 ms each at p = 16 and 0.3 ms at p = 32 on
-    a 2-vCPU machine.
+    weights summing to O_{2n-1} (`RuleTooLarge` over MAX_RULE_NODES nodes).
+    Uncached: most of a call is its n - 1 Gauss-Jacobi rules, about 0.2 ms
+    each at p = 16 and 0.3 ms at p = 32 on a 2-vCPU machine.
     """
     p = BASE_POLAR_NODES * 2**level
+    _check_rule_size("torus-orbit", level, p ** (n - 1))
     ts, one_minus_ts, axes_weights = [], [], []
     for i in range(1, n):
         alpha = n - 1 - i
@@ -671,11 +675,6 @@ def boundary_chunks(shape: Shape, level: int, symmetry: str,
     if symmetry not in SYMMETRIES:
         raise ValueError(f"symmetry must be one of {SYMMETRIES}, got {symmetry!r}")
     return shape.boundary(level, symmetry, size)
-
-
-def sample_boundary(shape: Shape, level: int = 0, symmetry: str = "none") -> BoundaryCloud:
-    """The whole boundary cloud as one `BoundaryCloud` (see `boundary_chunks`)."""
-    return next(boundary_chunks(shape, level, symmetry, None))
 
 
 # ---------------------------------------------------------------------------

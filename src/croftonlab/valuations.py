@@ -12,12 +12,14 @@ with e_j(h) the j-th elementary symmetric function of the principal
 curvatures (the sum of the principal j-minors of h), read off a Householder
 tridiagonal form of h by the continuant recurrence.
 
-Geodesic balls additionally admit a closed form: the boundary has constant
-curvatures (mu_H on JN, lambda on the distribution), every density is a
-monomial, and
+A geodesic ball's one table is a closed form (`shape_table`): the boundary
+has constant curvatures (mu_H on JN, lambda on the distribution), every
+density is a monomial, and
 
     B[k,q]     = c_{n,k,q} 2^{k-2q-1} lambda^{2n-k-1} (n-1)! * area
     Gamma[k,q] = c_{n,k,q}/2 * mu_H 2^{k-2q} lambda^{2n-k-2} (n-1)! * area.
+
+Grown at unit normal speed, <X, N> = 1: its tilde table needs no flow object.
 
 Unweighted tables integrate U(n)-invariant densities, so they take the
 strongest exact symmetry reduction of the boundary rule that the shape admits
@@ -179,7 +181,7 @@ def hermitian_volumes(shape: geom.Shape, level: int = 1, flow=None) -> Valuation
     reduces only by the symmetries its `symmetry` group shares (the tilde
     table of `varcheck.tilde_integrals`).  `quadrature` records the rule and
     its node count.  The curvature sums M[j] come from
-    `_elementary_symmetric_functions`.
+    `_elementary_symmetric_functions`.  A ball (no boundary rule) raises ValueError.
     """
     n = shape.n
     symmetry = "torus" if flow is None else flow.symmetry

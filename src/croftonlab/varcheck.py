@@ -1,11 +1,10 @@
 """First-variation formulas and the derivative tables they are checked against.
 
-Flows act on shape parameters, never on point clouds:
-
-  * LinearFlow(A): phi_t = exp(tA) on R^{2n}, through `Shape.transformed`;
-    ellipsoids transport exactly through their quadratic form (flat case only).
-  * RadialFlow(): moves the boundary of a geodesic ball of radius R to radius
-    R + t at unit normal speed (any curvature), through `Shape.grown`.
+Flows act on shape parameters, never on point clouds: LinearFlow(A),
+phi_t = exp(tA) on R^{2n}, moves a shape through `Shape.transformed`, and
+ellipsoids transport exactly through their quadratic form (flat case only).
+A geodesic ball grown at unit normal speed needs no flow object: its
+<X, N> = 1, so its tilde table is its closed-form valuation table.
 
 For a valuation key ("B", k, q), ("G", 2q, q) or "vol" the analytic variation
 contracts the exact variation operator with the tilde table: the valuation
@@ -16,7 +15,7 @@ whose B and Gamma entries are the normalized tilde integrals
 
 A tilde table integrates <X, N> times U(n)-invariant densities, so its
 boundary rule may fold by every symmetry of the shape that also leaves
-<X, N> invariant: `Flow.symmetry` names that group of the flow, and
+<X, N> invariant: `LinearFlow.symmetry` names that group of the flow, and
 `valuations.hermitian_volumes(shape, level, flow)` weights by its
 `normal_speed`.  `variation_formula` and `crofton_variation_formula` take
 the tilde table as an argument and read n and eps from it.
@@ -44,8 +43,6 @@ from .coeffcore import crofton_variation_coeffs, variation_operator
 
 __all__ = [
     "LinearFlow",
-    "RadialFlow",
-    "Flow",
     "tilde_integrals",
     "valuation_value",
     "key_name",
@@ -118,24 +115,8 @@ class LinearFlow:
         )
 
 
-@dataclass
-class RadialFlow:
-    """Unit-speed outward radial flow of geodesic balls, <X, N> = 1."""
-
-    symmetry = "torus"  # a constant weight is invariant under every isometry
-
-    def transport(self, shape: geom.Shape, t: float) -> geom.Shape:
-        return shape.grown(t)
-
-    def normal_speed(self, cloud: geom.BoundaryCloud) -> np.ndarray:
-        return np.ones(len(cloud))
-
-
-Flow = Union[LinearFlow, RadialFlow]
-
-
 def tilde_integrals(
-    shape: geom.Shape, flow: Flow, level: int = 1
+    shape: geom.Shape, flow: LinearFlow, level: int = 1
 ) -> valuations.ValuationTable:
     """Valuation table of the boundary measure weighted by <X, N> (the tilde table).
 
@@ -143,9 +124,8 @@ def tilde_integrals(
     the strongest reduction that group and the shape admit: the sign fold for
     a diagonal generator on an axis-aligned ellipsoid, the torus-orbit rule
     only when it also commutes with J on every pair (`geom.boundary_chunks`).
-    A flow that cannot move the shape (`flow.transport`) raises ValueError.
+    A shape without a boundary rule (a ball) raises ValueError.
     """
-    flow.transport(shape, 0.0)
     return valuations.hermitian_volumes(shape, level, flow)
 
 
@@ -165,13 +145,13 @@ def key_name(key: Key) -> str:
 
 
 def central_differences(
-    shape: geom.Shape, flow: Flow, h_step: float, level: int = 1
+    shape: geom.Shape, flow: LinearFlow, h_step: float, level: int = 1
 ) -> valuations.ValuationTable:
     """Derivative table by central differences: every B, Gamma, M and vol entry
-    is (plus - minus) / (2 h_step) of the tables of the shape transported by
-    +h_step and -h_step."""
-    plus = valuations.shape_table(flow.transport(shape, h_step), level)
-    minus = valuations.shape_table(flow.transport(shape, -h_step), level)
+    is (plus - minus) / (2 h_step) of the quadrature tables of the shape
+    transported by +h_step and -h_step."""
+    plus = valuations.hermitian_volumes(flow.transport(shape, h_step), level)
+    minus = valuations.hermitian_volumes(flow.transport(shape, -h_step), level)
 
     def diff(a, b):
         return (a - b) / (2 * h_step)

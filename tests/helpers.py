@@ -3,6 +3,8 @@
 import numpy as np
 from scipy.integrate import solve_ivp
 
+from croftonlab import geom, valuations
+
 
 def realify_complex_columns(Vc: np.ndarray) -> np.ndarray:
     """Realify complex column vectors: (..., n, r) complex -> (..., 2n, 2r) real.
@@ -28,14 +30,60 @@ def richardson_error(fine, coarse) -> dict:
 
 
 class ProductRuleWeight:
-    """A flow's normal speed claiming no symmetry, so that a table weighted by
-    it (`valuations.hermitian_volumes(shape, level, weight)`) takes the full
+    """A flow's normal speed, or the unit weight without a flow, claiming no
+    symmetry, so that a table weighted by it
+    (`valuations.hermitian_volumes(shape, level, weight)`) takes the full
     product rule."""
 
     symmetry = "none"
 
-    def __init__(self, flow):
-        self.normal_speed = flow.normal_speed
+    def __init__(self, flow=None):
+        self.normal_speed = flow.normal_speed if flow else lambda cloud: np.ones(len(cloud))
+
+
+def radial_differences(eps, n, R, h_step):
+    """The derivative table of a geodesic ball grown at unit normal speed by
+    central differences, as `varcheck.central_differences` forms them: every
+    entry is (plus - minus) / (2 h_step) of the closed-form tables at radius
+    R + h_step and R - h_step."""
+    plus = valuations.ball_closed_form(eps, n, R + h_step)
+    minus = valuations.ball_closed_form(eps, n, R - h_step)
+
+    def diff(a, b):
+        return (a - b) / (2 * h_step)
+
+    return valuations.ValuationTable(
+        n=n, eps=eps,
+        B={key: diff(v, minus.B[key]) for key, v in plus.B.items()},
+        Gamma={key: diff(v, minus.Gamma[key]) for key, v in plus.Gamma.items()},
+        M={j: diff(v, minus.M[j]) for j, v in plus.M.items()},
+        vol=diff(plus.vol, minus.vol),
+    )
+
+
+def whole_cloud(shape, level=0, symmetry="none"):
+    """The whole boundary cloud of a shape's rule as one `geom.BoundaryCloud`."""
+    return next(geom.boundary_chunks(shape, level, symmetry, None))
+
+
+class OneNodeBall:
+    """A geodesic ball as one boundary node: h = diag(mu_H, lambda, ...,
+    lambda) from the closed-form curvatures, at the weight of the whole sphere
+    area.  `valuations.hermitian_volumes` integrates it with the density
+    engine, an oracle for the closed-form ball table (a `geom.GeodesicBall`
+    has no boundary rule)."""
+
+    def __init__(self, n, eps, R):
+        self.n, self.eps, self.R = n, eps, R
+        self.volume = geom.sphere_area_and_ball_volume(eps, n, R)[1]
+
+    def boundary(self, level, symmetry, size):
+        n = self.n
+        mu_h, lam = geom.geodesic_sphere_curvatures(self.eps, self.R)
+        area, _ = geom.sphere_area_and_ball_volume(self.eps, n, self.R)
+        normal = np.eye(1, 2 * n)
+        h = np.diag([mu_h] + [lam] * (2 * n - 2))[None]
+        yield geom.BoundaryCloud(n, self.R * normal, normal, h, np.array([area]), "one node")
 
 
 class ConjugatePointError(RuntimeError):

@@ -7,6 +7,7 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from math import pi
 from pathlib import Path
@@ -65,14 +66,49 @@ def test_identity_suite_refuses_a_vacuous_range(max_n):
 
 
 def test_volumes_closed_form(capsys):
-    code, out = run_cli(
-        ["volumes", "--shape", "ball", "--n", "2", "--eps", "0", "--R", "1",
-         "--closed-form"],
-        capsys,
-    )
+    # a ball's one table is its closed form, bit for bit, with no quadrature
+    code, out = run_cli(["volumes", "--shape", "ball", "--n", "2", "--eps", "0", "--R", "1"],
+                        capsys)
     assert code == 0
     rep = json.loads(out)
+    assert rep["results"] == {"table": valuations.ball_closed_form(0.0, 2, 1.0).to_json()}
     assert rep["results"]["table"]["mu:2,1"] == pytest.approx(pi)
+
+
+@pytest.mark.parametrize("eps,R", [(1.0, 0.5), (-1.0, 0.8), (0.0, 1.3)])
+def test_ball_variation_reports_read_the_closed_form(eps, R, capsys):
+    # the tilde table of a ball is its closed form: no quadrature is reported,
+    # and every formula value is the closed form's, bit for bit
+    ball = ["--shape", "ball", "--n", "3", "--eps", str(eps), "--R", str(R)]
+    tilde = valuations.ball_closed_form(eps, 3, R)
+    code, out = run_cli(["check", "variation", *ball], capsys)
+    results = json.loads(out)["results"]
+    assert code == 0 and "quadrature" not in results
+    for key in cc.variation_operator(3).keys():
+        item = results["keys"][varcheck.key_name(key)]
+        assert item["formula"] == varcheck.variation_formula(key, tilde), key
+    for r in (1, 2):
+        code, out = run_cli(["check", "crofton-variation", *ball, "--r", str(r)], capsys)
+        results = json.loads(out)["results"]
+        assert code == 0 and "quadrature" not in results
+        assert results["formula"] == varcheck.crofton_variation_formula(r, tilde)
+
+
+@pytest.mark.parametrize("what", ["variation", "crofton-variation"])
+def test_an_oversized_boundary_rule_is_a_usage_error(what, capsys):
+    # the transported n = 4 ellipsoid needs the level-2 sign-fold rule of
+    # 2^32 nodes: refused before it is allocated, where a MemoryError used to end
+    # the command
+    t0 = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["check", what, "--shape", "ellipsoid", "--axes", "1,1,1,1,1,1,2,2"])
+    assert time.perf_counter() - t0 < 1.0
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.strip().splitlines()[-1] == (
+        "croftonlab: error: the level-2 sign-fold rule needs 4,294,967,296 boundary nodes, "
+        "over the limit of 16,777,216")
 
 
 def test_volumes_richardson(capsys):
@@ -277,7 +313,7 @@ def test_csv_output_flattens_kq_keys(capsys, tmp_path):
     out_path = tmp_path / "table.csv"
     code, _ = run_cli(
         ["volumes", "--shape", "ball", "--n", "2", "--eps", "0", "--R", "1",
-         "--closed-form", "--format", "csv", "--out", str(out_path)],
+         "--format", "csv", "--out", str(out_path)],
         capsys,
     )
     assert code == 0
@@ -428,7 +464,7 @@ def test_invalid_thread_count_is_a_parser_error(value, capsys, monkeypatch):
         (["check", "gauss-bonnet", "--shape", "ellipsoid", "--axes", "1,2,3"], "2n semiaxes"),
         (["check", "gauss-bonnet", "--shape", "ellipsoid", "--axes", "1,1,0,2"], "positive"),
         (["check", "gauss-bonnet", "--R", "-0.5"], "radius must be positive"),
-        (["volumes", "--shape", "ball", "--R", "-0.5", "--closed-form"], "radius"),
+        (["volumes", "--shape", "ball", "--R", "-0.5"], "radius"),
         (["check", "gamma-b", "--eps", "1", "--R", "2"], "injectivity"),
         (["check", "gauss-bonnet", "--n", "0"], "--n"),
         (["coeffs", "--crofton", "--n", "2", "--r", "5"], "--r"),
@@ -456,19 +492,19 @@ def test_invalid_thread_count_is_a_parser_error(value, capsys, monkeypatch):
         (["check", "gamma-b", "--eps", "1", "--R", "0.5", "--tol", "inf"], "--tol"),
         (["check", "gamma-b", "--eps", "1", "--R", "0.5", "--tol", "0"], "--tol"),
         (["check", "gauss-bonnet", "--eps", "-1", "--R", "400"], "overflow"),
-        (["volumes", "--eps", "-1", "--R", "800", "--closed-form"], "overflow"),
+        (["volumes", "--eps", "-1", "--R", "800"], "overflow"),
         (["check", "variation", "--eps", "-1", "--R", "400"], "overflow"),
         (["check", "gauss-bonnet", "--R", "1e-200"], "overflow"),
         (["volumes", "--shape", "ellipsoid", "--axes", "1,1,2,2", "--level", "0",
           "--richardson"], "--richardson"),
-        (["volumes", "--R", "0.5", "--closed-form", "--richardson"], "--richardson"),
+        (["volumes", "--R", "0.5", "--richardson"], "--richardson"),
         # a ball check reads no --axes
         (["check", "gamma-b", "--eps", "1", "--R", "0.5", "--axes", "1,x"], "--axes"),
         # an --out that cannot be opened is refused before anything runs
         (["coeffs", "--gb", "--out", "{tmp}/missing/x.json"], "--out"),
         (["check", "gauss-bonnet", "--shape", "ellipsoid", "--axes", "1,1,2,2",
           "--out", "{tmp}/missing/x.json"], "--out"),
-        (["volumes", "--R", "0.5", "--closed-form", "--out", "{tmp}"], "--out"),
+        (["volumes", "--R", "0.5", "--out", "{tmp}"], "--out"),
         # every seed a check derives, seed + i, must lie in [0, 2**63): -1 used to
         # raise in numpy, and the others drew the streams of seeds 2**63 apart
         (["check", "grassmann-pointwise", "--n", "2", "--samples", "100", "--seed", "-1"],
@@ -489,6 +525,9 @@ def test_invalid_thread_count_is_a_parser_error(value, capsys, monkeypatch):
           "--axes", "1,1,2,2", "--level", "5"], "--eps"),
         (["volumes", "--shape", "ball", "--n", "2", "--eps", "1", "--R", "0.5", "--level", "3",
           "--richardson"], "--richardson"),
+        # a ball's table is its closed form: there is no flag to ask for it
+        (["volumes", "--shape", "ball", "--n", "2", "--eps", "1", "--R", "0.5",
+          "--closed-form"], "--closed-form"),
     ],
 )
 def test_bad_flag_values_are_parser_errors(argv, flag, capsys, tmp_path, monkeypatch):
@@ -518,7 +557,7 @@ def _outcome(argv, capsys):
     "flag,value,argv",
     [
         ("--eps", "-1e-3", ["check", "gamma-b", "--n", "3", "--R", "0.5"]),
-        ("--eps", "-2.5E-1", ["volumes", "--R", "0.5", "--closed-form"]),
+        ("--eps", "-2.5E-1", ["volumes", "--R", "0.5"]),
         ("--R", "-5e-1", ["check", "gauss-bonnet"]),
         ("--tol", "-1e-3", ["check", "gamma-b", "--n", "3", "--eps", "1", "--R", "0.5"]),
     ],
@@ -586,7 +625,7 @@ READ_SETS = {
     ("coeffs", "total_gauss"): {"n", "r"},
     ("coeffs", "variation"): {"n"},
     ("coeffs", "identities"): {"max_n"},
-    ("volumes", "ball"): BALL | {"closed_form"},
+    ("volumes", "ball"): BALL,
     ("volumes", "ellipsoid"): ELLIPSOID | {"richardson"},
     **{(what, "ball"): BALL | {"tol"} for what in ("gauss-bonnet", "gamma-b", "variation")},
     **{(what, "ellipsoid"): ELLIPSOID | {"tol"} for what in ("gauss-bonnet", "variation")},
@@ -600,8 +639,8 @@ READ_SETS = {
 # one valid value of every settable flag (None: a flag without a value)
 VALUES = {"n": "2", "r": "1", "eps": "0.5", "R": "0.5", "shape": "ball", "axes": "1,1,2,2",
           "level": "1", "samples": "100", "seed": "1", "tol": "0.5", "max_n": "3",
-          "closed_form": None, "richardson": None}
-CONFIG_KEYS = {"max_n": "maxN", "closed_form": "closedForm"}
+          "richardson": None}
+CONFIG_KEYS = {"max_n": "maxN"}
 
 
 def _flag_argv(dests, kind):
@@ -666,9 +705,9 @@ def test_benchmark_command_lines_parse_and_validate(monkeypatch):
     assert {argv[1] for argv in argvs if argv[0] == "check"} == set(cli.CHECKS)
 
 
-def test_readme_commands_parse_and_validate():
+def test_readme_commands_parse_and_validate(capsys):
     # the README's command block: every documented flag exists and validates,
-    # and every check is documented; nothing runs
+    # every check is documented, and every documented check passes
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
     commands = [shlex.split(line)[1:] for line in block.splitlines()
@@ -680,6 +719,9 @@ def test_readme_commands_parse_and_validate():
         except SystemExit:
             pytest.fail(f"README command rejected: croftonlab {shlex.join(argv)}")
     assert {argv[1] for argv in commands if argv[0] == "check"} == set(cli.CHECKS)
+    for argv in commands:
+        if argv[0] == "check":
+            assert run_cli(argv, capsys)[0] == 0, f"croftonlab {shlex.join(argv)}"
 
 
 # one run of every subcommand and check kind, small enough to be quick; the
@@ -690,7 +732,7 @@ EVERY_KIND = [
     ["coeffs", "--total-gauss", "--n", "3", "--r", "1"],
     ["coeffs", "--variation", "--n", "3"],
     ["coeffs", "--identities", "--max-n", "3"],
-    ["volumes", "--n", "3", "--eps", "1", "--R", "0.5", "--closed-form"],
+    ["volumes", "--n", "3", "--eps", "1", "--R", "0.5"],
     ["volumes", "--shape", "ellipsoid", "--axes", "1,2,2,3", "--level", "0"],
     ["check", "gauss-bonnet", "--n", "3", "--eps", "-1", "--R", "0.5"],
     ["check", "gamma-b", "--n", "4", "--eps", "1", "--R", "0.5"],

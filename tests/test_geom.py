@@ -11,7 +11,7 @@ from scipy.special import roots_jacobi
 from croftonlab import checks, geom
 from croftonlab.valuations import QUADRATURE_CHUNK
 from croftonlab.coeffcore import ball_volume_coeff, sphere_volume_coeff
-from helpers import ConjugatePointError, jacobi_oracle, realify_complex_columns
+from helpers import ConjugatePointError, jacobi_oracle, realify_complex_columns, whole_cloud
 
 
 # ---------------------------------------------------------------------------
@@ -84,13 +84,13 @@ def test_sphere_grid_total_weight(d, expected):
 
 
 def test_unit_sphere_cloud():
-    cloud = geom.sample_boundary(geom.Ellipsoid.from_axes([1, 1, 1, 1]), level=0)
+    cloud = whole_cloud(geom.Ellipsoid.from_axes([1, 1, 1, 1]), level=0)
     assert cloud.weights.sum() == pytest.approx(2 * pi**2, rel=1e-13)
     assert np.max(np.abs(cloud.h - np.eye(3))) < 1e-12
 
 
 def test_round_sphere_curvature_scaling():
-    cloud = geom.sample_boundary(geom.Ellipsoid.from_axes([2, 2, 2, 2]), level=0)
+    cloud = whole_cloud(geom.Ellipsoid.from_axes([2, 2, 2, 2]), level=0)
     assert np.max(np.abs(cloud.h - np.eye(3) / 2)) < 1e-12
 
 
@@ -108,7 +108,7 @@ def _frame_defect(F, normals):
 
 
 def test_frames_orthonormal_and_adapted():
-    cloud = geom.sample_boundary(geom.Ellipsoid.from_axes([1, 2, 2, 3]), level=1)
+    cloud = whole_cloud(geom.Ellipsoid.from_axes([1, 2, 2, 3]), level=1)
     assert _frame_defect(geom._adapted_frames(cloud.normals), cloud.normals) < 1e-12
     # the reflector's edge cases: N_1 = 0, N = -e_1, N = J e_1, a tiny |N_1|
     for N in ([0.0, 0.0, 1.0, 0.0], [-1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0],
@@ -126,7 +126,7 @@ def test_frames_orthonormal_and_adapted():
 
 
 def test_sff_symmetric_positive_on_convex():
-    cloud = geom.sample_boundary(geom.Ellipsoid.from_axes([1, 1, 2, 2]), level=1)
+    cloud = whole_cloud(geom.Ellipsoid.from_axes([1, 1, 2, 2]), level=1)
     assert np.max(np.abs(cloud.h - np.swapaxes(cloud.h, 1, 2))) < 1e-12
     assert np.linalg.eigvalsh(cloud.h).min() > 0
 
@@ -152,7 +152,7 @@ def test_ellipsoid_area_against_independent_quadrature():
         [(0, pi), (0, pi), (0, 2 * pi)],
         opts={"epsabs": 1e-10, "epsrel": 1e-10},
     )
-    area = geom.sample_boundary(geom.Ellipsoid.from_axes(axes), level=2).weights.sum()
+    area = whole_cloud(geom.Ellipsoid.from_axes(axes), level=2).weights.sum()
     assert area == pytest.approx(oracle, rel=1e-6)
 
 
@@ -164,13 +164,13 @@ def test_ellipsoid_area_monte_carlo_sanity():
     u /= np.linalg.norm(u, axis=1, keepdims=True)
     vals = np.prod(axes) * np.linalg.norm(u / axes, axis=1) * 2 * pi**2
     est, sd = vals.mean(), vals.std() / sqrt(len(vals))
-    area = geom.sample_boundary(geom.Ellipsoid.from_axes(axes), level=2).weights.sum()
+    area = whole_cloud(geom.Ellipsoid.from_axes(axes), level=2).weights.sum()
     assert abs(area - est) < 3 * sd
 
 
 def test_quadrature_convergence_order():
     e = geom.Ellipsoid.from_axes([1, 2, 2, 3])
-    areas = [geom.sample_boundary(e, level=L).weights.sum() for L in (0, 1, 2)]
+    areas = [whole_cloud(e, level=L).weights.sum() for L in (0, 1, 2)]
     d1 = abs(areas[1] - areas[0])
     d2 = abs(areas[2] - areas[1])
     assert d1 / d2 >= 4.0
@@ -192,7 +192,7 @@ def test_ellipsoid_validation_and_transform():
 
 def test_boundary_cloud_interface():
     e = geom.Ellipsoid.from_axes([1, 1, 1, 1])
-    cloud = geom.sample_boundary(e, level=0)
+    cloud = whole_cloud(e, level=0)
     assert np.all(cloud.weights > 0)
     chunks = list(geom.boundary_chunks(e, 0, "none", 100))
     assert len(chunks) == (len(cloud) + 99) // 100
@@ -209,13 +209,12 @@ def test_boundary_cloud_interface():
         (geom.Ellipsoid(np.diag([1.0, 2.0, 3.0, 4.0]) + 0.1 * np.ones((4, 4))), 2, "none"),
         # eight sign-folded chunks
         (geom.Ellipsoid.from_axes([1, 2, 2, 3]), 3, "torus"),
-        (geom.GeodesicBall(n=3, eps=-1.0, R=0.8), 2, "torus"),
     ],
 )
 def test_streamed_chunks_are_the_whole_cloud(shape, level, symmetry):
     # each table chunk's geometry, computed from its own rows of the rule, is
     # the matching slice of the whole cloud bit for bit
-    whole = geom.sample_boundary(shape, level, symmetry)
+    whole = whole_cloud(shape, level, symmetry)
     lo = 0
     for chunk in geom.boundary_chunks(shape, level, symmetry, QUADRATURE_CHUNK):
         assert 0 < len(chunk) <= QUADRATURE_CHUNK and chunk.rule == whole.rule
@@ -233,8 +232,8 @@ def test_streamed_chunks_are_the_whole_cloud(shape, level, symmetry):
 @pytest.mark.parametrize("axes,factor", [([1, 2, 2, 3], 4), ([1, 1, 1, 1, 1, 2], 8)])
 def test_sign_fold_keeps_one_node_per_orbit(axes, factor):
     e = geom.Ellipsoid.from_axes(axes)
-    full = geom.sample_boundary(e, level=0)
-    folded = geom.sample_boundary(e, level=0, symmetry="torus")
+    full = whole_cloud(e, level=0)
+    folded = whole_cloud(e, level=0, symmetry="torus")
     assert (full.rule, folded.rule) == ("product", "sign-fold")
     assert len(full) == len(geom.sphere_grid(len(axes), 0)[1])
     assert len(folded) * factor == len(full)
@@ -255,7 +254,7 @@ def test_sign_fold_bypassed_without_pair_symmetry():
     rng = np.random.default_rng(5)
     M = rng.standard_normal((4, 4))
     e = geom.Ellipsoid(M @ M.T + np.eye(4))
-    folded = geom.sample_boundary(e, level=0, symmetry="torus")
+    folded = whole_cloud(e, level=0, symmetry="torus")
     assert folded.rule == "product"
     assert len(folded) == len(geom.sphere_grid(4, 0)[1])
 
@@ -267,9 +266,42 @@ def test_sign_fold_rejects_grid_not_closed_under_flips(monkeypatch):
     geom.sphere_grid.cache_clear()
     try:
         with pytest.raises(RuntimeError, match="not closed under the sign flips"):
-            geom.sample_boundary(geom.Ellipsoid.from_axes([1, 2, 2, 3]), symmetry="torus")
+            whole_cloud(geom.Ellipsoid.from_axes([1, 2, 2, 3]), symmetry="torus")
     finally:
         geom.sphere_grid.cache_clear()
+
+
+@pytest.mark.parametrize("d,level,fold", [(4, 0, False), (4, 1, True), (6, 0, True)])
+def test_a_rule_is_counted_before_it_is_built(d, level, fold, monkeypatch):
+    # the limit admits a rule of exactly MAX_RULE_NODES nodes, not one more
+    nodes = len(geom.sphere_grid(d, level, fold=fold)[1])
+    geom.sphere_grid.cache_clear()
+    try:
+        monkeypatch.setattr(geom, "MAX_RULE_NODES", nodes)
+        assert len(geom.sphere_grid(d, level, fold=fold)[1]) == nodes
+        geom.sphere_grid.cache_clear()
+        monkeypatch.setattr(geom, "MAX_RULE_NODES", nodes - 1)
+        rule = "sign-fold" if fold else "product"
+        with pytest.raises(geom.RuleTooLarge, match=f"level-{level} {rule} rule needs {nodes:,} "):
+            geom.sphere_grid(d, level, fold=fold)
+    finally:
+        geom.sphere_grid.cache_clear()
+    monkeypatch.setattr(geom, "MAX_RULE_NODES", 32 - 1)
+    with pytest.raises(geom.RuleTooLarge, match="level-2 torus-orbit rule needs 32 "):
+        geom.torus_orbit_grid(2, 2)
+
+
+def test_the_rule_limit():
+    # the largest rules the suites build, and the rule the README quotes, fit;
+    # the level-2 rule of a transported n = 4 ellipsoid (2^32 nodes) does not
+    assert geom.MAX_RULE_NODES == 2**24
+    assert (8 * 2**3) ** 2 * 16 * 2**3 == 524_288 <= geom.MAX_RULE_NODES
+    assert (8 * 2**2) ** 4 == 1_048_576 <= geom.MAX_RULE_NODES
+    with pytest.raises(geom.RuleTooLarge, match="4,294,967,296") as exc:
+        geom.sphere_grid(8, 2, fold=True)
+    assert isinstance(exc.value, ValueError)
+    with pytest.raises(geom.RuleTooLarge, match="33,554,432"):
+        geom.torus_orbit_grid(6, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +322,7 @@ def _pair_turn(n, pair, angle):
     [([1, 1, 2, 2], 2, 32), ([1, 1, 1, 1, 2, 2], 1, 16**2), ([1, 1, 1, 1, 2, 2, 2, 2], 1, 16**3)],
 )
 def test_torus_orbit_node_count(axes, level, nodes):
-    cloud = geom.sample_boundary(geom.Ellipsoid.from_axes(axes), level, symmetry="torus")
+    cloud = whole_cloud(geom.Ellipsoid.from_axes(axes), level, symmetry="torus")
     assert cloud.rule == "torus-orbit"
     assert len(cloud) == nodes == (geom.BASE_POLAR_NODES * 2**level) ** (len(axes) // 2 - 1)
     # one node per orbit: every y_j vanishes
@@ -307,7 +339,7 @@ def test_torus_orbit_weights_sum_to_sphere_area(n, level):
 
 
 def test_torus_orbit_disk_is_one_node():
-    cloud = geom.sample_boundary(geom.Ellipsoid.from_axes([2, 2]), 0, symmetry="torus")
+    cloud = whole_cloud(geom.Ellipsoid.from_axes([2, 2]), 0, symmetry="torus")
     assert cloud.rule == "torus-orbit"
     assert cloud.positions.tolist() == [[2.0, 0.0]]
     u, w = geom.torus_orbit_grid(1, 3)
@@ -317,15 +349,15 @@ def test_torus_orbit_disk_is_one_node():
 @pytest.mark.parametrize("pair,angle", [(0, 0.3), (1, -0.4), (2, 2.0)])
 def test_torus_orbit_detects_a_turn_inside_a_pair(pair, angle):
     e = geom.Ellipsoid.from_axes([1, 1, 1, 1, 2, 2]).transformed(_pair_turn(3, pair, angle))
-    cloud = geom.sample_boundary(e, 0, symmetry="torus")
+    cloud = whole_cloud(e, 0, symmetry="torus")
     assert cloud.rule == "torus-orbit"
     # a real axis pair that differs inside the pair is not T^n-invariant
     e = geom.Ellipsoid.from_axes([1, 1, 1, 2, 2, 2]).transformed(_pair_turn(3, pair, angle))
-    assert geom.sample_boundary(e, 0, symmetry="torus").rule == "sign-fold"
+    assert whole_cloud(e, 0, symmetry="torus").rule == "sign-fold"
 
 
 def test_torus_orbit_only_for_invariant_integrands():
-    cloud = geom.sample_boundary(geom.Ellipsoid.from_axes([1, 1, 2, 2]), 0)
+    cloud = whole_cloud(geom.Ellipsoid.from_axes([1, 1, 2, 2]), 0)
     assert cloud.rule == "product"
     assert len(cloud) == len(geom.sphere_grid(4, 0)[1])
 
@@ -333,11 +365,11 @@ def test_torus_orbit_only_for_invariant_integrands():
 def test_rule_is_the_smaller_of_the_integrand_and_quadric_groups():
     torus = geom.Ellipsoid.from_axes([1, 1, 2, 2])
     signs = geom.Ellipsoid.from_axes([1, 2, 2, 3])
-    assert geom.sample_boundary(torus, 0, symmetry="sign").rule == "sign-fold"
-    assert geom.sample_boundary(signs, 0, symmetry="sign").rule == "sign-fold"
-    assert geom.sample_boundary(signs, 0, symmetry="torus").rule == "sign-fold"
+    assert whole_cloud(torus, 0, symmetry="sign").rule == "sign-fold"
+    assert whole_cloud(signs, 0, symmetry="sign").rule == "sign-fold"
+    assert whole_cloud(signs, 0, symmetry="torus").rule == "sign-fold"
     with pytest.raises(ValueError, match="symmetry must be one of"):
-        geom.sample_boundary(torus, 0, symmetry="u(n)")
+        whole_cloud(torus, 0, symmetry="u(n)")
 
 
 def test_symmetry_group_of_linear_maps():
@@ -405,9 +437,11 @@ def test_shape_protocol_answers_or_raises():
     ellipsoid = geom.Ellipsoid.from_axes([1, 1, 2, 2])
     assert ball.curvatures == geom.geodesic_sphere_curvatures(1.0, 0.5)
     assert ellipsoid.curvatures is None
-    assert ball.grown(0.25) == geom.GeodesicBall(n=2, eps=1.0, R=0.75)
     assert np.array_equal(ellipsoid.transformed(2 * np.eye(4)).quadric, ellipsoid.quadric / 4)
-    for unanswered in (lambda: ball.transformed(np.eye(4)), lambda: ellipsoid.grown(0.1)):
+    # a ball is neither moved by linear maps nor integrated by a boundary rule:
+    # its tables are closed forms
+    for unanswered in (lambda: ball.transformed(np.eye(4)),
+                       lambda: geom.boundary_chunks(ball, 0, "torus", None)):
         with pytest.raises(ValueError):
             unanswered()
 
@@ -580,17 +614,6 @@ def test_area_small_radius_asymptotics_and_monotone():
         assert vols[0] < vols[1] < vols[2]
 
 
-def test_geodesic_ball_cloud_constant_sff():
-    ball = geom.GeodesicBall(n=2, eps=1.0, R=0.5)
-    cloud = geom.sample_boundary(ball)
-    mu_h, lam = geom.geodesic_sphere_curvatures(1.0, 0.5)
-    assert len(cloud) == 1
-    assert cloud.weights.sum() == pytest.approx(
-        geom.sphere_area_and_ball_volume(1.0, 2, 0.5)[0]
-    )
-    assert cloud.h[0] == pytest.approx(np.diag([mu_h, lam, lam]))
-
-
 # ---------------------------------------------------------------------------
 # Gauge rotation of the distribution frame
 # ---------------------------------------------------------------------------
@@ -610,7 +633,7 @@ def _random_unitary(seed):
 
 
 def test_gauge_rotate_identity_and_sphere():
-    cloud = geom.sample_boundary(geom.Ellipsoid.from_axes([1, 1, 1, 1]), level=0)
+    cloud = whole_cloud(geom.Ellipsoid.from_axes([1, 1, 1, 1]), level=0)
     h = cloud.h[5]
     assert _gauge_rotate(h, np.eye(1)) == pytest.approx(h)
     # round sphere: h = Id commutes
@@ -620,7 +643,7 @@ def test_gauge_rotate_identity_and_sphere():
 def test_gauge_rotate_preserves_densities():
     from croftonlab import extalg as ea
 
-    cloud = geom.sample_boundary(geom.Ellipsoid.from_axes([1, 2, 2, 3]), level=0)
+    cloud = whole_cloud(geom.Ellipsoid.from_axes([1, 2, 2, 3]), level=0)
     U = _random_unitary(2)
     for idx in (0, 17, 101):
         h = cloud.h[idx]

@@ -9,7 +9,7 @@ import pytest
 
 from croftonlab import geom, valuations as val, varcheck as vc
 from croftonlab.coeffcore import sphere_volume_coeff
-from helpers import ProductRuleWeight, realify_complex_columns, richardson_error
+from helpers import OneNodeBall, ProductRuleWeight, realify_complex_columns, richardson_error
 
 
 UNIT_BALL_C2 = geom.Ellipsoid.from_axes([1, 1, 1, 1])
@@ -85,7 +85,7 @@ def _pair_rotation(angle):
 def test_sign_folded_table_matches_full_grid(shape, level):
     folded = val.hermitian_volumes(shape, level).to_json()
     # a weighted table keeps the full grid; unit weights leave the integrand as is
-    full = val.hermitian_volumes(shape, level, ProductRuleWeight(vc.RadialFlow())).to_json()
+    full = val.hermitian_volumes(shape, level, ProductRuleWeight()).to_json()
     for key, value in full.items():
         assert folded[key] == pytest.approx(value, rel=1e-13), key
 
@@ -198,7 +198,7 @@ def test_elementary_symmetric_kernel_matches_eigenvalues(d):
 @pytest.mark.parametrize("eps,R", [(1.0, 0.5), (-1.0, 0.8), (0.0, 1.3)])
 @pytest.mark.parametrize("n", [1, 2, 3, 5])
 def test_elementary_symmetric_kernel_on_one_node_ball_clouds(eps, R, n):
-    cloud = geom.sample_boundary(geom.GeodesicBall(n=n, eps=eps, R=R))
+    cloud = next(OneNodeBall(n, eps, R).boundary(0, "torus", None))
     kept = cloud.h.copy()
     got, want = _kernel(cloud.h), _eigvalsh_oracle(cloud.h)
     assert np.array_equal(cloud.h, kept)  # a one-node batch is not written through
@@ -237,10 +237,9 @@ def test_ball_closed_form_frozen_values():
 @pytest.mark.parametrize("eps,R", [(1.0, pi / 4), (-1.0, 0.8), (0.0, 1.3)])
 @pytest.mark.parametrize("n", [2, 3])
 def test_ball_quadrature_path_matches_closed_form(eps, R, n):
-    # the one-point constant-curvature cloud goes through the generic
+    # one node at h = diag(mu_H, lambda, ...) goes through the generic
     # exterior-algebra machinery; the closed form is the monomial formula
-    ball = geom.GeodesicBall(n=n, eps=eps, R=R)
-    tq = val.hermitian_volumes(ball)
+    tq = val.hermitian_volumes(OneNodeBall(n, eps, R))
     tc = val.ball_closed_form(eps, n, R)
     for key in tc.B:
         assert tq.B[key] == pytest.approx(tc.B[key], rel=1e-10)
@@ -248,6 +247,14 @@ def test_ball_quadrature_path_matches_closed_form(eps, R, n):
         assert tq.Gamma[key] == pytest.approx(tc.Gamma[key], rel=1e-10)
     for j in tc.M:
         assert tq.M[j] == pytest.approx(tc.M[j], rel=1e-10)
+
+
+def test_a_ball_has_no_quadrature_table():
+    # its one table is the closed form, which shape_table returns bit for bit
+    ball = geom.GeodesicBall(n=2, eps=1.0, R=0.5)
+    with pytest.raises(ValueError, match="no boundary quadrature"):
+        val.hermitian_volumes(ball)
+    assert val.shape_table(ball, 3) == val.ball_closed_form(1.0, 2, 0.5)
 
 
 def test_flat_ball_degree_homogeneity():

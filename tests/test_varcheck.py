@@ -9,7 +9,7 @@ from scipy.linalg import expm
 from croftonlab import checks
 from croftonlab import coeffcore as cc
 from croftonlab import geom, valuations as val, varcheck as vc
-from helpers import ProductRuleWeight, richardson_error
+from helpers import ProductRuleWeight, radial_differences, richardson_error
 
 
 def rel_err(a, b, scale):
@@ -22,13 +22,13 @@ def rel_err(a, b, scale):
 
 
 def test_radial_tilde_equals_valuations():
+    # a ball grows at unit normal speed, <X, N> = 1: its tilde table is its
+    # closed-form table, and its oracle the analytic R-derivative
     ball = geom.GeodesicBall(n=2, eps=1.0, R=0.6)
-    t = vc.tilde_integrals(ball, vc.RadialFlow())
-    tb = val.ball_closed_form(1.0, 2, 0.6)
-    for key in t.B:
-        assert t.B[key] == pytest.approx(tb.B[key], rel=1e-12)
-    for key in t.Gamma:
-        assert t.Gamma[key] == pytest.approx(tb.Gamma[key], rel=1e-12)
+    label, tilde, deriv, tol = checks._oracle(ball, 1, None)
+    assert (label, tol) == ("oracle", 1e-6)
+    assert tilde == val.ball_closed_form(1.0, 2, 0.6)
+    assert deriv == val.ball_closed_form_derivative(1.0, 2, 0.6)
 
 
 @pytest.mark.parametrize("axes", [[1, 1, 2, 2], [1, 2, 2, 3]])
@@ -46,7 +46,6 @@ def test_flow_symmetry_groups():
     assert vc.LinearFlow(np.diag([0.3, 0.23, 0.16, 0.09])).symmetry == "sign"
     assert vc.LinearFlow(np.diag([0.3, 0.3, 0.1, 0.1])).symmetry == "torus"
     assert vc.LinearFlow(NONDIAGONAL_GENERATOR).symmetry == "none"
-    assert vc.RadialFlow().symmetry == "torus"
 
 
 @pytest.mark.parametrize("d", [2, 4, 6, 8])
@@ -126,10 +125,8 @@ def test_invalid_pairings_raise():
     ball_neg = geom.GeodesicBall(n=2, eps=-1.0, R=0.5)
     with pytest.raises(ValueError):
         vc.tilde_integrals(ball_neg, vc.LinearFlow(np.eye(4)))
-    with pytest.raises(ValueError):
-        vc.tilde_integrals(geom.Ellipsoid.from_axes([1, 1, 1, 1]), vc.RadialFlow())
-    # a linear flow on a flat ball: the ball's one constant-curvature node
-    # cannot integrate a weight <Ax, N> that is not U(n)-invariant
+    # a linear flow on a flat ball: a ball has no boundary rule to integrate
+    # a weight <Ax, N> on
     flat_ball = geom.GeodesicBall(n=2, eps=0.0, R=1.0)
     flow = vc.LinearFlow(np.diag([0.3, 0.1, 0.2, 0.05]))
     with pytest.raises(ValueError):
@@ -140,7 +137,7 @@ def test_invalid_pairings_raise():
 
 
 # ---------------------------------------------------------------------------
-# Radial flows on balls: formula vs analytic derivative
+# Balls grown radially: formula vs analytic derivative
 # ---------------------------------------------------------------------------
 
 
@@ -152,23 +149,19 @@ def test_radial_variation_every_key(eps, R, n):
 
 
 def test_radial_fd_matches_formula():
-    ball = geom.GeodesicBall(n=2, eps=1.0, R=0.5)
-    flow = vc.RadialFlow()
     keys = (("B", 2, 0), ("G", 2, 1), "vol")
-    fds = vc.central_differences(ball, flow, 1e-4)
-    tilde = vc.tilde_integrals(ball, flow)
+    fds = radial_differences(1.0, 2, 0.5, 1e-4)
+    tilde = val.ball_closed_form(1.0, 2, 0.5)
     for key in keys:
         fd = vc.valuation_value(fds, key)
         assert fd == pytest.approx(vc.variation_formula(key, tilde), rel=1e-6)
 
 
 def test_fd_second_order_convergence():
-    ball = geom.GeodesicBall(n=2, eps=1.0, R=0.5)
-    flow = vc.RadialFlow()
     key = ("B", 2, 0)
     exact = vc.valuation_value(val.ball_closed_form_derivative(1.0, 2, 0.5), key)
     errs = [
-        abs(vc.valuation_value(vc.central_differences(ball, flow, h), key) - exact)
+        abs(vc.valuation_value(radial_differences(1.0, 2, 0.5, h), key) - exact)
         for h in (1e-2, 5e-3, 2.5e-3)
     ]
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.05)
@@ -177,10 +170,8 @@ def test_fd_second_order_convergence():
 
 def test_volume_first_variation_is_area():
     # d/dt vol = integral of <X, N>, i.e. 2 tilde-B_{2n-1,n-1}
-    ball = geom.GeodesicBall(n=3, eps=-1.0, R=0.7)
-    flow = vc.RadialFlow()
     area = geom.sphere_area_and_ball_volume(-1.0, 3, 0.7)[0]
-    tilde = vc.tilde_integrals(ball, flow)
+    tilde = val.ball_closed_form(-1.0, 3, 0.7)
     assert vc.variation_formula("vol", tilde) == pytest.approx(area, rel=1e-12)
     assert 2 * tilde.B[(5, 2)] == pytest.approx(area, rel=1e-12)
 
@@ -255,11 +246,10 @@ def test_isometry_generator_kills_variations():
 # ---------------------------------------------------------------------------
 
 
-def _radial_crofton_variation(ball, r):
+def _radial_crofton_variation(eps, n, R, r):
     """(fd, formula) of the radial Crofton variation of a ball, step 1e-4."""
-    flow = vc.RadialFlow()
-    fd = val.crofton_rhs(vc.central_differences(ball, flow, 1e-4), r)
-    return fd, vc.crofton_variation_formula(r, vc.tilde_integrals(ball, flow))
+    fd = val.crofton_rhs(radial_differences(eps, n, R, 1e-4), r)
+    return fd, vc.crofton_variation_formula(r, val.ball_closed_form(eps, n, R))
 
 
 @pytest.mark.parametrize(
@@ -284,8 +274,7 @@ def test_crofton_variation_on_balls(n, eps, R, r):
 
 def test_crofton_variation_on_balls_n3():
     for r in (1, 2):
-        ball = geom.GeodesicBall(n=3, eps=1.0, R=0.6)
-        lhs, rhs = _radial_crofton_variation(ball, r)
+        lhs, rhs = _radial_crofton_variation(1.0, 3, 0.6, r)
         assert lhs == pytest.approx(rhs, rel=1e-6)
 
 
@@ -299,8 +288,7 @@ def test_crofton_variation_on_ellipsoid():
 
 def test_unit_ball_crofton_variation_value():
     # growing the unit ball: d/dR of the bracket pi^2 R^2 at R = 1 is 2 pi^2
-    ball = geom.GeodesicBall(n=2, eps=0.0, R=1.0)
-    lhs, rhs = _radial_crofton_variation(ball, 1)
+    lhs, rhs = _radial_crofton_variation(0.0, 2, 1.0, 1)
     assert rhs == pytest.approx(2 * pi**2, rel=1e-10)
     assert lhs == pytest.approx(2 * pi**2, rel=1e-8)
 
@@ -310,17 +298,15 @@ def test_unit_ball_crofton_variation_value():
 # ---------------------------------------------------------------------------
 
 
-def _gauss_bonnet_rhs_variation(shape, flow, h_step, level=1):
+def _gauss_bonnet_rhs_variation(fds):
     """Central difference of the Gauss-Bonnet right-hand side: gauss_bonnet_coeffs(n),
     linear in (mu, vol), evaluated on the central-difference table."""
-    fds = vc.central_differences(shape, flow, h_step, level)
-    return cc.gauss_bonnet_coeffs(shape.n).eval(fds.mu_dict(), fds.vol, shape.eps)
+    return cc.gauss_bonnet_coeffs(fds.n).eval(fds.mu_dict(), fds.vol, fds.eps)
 
 
 @pytest.mark.parametrize("eps,R", [(1.0, 0.5), (-1.0, 0.8)])
 def test_gauss_bonnet_rhs_null_variation_balls(eps, R):
-    ball = geom.GeodesicBall(n=2, eps=eps, R=R)
-    fd = _gauss_bonnet_rhs_variation(ball, vc.RadialFlow(), 1e-4)
+    fd = _gauss_bonnet_rhs_variation(radial_differences(eps, 2, R, 1e-4))
     scale = cc.sphere_volume_coeff(3).to_float()
     assert abs(fd) / scale < 1e-8
 
@@ -328,6 +314,6 @@ def test_gauss_bonnet_rhs_null_variation_balls(eps, R):
 def test_gauss_bonnet_rhs_null_variation_ellipsoid():
     e = geom.Ellipsoid.from_axes([1, 1, 2, 2])
     flow = vc.LinearFlow(np.diag([0.3, -0.1, 0.2, 0.05]))
-    fd = _gauss_bonnet_rhs_variation(e, flow, 1e-3, level=2)
+    fd = _gauss_bonnet_rhs_variation(vc.central_differences(e, flow, 1e-3, level=2))
     scale = cc.sphere_volume_coeff(3).to_float()
     assert abs(fd) / scale < 1e-6
