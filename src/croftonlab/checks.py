@@ -182,7 +182,7 @@ def _oracle(shape: geom.Shape, level: int, diag: Optional[Sequence[float]]):
     if diag is None:
         diag = [0.3 - 0.07 * i for i in range(2 * shape.n)]
     flow = varcheck.LinearFlow(np.diag(diag))
-    return ("fd", varcheck.tilde_integrals(shape, flow, level),
+    return ("fd", valuations.hermitian_volumes(shape, level, flow),
             varcheck.central_differences(shape, flow, 1e-3, level), 1e-4)
 
 

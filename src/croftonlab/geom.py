@@ -11,7 +11,8 @@ quadratic form and sampled through the unit sphere by a Gauss-Jacobi
 product rule in hyperspherical angles, and geodesic balls in the space form
 of holomorphic curvature 4*eps, whose boundary has constant principal
 curvatures: one value in the Hopf direction JN and one on the distribution.
-A ball answers no `boundary`: its tables are closed forms (`valuations`).
+A ball answers no `boundary`: its tables are closed forms
+(`ball_closed_forms`, which `valuations` wraps).
 
 Every sampled boundary point carries its position, its outward normal N,
 the second fundamental form in the adapted frame (JN, e_2, Je_2, ...)
@@ -20,9 +21,24 @@ positive curvatures), and a quadrature weight.  The frame itself is freed once
 the form exists.  e_2, ..., e_n are columns 2..n of the one complex
 Householder reflector that sends e_1 to a unit multiple of N, in closed form
 per node.  Another basis of the distribution conjugates h by an element of
-U(n-1), which the U(n)-invariant densities do not see.  The geodesic
-sphere's curvatures and area and the ball's volume are closed forms in the
-Jacobi fields f_eps and f_{4 eps}.
+U(n-1), which the U(n)-invariant densities do not see.
+
+A geodesic ball's closed forms are written once, as monomials in the Jacobi
+fields f = f_eps and g = f_{4 eps} (`jacobi_field`) and their derivatives.
+The curvatures are mu_H = g'/g and lambda = f'/f and the sphere area is
+O_{2n-1} g f^{2n-2}, so with C = c_{n,k,q} 2^{k-2q-1} (n-1)! O_{2n-1}
+
+    B[k,q]     = C g  f^{k-1} f'^{2n-k-1}
+    Gamma[k,q] = C g' f^k     f'^{2n-k-2}
+    M[j]       = O_{2n-1} [binom(2n-2, j) g f^{2n-2-j} f'^j
+                 + binom(2n-2, j-1) g' f^{2n-1-j} f'^{j-1}] / binom(2n-1, j)
+    vol        = omega_{2n} f^{2n}
+
+with every exponent >= 0, so no entry divides by f or g.  The R-derivative
+applies f -> f', f' -> -eps f, g -> g', g' -> -4 eps g to the same monomials
+(`ball_closed_forms(..., order=1)`).  The description is also the ball's
+overflow guard: `GeodesicBall` accepts a radius 0 < R < pi / (2 sqrt(eps))
+exactly when its curvatures, its table and its derivative table are finite.
 
 The Gauss-Jacobi rules are computed here with numpy alone: Golub-Welsch
 with one Newton step (`_gauss_jacobi`).
@@ -56,13 +72,15 @@ torus when in addition every diagonal pair block commutes with J.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
-from math import cos, cosh, exp, factorial, inf, isfinite, lgamma, log, pi, prod, sin, sinh, sqrt
+from math import comb, cos, cosh, exp, factorial, inf, isfinite, lgamma, log, pi, prod, sin, sinh, sqrt
 from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from .coeffcore import ball_volume_coeff, sphere_volume_coeff
+from .coeffcore import (PiScalar, ball_volume_coeff, beta_indices, form_norm_coeff, gamma_indices,
+                        mu_indices, sphere_volume_coeff)
 
 __all__ = [
     "Workspace",
@@ -78,9 +96,9 @@ __all__ = [
     "sphere_grid",
     "torus_orbit_grid",
     "boundary_chunks",
+    "jacobi_field",
     "geodesic_sphere_curvatures",
-    "jacobi_value",
-    "sphere_area_and_ball_volume",
+    "ball_closed_forms",
 ]
 
 
@@ -347,28 +365,21 @@ class GeodesicBall(Shape):
             raise ValueError(f"dimension n must be >= 1, got {self.n}")
         if not (isfinite(self.eps) and isfinite(self.R)):
             raise ValueError(f"eps and R must be finite, got eps={self.eps}, R={self.R}")
-        if self.R <= 0:
-            raise ValueError("radius must be positive")
-        if self.eps > 0 and self.R >= pi / (2 * sqrt(self.eps)):
-            raise ValueError("radius beyond the injectivity bound pi/(2 sqrt(eps))")
-        # the closed forms: curvatures, sphere area and ball volume; the tables
-        # and their R-derivatives raise lambda to at most the power 2n
+        # refused exactly when a closed form is not finite: the curvatures, the
+        # table or its R-derivative (a power that overflows raises)
         try:
-            mu_h, lam = self.curvatures
-            values = (mu_h * mu_h, lam ** (2 * self.n), *sphere_area_and_ball_volume(
-                self.eps, self.n, self.R))
-        except OverflowError:
-            values = (inf,)
+            values = list(self.curvatures)
+            for order in (0, 1):
+                B, Gamma, M, vol = ball_closed_forms(self.eps, self.n, self.R, order)
+                values += [*B.values(), *Gamma.values(), *M.values(), vol]
+        except ArithmeticError:
+            values = [inf]
         if not all(map(isfinite, values)):
             raise ValueError(f"radius {self.R} out of range: its closed forms overflow")
 
     @property
     def circum_radius(self) -> float:
         return self.R
-
-    @property
-    def volume(self) -> float:
-        return sphere_area_and_ball_volume(self.eps, self.n, self.R)[1]
 
     @property
     def curvatures(self) -> Tuple[float, float]:
@@ -423,13 +434,20 @@ MAX_RULE_NODES = 1 << 24  # nodes of a rule on S^{2n-1}: their points alone take
 
 
 class RuleTooLarge(ValueError):
-    """A boundary rule of more than MAX_RULE_NODES nodes, refused before it is built."""
+    """A boundary rule of more than MAX_RULE_NODES nodes or Jacobi-matrix
+    entries, refused before it is built."""
 
 
-def _check_rule_size(rule: str, level: int, nodes: int) -> None:
+def _check_rule_size(rule: str, level: int, nodes: int, p: int) -> None:
+    """Refuse a rule of more than MAX_RULE_NODES nodes, or one built from
+    p-point Gauss-Jacobi rules whose dense p x p Jacobi matrix has more
+    entries than that (p = 0 for a rule without one)."""
     if nodes > MAX_RULE_NODES:
         raise RuleTooLarge(f"the level-{level} {rule} rule needs {nodes:,} boundary nodes, "
                            f"over the limit of {MAX_RULE_NODES:,}")
+    if p * p > MAX_RULE_NODES:
+        raise RuleTooLarge(f"the level-{level} {rule} rule needs a {p:,} x {p:,} Jacobi matrix "
+                           f"({p * p:,} entries), over the limit of {MAX_RULE_NODES:,}")
 
 
 def _gauss_jacobi(p: int, alpha: float, beta: float) -> Tuple[np.ndarray, np.ndarray]:
@@ -501,7 +519,7 @@ def sphere_grid(d: int, level: int, fold: bool = False) -> Tuple[np.ndarray, np.
     n_az = BASE_AZIMUTH_NODES * 2**level
     # the fold keeps half of each of the d/2 axes that set an even coordinate
     nodes = n_polar ** (d - 2) * n_az // (2 ** (d // 2) if fold else 1)
-    _check_rule_size("sign-fold" if fold else "product", level, nodes)
+    _check_rule_size("sign-fold" if fold else "product", level, nodes, n_polar if d > 2 else 0)
 
     axes_nodes: List[np.ndarray] = []
     axes_weights: List[np.ndarray] = []
@@ -563,7 +581,7 @@ def torus_orbit_grid(n: int, level: int) -> Tuple[np.ndarray, np.ndarray]:
     each at p = 16 and 0.3 ms at p = 32 on a 2-vCPU machine.
     """
     p = BASE_POLAR_NODES * 2**level
-    _check_rule_size("torus-orbit", level, p ** (n - 1))
+    _check_rule_size("torus-orbit", level, p ** (n - 1), p if n > 1 else 0)
     ts, one_minus_ts, axes_weights = [], [], []
     for i in range(1, n):
         alpha = n - 1 - i
@@ -682,24 +700,14 @@ def boundary_chunks(shape: Shape, level: int, symmetry: str,
 # ---------------------------------------------------------------------------
 
 
-def jacobi_value(kappa: float, R: float) -> float:
-    """Closed-form solution of f'' + kappa f = 0, f(0)=0, f'(0)=1."""
+def jacobi_field(kappa: float, R: float) -> Tuple[float, float]:
+    """(f(R), f'(R)) of the solution of f'' + kappa f = 0, f(0) = 0, f'(0) = 1."""
     s = _root_curvature(kappa)
     if kappa == 0:
-        return R
+        return R, 1.0
     if kappa > 0:
-        return sin(s * R) / s
-    return sinh(s * R) / s
-
-
-def _jacobi_log_derivative(kappa: float, R: float) -> float:
-    """f'/f of `jacobi_value(kappa, .)` at R."""
-    s = _root_curvature(kappa)
-    if kappa == 0:
-        return 1.0 / R
-    if kappa > 0:
-        return s * cos(s * R) / sin(s * R)
-    return s * cosh(s * R) / sinh(s * R)
+        return sin(s * R) / s, cos(s * R)
+    return sinh(s * R) / s, cosh(s * R)
 
 
 def _root_curvature(kappa: float) -> float:
@@ -710,33 +718,78 @@ def _root_curvature(kappa: float) -> float:
     return sqrt(abs(kappa))
 
 
-def geodesic_sphere_curvatures(eps: float, R: float) -> Tuple[float, float]:
-    """(mu_H, lambda): principal curvatures of the geodesic sphere of radius R.
+def _ball_fields(eps: float, R: float) -> Tuple[float, float, float, float]:
+    """(f, f', g, g') at R of the Jacobi fields f = f_eps and g = f_{4 eps}.
 
-    lambda rules the 2n-2 distribution directions (sectional curvature eps),
-    mu_H the Hopf direction JN (sectional curvature 4*eps); both are the
-    logarithmic derivatives f'/f of the corresponding Jacobi fields, positive
-    for small R with the inner-normal convention.
-    """
+    The one radius check of a geodesic ball: 0 < R < pi / (2 sqrt(eps)),
+    refused at the injectivity bound, where g vanishes."""
     if R <= 0:
         raise ValueError("radius must be positive")
     if eps > 0 and R >= pi / (2 * sqrt(eps)):
-        raise ValueError("radius beyond injectivity bound")
-    return _jacobi_log_derivative(4 * eps, R), _jacobi_log_derivative(eps, R)
+        raise ValueError("radius beyond the injectivity bound pi/(2 sqrt(eps))")
+    return (*jacobi_field(eps, R), *jacobi_field(4 * eps, R))
 
 
-def sphere_area_and_ball_volume(eps: float, n: int, R: float) -> Tuple[float, float]:
-    """(area of the geodesic sphere, volume of the geodesic ball) of radius R.
+def geodesic_sphere_curvatures(eps: float, R: float) -> Tuple[float, float]:
+    """(mu_H, lambda) = (g'/g, f'/f): principal curvatures of the geodesic
+    sphere of radius R on the Hopf direction JN (sectional curvature 4*eps)
+    and on the 2n-2 distribution directions (sectional curvature eps),
+    positive for small R with the inner-normal convention."""
+    f, df, g, dg = _ball_fields(eps, R)
+    return dg / g, df / f
 
-    area(R) = O_{2n-1} f_{4eps}(R) f_eps(R)^{2n-2} and vol(R) = omega_{2n} f_eps(R)^{2n}
-    with f_kappa = `jacobi_value(kappa, .)`: since f_{4eps} = f_eps f_eps', the
-    area is the R-derivative of that volume (O_{2n-1} = 2n omega_{2n}).
-    """
-    if R <= 0:
-        raise ValueError("radius must be positive")
-    if eps > 0 and R > pi / (2 * sqrt(eps)):
-        raise ValueError("radius beyond injectivity bound")
-    f = jacobi_value(eps, R)
-    area = sphere_volume_coeff(2 * n - 1).to_float() * jacobi_value(4 * eps, R) * f ** (2 * n - 2)
-    return area, ball_volume_coeff(2 * n).to_float() * f ** (2 * n)
 
+# A ball entry is a sum of monomials in the Jacobi fields, kept as
+# {(e, a, b, c, d): k} for the terms k eps^e f^a f'^b g^c g'^d, k exact
+Monomials = Dict[Tuple[int, int, int, int, int], PiScalar]
+
+
+def _derivative(terms: Monomials) -> Monomials:
+    """d/dR of a sum of monomials: f -> f', f' -> -eps f, g -> g', g' -> -4 eps g."""
+    out: Monomials = {}
+    for (e, a, b, c, d), k in terms.items():
+        for exps, factor in (((e, a - 1, b + 1, c, d), a), ((e + 1, a + 1, b - 1, c, d), -b),
+                             ((e, a, b, c - 1, d + 1), c), ((e + 1, a, b, c + 1, d - 1), -4 * d)):
+            if factor:
+                out[exps] = out.get(exps, 0) + k * factor
+    return {exps: k for exps, k in out.items() if k}
+
+
+@lru_cache(maxsize=None)
+def _ball_monomials(n: int, order: int) -> Tuple[Dict, Dict, Dict, Monomials]:
+    """(B, Gamma, M, vol) of a geodesic ball of dimension n, each entry as
+    `Monomials` (see the module docstring), or their order-th R-derivatives."""
+    if order:
+        *tables, vol = _ball_monomials(n, order - 1)
+        return (*({key: _derivative(t) for key, t in table.items()} for table in tables),
+                _derivative(vol))
+    d = 2 * n - 1
+    area = sphere_volume_coeff(d)
+    C = {(k, q): form_norm_coeff(n, k, q) * Fraction(2) ** (k - 2 * q - 1) * factorial(n - 1) * area
+         for (k, q) in mu_indices(n)}
+    B = {(k, q): {(0, k - 1, d - k, 1, 0): C[k, q]} for (k, q) in beta_indices(n)}
+    Gamma = {(k, q): {(0, k, d - k - 1, 0, 1): C[k, q]} for (k, q) in gamma_indices(n)}
+    M = {j: {exps: area * Fraction(comb(d - 1, i), comb(d, j))
+             for exps, i in (((0, d - 1 - j, j, 1, 0), j), ((0, d - j, j - 1, 0, 1), j - 1))
+             if 0 <= i <= d - 1}
+         for j in range(d + 1)}
+    return B, Gamma, M, {(0, 2 * n, 0, 0, 0): ball_volume_coeff(2 * n)}
+
+
+def ball_closed_forms(eps: float, n: int, R: float,
+                      order: int = 0) -> Tuple[Dict, Dict, Dict[int, float], float]:
+    """(B, Gamma, M, vol) of the geodesic ball of radius R in the space form of
+    holomorphic curvature 4*eps, or their R-derivatives (order=1): the
+    monomials of `_ball_monomials` at the Jacobi fields, with no division.  An
+    entry whose exact value is 0, as an eps term at eps = 0, is exactly 0.  A
+    power that overflows raises OverflowError."""
+    f, df, g, dg = _ball_fields(eps, R)
+
+    def value(terms: Monomials) -> float:
+        total = 0.0
+        for (e, a, b, c, d), k in terms.items():
+            total += k.to_float() * eps**e * f**a * df**b * g**c * dg**d
+        return total
+
+    *tables, vol = _ball_monomials(n, order)
+    return (*({key: value(t) for key, t in table.items()} for table in tables), value(vol))

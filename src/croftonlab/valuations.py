@@ -12,14 +12,12 @@ with e_j(h) the j-th elementary symmetric function of the principal
 curvatures (the sum of the principal j-minors of h), read off a Householder
 tridiagonal form of h by the continuant recurrence.
 
-A geodesic ball's one table is a closed form (`shape_table`): the boundary
-has constant curvatures (mu_H on JN, lambda on the distribution), every
-density is a monomial, and
-
-    B[k,q]     = c_{n,k,q} 2^{k-2q-1} lambda^{2n-k-1} (n-1)! * area
-    Gamma[k,q] = c_{n,k,q}/2 * mu_H 2^{k-2q} lambda^{2n-k-2} (n-1)! * area.
-
-Grown at unit normal speed, <X, N> = 1: its tilde table needs no flow object.
+A geodesic ball's one table is a closed form (`shape_table`): its boundary
+has constant curvatures, every density is a monomial in them, and every
+entry is a monomial in the Jacobi fields of the radius
+(`geom.ball_closed_forms`).  `ball_closed_form_derivative`, the oracle of the
+radial variations, differentiates the same monomials.  Grown at unit normal
+speed, <X, N> = 1: its tilde table needs no flow object.
 
 Unweighted tables integrate U(n)-invariant densities, so they take the
 strongest exact symmetry reduction of the boundary rule that the shape admits
@@ -40,7 +38,7 @@ reproducible bit-for-bit at a given level.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb, factorial
+from math import comb
 from typing import Dict, Tuple
 
 import numpy as np
@@ -179,8 +177,8 @@ def hermitian_volumes(shape: geom.Shape, level: int = 1, flow=None) -> Valuation
     orbits or sign flips, see `geom.boundary_chunks`).  A `varcheck` flow
     weights the boundary measure by its `normal_speed` <X, N>, and the rule
     reduces only by the symmetries its `symmetry` group shares (the tilde
-    table of `varcheck.tilde_integrals`).  `quadrature` records the rule and
-    its node count.  The curvature sums M[j] come from
+    table of the variation formulas, see `varcheck`).  `quadrature` records
+    the rule and its node count.  The curvature sums M[j] come from
     `_elementary_symmetric_functions`.  A ball (no boundary rule) raises ValueError.
     """
     n = shape.n
@@ -233,80 +231,15 @@ def shape_table(shape: geom.Shape, level: int = 1) -> ValuationTable:
     return hermitian_volumes(shape, level)
 
 
-def _comb0(m: int, k: int) -> int:
-    return comb(m, k) if 0 <= k <= m else 0
-
-
 def ball_closed_form(eps: float, n: int, R: float) -> ValuationTable:
     """Exact valuations of a geodesic ball: closed forms in R, no quadrature."""
-    mu_h, lam = geom.geodesic_sphere_curvatures(eps, R)
-    area, vol = geom.sphere_area_and_ball_volume(eps, n, R)
-    fct = factorial(n - 1)
-    B = {
-        (k, q): form_norm_coeff(n, k, q).to_float()
-        * 2.0 ** (k - 2 * q - 1)
-        * lam ** (2 * n - k - 1)
-        * fct
-        * area
-        for (k, q) in beta_indices(n)
-    }
-    Gamma = {
-        (k, q): 0.5
-        * form_norm_coeff(n, k, q).to_float()
-        * mu_h
-        * 2.0 ** (k - 2 * q)
-        * lam ** (2 * n - k - 2)
-        * fct
-        * area
-        for (k, q) in gamma_indices(n)
-    }
-    d = 2 * n - 1
-    M = {
-        j: (_comb0(d - 1, j) * lam**j + _comb0(d - 1, j - 1) * mu_h * lam ** (j - 1))
-        * area
-        / comb(d, j)
-        for j in range(d + 1)
-    }
-    return ValuationTable(n=n, eps=eps, B=B, Gamma=Gamma, M=M, vol=vol)
+    return ValuationTable(n, eps, *geom.ball_closed_forms(eps, n, R))
 
 
 def ball_closed_form_derivative(eps: float, n: int, R: float) -> ValuationTable:
-    """d/dR of `ball_closed_form`, analytically (oracle for radial variations).
-
-    Uses lambda' = -(eps + lambda^2), mu_H' = -(4 eps + mu_H^2) and
-    area'/area = mu_H + (2n-2) lambda; the volume derivative is the area.
-    """
-    mu_h, lam = geom.geodesic_sphere_curvatures(eps, R)
-    area, _ = geom.sphere_area_and_ball_volume(eps, n, R)
-    dlam = -(eps + lam * lam)
-    dmu = -(4 * eps + mu_h * mu_h)
-    darea = area * (mu_h + (2 * n - 2) * lam)
-    fct = factorial(n - 1)
-    dB = {}
-    for (k, q) in beta_indices(n):
-        p = 2 * n - k - 1
-        c = form_norm_coeff(n, k, q).to_float() * 2.0 ** (k - 2 * q - 1) * fct
-        dB[(k, q)] = c * (p * lam ** (p - 1) * dlam * area + lam**p * darea)
-    dG = {}
-    for (k, q) in gamma_indices(n):
-        p = 2 * n - k - 2
-        c = 0.5 * form_norm_coeff(n, k, q).to_float() * 2.0 ** (k - 2 * q) * fct
-        lam_pow = lam**p
-        dlam_pow = p * lam ** (p - 1) * dlam if p != 0 else 0.0
-        dG[(k, q)] = c * (
-            dmu * lam_pow * area + mu_h * dlam_pow * area + mu_h * lam_pow * darea
-        )
-    d = 2 * n - 1
-    dM = {}
-    for j in range(d + 1):
-        s = _comb0(d - 1, j) * lam**j + _comb0(d - 1, j - 1) * mu_h * lam ** (j - 1)
-        ds = _comb0(d - 1, j) * (j * lam ** (j - 1) * dlam if j else 0.0)
-        ds += _comb0(d - 1, j - 1) * (
-            (dmu * lam ** (j - 1) if j >= 1 else 0.0)
-            + (mu_h * (j - 1) * lam ** (j - 2) * dlam if j >= 2 else 0.0)
-        )
-        dM[j] = (ds * area + s * darea) / comb(d, j)
-    return ValuationTable(n=n, eps=eps, B=dB, Gamma=dG, M=dM, vol=area)
+    """d/dR of `ball_closed_form` (oracle for radial variations): the same
+    monomials in the Jacobi fields, differentiated term by term."""
+    return ValuationTable(n, eps, *geom.ball_closed_forms(eps, n, R, order=1))
 
 
 def check_gamma_b_relation(table: ValuationTable) -> Dict[Tuple[int, int], float]:

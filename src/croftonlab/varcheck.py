@@ -43,7 +43,6 @@ from .coeffcore import crofton_variation_coeffs, variation_operator
 
 __all__ = [
     "LinearFlow",
-    "tilde_integrals",
     "valuation_value",
     "key_name",
     "central_differences",
@@ -113,20 +112,6 @@ class LinearFlow:
         return np.einsum(
             "mi,mi->m", cloud.positions @ self.A.T, cloud.normals
         )
-
-
-def tilde_integrals(
-    shape: geom.Shape, flow: LinearFlow, level: int = 1
-) -> valuations.ValuationTable:
-    """Valuation table of the boundary measure weighted by <X, N> (the tilde table).
-
-    The weight is invariant under `flow.symmetry`, so the boundary rule takes
-    the strongest reduction that group and the shape admit: the sign fold for
-    a diagonal generator on an axis-aligned ellipsoid, the torus-orbit rule
-    only when it also commutes with J on every pair (`geom.boundary_chunks`).
-    A shape without a boundary rule (a ball) raises ValueError.
-    """
-    return valuations.hermitian_volumes(shape, level, flow)
 
 
 Key = Union[Tuple[str, int, int], str]

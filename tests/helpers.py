@@ -4,6 +4,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from croftonlab import geom, valuations
+from croftonlab.coeffcore import ball_volume_coeff, sphere_volume_coeff
 
 
 def realify_complex_columns(Vc: np.ndarray) -> np.ndarray:
@@ -66,6 +67,14 @@ def whole_cloud(shape, level=0, symmetry="none"):
     return next(geom.boundary_chunks(shape, level, symmetry, None))
 
 
+def sphere_area(eps, n, R):
+    """Area O_{2n-1} g f^{2n-2} of the geodesic sphere of radius R, from the
+    Jacobi fields f = f_eps and g = f_{4 eps} (`geom.jacobi_field`)."""
+    f, _ = geom.jacobi_field(eps, R)
+    g, _ = geom.jacobi_field(4 * eps, R)
+    return sphere_volume_coeff(2 * n - 1).to_float() * g * f ** (2 * n - 2)
+
+
 class OneNodeBall:
     """A geodesic ball as one boundary node: h = diag(mu_H, lambda, ...,
     lambda) from the closed-form curvatures, at the weight of the whole sphere
@@ -75,12 +84,12 @@ class OneNodeBall:
 
     def __init__(self, n, eps, R):
         self.n, self.eps, self.R = n, eps, R
-        self.volume = geom.sphere_area_and_ball_volume(eps, n, R)[1]
+        self.volume = ball_volume_coeff(2 * n).to_float() * geom.jacobi_field(eps, R)[0] ** (2 * n)
 
     def boundary(self, level, symmetry, size):
         n = self.n
         mu_h, lam = geom.geodesic_sphere_curvatures(self.eps, self.R)
-        area, _ = geom.sphere_area_and_ball_volume(self.eps, n, self.R)
+        area = sphere_area(self.eps, n, self.R)
         normal = np.eye(1, 2 * n)
         h = np.diag([mu_h] + [lam] * (2 * n - 2))[None]
         yield geom.BoundaryCloud(n, self.R * normal, normal, h, np.array([area]), "one node")

@@ -229,15 +229,36 @@ def test_check_variation_ball(capsys):
 
 
 def test_ball_crofton_variation_near_the_injectivity_bound_reports(capsys):
-    # 1e-4 below pi/2: no transported ball is needed, so the check reports
-    # (ill-conditioned here, it may fail) instead of raising
+    # 1e-4 below pi/2: no transported ball is needed, and the closed forms
+    # divide by nothing, so the check reports a pass
     code = cli.main(["check", "crofton-variation", "--shape", "ball", "--n", "2",
                      "--eps", "1", "--R", "1.5707", "--r", "1"])
     captured = capsys.readouterr()
     assert captured.err == ""
     report = json.loads(captured.out)
-    assert code == (0 if report["pass"] else 1)
+    assert code == 0 and report["pass"]
     assert set(report["results"]) >= {"oracle", "formula", "relErr"}
+
+
+def test_a_ball_of_radius_1e_200_is_checked(capsys):
+    # its tables used to overflow through 1/R; 1/R now enters only the curvatures
+    code, out = run_cli(["check", "gauss-bonnet", "--R", "1e-200"], capsys)
+    assert code == 0 and json.loads(out)["pass"]
+
+
+def test_an_oversized_jacobi_matrix_is_a_usage_error(capsys):
+    # the n = 2 torus-orbit rule has only p = 8 * 2^L nodes, but its
+    # Gauss-Jacobi rule builds a dense p x p matrix: 512 MiB at level 10
+    t0 = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["volumes", "--shape", "ellipsoid", "--axes", "1,1,2,2", "--level", "10"])
+    assert time.perf_counter() - t0 < 1.0
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.strip().splitlines()[-1] == (
+        "croftonlab: error: the level-10 torus-orbit rule needs a 8,192 x 8,192 Jacobi matrix "
+        "(67,108,864 entries), over the limit of 16,777,216")
 
 
 def test_check_crofton_mc_small(capsys):
@@ -494,7 +515,8 @@ def test_invalid_thread_count_is_a_parser_error(value, capsys, monkeypatch):
         (["check", "gauss-bonnet", "--eps", "-1", "--R", "400"], "overflow"),
         (["volumes", "--eps", "-1", "--R", "800"], "overflow"),
         (["check", "variation", "--eps", "-1", "--R", "400"], "overflow"),
-        (["check", "gauss-bonnet", "--R", "1e-200"], "overflow"),
+        # 1/R overflows the curvatures
+        (["check", "gauss-bonnet", "--R", "1e-320"], "overflow"),
         (["volumes", "--shape", "ellipsoid", "--axes", "1,1,2,2", "--level", "0",
           "--richardson"], "--richardson"),
         (["volumes", "--R", "0.5", "--richardson"], "--richardson"),
@@ -528,6 +550,8 @@ def test_invalid_thread_count_is_a_parser_error(value, capsys, monkeypatch):
         # a ball's table is its closed form: there is no flag to ask for it
         (["volumes", "--shape", "ball", "--n", "2", "--eps", "1", "--R", "0.5",
           "--closed-form"], "--closed-form"),
+        # past the last finite table at eps = -1, where nan residuals were reported
+        (["check", "gauss-bonnet", "--n", "2", "--eps", "-1", "--R", "177.3"], "overflow"),
     ],
 )
 def test_bad_flag_values_are_parser_errors(argv, flag, capsys, tmp_path, monkeypatch):

@@ -1,7 +1,7 @@
 """Boundary quadrature, adapted frames and space-form radial geometry."""
 
 from fractions import Fraction
-from math import comb, cos, gamma, pi, sin, sqrt, tan, tanh
+from math import comb, cos, exp, gamma, isfinite, log, nextafter, pi, sin, sqrt, tan, tanh
 
 import numpy as np
 import pytest
@@ -415,12 +415,11 @@ def test_overflowing_hopf_curvature_is_refused(eps):
     with pytest.raises(ValueError, match=overflow):
         geom.geodesic_sphere_curvatures(eps, 1e-160)
     with pytest.raises(ValueError, match=overflow):
-        geom.sphere_area_and_ball_volume(eps, 3, 1e-160)
+        geom.ball_closed_forms(eps, 3, 1e-160)
     with pytest.raises(ValueError, match=overflow):
         geom.GeodesicBall(n=3, eps=eps, R=1e-160)
-    for closed_form in (geom.jacobi_value, geom._jacobi_log_derivative):
-        with pytest.raises(ValueError, match=overflow):
-            closed_form(4 * eps, 1e-160)
+    with pytest.raises(ValueError, match=overflow):
+        geom.jacobi_field(4 * eps, 1e-160)
     # the largest eps whose 4 eps is finite still has closed forms
     mu_h, lam = geom.geodesic_sphere_curvatures(np.copysign(4.49e307, eps), 1e-160)
     assert all(map(np.isfinite, (mu_h, lam)))
@@ -582,25 +581,90 @@ def test_curvatures_match_jacobi_oracle(eps, R):
     assert lam == pytest.approx(dist, rel=1e-10)
 
 
+def _area_and_volume(eps, n, R):
+    """(area of the geodesic sphere, volume of the ball): M_0 and vol of the
+    ball's closed forms, and the R-derivative of that volume."""
+    _, _, M, vol = geom.ball_closed_forms(eps, n, R)
+    return M[0], vol, geom.ball_closed_forms(eps, n, R, order=1)[3]
+
+
+@pytest.mark.parametrize("kappa", [4.0, 1.0, 0.0, -1.0, -4.0])
+@pytest.mark.parametrize("R", [0.3, 0.6, 0.7])
+def test_jacobi_field_matches_jacobi_oracle(kappa, R):
+    f, df = geom.jacobi_field(kappa, R)
+    want_f, want_log = jacobi_oracle(kappa, R)
+    assert f == pytest.approx(want_f, rel=1e-10)
+    assert df / f == pytest.approx(want_log, rel=1e-10)
+
+
+def _accepts(n, eps, R):
+    try:
+        geom.GeodesicBall(n=n, eps=eps, R=R)
+    except ValueError:
+        return False
+    return True
+
+
+def _edge(n, eps, accepted, refused):
+    """The accepted radius next to the boundary between an accepted and a
+    refused radius, by bisection of log R."""
+    while True:
+        mid = exp((log(accepted) + log(refused)) / 2)
+        if mid in (accepted, refused):
+            return accepted
+        if _accepts(n, eps, mid):
+            accepted = mid
+        else:
+            refused = mid
+
+
+@pytest.mark.parametrize("eps", [-1.0, -0.5, -1e-3, 0.0, 1e-3, 0.5, 1.0])
+def test_every_closed_form_is_finite_at_the_accepted_radii_edges(eps):
+    # a radius is accepted exactly when every closed form of the ball is
+    # finite: the smallest and the largest accepted radius have finite tables
+    for n in range(1, 7):
+        smallest = _edge(n, eps, 1.0, 5e-324)
+        largest = (nextafter(pi / (2 * sqrt(eps)), 0) if eps > 0
+                   else _edge(n, eps, 1.0, 1e308))
+        # every dimension takes radii down to where 1/R overflows the curvatures
+        assert smallest < 5.6e-309
+        for R in (smallest, largest):
+            assert _accepts(n, eps, R), (n, R)
+            for order in (0, 1):
+                B, Gamma, M, vol = geom.ball_closed_forms(eps, n, R, order)
+                values = [*B.values(), *Gamma.values(), *M.values(), vol]
+                assert all(map(isfinite, values)), (n, R, order)
+
+
+@pytest.mark.parametrize("n,R", [(1, 354.6), (2, 177.3), (3, 118.4), (4, 88.9), (5, 71.3)])
+def test_radii_past_the_last_finite_table_are_refused(n, R):
+    # each radius lies past the last finite table, where balls were accepted
+    # with tables of inf and nan
+    with pytest.raises(ValueError, match="closed forms overflow"):
+        geom.GeodesicBall(n=n, eps=-1.0, R=R)
+
+
 def test_sphere_area_and_volume_flat():
-    area, vol = geom.sphere_area_and_ball_volume(0.0, 2, 1.5)
+    area, vol, _ = _area_and_volume(0.0, 2, 1.5)
     assert area == pytest.approx(2 * pi**2 * 1.5**3, rel=1e-12)
     assert vol == pytest.approx(pi**2 / 2 * 1.5**4, rel=1e-10)
-    # the closed-form volume against the radial integral of the area
+    # the closed-form volume against the radial integral of the area, and its
+    # R-derivative against the area
     for eps in (-1.0, -0.3, 0.0, 0.5, 1.0):
         for n in range(1, 7):
             for R in (0.2, 0.7, 1.5):
                 if eps > 0 and R >= pi / (2 * sqrt(eps)):
                     continue
-                _, vol = geom.sphere_area_and_ball_volume(eps, n, R)
-                want, _ = quad(lambda rho: geom.sphere_area_and_ball_volume(eps, n, rho)[0],
+                area, vol, dvol = _area_and_volume(eps, n, R)
+                want, _ = quad(lambda rho: _area_and_volume(eps, n, rho)[0],
                                0.0, R, epsabs=0.0, epsrel=2e-14, limit=200)
                 assert vol == pytest.approx(want, rel=1e-13, abs=0), (eps, n, R)
+                assert dvol == pytest.approx(area, rel=1e-14, abs=0), (eps, n, R)
 
 
 def test_projective_line_total_volume():
     # the whole eps = 1, n = 1 space form has volume pi
-    _, vol = geom.sphere_area_and_ball_volume(1.0, 1, pi / 2 * (1 - 1e-9))
+    _, vol, _ = _area_and_volume(1.0, 1, pi / 2 * (1 - 1e-9))
     assert vol == pytest.approx(pi, rel=1e-6)
 
 
@@ -608,9 +672,9 @@ def test_area_small_radius_asymptotics_and_monotone():
     o3 = sphere_volume_coeff(3).to_float()
     for eps in (-1.0, 0.0, 1.0):
         R = 1e-4
-        area, vol = geom.sphere_area_and_ball_volume(eps, 2, R)
+        area, vol, _ = _area_and_volume(eps, 2, R)
         assert area == pytest.approx(o3 * R**3, rel=1e-6)
-        vols = [geom.sphere_area_and_ball_volume(eps, 2, r)[1] for r in (0.3, 0.6, 0.9)]
+        vols = [_area_and_volume(eps, 2, r)[1] for r in (0.3, 0.6, 0.9)]
         assert vols[0] < vols[1] < vols[2]
 
 

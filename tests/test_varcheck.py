@@ -9,7 +9,7 @@ from scipy.linalg import expm
 from croftonlab import checks
 from croftonlab import coeffcore as cc
 from croftonlab import geom, valuations as val, varcheck as vc
-from helpers import ProductRuleWeight, radial_differences, richardson_error
+from helpers import ProductRuleWeight, radial_differences, richardson_error, sphere_area
 
 
 def rel_err(a, b, scale):
@@ -36,9 +36,9 @@ def test_tilde_tables_fold_by_the_flow_symmetry(axes):
     # a diagonal generator keeps <X, N> invariant under the sign flips but not
     # the torus, even on the T^n-invariant [1,1,2,2]; a coupled one under neither
     e = geom.Ellipsoid.from_axes(axes)
-    t = vc.tilde_integrals(e, vc.LinearFlow(np.diag([0.3, 0.23, 0.16, 0.09])), level=0)
+    t = val.hermitian_volumes(e, 0, vc.LinearFlow(np.diag([0.3, 0.23, 0.16, 0.09])))
     assert t.quadrature == {"rule": "sign-fold", "nodes": len(geom.sphere_grid(4, 0)[1]) // 4}
-    t = vc.tilde_integrals(e, vc.LinearFlow(NONDIAGONAL_GENERATOR), level=0)
+    t = val.hermitian_volumes(e, 0, vc.LinearFlow(NONDIAGONAL_GENERATOR))
     assert t.quadrature == {"rule": "product", "nodes": len(geom.sphere_grid(4, 0)[1])}
 
 
@@ -91,7 +91,7 @@ def _product_rule_tilde(shape, flow, level):
 def test_folded_tilde_table_matches_the_product_rule(axes, diag):
     e = geom.Ellipsoid.from_axes(axes)
     flow = vc.LinearFlow(np.diag(diag))
-    folded = vc.tilde_integrals(e, flow, level=2)
+    folded = val.hermitian_volumes(e, 2, flow)
     assert folded.quadrature["rule"] == "sign-fold"
     full = _product_rule_tilde(e, flow, 2)
     assert full.quadrature["rule"] == "product"
@@ -103,7 +103,7 @@ def test_folded_tilde_table_matches_the_product_rule(axes, diag):
 def test_torus_orbit_tilde_table_within_product_rule_error():
     e = geom.Ellipsoid.from_axes([1, 1, 2, 2])
     flow = vc.LinearFlow(np.diag([0.3, 0.3, 0.1, 0.1]))
-    orbit = vc.tilde_integrals(e, flow, level=2)
+    orbit = val.hermitian_volumes(e, 2, flow)
     assert orbit.quadrature == {"rule": "torus-orbit", "nodes": 32}
     full = _product_rule_tilde(e, flow, 2)
     got, want = orbit.to_json(), full.to_json()
@@ -115,7 +115,7 @@ def test_torus_orbit_tilde_table_within_product_rule_error():
 def test_identity_flow_on_unit_sphere():
     # X = x has <X, N> = 1 on the unit sphere
     e = geom.Ellipsoid.from_axes([1, 1, 1, 1])
-    t = vc.tilde_integrals(e, vc.LinearFlow(np.eye(4)), level=1)
+    t = val.hermitian_volumes(e, 1, vc.LinearFlow(np.eye(4)))
     tb = val.hermitian_volumes(e, level=1)
     for key in t.B:
         assert t.B[key] == pytest.approx(tb.B[key], rel=1e-12)
@@ -124,13 +124,13 @@ def test_identity_flow_on_unit_sphere():
 def test_invalid_pairings_raise():
     ball_neg = geom.GeodesicBall(n=2, eps=-1.0, R=0.5)
     with pytest.raises(ValueError):
-        vc.tilde_integrals(ball_neg, vc.LinearFlow(np.eye(4)))
+        val.hermitian_volumes(ball_neg, flow=vc.LinearFlow(np.eye(4)))
     # a linear flow on a flat ball: a ball has no boundary rule to integrate
     # a weight <Ax, N> on
     flat_ball = geom.GeodesicBall(n=2, eps=0.0, R=1.0)
     flow = vc.LinearFlow(np.diag([0.3, 0.1, 0.2, 0.05]))
     with pytest.raises(ValueError):
-        vc.tilde_integrals(flat_ball, flow)
+        val.hermitian_volumes(flat_ball, flow=flow)
     # nor can the flow transport the ball for central differences
     with pytest.raises(ValueError):
         vc.central_differences(flat_ball, flow, 1e-3)
@@ -146,6 +146,22 @@ def test_invalid_pairings_raise():
 def test_radial_variation_every_key(eps, R, n):
     res = checks.variation(geom.GeodesicBall(n=n, eps=eps, R=R), 1, 1e-6)
     assert res["pass"], res["keys"]
+
+
+@pytest.mark.parametrize("eps", [-1.0, 0.0, 1.0])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_radial_variation_at_a_tiny_radius(eps, n):
+    # the closed forms divided by f and g, and lost up to 1.6e-4 here
+    res = checks.variation(geom.GeodesicBall(n=n, eps=eps, R=1e-6), 1)
+    assert res["pass"]
+    assert max(item["relErr"] for item in res["keys"].values()) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_crofton_variation_near_the_injectivity_bound(n):
+    # 1e-4 below pi/2 the derivative table's divisions lost up to 37% at r = 1
+    res = checks.crofton_variation(geom.GeodesicBall(n=n, eps=1.0, R=1.5707), 1, 1)
+    assert res["pass"], res["relErr"]
 
 
 def test_radial_fd_matches_formula():
@@ -170,7 +186,7 @@ def test_fd_second_order_convergence():
 
 def test_volume_first_variation_is_area():
     # d/dt vol = integral of <X, N>, i.e. 2 tilde-B_{2n-1,n-1}
-    area = geom.sphere_area_and_ball_volume(-1.0, 3, 0.7)[0]
+    area = sphere_area(-1.0, 3, 0.7)
     tilde = val.ball_closed_form(-1.0, 3, 0.7)
     assert vc.variation_formula("vol", tilde) == pytest.approx(area, rel=1e-12)
     assert 2 * tilde.B[(5, 2)] == pytest.approx(area, rel=1e-12)
@@ -205,7 +221,7 @@ NONDIAGONAL_GENERATOR = np.array(
 def _assert_linear_flow_formula(a, axes, keys):
     e = geom.Ellipsoid.from_axes(axes)
     flow = vc.LinearFlow(a)
-    tilde = vc.tilde_integrals(e, flow, level=2)
+    tilde = val.hermitian_volumes(e, 2, flow)
     fds = vc.central_differences(e, flow, 1e-3, level=2)
     for key in keys:
         fd, fm = vc.valuation_value(fds, key), vc.variation_formula(key, tilde)
@@ -235,7 +251,7 @@ def test_isometry_generator_kills_variations():
     flow = vc.LinearFlow(J)
     keys = (("B", 2, 0), ("G", 2, 1), ("B", 3, 1), "vol")
     fds = vc.central_differences(ball, flow, 1e-3, level=1)
-    tilde = vc.tilde_integrals(ball, flow, level=1)
+    tilde = val.hermitian_volumes(ball, 1, flow)
     for key in keys:
         assert abs(vc.valuation_value(fds, key)) < 1e-9
         assert abs(vc.variation_formula(key, tilde)) < 1e-9
@@ -281,7 +297,7 @@ def test_crofton_variation_on_balls_n3():
 def test_crofton_variation_on_ellipsoid():
     e = geom.Ellipsoid.from_axes([1, 1, 2, 2])
     flow = vc.LinearFlow(np.diag([0.3, -0.1, 0.2, 0.05]))
-    tilde = vc.tilde_integrals(e, flow, level=2)
+    tilde = val.hermitian_volumes(e, 2, flow)
     lhs = val.crofton_rhs(vc.central_differences(e, flow, 1e-3, level=2), 1)
     assert lhs == pytest.approx(vc.crofton_variation_formula(1, tilde), rel=1e-4)
 
