@@ -7,14 +7,18 @@ For each of threads {1, 2} x BLAS {pinned, default}, a fresh interpreter
 imports croftonlab from PATH (a checkout's `src` directory), runs one small
 warm-up estimate and then `--estimates` flat n = 3, r = 2 chi-measure
 estimates of `--planes` planes each on the ellipsoid [1, 1, 1, 1, 2, 2]
-(seeds 0, 1, ...).  "pinned" runs with OPENBLAS_NUM_THREADS, OMP_NUM_THREADS
-and MKL_NUM_THREADS set to 1, as bench/run.py does; "default" removes them,
-so OpenBLAS picks its own thread count.
+(seeds 0, 1, ...).  Then it times one n = 3, r = 1 Grassmann average
+(`planes.grassmann_sigma_average`, seed 0) of `--planes` planes on a fixed
+symmetric 5 x 5 form, after a one-chunk warm-up.  "pinned" runs with
+OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS set to 1, as
+bench/run.py does; "default" removes them, so OpenBLAS picks its own thread
+count.
 
 Prints one JSON object: per configuration the wall time of the timed
 estimates, their minor page faults (ru_minflt), user and system CPU time,
-the process's peak RSS and the estimate means.  The means must not depend
-on the configuration.
+the process's peak RSS and the estimate means, and under "grassmann" the
+Grassmann average's wall time, CPU time (user + system) and mean.  The means
+must not depend on the configuration.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from pathlib import Path
 BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 AXES = [1, 1, 1, 1, 2, 2]
 R = 2
+GRASSMANN_FORM_SEED = 0  # the symmetric 5 x 5 second fundamental form of the Grassmann probe
 
 
 def child(args: argparse.Namespace) -> dict:
@@ -53,7 +58,22 @@ def child(args: argparse.Namespace) -> dict:
         "sys_s": round(after.ru_stime - before.ru_stime, 3),
         "maxrss_mb": round(after.ru_maxrss / 1024, 1),
         "means": means,
+        "grassmann": grassmann(planes, args.planes),
     }
+
+
+def grassmann(planes, count: int) -> dict:
+    """One n = 3, r = 1 Grassmann average of `count` planes: wall, CPU, mean."""
+    import numpy as np
+
+    a = np.random.default_rng(GRASSMANN_FORM_SEED).standard_normal((5, 5))
+    h = (a + a.T) / 2
+    planes.grassmann_sigma_average(h, 1, planes.SAMPLE_CHUNK, 1000)  # warm-up
+    cpu = time.process_time()
+    start = time.perf_counter()
+    mean = planes.grassmann_sigma_average(h, 1, count, 0).mean
+    return {"wall_s": round(time.perf_counter() - start, 3),
+            "cpu_s": round(time.process_time() - cpu, 3), "mean": mean}
 
 
 def main() -> None:

@@ -44,7 +44,7 @@ from fractions import Fraction
 from functools import cache
 from math import comb, factorial, pi as _PI
 from types import MappingProxyType
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 RationalLike = Union[int, Fraction]
 
@@ -774,13 +774,21 @@ def short_gauss_bonnet_coeffs(n: int) -> CoeffTable:
         sum_{0<k<n} eps^k O_{2n-2k-1} binom(n-1,k)^{-1} mu_{2k,k}
             + 2n eps^n vol + 2n eps * (hyperplane measure bracket),
 
-    the bracket being `crofton_coeffs(n, n-1)`, looked up at each call (no
-    memo), with its formal unit set to 1; at n = 1 the hyperplanes are points
-    and the bracket is vol.  A sum across powers of pi raises ValueError.
+    the bracket being `crofton_coeffs(n, n-1)` with its formal unit set to 1;
+    at n = 1 the hyperplanes are points and the bracket is vol.  A sum across
+    powers of pi raises ValueError.  The table is memoized on n and the
+    function this module names `crofton_coeffs` at the call, so a replaced
+    `crofton_coeffs` builds a new table.
     """
+    return _short_gauss_bonnet(n, crofton_coeffs)
+
+
+@cache
+def _short_gauss_bonnet(n: int, crofton: Callable[[int, int], CoeffTable]) -> CoeffTable:
+    """`short_gauss_bonnet_coeffs(n)` with the hyperplane table `crofton(n, n - 1)`."""
     if n < 1:
         raise IndexRangeError("need n >= 1")
-    hyper = _graded_bracket(1, 0) if n == 1 else crofton_coeffs(n, n - 1)
+    hyper = _graded_bracket(1, 0) if n == 1 else crofton(n, n - 1)
     entries = {(k, q, p + 1): c * (2 * n) for (k, q, p), c in hyper.entries.items()}
     vol = {p + 1: c * (2 * n) for p, c in hyper.vol.items()}
     for k in range(1, n):

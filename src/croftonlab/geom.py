@@ -43,30 +43,44 @@ exactly when its curvatures, its table and its derivative table are finite.
 The Gauss-Jacobi rules are computed here with numpy alone: Golub-Welsch
 with one Newton step (`_gauss_jacobi`).
 
-Boundary integrals whose integrand is invariant under a group of holomorphic
-isometries that preserves the domain reduce to one node per orbit.  The
-groups are nested, sign flips z_j -> -z_j inside the torus T^n
-(z_j -> e^{i t_j} z_j), and `symmetry_group` names the largest one a linear
-map commutes with.  `boundary_chunks(..., symmetry=G)` states that the
-integrand is G-invariant and takes the rule of the smaller of G and the
-quadric's group:
+Boundary integrals whose integrand is invariant under a group of isometries
+that preserves the domain and maps complex planes to complex planes reduce
+to one node per orbit.  The groups are generated by three kinds of
+isometries: the sign flips z_j -> -z_j, the torus T^n (z_j -> e^{i t_j} z_j)
+and the conjugation C: z -> conj(z), the antiholomorphic
+diag(1, -1, 1, -1, ...).  They form a lattice, not a chain (SYMMETRIES):
 
-  * torus-orbit: when the quadric is invariant under the torus T^n (every
+    none < sign < conj         the sign flips and C
+           sign < torus        T^n, which holds the sign flips
+    conj, torus < torus+conj   both
+
+`symmetry_group` names the largest one a linear map commutes with: a flow
+generator a + bJ (b != 0) commutes with the torus but not with C, a
+pair-rotated quadric with the sign flips but not with C.
+`boundary_chunks(..., symmetry=G)` states that the integrand is G-invariant
+and takes the rule of the meet of G and the quadric's group, the isometries
+both commute with:
+
+  * torus-orbit: when both are torus-invariant (for the quadric: every
     off-pair 2x2 block zero and every diagonal pair block c I_2 up to
     roundoff, as for ellipsoids with semiaxes in equal pairs and their turns
     inside a pair), the integral reduces to the (n-1)-simplex s_j = |u_j|^2
     of the sphere parameter.  A collapsed Gauss-Jacobi rule there gives
     p^{n-1} nodes u = (sqrt(s_1), 0, ..., sqrt(s_n), 0), p = 8 * 2^L;
-  * sign-fold: when the quadric only commutes with the sign flips (every
-    off-pair 2x2 block zero, as for all axis-aligned ellipsoids), the product
-    rule is built on the x_j > 0 part of the sphere, one node per orbit of
-    (+-1)^n at 2^n times its weight;
+  * conj-fold: else, when both commute with the sign flips and C (a
+    diagonal matrix, as for every axis-aligned ellipsoid), the product rule
+    is built on the part of the sphere where every x_j > 0 and y_n > 0, one
+    node per orbit of (+-1)^n x {1, C} at 2^(n+1) times its weight;
+  * sign-fold: else, when both commute with the sign flips (every off-pair
+    2x2 block zero), the product rule on the x_j > 0 part, one node per
+    orbit of (+-1)^n at 2^n times its weight;
   * product: every other quadric or integrand takes the full product rule.
 
-The U(n)-invariant curvature densities are invariant under every such group.
-A weight <X, N> of a linear flow X = A x is invariant under the group that A
-commutes with: the sign flips when every off-pair block of A is zero, the
-torus when in addition every diagonal pair block commutes with J.
+The U(n)-invariant curvature densities are invariant under every such group
+("torus+conj"): C maps the adapted frame at x to a frame at Cx in which h is
+conjugated by diag(-1, 1, -1, ...), which the densities do not see.  A
+weight <X, N> of a linear flow X = A x is invariant under the group that A
+commutes with.
 """
 
 from __future__ import annotations
@@ -297,7 +311,7 @@ class Ellipsoid(Shape):
     def boundary(self, level: int, symmetry: str,
                  size: Optional[int]) -> Iterator["BoundaryCloud"]:
         """x = B u on the unit sphere (B = Q^{-1/2}, area factor det(B) |B^{-1} u|)
-        with the level-set shape operator, on the rule of the smaller of
+        with the level-set shape operator, on the rule of the meet of
         `symmetry` and `symmetry_group(Q)`.  The rule is built once; the
         geometry of its nodes u[lo:lo + size] is computed chunk by chunk."""
         Q = self.quadric
@@ -307,11 +321,11 @@ class Ellipsoid(Shape):
         Binv = evecs @ np.diag(evals**0.5) @ evecs.T
         detB = float(np.prod(evals**-0.5))
 
-        group = min(symmetry, symmetry_group(Q), key=SYMMETRIES.index)
-        if group == "torus":
+        group = _meet(symmetry, symmetry_group(Q))
+        if "torus" in SYMMETRIES[group]:
             grid, grid_weights = torus_orbit_grid(n, level)
         else:
-            grid, grid_weights = sphere_grid(2 * n, level, fold=group == "sign")
+            grid, grid_weights = sphere_grid(2 * n, level, fold=group)
         step = size or len(grid)
         for lo in range(0, len(grid), step):
             u, w = grid[lo : lo + step], grid_weights[lo : lo + step]
@@ -495,7 +509,7 @@ def _gauss_jacobi(p: int, alpha: float, beta: float) -> Tuple[np.ndarray, np.nda
 
 
 @lru_cache(maxsize=32)
-def sphere_grid(d: int, level: int, fold: bool = False) -> Tuple[np.ndarray, np.ndarray]:
+def sphere_grid(d: int, level: int, fold: str = "none") -> Tuple[np.ndarray, np.ndarray]:
     """Product quadrature on the unit sphere S^{d-1}.
 
     Hyperspherical angles; each polar angle integrated by Gauss-Jacobi in
@@ -504,22 +518,28 @@ def sphere_grid(d: int, level: int, fold: bool = False) -> Tuple[np.ndarray, np.
     Returns (points (m, d), weights (m,)); weights sum to the sphere volume.
     A rule of more than MAX_RULE_NODES nodes raises `RuleTooLarge`.
 
-    `fold=True` (d = 2n) builds only the nodes whose even coordinates
+    `fold="sign"` (d = 2n) builds only the nodes whose even coordinates
     u_0, u_2, ..., u_{d-2} are all positive, one per orbit of the sign flips
     (u_{2j}, u_{2j+1}) -> -(u_{2j}, u_{2j+1}), each at 2^n times its weight:
     the z > 0 half of the polar axes that set u_0, ..., u_{d-4} and the
-    cos(phi) > 0 azimuths that set u_{d-2}.  Nodes and weights are those of
-    the full grid's kept nodes, bit for bit, in the same order.
+    cos(phi) > 0 azimuths that set u_{d-2}.  `fold="conj"` also keeps only
+    u_{d-1} > 0, one node per orbit of the sign flips and the conjugation
+    u_{2j+1} -> -u_{2j+1}, each at 2^(n+1) times its weight: the azimuths
+    with cos(phi) > 0 and sin(phi) > 0.  Nodes and weights are those of the
+    full grid's kept nodes, bit for bit, in the same order.
     """
     if d < 2:
         raise ValueError("need d >= 2")
-    if fold and d % 2:
-        raise ValueError("the sign fold needs an even dimension")
+    if fold not in ("none", "sign", "conj"):
+        raise ValueError(f"fold must be 'none', 'sign' or 'conj', got {fold!r}")
+    if fold != "none" and d % 2:
+        raise ValueError("a fold needs an even dimension")
     n_polar = BASE_POLAR_NODES * 2**level
     n_az = BASE_AZIMUTH_NODES * 2**level
-    # the fold keeps half of each of the d/2 axes that set an even coordinate
-    nodes = n_polar ** (d - 2) * n_az // (2 ** (d // 2) if fold else 1)
-    _check_rule_size("sign-fold" if fold else "product", level, nodes, n_polar if d > 2 else 0)
+    # each fold halves d/2 axes, the conjugation the azimuth once more
+    halvings = {"none": 0, "sign": d // 2, "conj": d // 2 + 1}[fold]
+    nodes = n_polar ** (d - 2) * n_az >> halvings
+    _check_rule_size(_RULES[fold], level, nodes, n_polar if d > 2 else 0)
 
     axes_nodes: List[np.ndarray] = []
     axes_weights: List[np.ndarray] = []
@@ -532,17 +552,20 @@ def sphere_grid(d: int, level: int, fold: bool = False) -> Tuple[np.ndarray, np.
     axes_nodes.append(phi)
     axes_weights.append(np.full(n_az, 2 * pi / n_az))
 
-    if fold:
-        # axis k sets u_k (the azimuth sets u_{d-2} through cos(phi))
-        for k in range(0, d - 1, 2):
-            nodes, w = axes_nodes[k], axes_weights[k]
-            keep = (np.cos(nodes) if k == d - 2 else nodes) > 0
-            if abs(2 * w[keep].sum() - w.sum()) > 1e-13 * w.sum():
-                # the folded weights times 2^n would not sum to the full total
-                raise RuntimeError(
-                    "sphere grid is not closed under the sign flips z_j -> -z_j"
-                )
-            axes_nodes[k], axes_weights[k] = nodes[keep], w[keep]
+    # each halving keeps the positive half of the coordinate u_k that axis k
+    # sets, one node per orbit of a reflection; the azimuth sets u_{d-2}
+    # through cos(phi) and u_{d-1} through sin(phi)
+    halves = [(k, np.cos if k == d - 2 else None, "the sign flips z_j -> -z_j")
+              for k in range(0, d - 1, 2) if fold != "none"]
+    if fold == "conj":
+        halves.append((d - 2, np.sin, "the conjugation z -> conj(z)"))
+    for k, coordinate, reflection in halves:
+        axis, w = axes_nodes[k], axes_weights[k]
+        keep = (coordinate(axis) if coordinate else axis) > 0
+        if abs(2 * w[keep].sum() - w.sum()) > 1e-13 * w.sum():
+            # the folded weights times 2^halvings would not sum to the full total
+            raise RuntimeError(f"sphere grid is not closed under {reflection}")
+        axes_nodes[k], axes_weights[k] = axis[keep], w[keep]
 
     # broadcast views: each axis is expanded to full size only while it is read
     grids = np.meshgrid(*axes_nodes, indexing="ij", copy=False)
@@ -560,8 +583,7 @@ def sphere_grid(d: int, level: int, fold: bool = False) -> Tuple[np.ndarray, np.
     pts[:, d - 2] = radial * np.cos(phi)
     pts[:, d - 1] = radial * np.sin(phi)
     weights *= wgrids[d - 2].reshape(-1)
-    if fold:
-        weights *= 2 ** (d // 2)
+    weights *= 2**halvings
     pts.setflags(write=False)
     weights.setflags(write=False)
     return pts, weights
@@ -649,6 +671,12 @@ def _commutes_with_sign_flips(M: np.ndarray) -> bool:
 TORUS_BLOCK_TOL = 16 * np.finfo(float).eps
 
 
+def _commutes_with_conjugation(M: np.ndarray) -> bool:
+    """True if M commutes with C = diag(1, -1, 1, -1, ...): every entry between
+    an x and a y coordinate is exactly zero."""
+    return not (np.any(M[0::2, 1::2]) or np.any(M[1::2, 0::2]))
+
+
 def _torus_invariant(M: np.ndarray) -> bool:
     """True if M commutes with every z_j -> e^{i t_j} z_j: off-pair blocks are
     exactly zero and every diagonal pair block [[a, b], [c, d]] commutes with J
@@ -664,17 +692,39 @@ def _torus_invariant(M: np.ndarray) -> bool:
     )
 
 
-# the nested symmetry groups, weakest first, and the boundary rule each admits
-SYMMETRIES = ("none", "sign", "torus")
-_RULES = {"none": "product", "sign": "sign-fold", "torus": "torus-orbit"}
+# the lattice of symmetry groups, each by the isometries that generate it
+SYMMETRIES = {
+    "none": frozenset(),
+    "sign": frozenset({"sign"}),
+    "conj": frozenset({"sign", "conj"}),
+    "torus": frozenset({"sign", "torus"}),
+    "torus+conj": frozenset({"sign", "torus", "conj"}),
+}
+# the boundary rule each group admits; `sphere_grid` folds by the first three
+_RULES = {"none": "product", "sign": "sign-fold", "conj": "conj-fold",
+          "torus": "torus-orbit", "torus+conj": "torus-orbit"}
+
+
+def _group(generators: frozenset) -> str:
+    return next(name for name, gens in SYMMETRIES.items() if gens == generators)
+
+
+def _meet(a: str, b: str) -> str:
+    """The largest group in SYMMETRIES inside both a and b."""
+    return _group(SYMMETRIES[a] & SYMMETRIES[b])
 
 
 def symmetry_group(M: np.ndarray) -> str:
-    """The largest of the nested groups in SYMMETRIES whose elements commute
-    with the linear map M of R^{2n}: "torus", "sign" or "none"."""
+    """The largest group in SYMMETRIES whose elements commute with the linear
+    map M of R^{2n}."""
+    if not _commutes_with_sign_flips(M):
+        return "none"
+    generators = {"sign"}
     if _torus_invariant(M):
-        return "torus"
-    return "sign" if _commutes_with_sign_flips(M) else "none"
+        generators.add("torus")
+    if _commutes_with_conjugation(M):
+        generators.add("conj")
+    return _group(frozenset(generators))
 
 
 def boundary_chunks(shape: Shape, level: int, symmetry: str,
@@ -684,14 +734,14 @@ def boundary_chunks(shape: Shape, level: int, symmetry: str,
     converges to the area integral.  Only the rule's nodes and weights are
     held whole; each chunk's geometry is computed when it is reached.
 
-    `symmetry` (one of SYMMETRIES) names a group of holomorphic isometries
-    that f is invariant under: "torus" for the U(n)-invariant curvature
-    densities, the group of the flow generator for <X, N>-weighted ones.
-    `shape.boundary` takes the rule of the smaller of that group and the
-    shape's own (see the module docstring).
+    `symmetry` (one of SYMMETRIES) names a group of isometries that f is
+    invariant under: "torus+conj" for the U(n)-invariant curvature densities,
+    the group of the flow generator for <X, N>-weighted ones.
+    `shape.boundary` takes the rule of the meet of that group and the shape's
+    own (see the module docstring).
     """
     if symmetry not in SYMMETRIES:
-        raise ValueError(f"symmetry must be one of {SYMMETRIES}, got {symmetry!r}")
+        raise ValueError(f"symmetry must be one of {tuple(SYMMETRIES)}, got {symmetry!r}")
     return shape.boundary(level, symmetry, size)
 
 

@@ -29,9 +29,11 @@ arrays.
 Batch-last layout: a chunk of k frames is a (rows, cols, k) array and a
 chunk of complex anchors an (n, k) array, so every small-matrix entry is one
 contiguous length-k vector.  The QR, the anchors, the hit predicates, the
-restricted quadratic forms and the section minimum (an elementwise Cholesky,
-`geom._inverse_form`) are elementwise vector arithmetic on those entries; only
-det (the Grassmann average) stays a batched LAPACK call.
+restricted quadratic forms, the section minimum (an elementwise Cholesky,
+`geom._inverse_form`) and the Grassmann determinants (an elementwise LU,
+`_det`) are elementwise vector arithmetic on those entries, with no LAPACK
+call: a batched LAPACK det costs about ten times the elementwise one on
+2 x 2 matrices, and its calls contend when the pool runs them on two threads.
 
 Flat case (eps = 0): a plane is an affine subspace anchor + span_C(V), with V
 the first r columns of a Haar unitary frame and the anchor uniform in a
@@ -461,6 +463,32 @@ def total_gauss_estimate(shape, r: int, N: int, seed: int) -> TotalGaussResult:
 # ---------------------------------------------------------------------------
 
 
+def _det(S: np.ndarray) -> np.ndarray:
+    """Determinants of batch-last (k, k, m) matrices, overwriting S: an
+    elementwise LU with partial pivoting, no LAPACK.
+
+    Column j brings, matrix by matrix, the first entry of largest |value| at
+    or below the diagonal into row j by row swaps (each flips the sign),
+    multiplies that pivot into the determinant and eliminates the entries
+    below it.  A zero pivot means that column is zero at and below the
+    diagonal: the determinant is then an exact 0 and the multipliers are 0,
+    with no division by zero."""
+    k, _, m = S.shape
+    det = np.ones(m)
+    for j in range(k - 1):
+        for i in range(j + 1, k):
+            swap = np.abs(S[i, j]) > np.abs(S[j, j])
+            upper, lower = S[j, j:], S[i, j:]
+            S[j, j:], S[i, j:] = np.where(swap, lower, upper), np.where(swap, upper, lower)
+            det *= 1.0 - 2.0 * swap
+        pivot = S[j, j]
+        det *= pivot
+        factors = S[j + 1 :, j] / np.where(pivot != 0, pivot, 1.0)
+        S[j + 1 :, j + 1 :] -= factors[:, None] * S[j, j + 1 :]
+    det *= S[k - 1, k - 1]
+    return det
+
+
 def grassmann_sigma_average(
     h: np.ndarray, r: int, N: int, seed: int
 ) -> MCEstimate:
@@ -473,13 +501,13 @@ def grassmann_sigma_average(
     n = (h.shape[0] + 1) // 2
     hD = h[1:, 1:]
     # moments about the value on the first coordinate r-plane
-    shift = float(np.linalg.det(hD[: 2 * r, : 2 * r]))
+    shift = float(_det(hD[: 2 * r, : 2 * r, None].copy())[0])
 
     def work(rng: np.random.Generator, m: int, ws: geom.Workspace) -> Tuple[float, float]:
         V = _frames(_frame_draws(rng, m, n - 1, r, ws))
         X = geom._real_columns(V, out=ws.take("columns", (2 * n - 2, 2 * r, m)))
         S = geom._restricted_form(hD, X, ws=ws)
-        vals = np.linalg.det(S.transpose(2, 0, 1)) - shift
+        vals = _det(S) - shift
         return float(vals.sum()), float((vals**2).sum())
 
     return _moments_estimate(*_chunk_sums(N, seed, work), N, seed, shift=shift)

@@ -96,8 +96,8 @@ def test_ball_variation_reports_read_the_closed_form(eps, R, capsys):
 
 @pytest.mark.parametrize("what", ["variation", "crofton-variation"])
 def test_an_oversized_boundary_rule_is_a_usage_error(what, capsys):
-    # the transported n = 4 ellipsoid needs the level-2 sign-fold rule of
-    # 2^32 nodes: refused before it is allocated, where a MemoryError used to end
+    # the transported n = 4 ellipsoid needs the level-2 conj-fold rule of
+    # 2^31 nodes: refused before it is allocated, where a MemoryError used to end
     # the command
     t0 = time.perf_counter()
     with pytest.raises(SystemExit) as exc:
@@ -107,7 +107,7 @@ def test_an_oversized_boundary_rule_is_a_usage_error(what, capsys):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.strip().splitlines()[-1] == (
-        "croftonlab: error: the level-2 sign-fold rule needs 4,294,967,296 boundary nodes, "
+        "croftonlab: error: the level-2 conj-fold rule needs 2,147,483,648 boundary nodes, "
         "over the limit of 16,777,216")
 
 
@@ -130,7 +130,7 @@ def test_volumes_richardson(capsys):
 
 @pytest.mark.parametrize(
     "axes,level,rule,nodes",
-    [("1,1,2,2", 1, "torus-orbit", 16), ("1,2,2,3", 0, "sign-fold", 256)],
+    [("1,1,2,2", 1, "torus-orbit", 16), ("1,2,2,3", 0, "conj-fold", 128)],
 )
 def test_reports_state_the_quadrature_rule(axes, level, rule, nodes, capsys, monkeypatch):
     shape = ["--shape", "ellipsoid", "--axes", axes, "--level", str(level)]

@@ -367,6 +367,18 @@ def test_short_gauss_bonnet_identity():
         cc.short_gauss_bonnet_coeffs(0)
 
 
+def test_short_gauss_bonnet_table_is_built_once_per_hyperplane_table(monkeypatch):
+    # memoized on n and the crofton_coeffs it reads: a replaced crofton_coeffs
+    # is a new key, so the mutation test below reaches the table
+    assert cc.short_gauss_bonnet_coeffs(3) is cc.short_gauss_bonnet_coeffs(3)
+    table = cc.short_gauss_bonnet_coeffs(3)
+    crofton = cc.crofton_coeffs
+    monkeypatch.setattr(cc, "crofton_coeffs", lambda n, r: crofton(n, r).scaled(rational(2)))
+    assert not cc.short_gauss_bonnet_coeffs(3).same_coefficients(table)
+    monkeypatch.undo()
+    assert cc.short_gauss_bonnet_coeffs(3) is table
+
+
 @pytest.mark.parametrize("scale", [rational(2), pi_pow(1)])
 def test_short_gauss_bonnet_fails_on_a_wrong_hyperplane_table(scale, monkeypatch):
     # a hyperplane Grassmannian of mass other than 1 breaks the identity,

@@ -8,9 +8,9 @@ import pytest
 from scipy.integrate import nquad, quad
 from scipy.special import roots_jacobi
 
-from croftonlab import checks, geom
+from croftonlab import checks, extalg, geom, varcheck
 from croftonlab.valuations import QUADRATURE_CHUNK
-from croftonlab.coeffcore import ball_volume_coeff, sphere_volume_coeff
+from croftonlab.coeffcore import ball_volume_coeff, beta_indices, gamma_indices, sphere_volume_coeff
 from helpers import ConjugatePointError, jacobi_oracle, realify_complex_columns, whole_cloud
 
 
@@ -225,7 +225,7 @@ def test_streamed_chunks_are_the_whole_cloud(shape, level, symmetry):
 
 
 # ---------------------------------------------------------------------------
-# Folding by the holomorphic sign group (+-1)^n
+# Folding by the sign group (+-1)^n and by conjugation
 # ---------------------------------------------------------------------------
 
 
@@ -241,13 +241,50 @@ def test_sign_fold_keeps_one_node_per_orbit(axes, factor):
     assert folded.weights.sum() == pytest.approx(full.weights.sum(), rel=1e-13)
 
 
+@pytest.mark.parametrize("axes,factor", [([1, 2, 2, 3], 8), ([1, 1, 1, 1, 1, 2], 16)])
+def test_conj_fold_keeps_one_node_per_orbit(axes, factor):
+    e = geom.Ellipsoid.from_axes(axes)
+    full = whole_cloud(e, level=0)
+    folded = whole_cloud(e, level=0, symmetry="torus+conj")
+    assert (full.rule, folded.rule) == ("product", "conj-fold")
+    assert len(folded) * factor == len(full)
+    assert np.all(folded.positions[:, 0::2] > 0) and np.all(folded.positions[:, -1] > 0)
+    assert folded.weights.sum() == pytest.approx(full.weights.sum(), rel=1e-13)
+
+
 @pytest.mark.parametrize("d,level", [(2, 1), (4, 1), (6, 0)])
 def test_folded_grid_is_the_kept_part_of_the_full_grid(d, level):
     u, w = geom.sphere_grid(d, level)
-    keep = np.all(u[:, 0::2] > 0, axis=1)
-    uf, wf = geom.sphere_grid(d, level, fold=True)
-    assert np.array_equal(uf, u[keep])
-    assert np.array_equal(wf, w[keep] * 2 ** (d // 2))
+    sign = np.all(u[:, 0::2] > 0, axis=1)
+    for fold, keep, halvings in [("sign", sign, d // 2), ("conj", sign & (u[:, -1] > 0), d // 2 + 1)]:
+        uf, wf = geom.sphere_grid(d, level, fold=fold)
+        assert np.array_equal(uf, u[keep])
+        assert np.array_equal(wf, w[keep] * 2**halvings)
+
+
+def _conjugate(M):
+    """C M with C = diag(1, -1, 1, -1, ...): the exact conjugate of each row."""
+    return M * np.tile([1.0, -1.0], M.shape[-1] // 2)
+
+
+def test_densities_and_diagonal_flow_weights_are_conjugation_invariant(monkeypatch):
+    # at every node of a level-0 grid and at its exact conjugate, the
+    # U(n)-invariant densities and <Ax, N> of a diagonal A agree; the frame
+    # at the conjugate conjugates h by diag(-1, 1, -1, 1, -1)
+    e = geom.Ellipsoid.from_axes([1, 2, 2, 3, 1.5, 0.7])
+    cloud = whole_cloud(e, 0)
+    grid = geom.sphere_grid
+    monkeypatch.setattr(geom, "sphere_grid", lambda d, level, fold="none": (
+        _conjugate(grid(d, level, fold)[0]), grid(d, level, fold)[1]))
+    conj = whole_cloud(e, 0)
+    assert np.array_equal(conj.positions, _conjugate(cloud.positions))
+    signs = np.array([-1.0, 1.0, -1.0, 1.0, -1.0])
+    assert np.array_equal(conj.h, cloud.h * signs[:, None] * signs)
+    keys = [("beta", k, q) for k, q in beta_indices(3)] + [("gamma", k, q) for k, q in gamma_indices(3)]
+    for a, b in zip(*(extalg.densities(extalg.build_pullbacks(c.h, 3), keys) for c in (cloud, conj))):
+        assert np.array_equal(a, b)
+    flow = varcheck.LinearFlow(np.diag([0.3, 0.23, 0.16, 0.09, -0.1, 0.2]))
+    assert np.array_equal(flow.normal_speed(cloud), flow.normal_speed(conj))
 
 
 def test_sign_fold_bypassed_without_pair_symmetry():
@@ -271,21 +308,36 @@ def test_sign_fold_rejects_grid_not_closed_under_flips(monkeypatch):
         geom.sphere_grid.cache_clear()
 
 
-@pytest.mark.parametrize("d,level,fold", [(4, 0, False), (4, 1, True), (6, 0, True)])
-def test_a_rule_is_counted_before_it_is_built(d, level, fold, monkeypatch):
-    # the limit admits a rule of exactly MAX_RULE_NODES nodes, not one more
-    nodes = len(geom.sphere_grid(d, level, fold=fold)[1])
+def test_conj_fold_rejects_grid_not_closed_under_conjugation(monkeypatch):
+    # 10 azimuths put a node at phi = pi/2: the sign fold still halves the
+    # azimuth, but the sin(phi) > 0 part of the cos(phi) > 0 half keeps 3 of 5
+    monkeypatch.setattr(geom, "BASE_AZIMUTH_NODES", 10)
     geom.sphere_grid.cache_clear()
     try:
-        monkeypatch.setattr(geom, "MAX_RULE_NODES", nodes)
-        assert len(geom.sphere_grid(d, level, fold=fold)[1]) == nodes
-        geom.sphere_grid.cache_clear()
-        monkeypatch.setattr(geom, "MAX_RULE_NODES", nodes - 1)
-        rule = "sign-fold" if fold else "product"
-        with pytest.raises(geom.RuleTooLarge, match=f"level-{level} {rule} rule needs {nodes:,} "):
-            geom.sphere_grid(d, level, fold=fold)
+        e = geom.Ellipsoid.from_axes([1, 2, 2, 3])
+        assert len(whole_cloud(e, symmetry="torus")) == 8**2 * 10 // 4
+        with pytest.raises(RuntimeError, match="not closed under the conjugation"):
+            whole_cloud(e, symmetry="torus+conj")
     finally:
         geom.sphere_grid.cache_clear()
+
+
+@pytest.mark.parametrize("d,level,folded", [(4, 0, False), (4, 1, True), (6, 0, True)])
+def test_a_rule_is_counted_before_it_is_built(d, level, folded, monkeypatch):
+    # the limit admits a rule of exactly MAX_RULE_NODES nodes, not one more
+    for fold, rule in [("sign", "sign-fold"), ("conj", "conj-fold")] if folded else [("none", "product")]:
+        nodes = len(geom.sphere_grid(d, level, fold=fold)[1])
+        geom.sphere_grid.cache_clear()
+        try:
+            monkeypatch.setattr(geom, "MAX_RULE_NODES", nodes)
+            assert len(geom.sphere_grid(d, level, fold=fold)[1]) == nodes
+            geom.sphere_grid.cache_clear()
+            monkeypatch.setattr(geom, "MAX_RULE_NODES", nodes - 1)
+            with pytest.raises(geom.RuleTooLarge, match=f"level-{level} {rule} rule needs {nodes:,} "):
+                geom.sphere_grid(d, level, fold=fold)
+        finally:
+            geom.sphere_grid.cache_clear()
+            monkeypatch.undo()
     monkeypatch.setattr(geom, "MAX_RULE_NODES", 32 - 1)
     with pytest.raises(geom.RuleTooLarge, match="level-2 torus-orbit rule needs 32 "):
         geom.torus_orbit_grid(2, 2)
@@ -293,13 +345,16 @@ def test_a_rule_is_counted_before_it_is_built(d, level, fold, monkeypatch):
 
 def test_the_rule_limit():
     # the largest rules the suites build, and the rule the README quotes, fit;
-    # the level-2 rule of a transported n = 4 ellipsoid (2^32 nodes) does not
+    # the level-2 rule of a transported n = 4 ellipsoid (2^31 nodes
+    # conjugation-folded, 2^32 sign-folded) does not
     assert geom.MAX_RULE_NODES == 2**24
     assert (8 * 2**3) ** 2 * 16 * 2**3 == 524_288 <= geom.MAX_RULE_NODES
     assert (8 * 2**2) ** 4 == 1_048_576 <= geom.MAX_RULE_NODES
-    with pytest.raises(geom.RuleTooLarge, match="4,294,967,296") as exc:
-        geom.sphere_grid(8, 2, fold=True)
+    with pytest.raises(geom.RuleTooLarge, match="level-2 conj-fold rule needs 2,147,483,648") as exc:
+        geom.sphere_grid(8, 2, fold="conj")
     assert isinstance(exc.value, ValueError)
+    with pytest.raises(geom.RuleTooLarge, match="level-2 sign-fold rule needs 4,294,967,296"):
+        geom.sphere_grid(8, 2, fold="sign")
     with pytest.raises(geom.RuleTooLarge, match="33,554,432"):
         geom.torus_orbit_grid(6, 2)
 
@@ -368,14 +423,22 @@ def test_rule_is_the_smaller_of_the_integrand_and_quadric_groups():
     assert whole_cloud(torus, 0, symmetry="sign").rule == "sign-fold"
     assert whole_cloud(signs, 0, symmetry="sign").rule == "sign-fold"
     assert whole_cloud(signs, 0, symmetry="torus").rule == "sign-fold"
+    # the groups form a lattice: the meet of the torus and conj is sign
+    assert whole_cloud(torus, 0, symmetry="conj").rule == "conj-fold"
+    assert whole_cloud(signs, 0, symmetry="conj").rule == "conj-fold"
+    assert whole_cloud(signs, 0, symmetry="torus+conj").rule == "conj-fold"
+    assert whole_cloud(torus, 0, symmetry="torus+conj").rule == "torus-orbit"
+    turned = signs.transformed(_pair_turn(2, 0, 0.3))  # commutes with the flips only
+    assert whole_cloud(turned, 0, symmetry="torus+conj").rule == "sign-fold"
     with pytest.raises(ValueError, match="symmetry must be one of"):
         whole_cloud(torus, 0, symmetry="u(n)")
 
 
 def test_symmetry_group_of_linear_maps():
-    assert geom.symmetry_group(np.diag([1.0, 1.0, 4.0, 4.0])) == "torus"
-    assert geom.symmetry_group(np.diag([1.0, 2.0, 4.0, 4.0])) == "sign"
-    # a + b J commutes with J; a reflection inside the pair does not
+    assert geom.symmetry_group(np.diag([1.0, 1.0, 4.0, 4.0])) == "torus+conj"
+    assert geom.symmetry_group(np.diag([1.0, 2.0, 4.0, 4.0])) == "conj"
+    # a + b J commutes with J but not with C; a reflection inside the pair
+    # with neither
     assert geom.symmetry_group(np.array([[1.0, -2.0], [2.0, 1.0]])) == "torus"
     assert geom.symmetry_group(np.array([[1.0, 2.0], [2.0, -1.0]])) == "sign"
     coupled = np.eye(4)

@@ -608,6 +608,44 @@ def test_grassmann_average_full_distribution_is_determinant():
     assert est.mean == pytest.approx(np.linalg.det(h[1:, 1:]), rel=1e-10)
 
 
+@pytest.mark.parametrize("k", [2, 4, 6, 8])
+def test_elementwise_det_matches_lapack(k):
+    # random symmetric batches; the error bound is relative to the product of
+    # the column norms (Hadamard's bound on |det|), not to det itself
+    rng = np.random.default_rng(k)
+    a = rng.standard_normal((k, k, 2000))
+    S = a + a.transpose(1, 0, 2)
+    want = np.linalg.det(S.transpose(2, 0, 1))
+    bound = np.prod(np.linalg.norm(S, axis=0), axis=0)
+    got = planes._det(S.copy())
+    assert np.all(np.abs(got - want) <= 1e-14 * bound)
+
+
+def test_elementwise_det_pivots_and_singular_batches_are_exact():
+    # S[0, 0] = 0 needs a row swap; a zero column gives a zero pivot, which
+    # must read as an exact 0 without a division by zero
+    swap = np.array([[0.0, 2.0, 1.0], [3.0, 0.0, 0.0], [0.0, 0.0, 4.0]])
+    singular = np.array([[1.0, 0.0, 2.0], [5.0, 0.0, 1.0], [2.0, 0.0, 3.0]])
+    with np.errstate(all="raise"):
+        assert planes._det(np.stack([swap, swap.T, singular], axis=2)).tolist() == [-24.0, -24.0, 0.0]
+        assert planes._det(np.array([[0.0, 2.0], [3.0, 1.0]])[:, :, None]).tolist() == [-6.0]
+        assert planes._det(np.array([[0.0, 2.0], [0.0, 1.0]])[:, :, None]).tolist() == [0.0]
+        assert planes._det(np.zeros((4, 4, 2))).tolist() == [0.0, 0.0]
+
+
+def test_grassmann_chunks_call_no_lapack_det(monkeypatch):
+    h = np.diag([1.1, 0.4, 0.9, 1.7, 2.2])
+    want = planes.grassmann_sigma_average(h, 1, 20000, 3)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("LAPACK det called")
+
+    monkeypatch.setattr(np.linalg, "det", refuse)
+    for threads in ("1", "2"):
+        monkeypatch.setenv("CROFTONLAB_THREADS", threads)
+        assert planes.grassmann_sigma_average(h, 1, 20000, 3) == want
+
+
 @pytest.mark.parametrize("N", [0, -5])
 def test_estimators_reject_fewer_than_one_sample(N):
     with pytest.raises(ValueError, match="N="):

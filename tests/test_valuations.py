@@ -39,8 +39,9 @@ def test_pairwise_sum_deterministic_and_exactish():
 def test_tables_match_golden_files(name):
     # every entry pinned bit for bit (as its repr); the tilde tables are weighted
     # by <Ax, N> of a coupled generator, so they run on the full product rule.
-    # The level-3 sign-fold (131,072 nodes) and level-2 tilde (65,536 nodes)
-    # tables span several QUADRATURE_CHUNKs.
+    # The level-3 conj-fold (65,536 nodes) and level-2 tilde (65,536 nodes)
+    # tables span several QUADRATURE_CHUNKs.  The sign_fold files name the
+    # axis-aligned tables without torus symmetry; they take the conj fold.
     doc = json.loads((DATA / f"tables_{name}.json").read_text())
     shape = geom.Ellipsoid.from_axes(doc["axes"])
     if "generator" in doc:
@@ -91,8 +92,8 @@ def test_sign_folded_table_matches_full_grid(shape, level):
 
 
 def _without_torus_rule(monkeypatch):
-    """Make T^n-invariant quadrics take the sign fold, the rule they took before
-    the torus-orbit rule (equal to the full product rule to roundoff, see above)."""
+    """Make T^n-invariant diagonal quadrics take the conj fold, as the other
+    axis-aligned ones do (equal to the full product rule to roundoff, see above)."""
     monkeypatch.setattr(geom, "_torus_invariant", lambda Q: False)
 
 
@@ -103,7 +104,7 @@ def test_torus_orbit_table_within_product_rule_error(axes, level, monkeypatch):
     assert orbit.quadrature["rule"] == "torus-orbit"
     _without_torus_rule(monkeypatch)
     product = val.hermitian_volumes(shape, level)
-    assert product.quadrature["rule"] == "sign-fold"
+    assert product.quadrature["rule"] == "conj-fold"
     got, want = orbit.to_json(), product.to_json()
     errors = richardson_error(product, val.hermitian_volumes(shape, level - 1))
     for key, err in errors.items():
@@ -135,9 +136,11 @@ def test_torus_orbit_disk_table_equals_sign_fold(level, monkeypatch):
 @pytest.mark.parametrize(
     "shape,rule,divisor",
     [
-        (geom.Ellipsoid.from_axes([1, 2, 2, 3]), "sign-fold", 4),
-        (geom.Ellipsoid.from_axes([1, 1, 1, 1, 1, 2]), "sign-fold", 8),
+        (geom.Ellipsoid.from_axes([1, 2, 2, 3]), "conj-fold", 8),
+        (geom.Ellipsoid.from_axes([1, 1, 1, 1, 1, 2]), "conj-fold", 16),
         (geom.Ellipsoid(_seeded_quadric(4)), "product", 1),
+        # a turn inside a pair keeps the sign flips but not the conjugation
+        (geom.Ellipsoid.from_axes([1, 2, 2, 3]).transformed(_pair_rotation(0.3)), "sign-fold", 4),
     ],
 )
 def test_tables_without_torus_symmetry_keep_their_rule(shape, rule, divisor):

@@ -33,19 +33,36 @@ def test_radial_tilde_equals_valuations():
 
 @pytest.mark.parametrize("axes", [[1, 1, 2, 2], [1, 2, 2, 3]])
 def test_tilde_tables_fold_by_the_flow_symmetry(axes):
-    # a diagonal generator keeps <X, N> invariant under the sign flips but not
-    # the torus, even on the T^n-invariant [1,1,2,2]; a coupled one under neither
+    # a diagonal generator keeps <X, N> invariant under the sign flips and the
+    # conjugation but not the torus, even on the T^n-invariant [1,1,2,2]; a
+    # coupled one under neither
     e = geom.Ellipsoid.from_axes(axes)
     t = val.hermitian_volumes(e, 0, vc.LinearFlow(np.diag([0.3, 0.23, 0.16, 0.09])))
-    assert t.quadrature == {"rule": "sign-fold", "nodes": len(geom.sphere_grid(4, 0)[1]) // 4}
+    assert t.quadrature == {"rule": "conj-fold", "nodes": len(geom.sphere_grid(4, 0)[1]) // 8}
     t = val.hermitian_volumes(e, 0, vc.LinearFlow(NONDIAGONAL_GENERATOR))
     assert t.quadrature == {"rule": "product", "nodes": len(geom.sphere_grid(4, 0)[1])}
 
 
 def test_flow_symmetry_groups():
-    assert vc.LinearFlow(np.diag([0.3, 0.23, 0.16, 0.09])).symmetry == "sign"
-    assert vc.LinearFlow(np.diag([0.3, 0.3, 0.1, 0.1])).symmetry == "torus"
+    assert vc.LinearFlow(np.diag([0.3, 0.23, 0.16, 0.09])).symmetry == "conj"
+    assert vc.LinearFlow(np.diag([0.3, 0.3, 0.1, 0.1])).symmetry == "torus+conj"
+    assert vc.LinearFlow(A_PLUS_BJ).symmetry == "torus"
     assert vc.LinearFlow(NONDIAGONAL_GENERATOR).symmetry == "none"
+
+
+# a + bJ on each complex coordinate pair: it commutes with the torus, not with C
+A_PLUS_BJ = np.array([[0.3, -0.2, 0, 0], [0.2, 0.3, 0, 0], [0, 0, 0.1, 0.4], [0, 0, -0.4, 0.1]])
+
+
+def test_an_a_plus_bj_flow_folds_by_the_torus_only():
+    # on a J-invariant ellipsoid its tilde table still takes the torus-orbit
+    # rule; on an axis-aligned one, which commutes with C but not the torus,
+    # the meet is the sign group
+    flow = vc.LinearFlow(A_PLUS_BJ)
+    t = val.hermitian_volumes(geom.Ellipsoid.from_axes([1, 1, 2, 2]), 0, flow)
+    assert t.quadrature == {"rule": "torus-orbit", "nodes": 8}
+    t = val.hermitian_volumes(geom.Ellipsoid.from_axes([1, 2, 2, 3]), 0, flow)
+    assert t.quadrature == {"rule": "sign-fold", "nodes": len(geom.sphere_grid(4, 0)[1]) // 4}
 
 
 @pytest.mark.parametrize("d", [2, 4, 6, 8])
@@ -92,7 +109,7 @@ def test_folded_tilde_table_matches_the_product_rule(axes, diag):
     e = geom.Ellipsoid.from_axes(axes)
     flow = vc.LinearFlow(np.diag(diag))
     folded = val.hermitian_volumes(e, 2, flow)
-    assert folded.quadrature["rule"] == "sign-fold"
+    assert folded.quadrature["rule"] == "conj-fold"
     full = _product_rule_tilde(e, flow, 2)
     assert full.quadrature["rule"] == "product"
     got = folded.to_json()
