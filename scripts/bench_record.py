@@ -1,14 +1,15 @@
 #!/usr/bin/env python3
 """Record a BENCH_*.json: this checkout's benchmark against a base commit.
 
-    python3 scripts/bench_record.py --base REV --out BENCH_N.json [--seed 41]
+    python3 scripts/bench_record.py --base REV --out BENCH_N.json [--seed 41] [--note TEXT]
 
 Exports REV with `git archive` into a temporary directory.  Then, for each
 workload in BENCHMARK.json, it runs `bench/run.py --trace 0` for the file's
 `run_seconds` on the base and on this checkout's working tree in PAIRS = 10
 alternating pairs (pair i uses seed + i on both sides, and the side that
 runs first alternates), then one `--trace 1` run per side.  Last, it times
-the Tier-1 suite once per side.  The record holds every run, the median and quartiles of each end-to-end
+the Tier-1 suite once per side.  The record holds the --note text (what
+moved and why), every run, the median and quartiles of each end-to-end
 metric per side, the pairs each side won by the metric's `better`
 direction, the traced per-layer metrics and the Tier-1 wall times.
 """
@@ -111,6 +112,7 @@ def main(argv=None) -> int:
     p.add_argument("--base", required=True, help="git revision to compare against")
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=41)
+    p.add_argument("--note", default="", help="what the change moves and why, kept in the record")
     args = p.parse_args(argv)
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -124,6 +126,7 @@ def main(argv=None) -> int:
                    f"--out {Path(args.out).name} --seed {args.seed}",
         "host": {"cpu": cpu_model(), "nproc": os.cpu_count(),
                  "python": platform.python_version()},
+        "note": args.note,
         "workloads": {},
     }
     with tempfile.TemporaryDirectory() as tmp:

@@ -7,8 +7,8 @@ complex planes meet it (`meets`), its principal curvatures when they are
 constant (`curvatures`, else None), and its exact transport by a linear map
 (`transformed`).  A kind that cannot answer raises ValueError.  The kinds
 are ellipsoids in C^n (flat case only), given by 2n semiaxes or a positive
-quadratic form and sampled through the unit sphere by a Gauss-Jacobi
-product rule in hyperspherical angles, and geodesic balls in the space form
+quadratic form and sampled through the unit sphere by the rules below
+(Hopf coordinates or hyperspherical angles), and geodesic balls in the space form
 of holomorphic curvature 4*eps, whose boundary has constant principal
 curvatures: one value in the Hopf direction JN and one on the distribution.
 A ball answers no `boundary`: its tables are closed forms
@@ -45,40 +45,43 @@ with one Newton step (`_gauss_jacobi`).
 
 Boundary integrals whose integrand is invariant under a group of isometries
 that preserves the domain and maps complex planes to complex planes reduce
-to one node per orbit.  The groups are generated by three kinds of
-isometries: the sign flips z_j -> -z_j, the torus T^n (z_j -> e^{i t_j} z_j)
-and the conjugation C: z -> conj(z), the antiholomorphic
-diag(1, -1, 1, -1, ...).  They form a lattice, not a chain (SYMMETRIES):
-
-    none < sign < conj         the sign flips and C
-           sign < torus        T^n, which holds the sign flips
-    conj, torus < torus+conj   both
-
-`symmetry_group` names the largest one a linear map commutes with: a flow
-generator a + bJ (b != 0) commutes with the torus but not with C, a
-pair-rotated quadric with the sign flips but not with C.
+by that group.  The groups (`Symmetry`) are generated per coordinate by the
+phase z_j -> e^{i t} z_j of each coordinate j in a set of free phases, and
+as a whole by the sign flips z_j -> -z_j and the conjugation C: z -> conj(z),
+the antiholomorphic diag(1, -1, 1, -1, ...).  `symmetry_group` names the
+largest one a linear map commutes with.  Phase j is free when the off-pair
+2x2 blocks in row and column j are zero and the pair block is a I + b J (to
+TORUS_BLOCK_TOL: a turn inside a pair leaves roundoff), the sign flips when
+every off-pair block is zero, and C when no entry links an x to a y.  So a
+flow generator a + bJ (b != 0) frees every phase but not C, and a
+pair-rotated quadric keeps the sign flips but not C.
 `boundary_chunks(..., symmetry=G)` states that the integrand is G-invariant
-and takes the rule of the meet of G and the quadric's group, the isometries
-both commute with:
+and takes the rule of the meet G & symmetry_group(Q), the isometries both
+commute with:
 
-  * torus-orbit: when both are torus-invariant (for the quadric: every
-    off-pair 2x2 block zero and every diagonal pair block c I_2 up to
-    roundoff, as for ellipsoids with semiaxes in equal pairs and their turns
-    inside a pair), the integral reduces to the (n-1)-simplex s_j = |u_j|^2
-    of the sphere parameter.  A collapsed Gauss-Jacobi rule there gives
-    p^{n-1} nodes u = (sqrt(s_1), 0, ..., sqrt(s_n), 0), p = 8 * 2^L;
-  * conj-fold: else, when both commute with the sign flips and C (a
-    diagonal matrix, as for every axis-aligned ellipsoid), the product rule
-    is built on the part of the sphere where every x_j > 0 and y_n > 0, one
-    node per orbit of (+-1)^n x {1, C} at 2^(n+1) times its weight;
-  * sign-fold: else, when both commute with the sign flips (every off-pair
+  * torus-orbit: when every phase is free (for the quadric: semiaxes in
+    equal pairs and their turns inside a pair), the integral reduces to the
+    (n-1)-simplex s_j = |u_j|^2 of the sphere parameter.  A collapsed
+    Gauss-Jacobi rule there gives p^{n-1} nodes
+    u = (sqrt(s_1), 0, ..., sqrt(s_n), 0), p = 8 * 2^L;
+  * hopf: when some phases are free, u_j = sqrt(s_j) e^{i theta_j} with s on
+    the same simplex rule, theta_j = 0 on the free phases and q = 16 * 2^L
+    midpoint nodes on each other one, folded to cos(theta) > 0 by the sign
+    flips and once more, on the last phase, to sin(theta) > 0 by C:
+    p^{n-1} (q/2)^k / 2 nodes for k phases that are not free and both folds;
+  * conj-fold: when no phase is free and the group holds the sign flips and
+    C (a diagonal matrix, as for every axis-aligned ellipsoid without an
+    equal pair), the hyperspherical product rule is built on the part of the
+    sphere where every x_j > 0 and y_n > 0, one node per orbit of
+    (+-1)^n x {1, C} at 2^(n+1) times its weight;
+  * sign-fold: else, when the group holds the sign flips (every off-pair
     2x2 block zero), the product rule on the x_j > 0 part, one node per
     orbit of (+-1)^n at 2^n times its weight;
   * product: every other quadric or integrand takes the full product rule.
 
 The U(n)-invariant curvature densities are invariant under every such group
-("torus+conj"): C maps the adapted frame at x to a frame at Cx in which h is
-conjugated by diag(-1, 1, -1, ...), which the densities do not see.  A
+(`Symmetry.full(n)`): C maps the adapted frame at x to a frame at Cx in which
+h is conjugated by diag(-1, 1, -1, ...), which the densities do not see.  A
 weight <X, N> of a linear flow X = A x is invariant under the group that A
 commutes with.
 """
@@ -89,7 +92,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, cos, cosh, exp, factorial, inf, isfinite, lgamma, log, pi, prod, sin, sinh, sqrt
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -105,10 +108,11 @@ __all__ = [
     "Shape",
     "BoundaryCloud",
     "apply_complex_structure",
-    "SYMMETRIES",
+    "Symmetry",
     "symmetry_group",
     "sphere_grid",
     "torus_orbit_grid",
+    "hopf_grid",
     "boundary_chunks",
     "jacobi_field",
     "geodesic_sphere_curvatures",
@@ -311,8 +315,8 @@ class Ellipsoid(Shape):
     def boundary(self, level: int, symmetry: str,
                  size: Optional[int]) -> Iterator["BoundaryCloud"]:
         """x = B u on the unit sphere (B = Q^{-1/2}, area factor det(B) |B^{-1} u|)
-        with the level-set shape operator, on the rule of the meet of
-        `symmetry` and `symmetry_group(Q)`.  The rule is built once; the
+        with the level-set shape operator, on the `_boundary_rule` of the meet
+        of `symmetry` and `symmetry_group(Q)`.  The rule is built once; the
         geometry of its nodes u[lo:lo + size] is computed chunk by chunk."""
         Q = self.quadric
         n = self.n
@@ -321,11 +325,7 @@ class Ellipsoid(Shape):
         Binv = evecs @ np.diag(evals**0.5) @ evecs.T
         detB = float(np.prod(evals**-0.5))
 
-        group = _meet(symmetry, symmetry_group(Q))
-        if "torus" in SYMMETRIES[group]:
-            grid, grid_weights = torus_orbit_grid(n, level)
-        else:
-            grid, grid_weights = sphere_grid(2 * n, level, fold=group)
+        grid, grid_weights, rule = _boundary_rule(n, level, symmetry & symmetry_group(Q))
         step = size or len(grid)
         for lo in range(0, len(grid), step):
             u, w = grid[lo : lo + step], grid_weights[lo : lo + step]
@@ -339,7 +339,7 @@ class Ellipsoid(Shape):
             h = np.einsum("mai,ij,mbj->mab", frames, Q, frames, optimize=True) / gradnorm[:, None, None]
             del frames  # freed before the chunk is yielded
             h = (h + np.swapaxes(h, 1, 2)) / 2
-            yield BoundaryCloud(n, x, normals, h, weights, _RULES[group])
+            yield BoundaryCloud(n, x, normals, h, weights, rule)
 
     def meets(self, V: np.ndarray, anchors: np.ndarray,
               ws: Optional[Workspace] = None) -> np.ndarray:
@@ -508,6 +508,10 @@ def _gauss_jacobi(p: int, alpha: float, beta: float) -> Tuple[np.ndarray, np.nda
     return x, w * (mass / w.sum())
 
 
+# the rule each fold of `sphere_grid` is named by in boundary clouds
+_FOLD_RULES = {"none": "product", "sign": "sign-fold", "conj": "conj-fold"}
+
+
 @lru_cache(maxsize=32)
 def sphere_grid(d: int, level: int, fold: str = "none") -> Tuple[np.ndarray, np.ndarray]:
     """Product quadrature on the unit sphere S^{d-1}.
@@ -539,7 +543,7 @@ def sphere_grid(d: int, level: int, fold: str = "none") -> Tuple[np.ndarray, np.
     # each fold halves d/2 axes, the conjugation the azimuth once more
     halvings = {"none": 0, "sign": d // 2, "conj": d // 2 + 1}[fold]
     nodes = n_polar ** (d - 2) * n_az >> halvings
-    _check_rule_size(_RULES[fold], level, nodes, n_polar if d > 2 else 0)
+    _check_rule_size(_FOLD_RULES[fold], level, nodes, n_polar if d > 2 else 0)
 
     axes_nodes: List[np.ndarray] = []
     axes_weights: List[np.ndarray] = []
@@ -627,6 +631,68 @@ def torus_orbit_grid(n: int, level: int) -> Tuple[np.ndarray, np.ndarray]:
     return pts, weights
 
 
+def hopf_grid(n: int, level: int, group: Symmetry) -> Tuple[np.ndarray, np.ndarray]:
+    """Rule on S^{2n-1} in Hopf coordinates u_j = sqrt(s_j) e^{i theta_j} for
+    an integrand invariant under `group`.
+
+    The area measure is (n-1)! O_{2n-1} ds dtheta / (2 pi)^n in
+    (s_1, ..., s_{n-1}) on the simplex and the n phases.  The phase of each
+    coordinate in group.phases is integrated out exactly (theta_j = 0); s
+    takes `torus_orbit_grid`'s rule; every other phase takes the q = 16 * 2^L
+    midpoint nodes (k + 1/2) 2 pi / q at weight 1 / q, which converge
+    geometrically on periodic analytic integrands (Trefethen and Weideman,
+    SIAM Rev. 56, 2014).  When group.sign, each of those phases keeps only
+    its cos(theta) > 0 half, one node per orbit of z_j -> -z_j, at twice the
+    weight; when group.conj, the last of them also keeps sin(theta) > 0, one
+    node per orbit of C (theta -> -theta on every phase), at twice the weight
+    again.  Nodes run over the simplex rule, then over the phases, the last
+    fastest.  With every phase free this is `torus_orbit_grid`, bit for bit.
+    The nodes, p^(n-1) times the kept nodes of each phase, are counted
+    against MAX_RULE_NODES (`RuleTooLarge`) before anything is built.
+    """
+    sampled = [j for j in range(n) if j not in group.phases]
+    if not sampled:
+        return torus_orbit_grid(n, level)
+    p = BASE_POLAR_NODES * 2**level
+    q = BASE_AZIMUTH_NODES * 2**level
+    # the sign flips keep half of each sampled phase's nodes, C half of the last one's
+    kept = q // 2 if group.sign else q
+    last = kept // 2 if group.conj else kept
+    k = kept ** (len(sampled) - 1) * last  # phase nodes per simplex node
+    _check_rule_size("hopf", level, p ** (n - 1) * k, p if n > 1 else 0)
+    if q % (4 if group.sign else 2 if group.conj else 1):
+        # a node at theta = pi/2 (the sign flips) or pi (C) is its own half of the fold
+        raise RuntimeError(f"phase rule of {q} nodes is not closed under the folds")
+
+    theta = (np.arange(q) + 0.5) * (2 * pi / q)
+    half = theta[np.cos(theta) > 0] if group.sign else theta
+    axes = [half] * (len(sampled) - 1) + [half[np.sin(half) > 0] if group.conj else half]
+    phases = [axis.reshape(-1) for axis in np.meshgrid(*axes, indexing="ij")]
+
+    s_pts, s_weights = torus_orbit_grid(n, level)
+    m = len(s_weights)
+    pts = np.repeat(s_pts, k, axis=0).reshape(m, k, 2 * n)
+    for j, phase in zip(sampled, phases):
+        radius = s_pts[:, 2 * j, None]
+        pts[:, :, 2 * j] = radius * np.cos(phase)
+        pts[:, :, 2 * j + 1] = radius * np.sin(phase)
+    # each folded phase rule is uniform with unit mass, so a phase node weighs 1 / k
+    return pts.reshape(m * k, 2 * n), np.repeat(s_weights / k, k)
+
+
+def _boundary_rule(n: int, level: int, group: Symmetry) -> Tuple[np.ndarray, np.ndarray, str]:
+    """(points, weights, name) of the rule on S^{2n-1} for an integrand and a
+    quadric invariant under `group`: `hopf_grid` when it holds a phase
+    ("torus-orbit" when it holds every phase, else "hopf"), else `sphere_grid`
+    folded by the sign flips and C when it holds both, by the sign flips when
+    it holds them, else the full product rule."""
+    if group.phases:
+        name = "hopf" if set(range(n)) - group.phases else "torus-orbit"
+        return (*hopf_grid(n, level, group), name)
+    fold = ("conj" if group.conj else "sign") if group.sign else "none"
+    return (*sphere_grid(2 * n, level, fold), _FOLD_RULES[fold])
+
+
 def _adapted_frames(normals: np.ndarray) -> np.ndarray:
     """Frames (JN, e_2, Je_2, ..., e_n, Je_n) for a batch of unit normals.
 
@@ -659,12 +725,6 @@ def _pair_blocks(Q: np.ndarray) -> np.ndarray:
     return Q.reshape(n, 2, n, 2).swapaxes(1, 2)
 
 
-def _commutes_with_sign_flips(M: np.ndarray) -> bool:
-    """True if every off-pair block M[2i:2i+2, 2j:2j+2] (i != j) is exactly zero."""
-    n = M.shape[0] // 2
-    return not np.any(_pair_blocks(M)[~np.eye(n, dtype=bool)])
-
-
 # relative roundoff allowed in a diagonal pair block that commutes with J: a
 # turn inside a pair formed in floating point (Ellipsoid.transformed) leaves a
 # few ulps there
@@ -677,71 +737,70 @@ def _commutes_with_conjugation(M: np.ndarray) -> bool:
     return not (np.any(M[0::2, 1::2]) or np.any(M[1::2, 0::2]))
 
 
-def _torus_invariant(M: np.ndarray) -> bool:
-    """True if M commutes with every z_j -> e^{i t_j} z_j: off-pair blocks are
-    exactly zero and every diagonal pair block [[a, b], [c, d]] commutes with J
-    (a = d, b = -c) to TORUS_BLOCK_TOL.  A symmetric block is then c I_2."""
-    if not _commutes_with_sign_flips(M):
-        return False
+def _coupled(M: np.ndarray) -> np.ndarray:
+    """Per coordinate j, True if an off-pair block M[2i:2i+2, 2j:2j+2] or
+    M[2j:2j+2, 2i:2i+2] (i != j) is not exactly zero: then M does not commute
+    with the sign flip z_j -> -z_j."""
+    n = M.shape[0] // 2
+    off = _pair_blocks(M).any(axis=(2, 3)) & ~np.eye(n, dtype=bool)
+    return off.any(axis=0) | off.any(axis=1)
+
+
+def _free_phases(M: np.ndarray) -> FrozenSet[int]:
+    """The coordinates j whose phase z_j -> e^{it} z_j commutes with M: no
+    off-pair block in row or column j (`_coupled`), and the pair block
+    [[a, b], [c, d]] commutes with J (a = d, b = -c) to TORUS_BLOCK_TOL.  A
+    symmetric block is then c I_2."""
     n = M.shape[0] // 2
     diag = _pair_blocks(M)[np.arange(n), np.arange(n)]
     scale = TORUS_BLOCK_TOL * (np.abs(diag[:, 0, 0]) + np.abs(diag[:, 1, 1]))
-    return bool(
-        np.all(np.abs(diag[:, 0, 0] - diag[:, 1, 1]) <= scale)
-        and np.all(np.abs(diag[:, 0, 1] + diag[:, 1, 0]) <= 2 * scale)
-    )
+    commutes = ((np.abs(diag[:, 0, 0] - diag[:, 1, 1]) <= scale)
+                & (np.abs(diag[:, 0, 1] + diag[:, 1, 0]) <= 2 * scale))
+    return frozenset(np.flatnonzero(commutes & ~_coupled(M)).tolist())
 
 
-# the lattice of symmetry groups, each by the isometries that generate it
-SYMMETRIES = {
-    "none": frozenset(),
-    "sign": frozenset({"sign"}),
-    "conj": frozenset({"sign", "conj"}),
-    "torus": frozenset({"sign", "torus"}),
-    "torus+conj": frozenset({"sign", "torus", "conj"}),
-}
-# the boundary rule each group admits; `sphere_grid` folds by the first three
-_RULES = {"none": "product", "sign": "sign-fold", "conj": "conj-fold",
-          "torus": "torus-orbit", "torus+conj": "torus-orbit"}
+@dataclass(frozen=True)
+class Symmetry:
+    """A group of isometries of C^n that map complex planes to complex planes,
+    by its generators: the phase z_j -> e^{it} z_j of each coordinate j in
+    `phases`, the sign flips z_j -> -z_j of every coordinate when `sign`, and
+    the conjugation C when `conj`.  `a & b` is the meet, the group of the
+    generators both hold.  The default is the trivial group."""
+
+    phases: FrozenSet[int] = frozenset()
+    sign: bool = False
+    conj: bool = False
+
+    @classmethod
+    def full(cls, n: int) -> "Symmetry":
+        """Every generator: the group of the U(n)-invariant densities."""
+        return cls(frozenset(range(n)), True, True)
+
+    def __and__(self, other: "Symmetry") -> "Symmetry":
+        return Symmetry(self.phases & other.phases, self.sign and other.sign,
+                        self.conj and other.conj)
 
 
-def _group(generators: frozenset) -> str:
-    return next(name for name, gens in SYMMETRIES.items() if gens == generators)
+def symmetry_group(M: np.ndarray) -> Symmetry:
+    """The largest Symmetry whose elements commute with the linear map M of R^{2n}."""
+    return Symmetry(_free_phases(M), not _coupled(M).any(), _commutes_with_conjugation(M))
 
 
-def _meet(a: str, b: str) -> str:
-    """The largest group in SYMMETRIES inside both a and b."""
-    return _group(SYMMETRIES[a] & SYMMETRIES[b])
-
-
-def symmetry_group(M: np.ndarray) -> str:
-    """The largest group in SYMMETRIES whose elements commute with the linear
-    map M of R^{2n}."""
-    if not _commutes_with_sign_flips(M):
-        return "none"
-    generators = {"sign"}
-    if _torus_invariant(M):
-        generators.add("torus")
-    if _commutes_with_conjugation(M):
-        generators.add("conj")
-    return _group(frozenset(generators))
-
-
-def boundary_chunks(shape: Shape, level: int, symmetry: str,
+def boundary_chunks(shape: Shape, level: int, symmetry: Symmetry,
                     size: Optional[int]) -> Iterator[BoundaryCloud]:
     """Boundary quadrature cloud in consecutive chunks of at most `size` nodes
     (one chunk when size is None): the sum of weight * f(x) over all chunks
     converges to the area integral.  Only the rule's nodes and weights are
     held whole; each chunk's geometry is computed when it is reached.
 
-    `symmetry` (one of SYMMETRIES) names a group of isometries that f is
-    invariant under: "torus+conj" for the U(n)-invariant curvature densities,
-    the group of the flow generator for <X, N>-weighted ones.
-    `shape.boundary` takes the rule of the meet of that group and the shape's
-    own (see the module docstring).
+    `symmetry` names a group of isometries that f is invariant under:
+    `Symmetry.full(n)` for the U(n)-invariant curvature densities, the group
+    of the flow generator for <X, N>-weighted ones.  `shape.boundary` takes
+    the rule of the meet of that group and the shape's own (see the module
+    docstring).
     """
-    if symmetry not in SYMMETRIES:
-        raise ValueError(f"symmetry must be one of {tuple(SYMMETRIES)}, got {symmetry!r}")
+    if not isinstance(symmetry, Symmetry):
+        raise ValueError(f"symmetry must be a geom.Symmetry, got {symmetry!r}")
     return shape.boundary(level, symmetry, size)
 
 

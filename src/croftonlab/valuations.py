@@ -19,14 +19,17 @@ entry is a monomial in the Jacobi fields of the radius
 radial variations, differentiates the same monomials.  Grown at unit normal
 speed, <X, N> = 1: its tilde table needs no flow object.
 
-Unweighted tables integrate U(n)-invariant densities, invariant under
-conjugation too, so they take the strongest exact symmetry reduction of the
-boundary rule that the shape admits (`geom.boundary_chunks`): the
-torus-orbit rule on the (n-1)-simplex for ellipsoids with semiaxes in equal
-pairs, the conjugation fold for other axis-aligned ellipsoids, the sign fold
-for ellipsoids turned inside a pair, the full product rule for general
-quadrics.  Tables weighted by a flow's normal speed take the reduction that
-both the shape and the flow's symmetry group admit.  Each quadrature table
+Unweighted tables integrate U(n)-invariant densities, invariant under every
+coordinate's phase and conjugation too (`geom.Symmetry.full`), so they take
+the strongest exact symmetry reduction of the boundary rule that the shape
+admits (`geom.boundary_chunks`): the torus-orbit rule on the (n-1)-simplex
+for ellipsoids with semiaxes in equal pairs, the Hopf rule (the simplex
+times a folded midpoint rule on each phase that is not free) for
+axis-aligned ellipsoids with some equal pairs, the conjugation fold for
+axis-aligned ellipsoids with none, the sign fold for ellipsoids turned
+inside a pair, the full product rule for general quadrics.  Tables weighted
+by a flow's normal speed take the reduction that both the shape and the
+flow's symmetry group admit.  Each quadrature table
 records the rule and its node count in `quadrature`.
 
 The boundary geometry is built and integrated one chunk of QUADRATURE_CHUNK
@@ -174,7 +177,7 @@ def hermitian_volumes(shape: geom.Shape, level: int = 1, flow=None) -> Valuation
     """Valuation table by boundary quadrature of the exterior-algebra densities.
 
     Without a flow the table integrates the U(n)-invariant densities, and the
-    boundary rule reduces by every symmetry of the shape (torus orbits,
+    boundary rule reduces by every symmetry of the shape (free phases,
     conjugation or sign flips, see `geom.boundary_chunks`).  A `varcheck` flow
     weights the boundary measure by its `normal_speed` <X, N>, and the rule
     reduces only by the symmetries its `symmetry` group shares (the tilde
@@ -183,7 +186,7 @@ def hermitian_volumes(shape: geom.Shape, level: int = 1, flow=None) -> Valuation
     `_elementary_symmetric_functions`.  A ball (no boundary rule) raises ValueError.
     """
     n = shape.n
-    symmetry = "torus+conj" if flow is None else flow.symmetry
+    symmetry = geom.Symmetry.full(n) if flow is None else flow.symmetry
 
     bkeys = beta_indices(n)
     gkeys = gamma_indices(n)

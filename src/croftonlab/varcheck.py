@@ -102,10 +102,13 @@ class LinearFlow:
         return shape.transformed(_expm(t * self.A))
 
     @property
-    def symmetry(self) -> str:
+    def symmetry(self) -> geom.Symmetry:
         """The group <Ax, N> is invariant under: an isometry g of the shape
         maps it to <g^T A g x, N>, so the weight keeps every g that commutes
-        with A (`geom.symmetry_group`)."""
+        with A (`geom.symmetry_group`): the phase of each coordinate whose
+        pair block of A is a + bJ and whose off-pair blocks are zero, the
+        sign flips when every off-pair block is zero, and C when no entry of
+        A links an x to a y coordinate."""
         return geom.symmetry_group(self.A)
 
     def normal_speed(self, cloud: geom.BoundaryCloud) -> np.ndarray:

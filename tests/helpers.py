@@ -36,7 +36,7 @@ class ProductRuleWeight:
     (`valuations.hermitian_volumes(shape, level, weight)`) takes the full
     product rule."""
 
-    symmetry = "none"
+    symmetry = geom.Symmetry()
 
     def __init__(self, flow=None):
         self.normal_speed = flow.normal_speed if flow else lambda cloud: np.ones(len(cloud))
@@ -62,8 +62,20 @@ def radial_differences(eps, n, R, h_step):
     )
 
 
+def named_symmetry(name, n):
+    """The `geom.Symmetry` of C^n called `name`: "none", "sign" (the sign
+    flips), "conj" (the sign flips and C), "torus" (every phase) or
+    "torus+conj" (every generator)."""
+    phases = frozenset(range(n)) if "torus" in name else frozenset()
+    return geom.Symmetry(phases, sign=name != "none", conj="conj" in name)
+
+
 def whole_cloud(shape, level=0, symmetry="none"):
-    """The whole boundary cloud of a shape's rule as one `geom.BoundaryCloud`."""
+    """The whole boundary cloud of a shape's rule as one `geom.BoundaryCloud`,
+    for an integrand invariant under `symmetry` (a `geom.Symmetry` or a name
+    of `named_symmetry`)."""
+    if isinstance(symmetry, str):
+        symmetry = named_symmetry(symmetry, shape.n)
     return next(geom.boundary_chunks(shape, level, symmetry, None))
 
 

@@ -74,6 +74,20 @@ def test_criterion_02_density_oracle():
                 b = extalg.permutation_oracle("gamma", n, k, q, h)
                 worst = max(worst, abs(a - b) / max(1.0, abs(b)))
     ok = worst < 1e-10
+    # symmetric h with small integer entries: every product and partial sum
+    # is an integer below 2^53, so the engine equals the oracle bit for bit
+    rng = np.random.default_rng(2025)
+    exact = 0
+    for n in (2, 3):
+        d = 2 * n - 1
+        ints = rng.integers(-3, 4, (50, d, d)).astype(float)
+        for h in ints + np.swapaxes(ints, 1, 2):
+            for kind, keys, density in (("beta", cc.beta_indices(n), extalg.density_beta),
+                                        ("gamma", cc.gamma_indices(n), extalg.density_gamma)):
+                for (k, q) in keys:
+                    exact += density(n, k, q, h) == extalg.permutation_oracle(kind, n, k, q, h)
+    cases = 50 * sum(len(cc.beta_indices(n)) + len(cc.gamma_indices(n)) for n in (2, 3))
+    ok &= exact == cases
     # umbilic closed form: the beta density of degree 2r in lambda is
     # 2^{2a-2} lambda^{2r} (n-1)! at (k, q) = (2n-2r-1, n-r-a)
     lam = 1.37
@@ -90,7 +104,8 @@ def test_criterion_02_density_oracle():
     elapsed = time.time() - t0
     ok &= elapsed < 60.0
     report(2, ok, f"100 random h per (k,q), n in {{2,3}}, worst rel err {worst:.2e}; "
-                  f"umbilic closed form exact; {elapsed:.1f}s")
+                  f"{exact}/{cases} integer h bit for bit; umbilic closed form exact; "
+                  f"{elapsed:.1f}s")
 
 
 # ---------------------------------------------------------------------------

@@ -128,9 +128,25 @@ def test_volumes_richardson(capsys):
     assert rep["results"]["richardsonError"] == want
 
 
+def test_volumes_richardson_on_a_hopf_table(capsys):
+    code, out = run_cli(
+        ["volumes", "--shape", "ellipsoid", "--axes", "1,1,1,1,1,2", "--level", "1",
+         "--richardson"],
+        capsys,
+    )
+    assert code == 0
+    results = json.loads(out)["results"]
+    shape = geom.Ellipsoid.from_axes([1, 1, 1, 1, 1, 2])
+    fine = valuations.hermitian_volumes(shape, 1)
+    assert results["quadrature"] == {"rule": "hopf", "nodes": 16**2 * 16 // 2}
+    assert results["table"] == fine.to_json()
+    assert results["richardsonError"] == richardson_error(fine, valuations.hermitian_volumes(shape, 0))
+
+
 @pytest.mark.parametrize(
     "axes,level,rule,nodes",
-    [("1,1,2,2", 1, "torus-orbit", 16), ("1,2,2,3", 0, "conj-fold", 128)],
+    [("1,1,2,2", 1, "torus-orbit", 16), ("1,2,2,3", 0, "conj-fold", 128),
+     ("1,1,1,2", 2, "hopf", 512)],
 )
 def test_reports_state_the_quadrature_rule(axes, level, rule, nodes, capsys, monkeypatch):
     shape = ["--shape", "ellipsoid", "--axes", axes, "--level", str(level)]

@@ -11,7 +11,8 @@ from scipy.special import roots_jacobi
 from croftonlab import checks, extalg, geom, varcheck
 from croftonlab.valuations import QUADRATURE_CHUNK
 from croftonlab.coeffcore import ball_volume_coeff, beta_indices, gamma_indices, sphere_volume_coeff
-from helpers import ConjugatePointError, jacobi_oracle, realify_complex_columns, whole_cloud
+from helpers import (ConjugatePointError, jacobi_oracle, named_symmetry, realify_complex_columns,
+                     whole_cloud)
 
 
 # ---------------------------------------------------------------------------
@@ -194,11 +195,11 @@ def test_boundary_cloud_interface():
     e = geom.Ellipsoid.from_axes([1, 1, 1, 1])
     cloud = whole_cloud(e, level=0)
     assert np.all(cloud.weights > 0)
-    chunks = list(geom.boundary_chunks(e, 0, "none", 100))
+    chunks = list(geom.boundary_chunks(e, 0, geom.Symmetry(), 100))
     assert len(chunks) == (len(cloud) + 99) // 100
     assert sum(len(c) for c in chunks) == len(cloud)
     assert {c.rule for c in chunks} == {cloud.rule}
-    with pytest.raises(ValueError, match="symmetry must be one of"):
+    with pytest.raises(ValueError, match="symmetry must be a geom.Symmetry"):
         geom.boundary_chunks(e, 0, "u(n)", 100)  # refused before any chunk is built
 
 
@@ -209,6 +210,8 @@ def test_boundary_cloud_interface():
         (geom.Ellipsoid(np.diag([1.0, 2.0, 3.0, 4.0]) + 0.1 * np.ones((4, 4))), 2, "none"),
         # eight sign-folded chunks
         (geom.Ellipsoid.from_axes([1, 2, 2, 3]), 3, "torus"),
+        # eight chunks of the Hopf rule, 4,096 simplex nodes times 32 phases
+        (geom.Ellipsoid.from_axes([1, 1, 1, 1, 1, 2]), 3, "torus+conj"),
     ],
 )
 def test_streamed_chunks_are_the_whole_cloud(shape, level, symmetry):
@@ -216,7 +219,8 @@ def test_streamed_chunks_are_the_whole_cloud(shape, level, symmetry):
     # the matching slice of the whole cloud bit for bit
     whole = whole_cloud(shape, level, symmetry)
     lo = 0
-    for chunk in geom.boundary_chunks(shape, level, symmetry, QUADRATURE_CHUNK):
+    group = named_symmetry(symmetry, shape.n)
+    for chunk in geom.boundary_chunks(shape, level, group, QUADRATURE_CHUNK):
         assert 0 < len(chunk) <= QUADRATURE_CHUNK and chunk.rule == whole.rule
         for name in ("positions", "normals", "h", "weights"):
             assert np.array_equal(getattr(chunk, name), getattr(whole, name)[lo : lo + len(chunk)])
@@ -229,7 +233,9 @@ def test_streamed_chunks_are_the_whole_cloud(shape, level, symmetry):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("axes,factor", [([1, 2, 2, 3], 4), ([1, 1, 1, 1, 1, 2], 8)])
+# axis-aligned shapes with no equal pair: no phase is free, so the integrand's
+# phases leave the hyperspherical rule
+@pytest.mark.parametrize("axes,factor", [([1, 2, 2, 3], 4), ([1, 2, 2, 3, 3, 4], 8)])
 def test_sign_fold_keeps_one_node_per_orbit(axes, factor):
     e = geom.Ellipsoid.from_axes(axes)
     full = whole_cloud(e, level=0)
@@ -241,7 +247,7 @@ def test_sign_fold_keeps_one_node_per_orbit(axes, factor):
     assert folded.weights.sum() == pytest.approx(full.weights.sum(), rel=1e-13)
 
 
-@pytest.mark.parametrize("axes,factor", [([1, 2, 2, 3], 8), ([1, 1, 1, 1, 1, 2], 16)])
+@pytest.mark.parametrize("axes,factor", [([1, 2, 2, 3], 8), ([1, 2, 2, 3, 3, 4], 16)])
 def test_conj_fold_keeps_one_node_per_orbit(axes, factor):
     e = geom.Ellipsoid.from_axes(axes)
     full = whole_cloud(e, level=0)
@@ -406,15 +412,99 @@ def test_torus_orbit_detects_a_turn_inside_a_pair(pair, angle):
     e = geom.Ellipsoid.from_axes([1, 1, 1, 1, 2, 2]).transformed(_pair_turn(3, pair, angle))
     cloud = whole_cloud(e, 0, symmetry="torus")
     assert cloud.rule == "torus-orbit"
-    # a real axis pair that differs inside the pair is not T^n-invariant
+    # a real axis pair that differs inside the pair is not T^n-invariant: the
+    # phases of the other two coordinates stay free
     e = geom.Ellipsoid.from_axes([1, 1, 1, 2, 2, 2]).transformed(_pair_turn(3, pair, angle))
-    assert whole_cloud(e, 0, symmetry="torus").rule == "sign-fold"
+    assert whole_cloud(e, 0, symmetry="torus").rule == "hopf"
+    assert geom.symmetry_group(e.quadric).phases == {0, 2}
 
 
 def test_torus_orbit_only_for_invariant_integrands():
     cloud = whole_cloud(geom.Ellipsoid.from_axes([1, 1, 2, 2]), 0)
     assert cloud.rule == "product"
     assert len(cloud) == len(geom.sphere_grid(4, 0)[1])
+
+
+# ---------------------------------------------------------------------------
+# Hopf rule for quadrics with some free phases
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "axes,level,nodes",
+    [
+        # p^(n-1) (q/2)^k / 2 with p = 8 * 2^L, q = 16 * 2^L and k phases not free
+        ([1, 1, 1, 2], 2, 32 * 32 // 2),
+        ([1, 1, 1, 1, 1, 2], 0, 8**2 * 8 // 2),
+        ([1, 1, 1, 1, 1, 2], 2, 32**2 * 32 // 2),
+        ([1, 2, 2, 2, 2, 2], 1, 16**2 * 16 // 2),
+        ([1, 1, 1, 2, 2, 3], 0, 8**2 * 8 * 8 // 2),
+    ],
+)
+def test_hopf_node_count(axes, level, nodes):
+    e = geom.Ellipsoid.from_axes(axes)
+    cloud = whole_cloud(e, level, symmetry="torus+conj")
+    assert (cloud.rule, len(cloud)) == ("hopf", nodes)
+    u = cloud.positions / np.asarray(axes, dtype=float)
+    free = sorted(geom.symmetry_group(e.quadric).phases)
+    sampled = [j for j in range(e.n) if j not in free]
+    # free phases at theta = 0; the others folded to cos > 0, the last to sin > 0
+    assert np.all(u[:, [2 * j for j in free]] > 0) and not np.any(u[:, [2 * j + 1 for j in free]])
+    assert np.all(u[:, [2 * j for j in sampled]] > 0) and np.all(u[:, 2 * sampled[-1] + 1] > 0)
+
+
+@pytest.mark.parametrize(
+    "group,nodes",
+    [
+        (geom.Symmetry(frozenset({0})), 8 * 16),
+        (geom.Symmetry(frozenset({0}), sign=True), 8 * 8),
+        (geom.Symmetry(frozenset({0}), conj=True), 8 * 8),
+        (geom.Symmetry(frozenset({0}), sign=True, conj=True), 8 * 4),
+    ],
+)
+def test_hopf_weights_sum_to_sphere_area(group, nodes):
+    u, w = geom.hopf_grid(2, 0, group)
+    assert len(w) == nodes and np.all(w > 0)
+    assert np.allclose(np.sum(u * u, axis=1), 1.0, rtol=1e-15, atol=0)
+    area = sphere_volume_coeff(3).to_float()
+    assert abs(w.sum() - area) <= 1e-14 * area
+
+
+@pytest.mark.parametrize("n,level", [(1, 2), (2, 1), (3, 0)])
+def test_hopf_grid_with_every_phase_free_is_the_torus_orbit_grid(n, level):
+    for sign, conj in [(False, False), (True, True)]:
+        u, w = geom.hopf_grid(n, level, geom.Symmetry(frozenset(range(n)), sign, conj))
+        want_u, want_w = geom.torus_orbit_grid(n, level)
+        assert np.array_equal(u, want_u) and np.array_equal(w, want_w)
+
+
+def test_hopf_rule_is_counted_before_it_is_built(monkeypatch):
+    # the limit admits a rule of exactly MAX_RULE_NODES nodes, not one more;
+    # the simplex rule is the first array built
+    group = geom.symmetry_group(np.diag([1.0, 1.0, 1.0, 1.0, 1.0, 0.25]))
+    assert len(geom.hopf_grid(3, 0, group)[1]) == 256
+    monkeypatch.setattr(geom, "MAX_RULE_NODES", 256)
+    assert len(geom.hopf_grid(3, 0, group)[1]) == 256
+    monkeypatch.setattr(geom, "MAX_RULE_NODES", 255)
+
+    def built(*args):
+        raise AssertionError("simplex rule built")
+
+    monkeypatch.setattr(geom, "torus_orbit_grid", built)
+    with pytest.raises(geom.RuleTooLarge, match="level-0 hopf rule needs 256 boundary nodes"):
+        geom.hopf_grid(3, 0, group)
+    with pytest.raises(geom.RuleTooLarge, match="level-0 hopf rule needs 256 boundary nodes"):
+        whole_cloud(geom.Ellipsoid.from_axes([1, 1, 1, 1, 1, 2]), 0, "torus+conj")
+
+
+def test_hopf_rule_rejects_phases_not_closed_under_the_folds(monkeypatch):
+    # 10 phases put a node at theta = pi/2, which z -> -z maps to 3 pi/2:
+    # no half of them is one node per orbit.  C alone still folds them.
+    monkeypatch.setattr(geom, "BASE_AZIMUTH_NODES", 10)
+    assert len(geom.hopf_grid(2, 0, geom.Symmetry(frozenset({0})))[1]) == 8 * 10
+    assert len(geom.hopf_grid(2, 0, geom.Symmetry(frozenset({0}), conj=True))[1]) == 8 * 5
+    with pytest.raises(RuntimeError, match="phase rule of 10 nodes is not closed under the folds"):
+        geom.hopf_grid(2, 0, geom.Symmetry(frozenset({0}), sign=True))
 
 
 def test_rule_is_the_smaller_of_the_integrand_and_quadric_groups():
@@ -430,20 +520,34 @@ def test_rule_is_the_smaller_of_the_integrand_and_quadric_groups():
     assert whole_cloud(torus, 0, symmetry="torus+conj").rule == "torus-orbit"
     turned = signs.transformed(_pair_turn(2, 0, 0.3))  # commutes with the flips only
     assert whole_cloud(turned, 0, symmetry="torus+conj").rule == "sign-fold"
-    with pytest.raises(ValueError, match="symmetry must be one of"):
-        whole_cloud(torus, 0, symmetry="u(n)")
+    # one free phase: the Hopf rule where the integrand frees it too
+    hopf = geom.Ellipsoid.from_axes([1, 1, 2, 3])
+    assert whole_cloud(hopf, 0, symmetry="torus+conj").rule == "hopf"
+    assert whole_cloud(hopf, 0, symmetry="torus").rule == "hopf"
+    assert whole_cloud(hopf, 0, symmetry="conj").rule == "conj-fold"
+    assert whole_cloud(hopf, 0, symmetry=geom.Symmetry(frozenset({1}), True, True)).rule == "conj-fold"
+    with pytest.raises(ValueError, match="symmetry must be a geom.Symmetry"):
+        geom.boundary_chunks(torus, 0, "u(n)", None)
 
 
 def test_symmetry_group_of_linear_maps():
-    assert geom.symmetry_group(np.diag([1.0, 1.0, 4.0, 4.0])) == "torus+conj"
-    assert geom.symmetry_group(np.diag([1.0, 2.0, 4.0, 4.0])) == "conj"
+    S = geom.Symmetry
+    assert geom.symmetry_group(np.diag([1.0, 1.0, 4.0, 4.0])) == S.full(2) == S({0, 1}, True, True)
+    assert geom.symmetry_group(np.diag([1.0, 2.0, 4.0, 4.0])) == S({1}, True, True)
+    assert geom.symmetry_group(np.diag([1.0, 2.0, 4.0, 3.0])) == S(frozenset(), True, True)
     # a + b J commutes with J but not with C; a reflection inside the pair
     # with neither
-    assert geom.symmetry_group(np.array([[1.0, -2.0], [2.0, 1.0]])) == "torus"
-    assert geom.symmetry_group(np.array([[1.0, 2.0], [2.0, -1.0]])) == "sign"
-    coupled = np.eye(4)
+    assert geom.symmetry_group(np.array([[1.0, -2.0], [2.0, 1.0]])) == S({0}, True, False)
+    assert geom.symmetry_group(np.array([[1.0, 2.0], [2.0, -1.0]])) == S(frozenset(), True, False)
+    # a real block between coordinates 1 and 2 takes their phases and the sign
+    # flips, not C or the phase of coordinate 3
+    coupled = np.eye(6)
     coupled[0, 2] = 0.15
-    assert geom.symmetry_group(coupled) == "none"
+    assert geom.symmetry_group(coupled) == S({2}, False, True)
+    coupled[1, 2] = 0.1
+    assert geom.symmetry_group(coupled) == S({2}, False, False)
+    # the meet holds the generators of both
+    assert S({0, 2}, True, False) & S({2, 1}, True, True) == S({2}, True, False)
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +607,7 @@ def test_shape_protocol_answers_or_raises():
     # a ball is neither moved by linear maps nor integrated by a boundary rule:
     # its tables are closed forms
     for unanswered in (lambda: ball.transformed(np.eye(4)),
-                       lambda: geom.boundary_chunks(ball, 0, "torus", None)):
+                       lambda: geom.boundary_chunks(ball, 0, geom.Symmetry.full(2), None)):
         with pytest.raises(ValueError):
             unanswered()
 

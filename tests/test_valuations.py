@@ -29,7 +29,8 @@ def test_pairwise_sum_deterministic_and_exactish():
     [
         "n2_sign_fold_1_2_2_3_L2",
         "n3_torus_1_1_1_1_2_2_L1",
-        "n3_sign_fold_1_1_1_1_1_2_L0",
+        "n3_hopf_1_1_1_1_1_2_L0",
+        "n3_conj_fold_1_2_2_3_3_4_L0",
         "n4_torus_1_1_2_2_3_3_4_4_L0",
         "n2_tilde_1_2_2_3_L1",
         "n2_sign_fold_1_2_2_3_L3",
@@ -41,7 +42,9 @@ def test_tables_match_golden_files(name):
     # by <Ax, N> of a coupled generator, so they run on the full product rule.
     # The level-3 conj-fold (65,536 nodes) and level-2 tilde (65,536 nodes)
     # tables span several QUADRATURE_CHUNKs.  The sign_fold files name the
-    # axis-aligned tables without torus symmetry; they take the conj fold.
+    # n = 2 axis-aligned tables without an equal pair; they take the conj
+    # fold, as the conj_fold file's n = 3 table does.  The hopf file's table
+    # has two free phases.
     doc = json.loads((DATA / f"tables_{name}.json").read_text())
     shape = geom.Ellipsoid.from_axes(doc["axes"])
     if "generator" in doc:
@@ -79,7 +82,7 @@ def _pair_rotation(angle):
     "shape,level",
     [
         (geom.Ellipsoid.from_axes([1, 2, 2, 3]), 2),
-        (geom.Ellipsoid.from_axes([1, 1, 1, 1, 1, 2]), 0),
+        (geom.Ellipsoid.from_axes([1, 2, 2, 3, 3, 4]), 0),
         (geom.Ellipsoid.from_axes([1, 2, 2, 3]).transformed(_pair_rotation(0.3)), 2),
     ],
 )
@@ -91,10 +94,10 @@ def test_sign_folded_table_matches_full_grid(shape, level):
         assert folded[key] == pytest.approx(value, rel=1e-13), key
 
 
-def _without_torus_rule(monkeypatch):
-    """Make T^n-invariant diagonal quadrics take the conj fold, as the other
+def _without_free_phases(monkeypatch):
+    """Make diagonal quadrics with equal pairs take the conj fold, as the other
     axis-aligned ones do (equal to the full product rule to roundoff, see above)."""
-    monkeypatch.setattr(geom, "_torus_invariant", lambda Q: False)
+    monkeypatch.setattr(geom, "_free_phases", lambda Q: frozenset())
 
 
 @pytest.mark.parametrize("axes,level", [([1, 1, 2, 2], 2), ([1, 1, 1, 1, 2, 2], 1)])
@@ -102,7 +105,7 @@ def test_torus_orbit_table_within_product_rule_error(axes, level, monkeypatch):
     shape = geom.Ellipsoid.from_axes(axes)
     orbit = val.hermitian_volumes(shape, level)
     assert orbit.quadrature["rule"] == "torus-orbit"
-    _without_torus_rule(monkeypatch)
+    _without_free_phases(monkeypatch)
     product = val.hermitian_volumes(shape, level)
     assert product.quadrature["rule"] == "conj-fold"
     got, want = orbit.to_json(), product.to_json()
@@ -129,15 +132,67 @@ def test_torus_orbit_disk_table_equals_sign_fold(level, monkeypatch):
     disk = geom.Ellipsoid.from_axes([2, 2])
     orbit = val.hermitian_volumes(disk, level)
     assert orbit.quadrature == {"rule": "torus-orbit", "nodes": 1}
-    _without_torus_rule(monkeypatch)
+    _without_free_phases(monkeypatch)
     assert orbit.to_json() == val.hermitian_volumes(disk, level).to_json()
+
+
+HOPF_SHAPES = [([1, 1, 1, 2], 2), ([1, 1, 1, 1, 1, 2], 1), ([1, 2, 2, 2, 2, 2], 1)]
+
+
+@pytest.mark.parametrize("axes,level", HOPF_SHAPES)
+def test_hopf_table_within_product_rule_error(axes, level, monkeypatch):
+    shape = geom.Ellipsoid.from_axes(axes)
+    hopf = val.hermitian_volumes(shape, level)
+    assert hopf.quadrature["rule"] == "hopf"
+    _without_free_phases(monkeypatch)
+    product = val.hermitian_volumes(shape, level)
+    assert product.quadrature["rule"] == "conj-fold"
+    got, want = hopf.to_json(), product.to_json()
+    errors = richardson_error(product, val.hermitian_volumes(shape, level - 1))
+    for key, err in errors.items():
+        assert abs(got[key] - want[key]) <= err, key
+
+
+@pytest.mark.parametrize("axes", [axes for axes, _ in HOPF_SHAPES])
+def test_hopf_gauss_bonnet_residual(axes):
+    shape = geom.Ellipsoid.from_axes(axes)
+    table = val.hermitian_volumes(shape, 2)
+    assert table.quadrature["rule"] == "hopf"
+    o = sphere_volume_coeff(2 * shape.n - 1).to_float()
+    for residual in val.gauss_bonnet_residual(shape, table=table):
+        assert abs(residual) / o < 1e-12
+
+
+class _PhasesOnly:
+    """The unit weight claiming only the free phases of a group: the Hopf rule
+    without its sign and conjugation folds."""
+
+    def __init__(self, group):
+        self.symmetry = geom.Symmetry(group.phases)
+
+    def normal_speed(self, cloud):
+        return np.ones(len(cloud))
+
+
+@pytest.mark.parametrize("axes", [[1, 1, 1, 2], [1, 1, 1, 2, 2, 3]])
+def test_folded_hopf_table_matches_the_unfolded_one(axes):
+    # all q nodes of each sampled phase against the 2^(k+1) times fewer that
+    # the sign and conjugation folds keep of k sampled phases
+    shape = geom.Ellipsoid.from_axes(axes)
+    folded = val.hermitian_volumes(shape, 1)
+    unfolded = val.hermitian_volumes(shape, 1, _PhasesOnly(geom.symmetry_group(shape.quadric)))
+    sampled = len(axes) // 2 - len(geom.symmetry_group(shape.quadric).phases)
+    assert unfolded.quadrature["nodes"] == folded.quadrature["nodes"] * 2 ** (sampled + 1)
+    got = folded.to_json()
+    for key, value in unfolded.to_json().items():
+        assert got[key] == pytest.approx(value, rel=1e-13), key
 
 
 @pytest.mark.parametrize(
     "shape,rule,divisor",
     [
         (geom.Ellipsoid.from_axes([1, 2, 2, 3]), "conj-fold", 8),
-        (geom.Ellipsoid.from_axes([1, 1, 1, 1, 1, 2]), "conj-fold", 16),
+        (geom.Ellipsoid.from_axes([1, 2, 2, 3, 3, 4]), "conj-fold", 16),
         (geom.Ellipsoid(_seeded_quadric(4)), "product", 1),
         # a turn inside a pair keeps the sign flips but not the conjugation
         (geom.Ellipsoid.from_axes([1, 2, 2, 3]).transformed(_pair_rotation(0.3)), "sign-fold", 4),
@@ -220,8 +275,8 @@ def test_elementary_symmetric_kernel_on_one_node_ball_clouds(eps, R, n):
 )
 def test_curvature_sums_match_eigenvalues_on_table_clouds(axes, level):
     # the integrated M[j] of each table's cloud, kernel against eigenvalues
-    chunks = geom.boundary_chunks(geom.Ellipsoid.from_axes(axes), level, "torus",
-                                  val.QUADRATURE_CHUNK)
+    chunks = geom.boundary_chunks(geom.Ellipsoid.from_axes(axes), level,
+                                  geom.Symmetry.full(len(axes) // 2), val.QUADRATURE_CHUNK)
     got = np.zeros(len(axes))
     want = np.zeros(len(axes))
     for chunk in chunks:

@@ -44,10 +44,12 @@ def test_tilde_tables_fold_by_the_flow_symmetry(axes):
 
 
 def test_flow_symmetry_groups():
-    assert vc.LinearFlow(np.diag([0.3, 0.23, 0.16, 0.09])).symmetry == "conj"
-    assert vc.LinearFlow(np.diag([0.3, 0.3, 0.1, 0.1])).symmetry == "torus+conj"
-    assert vc.LinearFlow(A_PLUS_BJ).symmetry == "torus"
-    assert vc.LinearFlow(NONDIAGONAL_GENERATOR).symmetry == "none"
+    S = geom.Symmetry
+    assert vc.LinearFlow(np.diag([0.3, 0.23, 0.16, 0.09])).symmetry == S(frozenset(), True, True)
+    assert vc.LinearFlow(np.diag([0.3, 0.3, 0.2, 0.1])).symmetry == S(frozenset({0}), True, True)
+    assert vc.LinearFlow(np.diag([0.3, 0.3, 0.1, 0.1])).symmetry == S.full(2)
+    assert vc.LinearFlow(A_PLUS_BJ).symmetry == S(frozenset({0, 1}), True, False)
+    assert vc.LinearFlow(NONDIAGONAL_GENERATOR).symmetry == S()
 
 
 # a + bJ on each complex coordinate pair: it commutes with the torus, not with C
@@ -125,6 +127,19 @@ def test_torus_orbit_tilde_table_within_product_rule_error():
     full = _product_rule_tilde(e, flow, 2)
     got, want = orbit.to_json(), full.to_json()
     # entries the product rule integrates exactly differ by roundoff only
+    for key, err in richardson_error(full, _product_rule_tilde(e, flow, 1)).items():
+        assert abs(got[key] - want[key]) <= max(err, 1e-14 * abs(want[key])), key
+
+
+def test_a_flow_with_an_equal_pair_frees_that_phase():
+    # the first pair is equal in both the quadric and the generator: the
+    # tilde table runs on the Hopf rule, one phase integrated out
+    e = geom.Ellipsoid.from_axes([1, 1, 1, 2])
+    flow = vc.LinearFlow(np.diag([0.3, 0.3, 0.2, 0.1]))
+    hopf = val.hermitian_volumes(e, 2, flow)
+    assert hopf.quadrature == {"rule": "hopf", "nodes": 32 * 32 // 2}
+    full = _product_rule_tilde(e, flow, 2)
+    got, want = hopf.to_json(), full.to_json()
     for key, err in richardson_error(full, _product_rule_tilde(e, flow, 1)).items():
         assert abs(got[key] - want[key]) <= max(err, 1e-14 * abs(want[key])), key
 
