@@ -3,9 +3,12 @@
 
     python3 scripts/bench_record.py --base REV --out BENCH_N.json [--seed 41] [--note TEXT]
 
-Exports REV with `git archive` into a temporary directory.  Then, for each
-workload in BENCHMARK.json, it runs `bench/run.py --trace 0` for the file's
-`run_seconds` on the base and on this checkout's working tree in PAIRS = 10
+Exports REV with `git archive` into a temporary directory, and copies this
+checkout's working tree there too: every tracked and every untracked file
+that is not ignored (`git ls-files -co --exclude-standard`).  Both sides so
+start from fresh trees, with no build or cache left over from earlier runs.
+Then, for each workload in BENCHMARK.json, it runs `bench/run.py --trace 0`
+for the file's `run_seconds` on the base and on the change in PAIRS = 10
 alternating pairs (pair i uses seed + i on both sides, and the side that
 runs first alternates), then one `--trace 1` run per side.  Last, it times
 the Tier-1 suite once per side.  The record holds the --note text (what
@@ -21,6 +24,7 @@ import json
 import os
 import platform
 import re
+import shutil
 import statistics
 import subprocess
 import sys
@@ -44,6 +48,17 @@ def export(rev: str, dest: Path) -> None:
     archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev], capture_output=True,
                              check=True).stdout
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+
+
+def export_worktree(dest: Path) -> None:
+    """Copy the working tree's tracked and untracked, not ignored files."""
+    listing = subprocess.run(["git", "-C", str(ROOT), "ls-files", "-co", "--exclude-standard",
+                              "-z"], capture_output=True, text=True, check=True).stdout
+    for name in listing.split("\0"):
+        src = ROOT / name
+        if name and src.is_file():  # a tracked file deleted in the tree is not copied
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(src, dest / name)
 
 
 def bench(side: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -130,9 +145,9 @@ def main(argv=None) -> int:
         "workloads": {},
     }
     with tempfile.TemporaryDirectory() as tmp:
-        base = Path(tmp) / "base"
-        export(args.base, base)
-        sides = {"base": base, "change": ROOT}
+        sides = {"base": Path(tmp) / "base", "change": Path(tmp) / "change"}
+        export(args.base, sides["base"])
+        export_worktree(sides["change"])
         for w in spec["workloads"]:
             name = w["name"]
             pairs = []

@@ -547,11 +547,16 @@ class VariationOperator:
 
     def targets(self, key: Key) -> Tuple[Target, ...]:
         """Unprimed targets: delta(source) = sum coeff * eps^p * tilde(target)."""
-        src = _primed_unit(self.n, key)
-        return tuple(
-            (kind, k, q, p, src / _primed_unit(self.n, (kind, k, q)) * c)
-            for kind, k, q, p, c in self.primed[key]
-        )
+        return _unprimed_targets(self.n, key, self.primed[key])
+
+
+@cache
+def _unprimed_targets(n: int, key: Key, primed: Tuple[PrimedTarget, ...]) -> Tuple[Target, ...]:
+    """`VariationOperator.targets`, built once per operator row."""
+    src = _primed_unit(n, key)
+    return tuple(
+        (kind, k, q, p, src / _primed_unit(n, (kind, k, q)) * c) for kind, k, q, p, c in primed
+    )
 
 
 @cache

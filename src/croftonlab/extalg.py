@@ -16,13 +16,15 @@ Densities are coefficients of the ordered top form a_{1bar}^a_2^a_{2bar}^...^a_{
 Multivectors are sparse maps bitmask -> coefficient; coefficients may be numpy
 arrays so a fixed polynomial evaluates over a whole batch of h matrices at once.
 
-`build_pullbacks` reads the two-form coefficients off the upper triangle of
-antisymmetric coefficient matrices with index arrays, one contiguous row per
-coframe pair.  `densities` evaluates any set of (kind, k, q) densities from one
-`PullbackForms`: each power theta_i^e is built once, the prefixes
-v ^ theta_0^a and (v ^ theta_0^a) ^ theta_1^b are shared by every key that
-needs them, and the last factor theta_2^c enters only through the top
-coefficient, a contraction sum_mask +-X[mask] Y[top ^ mask].  The association
+`build_pullbacks` works one coefficient row at a time: a Python float at a
+single point, one contiguous row of a batch-last copy of h for a batch.  Each
+two-form coefficient is the antisymmetric part M(p, q) - M(q, p) of its
+coefficient matrix on one coframe pair p < q.  `densities` evaluates any set
+of (kind, k, q) densities from one `PullbackForms`: each power theta_i^e is
+built once, the prefixes v ^ theta_0^a and (v ^ theta_0^a) ^ theta_1^b are
+shared by every key that needs them, and the last factor theta_2^c enters
+only through the top coefficient, a contraction
+sum_mask +-X[mask] Y[top ^ mask].  The association
 ((v ^ theta_0^a) ^ theta_1^b) ^ theta_2^c and the summation order of
 `MultiVector.wedge` are those of the plain chain of wedges, so the values are
 bit-identical to it.
@@ -124,9 +126,6 @@ class MultiVector:
     def coefficient(self, mask: int) -> Coeff:
         return self.terms.get(mask, 0.0)
 
-    def top_coefficient(self) -> Coeff:
-        return self.coefficient((1 << self.d) - 1)
-
 
 def _as_batch(h: np.ndarray, n: int | None = None):
     """Normalize input to (m, d, d) float array; report if it was unbatched."""
@@ -146,14 +145,6 @@ def _as_batch(h: np.ndarray, n: int | None = None):
     return arr, n, single
 
 
-@functools.lru_cache(maxsize=None)
-def _pairs(d: int) -> Tuple[np.ndarray, np.ndarray, List[int]]:
-    """Row and column index arrays of the strict upper triangle (row-major)
-    and the bitmask of each coframe pair."""
-    p, q = np.triu_indices(d, 1)
-    return p, q, [(1 << a) | (1 << b) for a, b in zip(p.tolist(), q.tolist())]
-
-
 @dataclass
 class PullbackForms:
     beta: MultiVector
@@ -163,54 +154,57 @@ class PullbackForms:
     theta2: MultiVector
 
 
-def _form(d: int, masks: Sequence[int], rows: np.ndarray, single: bool) -> MultiVector:
-    """Form with coefficient rows (terms, m) on `masks`, dropping all-zero rows;
-    a single point stores Python floats."""
-    keep = rows.any(axis=1).tolist()
-    coeffs = rows[:, 0].tolist() if single else rows
-    return MultiVector(d, {mask: coeffs[i] for i, mask in enumerate(masks) if keep[i]})
-
-
-def _two_form(d: int, T: np.ndarray, single: bool) -> MultiVector:
-    """The two-form with coefficient T[p, q] - T[q, p] on each pair p < q of
-    the batch-last matrices T (d, d, m)."""
-    p, q, masks = _pairs(d)
-    return _form(d, masks, T[p, q] - T[q, p], single)
-
-
 def build_pullbacks(h: np.ndarray, n: int | None = None) -> PullbackForms:
     """Pull the invariant forms back to the boundary coframe, per point.
 
     beta and theta_2 are constant, gamma and theta_1 are linear and theta_0 is
-    quadratic in the entries of h.  Batched h gives array-valued coefficients,
-    one contiguous row per generator or coframe pair.
+    quadratic in the entries of h.  Every coefficient is built from the rows
+    H[a][b]: a Python float for a single h, the contiguous row h[:, a, b] of a
+    batch-last copy for a batch, so one code path serves both.  The two-forms
+    take the pairs p < q in row-major order, each with coefficient
+    T(p, q) - T(q, p) (theta_1) or A(p, q) - A(q, p) (theta_0); terms that are
+    zero at every point are dropped.
     """
     arr, n, single = _as_batch(h, n)
     d = 2 * n - 1
-    m = arr.shape[0]
-    H = np.ascontiguousarray(arr.transpose(1, 2, 0))  # batch-last: H[a, b] = h[:, a, b]
+    if single:
+        H = arr[0].tolist()
+        ones = 1.0
+        nonzero = bool
+    else:
+        H = [list(rows) for rows in np.ascontiguousarray(arr.transpose(1, 2, 0))]
+        ones = np.ones(arr.shape[0])
+        nonzero = np.ndarray.any
+
     # frame slot 0 is the Hopf direction, slots 2i-3 and 2i-2 are e_i and Je_i
-    He, Hj = H[1::2], H[2::2]
+    frames = [(H[e], H[e + 1]) for e in range(1, d, 2)]
 
-    ones = 1.0 if single else np.ones(m)
-    beta = MultiVector(d, {1 << 0: ones})
-    gamma = _form(d, [1 << j for j in range(d)], H[0], single)
+    # Both matrices are sums from 0.0, as if accumulated into zeros: 0.0 + x
+    # turns a -0.0 entry of h into 0.0, and the coefficients keep that bit.
+    def T(p: int, q: int) -> Coeff:
+        # theta_1's matrix: T[Hopf] = 0, T[e_i] = h[Je_i], T[Je_i] = -h[e_i]
+        if p == 0:
+            return 0.0
+        return 0.0 + H[p + 1][q] if p % 2 else 0.0 - H[p - 1][q]
 
-    theta2 = MultiVector(d, {(1 << p) | (1 << (p + 1)): ones for p in range(1, d, 2)})
+    def A(p: int, q: int) -> Coeff:
+        # theta_0's matrix: sum_i h[e_i, p] h[Je_i, q], in order of i
+        a = 0.0
+        for he, hj in frames:
+            a = a + he[p] * hj[q]
+        return a
 
-    # theta_1: T[e_i] = h[Je_i] and T[Je_i] = -h[e_i], paired as T[p,q] - T[q,p]
-    T = np.zeros((d, d, m))
-    T[1::2] += Hj
-    T[2::2] -= He
-    theta1 = _two_form(d, T, single)
+    def form(terms) -> MultiVector:
+        return MultiVector(d, {mask: c for mask, c in terms if nonzero(c)})
 
-    # theta_0: A[j,l] = sum_i h[e_i, j] h[Je_i, l], summed from zero in order of i
-    A = np.zeros((d, d, m))
-    for i in range(n - 1):
-        A += He[i][:, None] * Hj[i][None, :]
-    theta0 = _two_form(d, A, single)
-
-    return PullbackForms(beta=beta, gamma=gamma, theta0=theta0, theta1=theta1, theta2=theta2)
+    pairs = [(p, q, (1 << p) | (1 << q)) for p in range(d) for q in range(p + 1, d)]
+    return PullbackForms(
+        beta=MultiVector(d, {1 << 0: ones}),
+        gamma=form((1 << j, H[0][j]) for j in range(d)),
+        theta0=form((mask, A(p, q) - A(q, p)) for p, q, mask in pairs),
+        theta1=form((mask, T(p, q) - T(q, p)) for p, q, mask in pairs),
+        theta2=MultiVector(d, {(1 << p) | (1 << (p + 1)): ones for p in range(1, d, 2)}),
+    )
 
 
 def _check_beta_index(n: int, k: int, q: int) -> None:
@@ -341,25 +335,30 @@ def _perm_sign(perm: Sequence[int]) -> int:
     return sign
 
 
-def _oracle_two_forms(n: int, h: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Dense antisymmetric matrices of theta_0, theta_1, theta_2 built by loops."""
+Matrix = List[List[float]]
+
+
+def _oracle_two_forms(n: int, h: Matrix) -> Tuple[Matrix, Matrix, Matrix]:
+    """Dense antisymmetric matrices of theta_0, theta_1, theta_2 built by loops
+    over the nested list h."""
     d = 2 * n - 1
-    t0 = np.zeros((d, d))
-    t1 = np.zeros((d, d))
-    t2 = np.zeros((d, d))
+    t0 = [[0.0] * d for _ in range(d)]
+    t1 = [[0.0] * d for _ in range(d)]
+    t2 = [[0.0] * d for _ in range(d)]
     for i in range(2, n + 1):
         pe = 2 * (i - 2) + 1
         pj = pe + 1
-        t2[pe, pj] += 1.0
-        t2[pj, pe] -= 1.0
+        he, hj = h[pe], h[pj]
+        t2[pe][pj] += 1.0
+        t2[pj][pe] -= 1.0
         for j in range(d):
-            t1[pe, j] += h[pj, j]
-            t1[j, pe] -= h[pj, j]
-            t1[pj, j] -= h[pe, j]
-            t1[j, pj] += h[pe, j]
+            t1[pe][j] += hj[j]
+            t1[j][pe] -= hj[j]
+            t1[pj][j] -= he[j]
+            t1[j][pj] += he[j]
             for l in range(d):
-                t0[j, l] += h[pe, j] * h[pj, l]
-                t0[l, j] -= h[pe, j] * h[pj, l]
+                t0[j][l] += he[j] * hj[l]
+                t0[l][j] -= he[j] * hj[l]
     return t0, t1, t2
 
 
@@ -367,12 +366,13 @@ def permutation_oracle(kind: str, n: int, k: int, q: int, h: np.ndarray) -> floa
     """Evaluate the same density by explicit Leibniz expansion over permutations.
 
     Cost grows as (2n-1)!; restricted to n <= 3.  Shares no code with the
-    bitmask engine.  The loop indexes Python-float copies of the vector and
-    the matrices; the products are the same doubles as numpy's.
+    bitmask engine.  Everything runs on Python floats: h, the vector and the
+    dense two-form matrices are nested lists, so each product and sum is the
+    one IEEE double operation numpy would make.
     """
     if n > 3:
         raise ValueError("permutation oracle limited to n <= 3")
-    h = np.asarray(h, dtype=float)
+    h = np.asarray(h, dtype=float).tolist()
     d = 2 * n - 1
     if kind == "beta":
         _check_beta_index(n, k, q)
@@ -380,11 +380,11 @@ def permutation_oracle(kind: str, n: int, k: int, q: int, h: np.ndarray) -> floa
         exps = (n - k + q, k - 2 * q - 1, q)
     elif kind == "gamma":
         _check_gamma_index(n, k, q)
-        vec = h[0, :].tolist()
+        vec = h[0]
         exps = (n - k + q - 1, k - 2 * q, q)
     else:
         raise ValueError("kind must be 'beta' or 'gamma'")
-    t0, t1, t2 = (t.tolist() for t in _oracle_two_forms(n, h))
+    t0, t1, t2 = _oracle_two_forms(n, h)
     mats = [t0] * exps[0] + [t1] * exps[1] + [t2] * exps[2]
     total = 0.0
     for perm, sign in _signed_permutations(d):
@@ -399,4 +399,3 @@ def permutation_oracle(kind: str, n: int, k: int, q: int, h: np.ndarray) -> floa
         else:
             total += sign * p
     return total / 2 ** len(mats)
-

@@ -1,6 +1,8 @@
 """Exterior-algebra engine vs the full wedge chain, the permutation oracle and closed forms."""
 
+import json
 from math import factorial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +11,8 @@ from hypothesis import given, settings, strategies as st
 from croftonlab import coeffcore as cc
 from croftonlab import extalg as ea
 from helpers import realify_complex_columns
+
+DATA = Path(__file__).parent / "data"
 
 
 def random_sff(rng, n):
@@ -109,17 +113,53 @@ def test_index_array_two_forms_match_the_loop_oracle(n):
     masks = {(1 << p) | (1 << q) for p, q in pairs}
     for i, h in enumerate(hs):
         single = ea.build_pullbacks(h, n)
-        oracle = ea._oracle_two_forms(n, h)
+        oracle = ea._oracle_two_forms(n, h.tolist())
         for name, mat in zip(("theta0", "theta1", "theta2"), oracle):
             assert all(type(c) is float for c in getattr(single, name).terms.values())
             assert set(getattr(batched, name).terms) <= masks
             for p, q in pairs:
                 mask = (1 << p) | (1 << q)
-                want = mat[p, q]
+                want = mat[p][q]
                 got_b = np.asarray(getattr(batched, name).coefficient(mask))
                 got_b = got_b[i] if got_b.ndim else got_b
                 for got in (got_b, getattr(single, name).coefficient(mask)):
                     assert abs(got - want) <= 1e-14 * max(1.0, abs(want)), (name, p, q)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_single_points_are_rows_of_the_batch_bit_for_bit(n):
+    # one code path: a single h gives row i of the batched call, in the same
+    # mask order, without the terms that vanish at that point
+    for name, hs in _sff_cases(np.random.default_rng(41 + n), n).items():
+        if hs.ndim == 2:
+            continue
+        batched = ea.build_pullbacks(hs, n)
+        for i, h in enumerate(hs):
+            single = ea.build_pullbacks(h, n)
+            for form in ("beta", "gamma", "theta0", "theta1", "theta2"):
+                got = getattr(single, form).terms
+                rows = getattr(batched, form).terms
+                assert list(got) == [mask for mask, row in rows.items() if row[i] != 0.0]
+                for mask, c in got.items():
+                    assert type(c) is float
+                    assert np.float64(c).tobytes() == rows[mask][i:i + 1].tobytes(), (name, form)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_signed_zero_entries_act_as_zero_in_the_two_forms(n):
+    # theta_0 and theta_1 come from matrices summed from 0.0: a -0.0 entry of h
+    # gives the bits of 0.0, and no coefficient is -0.0
+    rng = np.random.default_rng(53 + n)
+    hs = rng.standard_normal((6, 2 * n - 1, 2 * n - 1))
+    hs[rng.random(hs.shape) < 0.4] = 0.0
+    hs[rng.random(hs.shape) < 0.4] = -0.0
+    got, want = ea.build_pullbacks(hs, n), ea.build_pullbacks(hs + 0.0, n)
+    for form in ("theta0", "theta1"):
+        terms = getattr(got, form).terms
+        assert list(terms) == list(getattr(want, form).terms)
+        for mask, c in terms.items():
+            assert c.tobytes() == getattr(want, form).terms[mask].tobytes()
+            assert not np.any(np.signbit(c) & (c == 0.0)), (form, mask)
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +175,7 @@ def _chain_density(forms, kind, n, k, q):
         w, exps = forms.gamma, (n - k + q - 1, k - 2 * q, q)
     for theta, e in zip((forms.theta0, forms.theta1, forms.theta2), exps):
         w = w.wedge(theta.wedge_pow(e))
-    return w.top_coefficient()
+    return w.coefficient((1 << w.d) - 1)
 
 
 def _all_keys(n):
@@ -197,6 +237,18 @@ def test_density_gamma_matches_oracle(n):
             got = ea.density_gamma(n, k, q, h)
             want = ea.permutation_oracle("gamma", n, k, q, h)
             assert got == pytest.approx(want, rel=1e-10, abs=1e-10), (n, k, q)
+
+
+def test_oracle_matches_its_golden_values():
+    # values of the engine-independent oracle, pinned to the last bit
+    golden = json.loads((DATA / "permutation_oracle_n2_n3.json").read_text())
+    for n in (2, 3):
+        rng = np.random.default_rng(37 + n)
+        for want in golden[f"n{n}"]:
+            h = random_sff(rng, n)
+            got = {f"{kind}:{k},{q}": repr(ea.permutation_oracle(kind, n, k, q, h))
+                   for kind, k, q in _all_keys(n)}
+            assert got == want
 
 
 def test_oracle_zero_cases():
